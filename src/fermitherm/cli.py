@@ -1,8 +1,8 @@
 """Command-line surface: entropy/linear tables, SCF runs, sweeps, dynamics.
 
 Exit codes: 0 success, 1 usage error, 2 model-regime refusal, 3 converged
-with audit failure, 4 convergence failure (including missing/unconverged
-input states).  CSV output is byte-deterministic: header row first,
+with audit failure, 4 convergence failure (including missing, malformed or
+unconverged input states).  CSV output is byte-deterministic: header row first,
 17-significant-digit floats, LF line endings.  A JSON file with the same
 keys as the flags can be passed via --config; explicit flags win.
 FERMITHERM_THREADS caps the fan-out of sweep and stability runs.
@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dynamics import evolve, stability_experiment
+from .dynamics import _check_step_controls, evolve, stability_experiment
 from .energy import free_energy
 from .entropy import InvalidExponentError, make_power_entropy, validate_a4
 from .grid import DensityMatrix, build_grid, density_from_gamma, hartree_potential
@@ -106,7 +106,6 @@ _SOLVER_DEFAULTS = {
     "tol_gamma": 1e-9,
     "tol_energy": 1e-9,
     "max_iter": 300,
-    "seed": 0,
 }
 
 
@@ -123,7 +122,6 @@ def _scf_config(opts: dict, q) -> ScfConfig:
         tol_gamma=opts["tol_gamma"],
         tol_energy=opts["tol_energy"],
         max_iter=int(opts["max_iter"]),
-        seed=int(opts["seed"]),
     )
 
 
@@ -199,23 +197,48 @@ def _save_state(path: str, result: ScfResult, config: ScfConfig) -> None:
     np.savez(path, **payload, **arrays)
 
 
+class _StateError(Exception):
+    """A stored state is missing, malformed or not a converged minimizer (exit 4)."""
+
+
+_STATE_SCALARS = (
+    "n_points", "r_max", "l_max", "Z", "T", "m", "mu", "residual", "iterations", "converged",
+)
+
+
 def _load_state(path: str):
-    data = np.load(path)
-    grid = build_grid(int(data["n_points"]), float(data["r_max"]))
-    blocks = [data[f"block_{l}"] for l in range(int(data["l_max"]) + 1)]
-    gamma = DensityMatrix(grid=grid, blocks=blocks)
-    spec = make_power_entropy(float(data["m"]))
-    Z, T = float(data["Z"]), float(data["T"])
-    energy = free_energy(gamma, spec, Z, T)
-    result = ScfResult(
-        gamma=gamma,
-        mu=float(data["mu"]),
-        energy=energy,
-        residual=float(data["residual"]),
-        iterations=int(data["iterations"]),
-        converged=bool(int(data["converged"])),
-        status="converged" if int(data["converged"]) else "max_iter",
-    )
+    """Reload a state written by ``_save_state``; only converged minimizers pass.
+
+    The file comes from outside the program, so keys, block shapes,
+    Hermiticity and the spectrum in [0, 1] are all checked before use.
+    """
+    if not os.path.exists(path):
+        raise _StateError(f"state file not found: {path}")
+    try:
+        with np.load(path) as data:
+            scalars = {k: data[k].item() for k in _STATE_SCALARS}
+            blocks = [data[f"block_{l}"] for l in range(int(scalars["l_max"]) + 1)]
+        gamma = DensityMatrix(
+            grid=build_grid(int(scalars["n_points"]), float(scalars["r_max"])),
+            blocks=blocks,
+        )
+        gamma.validate()
+        spec = make_power_entropy(float(scalars["m"]))
+        Z, T = float(scalars["Z"]), float(scalars["T"])
+        converged = bool(int(scalars["converged"]))
+        result = ScfResult(
+            gamma=gamma,
+            mu=float(scalars["mu"]),
+            energy=free_energy(gamma, spec, Z, T),
+            residual=float(scalars["residual"]),
+            iterations=int(scalars["iterations"]),
+            converged=converged,
+            status="converged" if converged else "max_iter",
+        )
+    except (KeyError, OSError, TypeError, ValueError) as exc:
+        raise _StateError(f"invalid state file {path}: {exc}") from exc
+    if not result.converged:
+        raise _StateError("input state is not a converged minimizer")
     return result, spec, Z, T
 
 
@@ -244,7 +267,6 @@ def _result_payload(result: ScfResult, config: ScfConfig) -> dict:
             "tol_gamma": config.tol_gamma,
             "tol_energy": config.tol_energy,
             "max_iter": config.max_iter,
-            "seed": config.seed,
         },
         "converged": result.converged,
         "status": result.status,
@@ -263,11 +285,6 @@ def cmd_minimize(args) -> int:
         {**_SOLVER_DEFAULTS, "out": None, "density_csv": None, "state": None},
     )
     _require(opts, ("m", "Z", "T"))
-    if opts["m"] >= 3.0:
-        sys.stderr.write(
-            f"error: free energy unbounded from below for m = {opts['m']}\n"
-        )
-        return 2
     config = _scf_config(opts, opts["q"])
     result = scf_minimize(config) if opts["q"] is not None else scf_global(config)
     payload = _result_payload(result, config)
@@ -305,11 +322,6 @@ def cmd_sweep(args) -> int:
         },
     )
     _require(opts, ("m", "Z", "T", "q_from", "q_to", "q_steps"))
-    if opts["m"] >= 3.0:
-        sys.stderr.write(
-            f"error: free energy unbounded from below for m = {opts['m']}\n"
-        )
-        return 2
     steps = int(opts["q_steps"])
     if steps < 1 or opts["q_to"] < opts["q_from"]:
         sys.stderr.write("error: bad sweep range\n")
@@ -347,27 +359,23 @@ def _trajectory_rows(samples):
 _TRAJ_HEADER = ("t", "trace", "E_hf", "entropy_trace", "dist")
 
 
+_DYNAMICS_DEFAULTS = {
+    "state": None,
+    "dt": None,
+    "horizon": None,
+    "stride": 10,
+    "inner": 3,
+    "propagator": "cayley",
+}
+
+
 def cmd_evolve(args) -> int:
-    opts = _merge(
-        args,
-        {
-            "state": None,
-            "dt": None,
-            "horizon": None,
-            "stride": 10,
-            "inner": 3,
-            "propagator": "cayley",
-            "out": None,
-        },
-    )
+    opts = _merge(args, {**_DYNAMICS_DEFAULTS, "out": None})
     _require(opts, ("state", "dt", "horizon"))
-    if not os.path.exists(opts["state"]):
-        sys.stderr.write(f"error: state file not found: {opts['state']}\n")
-        return 4
+    _check_step_controls(
+        opts["dt"], int(opts["inner"]), int(opts["stride"]), opts["propagator"]
+    )
     result, spec, Z, _ = _load_state(opts["state"])
-    if not result.converged:
-        sys.stderr.write("error: input state is not a converged minimizer\n")
-        return 4
     n_steps = max(1, int(round(opts["horizon"] / opts["dt"])))
     samples = evolve(
         result.gamma,
@@ -387,26 +395,10 @@ def cmd_evolve(args) -> int:
 def cmd_stability(args) -> int:
     opts = _merge(
         args,
-        {
-            "state": None,
-            "dt": None,
-            "horizon": None,
-            "eta": None,
-            "stride": 10,
-            "inner": 3,
-            "propagator": "cayley",
-            "seed": 0,
-            "out_prefix": "stability_",
-        },
+        {**_DYNAMICS_DEFAULTS, "eta": None, "seed": 0, "out_prefix": "stability_"},
     )
     _require(opts, ("state", "dt", "horizon", "eta"))
-    if not os.path.exists(opts["state"]):
-        sys.stderr.write(f"error: state file not found: {opts['state']}\n")
-        return 4
     result, spec, Z, _ = _load_state(opts["state"])
-    if not result.converged:
-        sys.stderr.write("error: input state is not a converged minimizer\n")
-        return 4
     etas = [float(e) for e in opts["eta"]]
 
     def run(eta):
@@ -471,7 +463,6 @@ def build_parser() -> _Parser:
         p.add_argument("--tol-gamma", dest="tol_gamma", type=float, default=argparse.SUPPRESS)
         p.add_argument("--tol-energy", dest="tol_energy", type=float, default=argparse.SUPPRESS)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     p_min = sub.add_parser("minimize", help="SCF minimization (fixed q or global)")
     add_solver(p_min)
@@ -521,6 +512,9 @@ def main(argv=None) -> int:
     except UnboundedRegimeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except _StateError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import OperatorCache, _hf_terms, mean_field_hamiltonian
+from .energy import (
+    OperatorCache,
+    _entropy_of_occupations,
+    _hf_terms,
+    mean_field_hamiltonian,
+)
 from .entropy import EntropySpec
 from .grid import DensityMatrix, kinetic_matrix
 from .scf import ScfResult
@@ -53,6 +58,18 @@ class TrajectorySample:
     hf_energy: float
     entropy_trace: float
     dist_to_reference: float
+
+
+def _check_step_controls(dt, inner_iterations, sample_stride, propagator) -> None:
+    """Reject step controls that cannot drive a propagation."""
+    if dt == 0.0:
+        raise ValueError("dt must be nonzero (negative dt propagates backward)")
+    if inner_iterations < 1:
+        raise ValueError("inner_iterations must be >= 1")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
+    if propagator not in ("expm", "cayley"):
+        raise ValueError(f"unknown propagator {propagator!r}")
 
 
 def _sqrt_kinetic(grid, l_max):
@@ -193,12 +210,7 @@ def propagate_step(
     iterated ``inner_iterations`` times.  Spectrum, trace and tr beta(gamma)
     are preserved to roundoff.
     """
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero (negative dt propagates backward)")
-    if inner_iterations < 1:
-        raise ValueError("inner_iterations must be >= 1")
-    if propagator not in ("expm", "cayley"):
-        raise ValueError(f"unknown propagator {propagator!r}")
+    _check_step_controls(dt, inner_iterations, 1, propagator)
     if cache is None:
         cache = OperatorCache(gamma.grid, gamma.l_max, Z)
     apply_u = _expm_apply if propagator == "expm" else _cayley_apply
@@ -212,10 +224,10 @@ def propagate_step(
 def _sample(t, grid, orbitals, occupations, spec, cache, reference, sqrt_kin, keep):
     gamma = _materialize(grid, orbitals, occupations)
     kin, nuc, direct, exch = _hf_terms(gamma, cache)
-    entropy = 0.0
-    for l, b in enumerate(gamma.blocks):
-        w = np.clip(np.linalg.eigvalsh(b), 0.0, 1.0)
-        entropy += (2 * l + 1) * float(np.sum(spec.beta(w)))
+    # eigenvalues of the materialized state, so roundoff drift stays visible
+    entropy = _entropy_of_occupations(
+        [np.linalg.eigvalsh(b) for b in gamma.blocks], spec
+    )
     dist = (
         hspace_distance(gamma, reference, sqrt_kin)
         if reference is not None
@@ -251,8 +263,7 @@ def evolve(
     200 steps absorbs roundoff drift.  Samples include t = 0 and the final
     step.
     """
-    if propagator not in ("cayley", "expm"):
-        raise ValueError(f"unknown propagator {propagator!r}")
+    _check_step_controls(dt, inner_iterations, sample_stride, propagator)
     if cache is None:
         cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
     grid = gamma0.grid
@@ -331,6 +342,7 @@ def stability_experiment(
     """
     if not minimizer.converged:
         raise ValueError("stability_experiment requires a converged minimizer")
+    _check_step_controls(dt, inner_iterations, sample_stride, propagator)
     gamma_ref = minimizer.gamma
     grid = gamma_ref.grid
     rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ s orbital.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +17,11 @@ from .angular import exchange_weights
 from .entropy import EntropySpec
 from .grid import (
     DensityMatrix,
-    RadialDensity,
     RadialGrid,
+    density_from_gamma,
     hartree_potential,
     kinetic_matrix,
+    kinetic_tridiagonal,
     multipole_kernel,
     nuclear_potential,
 )
@@ -79,18 +80,21 @@ def _make_breakdown(kin, nuc, direct, exch, entropy, T) -> EnergyBreakdown:
 class OperatorCache:
     """Grid-bound operators reused across energy and Hamiltonian builds.
 
-    Holds the per-channel kinetic matrices, the nuclear diagonal, and the
-    angular-combined exchange kernels sum_L A_L(l,l') w_L for each channel
-    pair (symmetric in l <-> l').
+    The kinetic operator is kept tridiagonal: ``kinetic_diag[l]`` per channel
+    plus the scalar ``kinetic_off`` shared by all channels.  Next to it sit
+    the nuclear diagonal and the angular-combined exchange kernels
+    sum_L A_L(l,l') w_L for each channel pair (symmetric in l <-> l'), the
+    only n x n arrays held.  The direct term needs no kernel: it goes
+    through the O(n) Newton-shell ``hartree_potential``.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
         self.grid = grid
         self.l_max = l_max
         self.Z = Z
-        self.kinetic = [kinetic_matrix(grid, l) for l in range(l_max + 1)]
-        self.kinetic_diag = [np.diagonal(k).copy() for k in self.kinetic]
-        self.kinetic_off = -1.0 / grid.h**2
+        stencils = [kinetic_tridiagonal(grid, l) for l in range(l_max + 1)]
+        self.kinetic_diag = [diag for diag, _ in stencils]
+        self.kinetic_off = stencils[0][1]
         self.v_nuclear = nuclear_potential(grid, Z)
         angular = exchange_weights(l_max)
         self.pair_kernels = {}
@@ -100,7 +104,23 @@ class OperatorCache:
                 for L, a_l in angular[(l, lp)]:
                     combined += a_l * multipole_kernel(grid, L)
                 self.pair_kernels[(l, lp)] = combined
-        self.w0 = multipole_kernel(grid, 0)
+
+    def one_body_block(self, l: int, v_local=None, out=None) -> np.ndarray:
+        """Dense T_l + diag(v_local), added in place onto ``out`` when given.
+
+        ``v_local`` defaults to the nuclear potential, which makes the
+        result the bare block of channel l.
+        """
+        n = self.grid.n_points
+        if v_local is None:
+            v_local = self.v_nuclear
+        if out is None:
+            out = np.zeros((n, n))
+        idx = np.arange(n)
+        out[idx, idx] += self.kinetic_diag[l] + v_local
+        out[idx[:-1], idx[1:]] += self.kinetic_off
+        out[idx[1:], idx[:-1]] += self.kinetic_off
+        return out
 
     def pair_kernel(self, l: int, lp: int) -> np.ndarray:
         return self.pair_kernels[(min(l, lp), max(l, lp))]
@@ -117,28 +137,43 @@ def _cache_for(gamma: DensityMatrix, Z: float, cache: OperatorCache | None) -> O
     return cache
 
 
-def _weighted_diagonal(gamma: DensityMatrix) -> np.ndarray:
-    """h * rho_line: multiplicity-weighted diagonal of the blocks."""
-    out = np.zeros(gamma.grid.n_points)
+def _one_body_terms(gamma: DensityMatrix, cache: OperatorCache):
+    """(kinetic, nuclear, line density) of a state, O(n) per block.
+
+    The kinetic trace reads only the three central diagonals of each block.
+    """
+    kin = 0.0
     for l, b in enumerate(gamma.blocks):
-        out += (2 * l + 1) * np.real(np.diagonal(b))
-    return out
+        diag_part = np.dot(cache.kinetic_diag[l], np.real(np.diagonal(b)))
+        off_part = np.real(np.sum(np.diagonal(b, 1)) + np.sum(np.diagonal(b, -1)))
+        kin += (2 * l + 1) * float(diag_part + cache.kinetic_off * off_part)
+    rho = density_from_gamma(gamma)
+    nuc = gamma.grid.h * float(np.dot(cache.v_nuclear, rho.rho_line))
+    return kin, nuc, rho
 
 
 def _hf_terms(gamma: DensityMatrix, cache: OperatorCache):
-    """(kinetic, nuclear, direct, exchange) of a state, all real."""
-    kin = 0.0
-    for l, b in enumerate(gamma.blocks):
-        kin += (2 * l + 1) * float(np.real(np.einsum("ij,ji->", cache.kinetic[l], b)))
-    rho_tilde = _weighted_diagonal(gamma)
-    nuc = float(np.dot(cache.v_nuclear, rho_tilde))
-    direct = 0.5 * float(rho_tilde @ (cache.w0 @ rho_tilde))
+    """(kinetic, nuclear, direct, exchange) of a state, all real.
+
+    The direct term is (h/2) rho . V_H, with V_H from the Newton-shell sum.
+    """
+    kin, nuc, rho = _one_body_terms(gamma, cache)
+    grid = gamma.grid
+    direct = 0.5 * grid.h * float(np.dot(rho.rho_line, hartree_potential(grid, rho)))
     exch = 0.0
     for l, bl in enumerate(gamma.blocks):
         for lp, blp in enumerate(gamma.blocks):
             kernel = cache.pair_kernel(l, lp)
             exch += 0.5 * float(np.real(np.sum(kernel * bl * np.conj(blp))))
     return kin, nuc, direct, exch
+
+
+def _entropy_of_occupations(occupations, spec: EntropySpec) -> float:
+    """sum_l (2l+1) sum beta(nu) over per-channel occupations clipped to [0, 1]."""
+    return sum(
+        (2 * l + 1) * float(np.sum(spec.beta(np.clip(occ, 0.0, 1.0))))
+        for l, occ in enumerate(occupations)
+    )
 
 
 def _entropy_of_blocks(
@@ -149,16 +184,14 @@ def _entropy_of_blocks(
     Eigenvalues within clip_tol of [0, 1] are clipped; anything further out
     is a genuine constraint violation and raises.
     """
-    total = 0.0
-    for l, b in enumerate(gamma.blocks):
-        w = np.linalg.eigvalsh(b)
+    occupations = [np.linalg.eigvalsh(b) for b in gamma.blocks]
+    for l, w in enumerate(occupations):
         if w[0] < -clip_tol or w[-1] > 1.0 + clip_tol:
             raise ValueError(
                 f"occupation eigenvalues outside [0,1] in channel l={l}: "
                 f"[{w[0]:.3e}, {w[-1]:.10f}]"
             )
-        total += (2 * l + 1) * float(np.sum(spec.beta(np.clip(w, 0.0, 1.0))))
-    return total
+    return _entropy_of_occupations(occupations, spec)
 
 
 def hf_energy(
@@ -193,10 +226,7 @@ def linear_energy_breakdown(
 ) -> EnergyBreakdown:
     """Breakdown of the linear functional (direct and exchange dropped)."""
     cache = _cache_for(gamma, Z, cache)
-    kin = 0.0
-    for l, b in enumerate(gamma.blocks):
-        kin += (2 * l + 1) * float(np.real(np.einsum("ij,ji->", cache.kinetic[l], b)))
-    nuc = float(np.dot(cache.v_nuclear, _weighted_diagonal(gamma)))
+    kin, nuc, _ = _one_body_terms(gamma, cache)
     entropy = _entropy_of_blocks(gamma, spec)
     return _make_breakdown(kin, nuc, 0.0, 0.0, entropy, T)
 
@@ -222,10 +252,6 @@ class MeanFieldHamiltonian:
 
     grid: RadialGrid
     blocks: list
-    kinetic: list = field(repr=False)
-    v_nuclear: np.ndarray = field(repr=False)
-    v_hartree: np.ndarray = field(repr=False)
-    exchange: list = field(repr=False)
 
 
 def mean_field_hamiltonian(
@@ -233,36 +259,18 @@ def mean_field_hamiltonian(
 ) -> MeanFieldHamiltonian:
     cache = _cache_for(gamma, Z, cache)
     grid = gamma.grid
-    rho_tilde = _weighted_diagonal(gamma)
-    v_h = hartree_potential(
-        grid, RadialDensity(grid=grid, rho_line=rho_tilde / grid.h)
-    )
-    v_local = cache.v_nuclear + v_h
+    v_local = cache.v_nuclear + hartree_potential(grid, density_from_gamma(gamma))
     dtype = np.result_type(*[b.dtype for b in gamma.blocks])
     n = grid.n_points
-    idx = np.arange(n)
     blocks = []
-    exchange_blocks = []
     for l in range(gamma.l_max + 1):
-        k_exch = np.zeros((n, n), dtype=dtype)
+        h_block = np.zeros((n, n), dtype=dtype)
         for lp, blp in enumerate(gamma.blocks):
-            k_exch += cache.pair_kernel(l, lp) * blp
-        k_exch /= 2 * l + 1
-        # kinetic is tridiagonal: assemble H in place on top of -K_exch
-        h_block = -k_exch
-        h_block[idx, idx] += cache.kinetic_diag[l] + v_local
-        h_block[idx[:-1], idx[:-1] + 1] += cache.kinetic_off
-        h_block[idx[:-1] + 1, idx[:-1]] += cache.kinetic_off
-        blocks.append(h_block)
-        exchange_blocks.append(k_exch)
-    return MeanFieldHamiltonian(
-        grid=grid,
-        blocks=blocks,
-        kinetic=cache.kinetic[: gamma.l_max + 1],
-        v_nuclear=cache.v_nuclear,
-        v_hartree=v_h,
-        exchange=exchange_blocks,
-    )
+            h_block += cache.pair_kernel(l, lp) * blp
+        # -K_l = -(sum_l' kernel * Gamma_l')/(2l+1), then the one-body part on top
+        h_block /= -(2 * l + 1)
+        blocks.append(cache.one_body_block(l, v_local, out=h_block))
+    return MeanFieldHamiltonian(grid=grid, blocks=blocks)
 
 
 def hardy_positivity_diagnostic(grid: RadialGrid, l: int = 0) -> float:
@@ -291,12 +299,12 @@ def brown_kosaki_terms(
     gamma: DensityMatrix, spec: EntropySpec, x_diag: np.ndarray
 ) -> tuple:
     """(tr beta(X gamma X), tr(X beta(gamma) X)) for a diagonal X with X^2 <= 1."""
-    lhs = 0.0
+    lhs = _entropy_of_occupations(
+        [np.linalg.eigvalsh(x_diag[:, None] * b * x_diag[None, :]) for b in gamma.blocks],
+        spec,
+    )
     rhs = 0.0
     for l, b in enumerate(gamma.blocks):
-        cut = x_diag[:, None] * b * x_diag[None, :]
-        w_cut = np.clip(np.linalg.eigvalsh(cut), 0.0, 1.0)
-        lhs += (2 * l + 1) * float(np.sum(spec.beta(w_cut)))
         w, vecs = np.linalg.eigh(b)
         beta_diag = np.real(
             np.einsum(

@@ -18,6 +18,7 @@ __all__ = [
     "EntropySpec",
     "InvalidExponentError",
     "OccupationDomainError",
+    "SeriesResult",
     "make_power_entropy",
     "validate_a4",
 ]
@@ -136,6 +137,53 @@ def make_power_entropy(m: float) -> EntropySpec:
 
 
 @dataclass(frozen=True)
+class SeriesResult:
+    """Series value with a rigorous residual bound.
+
+    ``value`` = partial sum + midpoint of the integral tail enclosure;
+    ``tail_bound`` = enclosure half-width (bound on |value - exact|).
+    """
+
+    value: float
+    tail_bound: float
+
+
+def _sum_series(
+    term_fn, j_tail: int, coeff: float, p: float, rel_tol: float = 1e-10,
+    max_terms: int = 10**7, abs_tol: float = 0.0,
+) -> SeriesResult:
+    """Sum a positive series whose terms from index ``j_tail`` on are coeff * j**p.
+
+    ``term_fn`` maps an index array to term values.  Terms are summed in
+    doubling blocks; past ``j_tail`` the remainder after the last summed
+    index J lies between the integrals of coeff * x**p over [J+1, inf) and
+    [J, inf), and the result is the partial sum plus the midpoint of that
+    enclosure.  Summation stops once the enclosure half-width is at most
+    ``max(abs_tol, rel_tol * |partial sum|)``, or at ``max_terms``.  A tail
+    with p >= -1 is not summable: the partial sum up to the first block past
+    ``j_tail`` comes back with an infinite ``tail_bound``.
+    """
+    partial = 0.0
+    j = 1
+    block = 4096
+    while True:
+        hi = min(j + block - 1, max_terms)
+        partial += float(np.sum(term_fn(np.arange(j, hi + 1, dtype=float))))
+        j = hi + 1
+        if hi >= j_tail or hi == max_terms:
+            if p >= -1.0:
+                return SeriesResult(value=partial, tail_bound=math.inf)
+            upper = coeff * hi ** (p + 1.0) / (-1.0 - p)
+            lower = coeff * (hi + 1.0) ** (p + 1.0) / (-1.0 - p)
+            half_width = 0.5 * (upper - lower)
+            if half_width <= max(abs_tol, rel_tol * abs(partial)) or hi == max_terms:
+                return SeriesResult(
+                    value=partial + 0.5 * (upper + lower), tail_bound=half_width
+                )
+        block = min(2 * block, 1 << 20)
+
+
+@dataclass(frozen=True)
 class A4Report:
     """Outcome of the hydrogen-tail summability check.
 
@@ -149,25 +197,18 @@ class A4Report:
     tail_bound: float
 
 
-def _power_tail_integral(a: float, coeff: float, p: float) -> float:
-    """Integral of coeff * x**p over [a, inf); +inf when p >= -1."""
-    if p >= -1.0:
-        return math.inf
-    return coeff * a ** (p + 1.0) / (-1.0 - p)
-
-
 def validate_a4(
     spec: EntropySpec,
     Z: float,
     T: float,
     rel_tol: float = 1e-10,
-    max_terms: int = 10**6,
+    max_terms: int = 10**7,
 ) -> A4Report:
     """Sum j^2 |beta_star(-Z^2/(4 T j^2))| with an integral tail enclosure.
 
     For the power family the summand decays like j**(2 - 2m/(m-1)), summable
-    iff m < 3; divergence is reported (converges=False), never raised.
-    Summation stops once the enclosure half-width drops below
+    iff m < 3; divergence is reported (converges=False, value a partial sum),
+    never raised.  Summation stops once the enclosure half-width drops below
     ``rel_tol * |partial sum|`` or ``max_terms`` is reached.
     """
     if Z <= 0.0 or T <= 0.0:
@@ -176,36 +217,16 @@ def validate_a4(
     c = Z * Z / (4.0 * T)
     # indices with c/j^2 >= m are saturated; beyond them the summand is the
     # pure power  (m-1) * (c/m)**(m/(m-1)) * j**(2 - 2m/(m-1)), decreasing.
-    j_sat = int(math.floor(math.sqrt(c / m)))
-    coeff = (m - 1.0) * (c / m) ** (m / (m - 1.0))
-    p = 2.0 - 2.0 * m / (m - 1.0)
-
-    partial = 0.0
-    j = 1
-    block = 4096
-    while j <= max_terms:
-        hi = min(j + block - 1, max_terms)
-        idx = np.arange(j, hi + 1, dtype=float)
-        partial += float(np.sum(idx**2 * np.abs(spec.beta_star(-c / idx**2))))
-        j = hi + 1
-        if j > j_sat + 1:
-            upper = _power_tail_integral(float(hi), coeff, p)
-            lower = _power_tail_integral(float(hi) + 1.0, coeff, p)
-            half_width = 0.5 * (upper - lower) if math.isfinite(upper) else math.inf
-            if half_width <= rel_tol * abs(partial):
-                return A4Report(
-                    converges=True,
-                    value=partial + 0.5 * (upper + lower),
-                    tail_bound=half_width,
-                )
-        block = min(2 * block, 1 << 20)
-
-    upper = _power_tail_integral(float(max_terms), coeff, p)
-    lower = _power_tail_integral(float(max_terms) + 1.0, coeff, p)
-    if math.isfinite(upper):
-        return A4Report(
-            converges=True,
-            value=partial + 0.5 * (upper + lower),
-            tail_bound=0.5 * (upper - lower),
-        )
-    return A4Report(converges=False, value=partial, tail_bound=math.inf)
+    series = _sum_series(
+        lambda idx: idx**2 * np.abs(spec.beta_star(-c / idx**2)),
+        int(math.floor(math.sqrt(c / m))) + 1,
+        (m - 1.0) * (c / m) ** (m / (m - 1.0)),
+        2.0 - 2.0 * m / (m - 1.0),
+        rel_tol,
+        max_terms,
+    )
+    return A4Report(
+        converges=math.isfinite(series.tail_bound),
+        value=series.value,
+        tail_bound=series.tail_bound,
+    )

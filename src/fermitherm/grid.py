@@ -22,6 +22,7 @@ __all__ = [
     "dilate",
     "hartree_potential",
     "kinetic_matrix",
+    "kinetic_tridiagonal",
     "multipole_kernel",
     "nuclear_potential",
     "zero_density_matrix",
@@ -103,21 +104,26 @@ def zero_density_matrix(grid: RadialGrid, l_max: int) -> DensityMatrix:
     return DensityMatrix(grid=grid, blocks=[np.zeros((n, n)) for _ in range(l_max + 1)])
 
 
+def kinetic_tridiagonal(grid: RadialGrid, l: int) -> tuple:
+    """(diagonal, off-diagonal scalar) of the channel-l kinetic stencil."""
+    if l < 0:
+        raise ValueError(f"angular momentum must be >= 0, got {l}")
+    inv_h2 = 1.0 / grid.h**2
+    return 2.0 * inv_h2 + l * (l + 1) / grid.r**2, -inv_h2
+
+
 def kinetic_matrix(grid: RadialGrid, l: int) -> np.ndarray:
-    """-d^2/dr^2 with the (-1, 2, -1)/h^2 stencil plus l(l+1)/r^2.
+    """-d^2/dr^2 with the (-1, 2, -1)/h^2 stencil plus l(l+1)/r^2, dense.
 
     Symmetric positive definite under Dirichlet conditions at 0 and r_max.
     """
-    if l < 0:
-        raise ValueError(f"angular momentum must be >= 0, got {l}")
+    diag, off_value = kinetic_tridiagonal(grid, l)
     n = grid.n_points
-    inv_h2 = 1.0 / grid.h**2
     mat = np.zeros((n, n))
-    diag = 2.0 * inv_h2 + l * (l + 1) / grid.r**2
     mat[np.arange(n), np.arange(n)] = diag
     off = np.arange(n - 1)
-    mat[off, off + 1] = -inv_h2
-    mat[off + 1, off] = -inv_h2
+    mat[off, off + 1] = off_value
+    mat[off + 1, off] = off_value
     return mat
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropySpec, validate_a4
+from .entropy import EntropySpec, SeriesResult, _sum_series, validate_a4
 
 __all__ = [
     "HydrogenLevel",
@@ -32,11 +32,6 @@ __all__ = [
     "q_of_mu",
     "regime_classify",
 ]
-
-_REL_TOL = 1e-10
-_ABS_TOL = 1e-12
-_MAX_TERMS = 10**7
-
 
 class UnboundedModelError(RuntimeError):
     """The linear free energy is unbounded from below (A4 fails)."""
@@ -82,54 +77,6 @@ def regime_classify(m: float) -> Regime:
     return Regime.UNBOUNDED
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    """Series value with a rigorous residual bound.
-
-    ``value`` = partial sum + midpoint of the integral tail enclosure;
-    ``tail_bound`` = enclosure half-width (bound on |value - exact|).
-    """
-
-    value: float
-    tail_bound: float
-
-
-def _tail_integral(a: float, coeff: float, p: float) -> float:
-    if p >= -1.0:
-        return math.inf
-    return coeff * a ** (p + 1.0) / (-1.0 - p)
-
-
-def _sum_series(term_fn, j_unsat: int, tail_coeff: float, tail_p: float) -> SeriesResult:
-    """Sum a positive series whose tail beyond ``j_unsat`` is coeff*j**p.
-
-    ``term_fn`` maps an integer index array to term values.  The tail must
-    be decreasing, which holds for every series used here (p < 0).
-    """
-    if tail_p >= -1.0:
-        return SeriesResult(value=math.inf, tail_bound=math.inf)
-    partial = 0.0
-    j = 1
-    block = 4096
-    while j <= _MAX_TERMS:
-        hi = min(j + block - 1, _MAX_TERMS)
-        idx = np.arange(j, hi + 1, dtype=float)
-        partial += float(np.sum(term_fn(idx)))
-        j = hi + 1
-        if hi >= j_unsat:
-            upper = _tail_integral(float(hi), tail_coeff, tail_p)
-            lower = _tail_integral(float(hi) + 1.0, tail_coeff, tail_p)
-            half = 0.5 * (upper - lower)
-            if half <= max(_ABS_TOL, _REL_TOL * abs(partial)):
-                return SeriesResult(value=partial + 0.5 * (upper + lower), tail_bound=half)
-        block = min(2 * block, 1 << 20)
-    upper = _tail_integral(float(_MAX_TERMS), tail_coeff, tail_p)
-    lower = _tail_integral(float(_MAX_TERMS) + 1.0, tail_coeff, tail_p)
-    return SeriesResult(
-        value=partial + 0.5 * (upper + lower), tail_bound=0.5 * (upper - lower)
-    )
-
-
 def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
     """Unconstrained minimum of the linear model: T sum_j j^2 beta*(lambda_j/T).
 
@@ -143,18 +90,7 @@ def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesRe
         raise UnboundedModelError(
             f"linear model unbounded from below for m = {spec.m}"
         )
-    m = spec.m
-    c = Z * Z / (4.0 * T)
-    j_unsat = int(math.floor(math.sqrt(c / m))) + 1
-    coeff = (m - 1.0) * (c / m) ** (m / (m - 1.0))
-    p = 2.0 - 2.0 * m / (m - 1.0)
-    mag = _sum_series(
-        lambda idx: idx**2 * np.abs(spec.beta_star(-c / idx**2)),
-        j_unsat,
-        coeff,
-        p,
-    )
-    return SeriesResult(value=-T * mag.value, tail_bound=T * mag.tail_bound)
+    return SeriesResult(value=-T * report.value, tail_bound=T * report.tail_bound)
 
 
 def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
@@ -169,9 +105,9 @@ def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
     j_unsat = int(math.floor(math.sqrt(c / m))) + 1
     coeff = (c / m) ** (1.0 / (m - 1.0))
     p = 2.0 - 2.0 / (m - 1.0)
-    return _sum_series(
-        lambda idx: idx**2 * spec.g(-c / idx**2), j_unsat, coeff, p
-    )
+    if p >= -1.0:
+        return SeriesResult(value=math.inf, tail_bound=math.inf)
+    return _sum_series(lambda idx: idx**2 * spec.g(-c / idx**2), j_unsat, coeff, p)
 
 
 def q_of_mu(spec: EntropySpec, Z: float, T: float, mu: float) -> float:
@@ -235,7 +171,11 @@ def _unweighted_g_sum(spec: EntropySpec, Z_eff: float, T: float) -> float:
     j_unsat = int(math.floor(math.sqrt(c / m))) + 1
     coeff = (c / m) ** (1.0 / (m - 1.0))
     p = -2.0 / (m - 1.0)
-    return _sum_series(lambda idx: spec.g(-c / idx**2), j_unsat, coeff, p).value
+    # an absolute floor keeps the bisection in guaranteed_existence_qmax fast
+    # where Z_eff, and with it the sum, is tiny
+    return _sum_series(
+        lambda idx: spec.g(-c / idx**2), j_unsat, coeff, p, abs_tol=1e-12
+    ).value
 
 
 def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:

@@ -9,6 +9,7 @@ single-valued, so no degeneracy tie-breaking ever appears.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -18,13 +19,22 @@ import numpy as np
 from .energy import (
     EnergyBreakdown,
     OperatorCache,
+    _entropy_of_occupations,
     _hf_terms,
+    _make_breakdown,
+    _one_body_terms,
     free_energy,
     linear_energy_breakdown,
     mean_field_hamiltonian,
 )
 from .entropy import EntropySpec
-from .grid import DensityMatrix, RadialGrid, build_grid, density_from_gamma
+from .grid import (
+    DensityMatrix,
+    RadialGrid,
+    build_grid,
+    density_from_gamma,
+    zero_density_matrix,
+)
 from .linear import UnreachableChargeError, q_max_lin, regime_classify, Regime
 
 __all__ = [
@@ -70,7 +80,6 @@ class ScfConfig:
     tol_gamma: float = 1e-9
     tol_energy: float = 1e-9
     max_iter: int = 300
-    seed: int = 0
     check_iterates: bool = False
     interactions: bool = True
 
@@ -205,30 +214,15 @@ def _candidate_energy(gamma, occs, spec, T, cache, interactions=True) -> EnergyB
     if interactions:
         kin, nuc, direct, exch = _hf_terms(gamma, cache)
     else:
-        kin, nuc, _, _ = _hf_terms(gamma, cache)
+        kin, nuc, _ = _one_body_terms(gamma, cache)
         direct = exch = 0.0
-    entropy = sum(
-        (2 * l + 1) * float(np.sum(spec.beta(np.clip(occ, 0.0, 1.0))))
-        for l, occ in enumerate(occs)
-    )
-    hf = kin + nuc + direct - exch
-    return EnergyBreakdown(
-        kinetic=kin,
-        nuclear=nuc,
-        direct=direct,
-        exchange=exch,
-        entropy_term=entropy,
-        total_hf=hf,
-        total_free=hf + T * entropy,
-    )
+    entropy = _entropy_of_occupations(occs, spec)
+    return _make_breakdown(kin, nuc, direct, exch, entropy, T)
 
 
 def _initial_state(cache: OperatorCache, config: ScfConfig, constrained: bool):
     """Warm start: fill the bare kinetic+nuclear spectrum (linear minimizer)."""
-    bare = [
-        cache.kinetic[l] + np.diag(cache.v_nuclear)
-        for l in range(config.l_max + 1)
-    ]
+    bare = [cache.one_body_block(l) for l in range(config.l_max + 1)]
     levels, vectors = _diagonalize_blocks(bare)
     mu, blocks, occs = _fill_blocks(
         levels, vectors, config.spec, config.T, config.q, constrained
@@ -245,25 +239,31 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     grid = config.make_grid()
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
-    bare_blocks = [
-        cache.kinetic[l] + np.diag(cache.v_nuclear) for l in range(config.l_max + 1)
-    ]
 
     def field_blocks(state):
         if config.interactions:
             return mean_field_hamiltonian(state, Z, cache).blocks
-        return bare_blocks
+        return [cache.one_body_block(l) for l in range(config.l_max + 1)]
 
     def final_energy(state):
         if config.interactions:
             return free_energy(state, spec, Z, T, cache)
         return linear_energy_breakdown(state, spec, Z, T, cache)
 
-    if constrained and config.q == 0.0:
-        gamma = DensityMatrix(
-            grid=grid,
-            blocks=[np.zeros((grid.n_points, grid.n_points)) for _ in range(config.l_max + 1)],
+    def unreachable(state, iterations):
+        return ScfResult(
+            gamma=state,
+            mu=0.0,
+            energy=final_energy(state),
+            residual=math.inf,
+            iterations=iterations,
+            converged=False,
+            status="unreachable-charge",
+            history=history,
         )
+
+    if constrained and config.q == 0.0:
+        gamma = zero_density_matrix(grid, config.l_max)
         energy = final_energy(gamma)
         result = ScfResult(
             gamma=gamma,
@@ -281,20 +281,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     try:
         gamma, occs = _initial_state(cache, config, constrained)
     except UnreachableChargeError:
-        gamma = DensityMatrix(
-            grid=grid,
-            blocks=[np.zeros((grid.n_points, grid.n_points)) for _ in range(config.l_max + 1)],
-        )
-        return ScfResult(
-            gamma=gamma,
-            mu=0.0,
-            energy=final_energy(gamma),
-            residual=math.inf,
-            iterations=0,
-            converged=False,
-            status="unreachable-charge",
-            history=history,
-        )
+        return unreachable(zero_density_matrix(grid, config.l_max), 0)
 
     alpha = config.mixing_alpha
     e_prev = _candidate_energy(gamma, occs, spec, T, cache, config.interactions).total_free
@@ -311,16 +298,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
                 levels, vectors, spec, T, config.q, constrained
             )
         except UnreachableChargeError:
-            return ScfResult(
-                gamma=gamma,
-                mu=0.0,
-                energy=final_energy(gamma),
-                residual=math.inf,
-                iterations=iterations,
-                converged=False,
-                status="unreachable-charge",
-                history=history,
-            )
+            return unreachable(gamma, iterations)
         candidate = DensityMatrix(grid=grid, blocks=new_blocks)
         defect = max(
             float(np.max(np.abs(nb - ob))) if nb.size else 0.0
@@ -424,10 +402,7 @@ def minimizer_audit(
     if config.interactions:
         ham_blocks = mean_field_hamiltonian(gamma, Z, cache).blocks
     else:
-        ham_blocks = [
-            cache.kinetic[l] + np.diag(cache.v_nuclear)
-            for l in range(gamma.l_max + 1)
-        ]
+        ham_blocks = [cache.one_body_block(l) for l in range(gamma.l_max + 1)]
     lieb = sum(
         (2 * l + 1) * float(np.real(np.einsum("i,ij,ji->", grid.r, h, b)))
         for l, (h, b) in enumerate(zip(ham_blocks, gamma.blocks))
@@ -444,7 +419,7 @@ def minimizer_audit(
     bare_sum = 0.0
     for l in range(gamma.l_max + 1):
         w_mf = np.linalg.eigvalsh(ham_blocks[l])
-        w_bare = np.linalg.eigvalsh(cache.kinetic[l] + np.diag(cache.v_nuclear))
+        w_bare = np.linalg.eigvalsh(cache.one_body_block(l))
         mf_sum += (2 * l + 1) * float(np.sum(spec.g(w_mf / T)))
         bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
     chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9
@@ -516,21 +491,7 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
         raise ValueError("q_list must be strictly increasing")
 
     def solve(q: float) -> ScfResult:
-        cfg = ScfConfig(
-            spec=config.spec,
-            Z=config.Z,
-            T=config.T,
-            q=q,
-            n_points=config.n_points,
-            r_max=config.r_max,
-            l_max=config.l_max,
-            mixing_alpha=config.mixing_alpha,
-            tol_gamma=config.tol_gamma,
-            tol_energy=config.tol_energy,
-            max_iter=config.max_iter,
-            seed=config.seed,
-        )
-        return scf_minimize(cfg)
+        return scf_minimize(dataclasses.replace(config, q=q))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

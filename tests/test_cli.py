@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fermitherm.cli import main
@@ -100,6 +101,18 @@ def test_minimize_roundtrip(tmp_path, capsys):
 def test_minimize_unbounded_exit2(capsys):
     code, _, err = run(
         capsys, ["minimize", "--m", "3", "--Z", "1", "--T", "1", "--q", "0.1"]
+    )
+    assert code == 2
+    assert "unbounded" in err
+
+
+def test_sweep_unbounded_exit2(capsys):
+    code, _, err = run(
+        capsys,
+        [
+            "sweep", "--m", "3", "--Z", "1", "--T", "1",
+            "--q-from", "0", "--q-to", "0.1", "--q-steps", "2",
+        ],
     )
     assert code == 2
     assert "unbounded" in err
@@ -207,6 +220,40 @@ def test_evolve_missing_state_exit4(tmp_path, capsys):
     )
     assert code == 4
     assert "not found" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+@pytest.mark.parametrize("flag", [["--dt", "0"], ["--stride", "0"]], ids=["dt0", "stride0"])
+def test_dynamics_bad_step_controls_exit1(stored_state, tmp_path, capsys, command, flag):
+    argv = [command, "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1"]
+    if command == "stability":
+        argv += ["--eta", "1e-3", "--out-prefix", str(tmp_path / "s_")]
+    code, _, err = run(capsys, argv + flag)
+    assert code == 1
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tamper", ["asymmetric", "shape", "spectrum", "missing"])
+def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tamper):
+    with np.load(stored_state) as data:
+        arrays = dict(data)
+    block = arrays["block_1"]
+    if tamper == "asymmetric":
+        block[0, 1] += 1e-3
+    elif tamper == "shape":
+        arrays["block_1"] = block[:-1, :-1]
+    elif tamper == "spectrum":
+        arrays["block_1"] = 2.0 * np.eye(block.shape[0])
+    else:
+        del arrays["block_1"]
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    code, _, err = run(
+        capsys, ["evolve", "--state", str(bad), "--dt", "0.02", "--horizon", "0.1"]
+    )
+    assert code == 4
+    assert "error:" in err
 
 
 def test_stability_files_and_ratio(stored_state, tmp_path, capsys):

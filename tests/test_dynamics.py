@@ -200,6 +200,20 @@ def test_evolve_rejects_unknown_propagator(minimizer):
         evolve(minimizer.gamma, SPEC, 1.0, dt=0.01, n_steps=1, propagator="magnus")
 
 
+@pytest.mark.parametrize(
+    "controls",
+    [dict(dt=0.0), dict(sample_stride=0), dict(inner_iterations=0)],
+    ids=["dt0", "stride0", "inner0"],
+)
+def test_evolve_rejects_bad_step_controls(minimizer, controls):
+    # refused up front, not as a ZeroDivisionError or a step that does nothing
+    step = {"dt": 0.01, **controls}
+    with pytest.raises(ValueError):
+        evolve(minimizer.gamma, SPEC, 1.0, n_steps=1, **step)
+    with pytest.raises(ValueError):
+        stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=1.0, **step)
+
+
 def test_step_size_error_on_wild_dt():
     # dense charge in a tiny box: the midpoint iteration cannot contract
     # at dt = 5 and the growing field update is reported

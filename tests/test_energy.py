@@ -4,6 +4,7 @@ import pytest
 from fermitherm.energy import (
     GridMismatchError,
     OperatorCache,
+    _hf_terms,
     brown_kosaki_terms,
     free_energy,
     hf_energy,
@@ -17,6 +18,7 @@ from fermitherm.grid import (
     build_grid,
     dilate,
     kinetic_matrix,
+    multipole_kernel,
     nuclear_potential,
     zero_density_matrix,
 )
@@ -134,6 +136,27 @@ def test_linear_free_energy_zero_and_rank_one():
     nu_star = spec.g(eps[0])
     best = nu_star * eps[0] + nu_star**2
     assert min(values) >= best - 1e-10
+
+
+def test_structured_terms_match_dense_references():
+    # the O(n) kinetic and direct paths against the dense operators they replace
+    grid = build_grid(400, 40.0)
+    gamma = random_state(grid, l_max=2, seed=13, scale=0.5, complex_blocks=True)
+    kin, _, direct, _ = _hf_terms(gamma, OperatorCache(grid, 2, Z=1.0))
+    dense_kin = sum(
+        (2 * l + 1) * float(np.real(np.einsum("ij,ji->", kinetic_matrix(grid, l), b)))
+        for l, b in enumerate(gamma.blocks)
+    )
+    rho_tilde = sum((2 * l + 1) * np.real(np.diagonal(b)) for l, b in enumerate(gamma.blocks))
+    dense_direct = 0.5 * float(rho_tilde @ (multipole_kernel(grid, 0) @ rho_tilde))
+    # both sides add the same positive terms in another order: n * eps scale
+    # (measured at most 2.4e-15 up to n = 900)
+    assert direct == pytest.approx(dense_direct, rel=1e-13)
+    # the diagonal and off-diagonal parts of the stencil nearly cancel on
+    # smooth states, so roundoff grows with 1/h^2 relative to the net trace
+    # (measured 9.7e-13 at n = 900 and 1.0e-12 at n = 2000 on bound-state
+    # blocks, 1e-16 on random states like this one)
+    assert kin == pytest.approx(dense_kin, rel=1e-11)
 
 
 def test_mean_field_hamiltonian_zero_state_is_bare():

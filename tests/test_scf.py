@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from fermitherm.energy import free_energy
 from fermitherm.entropy import make_power_entropy
 from fermitherm.grid import DensityMatrix, kinetic_matrix, nuclear_potential
+from fermitherm import scf as scf_module
 from fermitherm.linear import UnreachableChargeError
 from fermitherm.scf import (
     ScfConfig,
@@ -215,6 +217,24 @@ def test_charge_sweep_parallel_matches_serial():
     for a, b in zip(serial.rows, threaded.rows):
         assert a.free_energy == b.free_energy
         assert a.mu == b.mu
+
+
+def test_charge_sweep_keeps_interactions_off(monkeypatch):
+    # q = 0.1 reaches past the 1s level, where the interacting model differs
+    cfg = small_config(n_points=150, interactions=False)
+    solved = []
+
+    def recording(config):
+        solved.append(scf_minimize(config))
+        return solved[-1]
+
+    monkeypatch.setattr(scf_module, "scf_minimize", recording)
+    sweep = charge_sweep(cfg, [0.1], workers=1)
+    (swept,) = solved
+    assert swept.energy.direct == 0.0 and swept.energy.exchange == 0.0
+    single = scf_minimize(dataclasses.replace(cfg, q=0.1))
+    assert sweep.rows[0].free_energy == single.energy.total_free
+    assert sweep.rows[0].mu == single.mu
 
 
 def test_charge_sweep_requires_increasing():
