@@ -30,9 +30,11 @@ print(f"\nargmin check at lambda={lam}: grid argmin {nu[np.argmin(objective)]:.5
 print("\nhydrogen-tail sum j^2 |beta*(-Z^2/(4 T j^2))| for Z=2, T=1:")
 for m in (1.5, 2.0, 2.5, 2.9, 3.0):
     report = validate_a4(make_power_entropy(m), Z=2.0, T=1.0)
+    # the tail is summed exactly (Hurwitz zeta): truncation error 0, or inf
+    # for a divergent series
     verdict = "converges" if report.converges else "DIVERGES"
     print(f"  m={m:3.1f}: {verdict:9s} value={report.value:12.6g} "
-          f"tail_bound={report.tail_bound:.2g}")
+          f"truncation error={report.tail_bound:g}")
 
 print("\nFor m=2, Z=2, T=1 the terms are exactly 1/(4 j^2), so the sum is "
       f"pi^2/24 = {np.pi**2 / 24:.10f}")

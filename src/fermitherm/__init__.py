@@ -30,7 +30,6 @@ from .energy import (
     mean_field_hamiltonian,
 )
 from .entropy import (
-    A4Report,
     EntropySpec,
     InvalidExponentError,
     OccupationDomainError,

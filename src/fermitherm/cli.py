@@ -21,7 +21,6 @@ from dataclasses import asdict
 import numpy as np
 
 from .dynamics import _check_step_controls, evolve, stability_experiment
-from .energy import free_energy
 from .entropy import InvalidExponentError, make_power_entropy, validate_a4
 from .grid import DensityMatrix, build_grid, density_from_gamma, hartree_potential
 from .linear import linear_report
@@ -142,7 +141,7 @@ def cmd_entropy(args) -> int:
         f"A4 converges, value ≈ {report.value:.6f}, "
         f"tail_bound {_fmt(report.tail_bound)}"
         if report.converges
-        else f"A4 diverges, partial sum {report.value:.6f}"
+        else "A4 diverges"
     )
     rows = [(lam, float(spec.g(lam)), float(spec.beta_star(lam))) for lam in lams]
     text = verdict + "\n" + _csv_text(("lambda", "g", "beta_star"), rows)
@@ -210,7 +209,8 @@ def _load_state(path: str):
     """Reload a state written by ``_save_state``; only converged minimizers pass.
 
     The file comes from outside the program, so keys, block shapes,
-    Hermiticity and the spectrum in [0, 1] are all checked before use.
+    Hermiticity and the spectrum in [0, 1] are all checked before use.  No
+    energy is computed: ``evolve`` and ``stability`` never read it.
     """
     if not os.path.exists(path):
         raise _StateError(f"state file not found: {path}")
@@ -229,7 +229,7 @@ def _load_state(path: str):
         result = ScfResult(
             gamma=gamma,
             mu=float(scalars["mu"]),
-            energy=free_energy(gamma, spec, Z, T),
+            energy=None,
             residual=float(scalars["residual"]),
             iterations=int(scalars["iterations"]),
             converged=converged,

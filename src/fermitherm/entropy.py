@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "A4Report",
     "EntropySpec",
     "InvalidExponentError",
     "OccupationDomainError",
@@ -138,95 +137,56 @@ def make_power_entropy(m: float) -> EntropySpec:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Series value with a rigorous residual bound.
+    """Value of a series over the hydrogen spectrum.
 
-    ``value`` = partial sum + midpoint of the integral tail enclosure;
-    ``tail_bound`` = enclosure half-width (bound on |value - exact|).
+    ``tail_bound`` bounds the truncation error |value - exact|: 0 when the
+    tail is summed exactly in closed form, inf when the series diverges (the
+    value is then +inf).  Floating-point rounding of the closed forms is not
+    included.
     """
 
     value: float
     tail_bound: float
 
+    @property
+    def converges(self) -> bool:
+        return math.isfinite(self.tail_bound)
 
-def _sum_series(
-    term_fn, j_tail: int, coeff: float, p: float, rel_tol: float = 1e-10,
-    max_terms: int = 10**7, abs_tol: float = 0.0,
-) -> SeriesResult:
-    """Sum a positive series whose terms from index ``j_tail`` on are coeff * j**p.
 
-    ``term_fn`` maps an index array to term values.  Terms are summed in
-    doubling blocks; past ``j_tail`` the remainder after the last summed
-    index J lies between the integrals of coeff * x**p over [J+1, inf) and
-    [J, inf), and the result is the partial sum plus the midpoint of that
-    enclosure.  Summation stops once the enclosure half-width is at most
-    ``max(abs_tol, rel_tol * |partial sum|)``, or at ``max_terms``.  A tail
-    with p >= -1 is not summable: the partial sum up to the first block past
-    ``j_tail`` comes back with an infinite ``tail_bound``.
+def _sum_series(head: float, j_tail: int, coeff: float, p: float) -> SeriesResult:
+    """head + sum_{j >= j_tail} coeff * j**p, the tail as coeff * zeta(-p, j_tail).
+
+    ``head`` is the closed-form sum of the terms below ``j_tail``; the tail
+    is the Hurwitz zeta function (DLMF 25.11).  A tail with p >= -1 is not
+    summable: value and ``tail_bound`` come back as +inf, before scipy.special
+    is loaded.
     """
-    partial = 0.0
-    j = 1
-    block = 4096
-    while True:
-        hi = min(j + block - 1, max_terms)
-        partial += float(np.sum(term_fn(np.arange(j, hi + 1, dtype=float))))
-        j = hi + 1
-        if hi >= j_tail or hi == max_terms:
-            if p >= -1.0:
-                return SeriesResult(value=partial, tail_bound=math.inf)
-            upper = coeff * hi ** (p + 1.0) / (-1.0 - p)
-            lower = coeff * (hi + 1.0) ** (p + 1.0) / (-1.0 - p)
-            half_width = 0.5 * (upper - lower)
-            if half_width <= max(abs_tol, rel_tol * abs(partial)) or hi == max_terms:
-                return SeriesResult(
-                    value=partial + 0.5 * (upper + lower), tail_bound=half_width
-                )
-        block = min(2 * block, 1 << 20)
+    if p >= -1.0:
+        return SeriesResult(value=math.inf, tail_bound=math.inf)
+    # imported here: scipy.special costs ~0.3 s, and no solver path sums a tail
+    from scipy.special import zeta
+
+    return SeriesResult(value=head + coeff * float(zeta(-p, j_tail)), tail_bound=0.0)
 
 
-@dataclass(frozen=True)
-class A4Report:
-    """Outcome of the hydrogen-tail summability check.
+def validate_a4(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
+    """Sum j^2 |beta_star(-Z^2/(4 T j^2))| over the hydrogen levels, exactly.
 
-    ``value`` is the partial sum plus the midpoint of the monotone integral
-    enclosure of the remaining tail; ``tail_bound`` is the enclosure
-    half-width, a rigorous bound on the residual error of ``value``.
-    """
-
-    converges: bool
-    value: float
-    tail_bound: float
-
-
-def validate_a4(
-    spec: EntropySpec,
-    Z: float,
-    T: float,
-    rel_tol: float = 1e-10,
-    max_terms: int = 10**7,
-) -> A4Report:
-    """Sum j^2 |beta_star(-Z^2/(4 T j^2))| with an integral tail enclosure.
-
-    For the power family the summand decays like j**(2 - 2m/(m-1)), summable
-    iff m < 3; divergence is reported (converges=False, value a partial sum),
-    never raised.  Summation stops once the enclosure half-width drops below
-    ``rel_tol * |partial sum|`` or ``max_terms`` is reached.
+    For the power family the summand decays like j**(-2/(m-1)), summable iff
+    m < 3; divergence is reported (``converges`` False, value +inf), never
+    raised.  The result is exact up to rounding, so ``tail_bound`` is 0.
     """
     if Z <= 0.0 or T <= 0.0:
         raise ValueError("validate_a4 requires Z > 0 and T > 0")
     m = spec.m
     c = Z * Z / (4.0 * T)
-    # indices with c/j^2 >= m are saturated; beyond them the summand is the
-    # pure power  (m-1) * (c/m)**(m/(m-1)) * j**(2 - 2m/(m-1)), decreasing.
-    series = _sum_series(
-        lambda idx: idx**2 * np.abs(spec.beta_star(-c / idx**2)),
-        int(math.floor(math.sqrt(c / m))) + 1,
+    # the n levels with c/j^2 >= m are saturated, each adding
+    # j^2 |beta*(-c/j^2)| = c - j^2; beyond them the summand is the pure power
+    # (m-1) * (c/m)**(m/(m-1)) * j**(-2/(m-1)).
+    n = int(math.floor(math.sqrt(c / m)))
+    return _sum_series(
+        n * c - n * (n + 1) * (2 * n + 1) / 6.0,
+        n + 1,
         (m - 1.0) * (c / m) ** (m / (m - 1.0)),
-        2.0 - 2.0 * m / (m - 1.0),
-        rel_tol,
-        max_terms,
-    )
-    return A4Report(
-        converges=math.isfinite(series.tail_bound),
-        value=series.value,
-        tail_bound=series.tail_bound,
+        -2.0 / (m - 1.0),
     )

@@ -1,9 +1,10 @@
 """Analytic oracles for the interaction-free (linear) model.
 
 Everything here is a sum over the hydrogen spectrum lambda_j = -Z^2/(4 j^2)
-with multiplicity j^2, evaluated exactly as a series with a monotone
-integral enclosure of the tail.  These values are the ground truth the
-grid solver is checked against.
+with multiplicity j^2.  Past the saturated levels the summands of
+q_max_lin, the A4 sum and the existence bound are pure powers of j, so
+those series are evaluated exactly: a polynomial head plus a Hurwitz zeta
+tail.  These values are the ground truth the grid solver is checked against.
 """
 
 from __future__ import annotations
@@ -93,6 +94,20 @@ def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesRe
     return SeriesResult(value=-T * report.value, tail_bound=T * report.tail_bound)
 
 
+def _g_series(spec: EntropySpec, Z: float, T: float, k: int) -> SeriesResult:
+    """sum_j j**k g(-Z^2/(4 T j^2)) for k = 0 or 2, exactly.
+
+    The n levels with c/j^2 >= m (c = Z^2/(4T)) are saturated, g = 1, and add
+    sum_{j<=n} j**k; beyond them the summand is the pure power
+    (c/m)**(1/(m-1)) * j**(k - 2/(m-1)).
+    """
+    m = spec.m
+    c = Z * Z / (4.0 * T)
+    n = int(math.floor(math.sqrt(c / m)))
+    head = n * (n + 1) * (2 * n + 1) / 6.0 if k == 2 else float(n)
+    return _sum_series(head, n + 1, (c / m) ** (1.0 / (m - 1.0)), k - 2.0 / (m - 1.0))
+
+
 def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
     """Trace of the formal linear ground state: sum_j j^2 g(lambda_j/T).
 
@@ -100,14 +115,7 @@ def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
     """
     if Z <= 0.0 or T <= 0.0:
         raise ValueError("q_max_lin requires Z > 0 and T > 0")
-    m = spec.m
-    c = Z * Z / (4.0 * T)
-    j_unsat = int(math.floor(math.sqrt(c / m))) + 1
-    coeff = (c / m) ** (1.0 / (m - 1.0))
-    p = 2.0 - 2.0 / (m - 1.0)
-    if p >= -1.0:
-        return SeriesResult(value=math.inf, tail_bound=math.inf)
-    return _sum_series(lambda idx: idx**2 * spec.g(-c / idx**2), j_unsat, coeff, p)
+    return _g_series(spec, Z, T, 2)
 
 
 def q_of_mu(spec: EntropySpec, Z: float, T: float, mu: float) -> float:
@@ -166,16 +174,7 @@ def _unweighted_g_sum(spec: EntropySpec, Z_eff: float, T: float) -> float:
     """sum_j g(-Z_eff^2/(4 T j^2)) without degeneracy weights."""
     if Z_eff <= 0.0:
         return 0.0
-    m = spec.m
-    c = Z_eff * Z_eff / (4.0 * T)
-    j_unsat = int(math.floor(math.sqrt(c / m))) + 1
-    coeff = (c / m) ** (1.0 / (m - 1.0))
-    p = -2.0 / (m - 1.0)
-    # an absolute floor keeps the bisection in guaranteed_existence_qmax fast
-    # where Z_eff, and with it the sum, is tiny
-    return _sum_series(
-        lambda idx: spec.g(-c / idx**2), j_unsat, coeff, p, abs_tol=1e-12
-    ).value
+    return _g_series(spec, Z_eff, T, 0).value
 
 
 def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:

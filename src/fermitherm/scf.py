@@ -127,9 +127,11 @@ class MinimizerAudit:
 
 @dataclass
 class ScfResult:
+    """Outcome of one SCF run; ``energy`` is None only for a reloaded state."""
+
     gamma: DensityMatrix
     mu: float
-    energy: EnergyBreakdown
+    energy: EnergyBreakdown | None
     residual: float
     iterations: int
     converged: bool
@@ -142,9 +144,11 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
     """Fill levels (energy, multiplicity) to total charge q.
 
     Returns (mu, occupations) with occupations aligned to the input order
-    and sum(mult * occ) = q to 1e-12.  If even mu = 0 cannot bind q, the
-    charge is unreachable and UnreachableChargeError is raised (the
-    unbinding signal).  q = 0 gives the mu = -inf sentinel.
+    and sum(mult * occ) = q to 1e-12; occupations are g((eps - mu)/T) unless
+    no float mu resolves q to that tolerance (see the end of the bisection).
+    If even mu = 0 cannot bind q, the charge is unreachable and
+    UnreachableChargeError is raised (the unbinding signal).  q = 0 gives
+    the mu = -inf sentinel.
     """
     if q < 0.0:
         raise ValueError(f"charge must be nonnegative, got {q}")
@@ -168,12 +172,18 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
         mu = 0.5 * (lo + hi)
         q_mu = filled(mu)
         if abs(q_mu - q) <= 1e-12:
-            break
+            return mu, spec.g((eps - mu) / T)
         if q_mu < q:
             lo = mu
         else:
             hi = mu
-    return mu, spec.g((eps - mu) / T)
+    # No float mu meets the tolerance: for m > 2, g is infinitely steep at a
+    # level edge, so q(mu) can jump by more than 1e-12 between neighbouring
+    # floats.  Interpolating the filling across the final bracket restores
+    # sum(mult * occ) = q and keeps every occupation monotone in q.
+    occ_lo, occ_hi = spec.g((eps - lo) / T), spec.g((eps - hi) / T)
+    t = (q - filled(lo)) / (filled(hi) - filled(lo))
+    return mu, occ_lo + t * (occ_hi - occ_lo)
 
 
 def _diagonalize_blocks(blocks):
@@ -408,7 +418,8 @@ def minimizer_audit(
         for l, (h, b) in enumerate(zip(ham_blocks, gamma.blocks))
     )
 
-    w0 = np.linalg.eigvalsh(ham_blocks[0])
+    w_mf = [np.linalg.eigvalsh(h) for h in ham_blocks]
+    w0 = w_mf[0]
     bounds = np.array([-((Z - q) ** 2) / (4.0 * j * j) for j in (1, 2, 3)])
     if Z - q > 0.0:
         eig_ok = bool(np.all(w0[:3] <= bounds + eigenvalue_tol))
@@ -417,10 +428,9 @@ def minimizer_audit(
 
     mf_sum = 0.0
     bare_sum = 0.0
-    for l in range(gamma.l_max + 1):
-        w_mf = np.linalg.eigvalsh(ham_blocks[l])
+    for l, w in enumerate(w_mf):
         w_bare = np.linalg.eigvalsh(cache.one_body_block(l))
-        mf_sum += (2 * l + 1) * float(np.sum(spec.g(w_mf / T)))
+        mf_sum += (2 * l + 1) * float(np.sum(spec.g(w / T)))
         bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
     chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9
 

@@ -30,7 +30,7 @@ def test_entropy_converges(capsys):
 def test_entropy_diverges_exit2(capsys):
     code, out, _ = run(capsys, ["entropy", "--m", "3", "--Z", "1", "--T", "1"])
     assert code == 2
-    assert "A4 diverges" in out
+    assert out.splitlines()[0] == "A4 diverges"
 
 
 def test_entropy_missing_flag_exit1(capsys):
@@ -211,6 +211,21 @@ def test_evolve_conservation_columns(stored_state, tmp_path, capsys):
     assert max(traces) - min(traces) < 1e-11
     assert max(entropies) - min(entropies) < 1e-11
     assert max(dists) <= 1e-8  # unperturbed minimizer stays put
+
+
+def test_load_state_builds_no_operator_cache(stored_state, monkeypatch):
+    # evolve and stability never read the energy, so loading must not build
+    # the pair kernels to compute one
+    import fermitherm.energy
+    from fermitherm.cli import _load_state
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("OperatorCache built while loading a state")
+
+    monkeypatch.setattr(fermitherm.energy, "OperatorCache", refuse)
+    result, spec, Z, T = _load_state(str(stored_state))
+    assert result.converged and result.energy is None
+    assert (spec.m, Z, T) == (2.0, 1.0, 1.0)
 
 
 def test_evolve_missing_state_exit4(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
-from fermitherm.entropy import make_power_entropy
+from fermitherm.entropy import make_power_entropy, validate_a4
 from fermitherm.linear import (
+    _unweighted_g_sum,
     Regime,
     UnboundedModelError,
     UnreachableChargeError,
@@ -135,6 +140,68 @@ def test_q_max_lin_closed_form_against_zeta():
         s = 2.0 / (m - 1.0) - 2.0
         closed = (Z * Z / (4.0 * T * m)) ** (1.0 / (m - 1.0)) * zeta(s)
         assert q_max_lin(spec, Z, T).value == pytest.approx(closed, rel=1e-9)
+
+
+def _enclosure(term, coeff, p, n_terms=200_000):
+    """Direct sum of the first n_terms terms plus the integral enclosure of
+    the rest, whose terms are coeff * j**p and decreasing; no zeta call."""
+    j = np.arange(1, n_terms + 1, dtype=float)
+    terms = term(j)
+    # the remainder formula holds only if the summed terms have reached the power law
+    assert terms[-1] == pytest.approx(coeff * n_terms**p, rel=1e-12)
+    partial = float(np.sum(terms))
+    lower = partial + coeff * (n_terms + 1.0) ** (p + 1.0) / (-1.0 - p)
+    upper = partial + coeff * float(n_terms) ** (p + 1.0) / (-1.0 - p)
+    return lower, upper
+
+
+def _inside(value, enclosure):
+    lower, upper = enclosure
+    slack = 1e-13 * abs(value)
+    return lower - slack <= value <= upper + slack
+
+
+@pytest.mark.parametrize("m", [1.2, 1.5, 2.0, 2.5, 2.9])
+@pytest.mark.parametrize("Z,T", [(1.0, 1.0), (5.0, 0.1), (40.0, 0.01)])
+def test_closed_form_series_inside_direct_enclosure(m, Z, T):
+    # (1, 1) saturates no level; (40, 0.01) saturates up to 182 of them
+    spec = make_power_entropy(m)
+    c = Z * Z / (4.0 * T)
+    p = -2.0 / (m - 1.0)
+    g_coeff = (c / m) ** (1.0 / (m - 1.0))
+
+    a4 = validate_a4(spec, Z, T)
+    assert a4.converges and a4.tail_bound == 0.0
+    a4_terms = lambda j: j**2 * np.abs(spec.beta_star(-c / j**2))
+    a4_coeff = (m - 1.0) * (c / m) ** (m / (m - 1.0))
+    assert _inside(a4.value, _enclosure(a4_terms, a4_coeff, p))
+
+    unweighted = _unweighted_g_sum(spec, Z, T)
+    assert _inside(unweighted, _enclosure(lambda j: spec.g(-c / j**2), g_coeff, p))
+
+    qmax = q_max_lin(spec, Z, T)
+    if m < 5.0 / 3.0:
+        assert qmax.tail_bound == 0.0
+        qmax_terms = lambda j: j**2 * spec.g(-c / j**2)
+        assert _inside(qmax.value, _enclosure(qmax_terms, g_coeff, p + 2.0))
+    else:
+        assert math.isinf(qmax.value) and math.isinf(qmax.tail_bound)
+
+
+def test_scipy_special_loaded_only_to_sum_a_tail():
+    # scipy.special adds ~0.3 s to every start; importing the package and the
+    # divergent q_max_lin of a solver run (m = 2) must not pull it in
+    import fermitherm
+
+    probe = (
+        "import sys, fermitherm.cli\n"
+        "from fermitherm import make_power_entropy, q_max_lin\n"
+        "assert q_max_lin(make_power_entropy(2.0), 1.0, 1.0).value == float('inf')\n"
+        "assert 'scipy.special' not in sys.modules\n"
+    )
+    src = str(Path(fermitherm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_q_of_mu_single_level():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fermitherm.energy import free_energy
 from fermitherm.entropy import make_power_entropy
@@ -71,6 +72,40 @@ def test_occupations_multi_level_properties():
 def test_occupations_rejects_negative_charge():
     with pytest.raises(ValueError):
         occupations_from_levels([(-1.0, 1)], SPEC, T=1.0, q=-0.1)
+
+
+fill_problems = st.fixed_dictionaries(
+    {
+        "m": st.floats(1.05, 2.95),
+        "T": st.floats(0.01, 10.0),
+        "levels": st.lists(
+            st.tuples(st.floats(-10.0, -1e-4), st.integers(1, 15)), min_size=1, max_size=20
+        ),
+        "fractions": st.tuples(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-6, 1.0 - 1e-6)),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fill_problems)
+# q(mu) at this level edge jumps by ~3e-12 between neighbouring floats of mu
+@example({"m": 2.75, "T": 0.25, "levels": [(-1.0, 1)], "fractions": (0.5, 1e-6)})
+def test_occupations_fill_properties(problem):
+    spec = make_power_entropy(problem["m"])
+    T, levels = problem["T"], problem["levels"]
+    eps = np.array([e for e, _ in levels])
+    mult = np.array([k for _, k in levels], dtype=float)
+    capacity = float(np.sum(mult * spec.g(eps / T)))  # charge bound at mu = 0
+    q_lo, q_hi = sorted(f * capacity for f in problem["fractions"])
+    filled = [occupations_from_levels(levels, spec, T, q) for q in (q_lo, q_hi)]
+    for q, (_, occ) in zip((q_lo, q_hi), filled):
+        assert abs(float(np.sum(mult * occ)) - q) <= 1e-12
+        assert np.all((occ >= 0.0) & (occ <= 1.0))
+    # monotonicity is resolvable only above the 1e-12 filling tolerance
+    if q_hi - q_lo > 1e-9:
+        (mu_lo, occ_lo), (mu_hi, occ_hi) = filled
+        assert mu_lo <= mu_hi
+        assert np.all(occ_lo <= occ_hi)
 
 
 def test_scf_zero_charge_gives_zero_state():
