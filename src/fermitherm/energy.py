@@ -10,6 +10,7 @@ s orbital.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,7 +86,10 @@ class OperatorCache:
     the nuclear diagonal and the angular-combined exchange kernels
     sum_L A_L(l,l') w_L for each channel pair (symmetric in l <-> l'), the
     only n x n arrays held.  The direct term needs no kernel: it goes
-    through the O(n) Newton-shell ``hartree_potential``.
+    through the O(n) Newton-shell ``hartree_potential``.  The negative
+    spectrum of the bare blocks, ``bare_spectrum``, is solved on first use
+    and then shared by the warm start, the interaction-free iterations and
+    the minimizer audit.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
@@ -121,6 +125,28 @@ class OperatorCache:
         out[idx[:-1], idx[1:]] += self.kinetic_off
         out[idx[1:], idx[:-1]] += self.kinetic_off
         return out
+
+    @cached_property
+    def bare_spectrum(self):
+        """(levels, vectors): the eigenpairs below zero of each bare block.
+
+        T_l + diag(v_nuc) is tridiagonal, so LAPACK's bisection and inverse
+        iteration find the few bound levels in O(n) each, with no dense
+        matrix; the occupation map vanishes on the rest of the spectrum.
+        """
+        # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+        from scipy.linalg import eigh_tridiagonal
+
+        off = np.full(self.grid.n_points - 1, self.kinetic_off)
+        levels, vectors = [], []
+        for diag in self.kinetic_diag:
+            w, v = eigh_tridiagonal(
+                diag + self.v_nuclear, off, select="v", select_range=(-np.inf, 0.0)
+            )
+            neg = w < 0.0  # the selected interval (-inf, 0] is closed at 0
+            levels.append(w[neg])
+            vectors.append(v[:, neg])
+        return levels, vectors
 
     def pair_kernel(self, l: int, lp: int) -> np.ndarray:
         return self.pair_kernels[(min(l, lp), max(l, lp))]

@@ -5,6 +5,11 @@ blocks, pool the levels across channels with their angular multiplicities,
 fill them through the occupation map with the chemical potential bisected to
 meet the charge constraint, then mix linearly.  T > 0 makes the filling
 single-valued, so no degeneracy tie-breaking ever appears.
+
+Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
+ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
+block, and one tridiagonal solve of the bare blocks per run, shared by the
+warm start, every interaction-free iteration and the audit.
 """
 
 from __future__ import annotations
@@ -187,12 +192,15 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
 
 
 def _diagonalize_blocks(blocks):
-    """Negative-energy eigenpairs of each channel block."""
+    """Negative-energy eigenpairs of each dense channel block."""
+    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+    from scipy.linalg import eigh
+
     levels = []
     vectors = []
     for b in blocks:
-        w, v = np.linalg.eigh(b)
-        neg = w < 0.0
+        w, v = eigh(b, subset_by_value=(-np.inf, 0.0), driver="evr")
+        neg = w < 0.0  # the selected interval (-inf, 0] is closed at 0
         levels.append(w[neg])
         vectors.append(v[:, neg])
     return levels, vectors
@@ -232,8 +240,7 @@ def _candidate_energy(gamma, occs, spec, T, cache, interactions=True) -> EnergyB
 
 def _initial_state(cache: OperatorCache, config: ScfConfig, constrained: bool):
     """Warm start: fill the bare kinetic+nuclear spectrum (linear minimizer)."""
-    bare = [cache.one_body_block(l) for l in range(config.l_max + 1)]
-    levels, vectors = _diagonalize_blocks(bare)
+    levels, vectors = cache.bare_spectrum
     mu, blocks, occs = _fill_blocks(
         levels, vectors, config.spec, config.T, config.q, constrained
     )
@@ -250,10 +257,11 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
 
-    def field_blocks(state):
+    def spectrum(state):
+        """Negative eigenpairs of H_state; the bare field does not depend on it."""
         if config.interactions:
-            return mean_field_hamiltonian(state, Z, cache).blocks
-        return [cache.one_body_block(l) for l in range(config.l_max + 1)]
+            return _diagonalize_blocks(mean_field_hamiltonian(state, Z, cache).blocks)
+        return cache.bare_spectrum
 
     def final_energy(state):
         if config.interactions:
@@ -302,7 +310,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
 
     for iteration in range(1, config.max_iter + 1):
         iterations = iteration
-        levels, vectors = _diagonalize_blocks(field_blocks(gamma))
+        levels, vectors = spectrum(gamma)
         try:
             mu, new_blocks, occs = _fill_blocks(
                 levels, vectors, spec, T, config.q, constrained
@@ -347,7 +355,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             gamma.validate(tol=1e-10)
 
     # self-consistency residual on the final state
-    levels, vectors = _diagonalize_blocks(field_blocks(gamma))
+    levels, vectors = spectrum(gamma)
     try:
         mu_final, rebuilt, _ = _fill_blocks(
             levels, vectors, spec, T, config.q, constrained
@@ -409,27 +417,41 @@ def minimizer_audit(
     spec, T, Z = config.spec, config.T, config.Z
     q = gamma.trace()
 
+    from scipy.linalg import eigh
+
+    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     if config.interactions:
         ham_blocks = mean_field_hamiltonian(gamma, Z, cache).blocks
+        # g vanishes on [0, inf), so the charge chain needs only levels below zero
+        w_mf = [
+            eigh(h, eigvals_only=True, subset_by_value=(-np.inf, 0.0), driver="evr")
+            for h in ham_blocks
+        ]
     else:
         ham_blocks = [cache.one_body_block(l) for l in range(gamma.l_max + 1)]
+        w_mf = bare_levels
     lieb = sum(
         (2 * l + 1) * float(np.real(np.einsum("i,ij,ji->", grid.r, h, b)))
         for l, (h, b) in enumerate(zip(ham_blocks, gamma.blocks))
     )
 
-    w_mf = [np.linalg.eigvalsh(h) for h in ham_blocks]
-    w0 = w_mf[0]
+    # the lowest three s levels, bound or not: a negative-only slice would
+    # pass the bound vacuously when fewer than three are bound
+    w0 = eigh(
+        ham_blocks[0],
+        eigvals_only=True,
+        subset_by_index=(0, min(2, grid.n_points - 1)),
+        driver="evr",
+    )
     bounds = np.array([-((Z - q) ** 2) / (4.0 * j * j) for j in (1, 2, 3)])
     if Z - q > 0.0:
-        eig_ok = bool(np.all(w0[:3] <= bounds + eigenvalue_tol))
+        eig_ok = bool(np.all(w0 <= bounds[: w0.size] + eigenvalue_tol))
     else:
         eig_ok = True  # comparison operator has no negative spectrum
 
     mf_sum = 0.0
     bare_sum = 0.0
-    for l, w in enumerate(w_mf):
-        w_bare = np.linalg.eigvalsh(cache.one_body_block(l))
+    for l, (w, w_bare) in enumerate(zip(w_mf, bare_levels)):
         mf_sum += (2 * l + 1) * float(np.sum(spec.g(w / T)))
         bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
     chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9
@@ -446,7 +468,7 @@ def minimizer_audit(
         qmaxlin_chain_ok=chain_ok,
         energy_negative_ok=energy_ok,
         details={
-            "h0_eigenvalues": w0[:3].tolist(),
+            "h0_eigenvalues": w0.tolist(),
             "eigenvalue_bounds": bounds.tolist(),
             "discrete_q_mean_field": mf_sum,
             "discrete_q_max_lin": bare_sum,
@@ -493,8 +515,10 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     """Run scf_minimize over an increasing charge list and report I(q).
 
     Distinct charges are independent; with workers > 1 they run on a thread
-    pool (numpy releases the GIL in the eigensolves).  Rows come back in
-    input order regardless of scheduling.
+    pool.  numpy releases the GIL in the mean-field assembly and the energy
+    terms, which overlap across threads; SciPy's LAPACK wrappers hold it, so
+    the partial eigensolves of concurrent charges run one at a time.  Rows
+    come back in input order regardless of scheduling.
     """
     q_list = list(q_list)
     if any(b <= a for a, b in zip(q_list, q_list[1:])):

@@ -1,13 +1,22 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fermitherm.energy import free_energy
+from fermitherm.energy import OperatorCache, free_energy, mean_field_hamiltonian
 from fermitherm.entropy import make_power_entropy
-from fermitherm.grid import DensityMatrix, kinetic_matrix, nuclear_potential
+from fermitherm.grid import (
+    DensityMatrix,
+    build_grid,
+    kinetic_matrix,
+    nuclear_potential,
+)
 from fermitherm import scf as scf_module
 from fermitherm.linear import UnreachableChargeError
 from fermitherm.scf import (
@@ -328,3 +337,166 @@ def test_interactions_off_single_orbital_occupation():
     n1 = float(spec.g((eps[0] - res.mu) / 1.0))
     occ = np.linalg.eigvalsh(res.gamma.blocks[0])
     assert occ[-1] == pytest.approx(n1, abs=1e-10)
+
+
+def _dense_negative(blocks):
+    """Dense reference: every eigenpair from np.linalg.eigh, then the negative ones."""
+    levels, vectors = [], []
+    for b in blocks:
+        w, v = np.linalg.eigh(b)
+        levels.append(w[w < 0.0])
+        vectors.append(v[:, w < 0.0])
+    return levels, vectors
+
+
+def _assert_same_spectrum(fast, dense):
+    # eigenvectors carry a sign freedom, so compare the filled blocks they build
+    for (w, v), (w_ref, v_ref) in zip(zip(*fast), zip(*dense)):
+        assert w.shape == w_ref.shape
+        assert np.max(np.abs(w - w_ref), initial=0.0) <= 1e-12
+        occ = SPEC.g(w_ref / 0.05)
+        filled = (v * occ) @ v.T
+        assert np.max(np.abs(filled - (v_ref * occ) @ v_ref.T)) <= 1e-12
+
+
+def test_negative_spectrum_matches_dense_reference():
+    cfg = small_config(l_max=2)
+    cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
+    bare_blocks = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
+    _assert_same_spectrum(cache.bare_spectrum, _dense_negative(bare_blocks))
+    warm, _ = scf_module._initial_state(cache, cfg, constrained=True)
+    mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache).blocks
+    _assert_same_spectrum(
+        scf_module._diagonalize_blocks(mf_blocks), _dense_negative(mf_blocks)
+    )
+    # bound levels in every channel, so no comparison above was vacuous
+    assert all(len(w) > 0 for w in cache.bare_spectrum[0])
+
+
+def test_negative_spectrum_empty_and_zero_level():
+    # without a nucleus the bare operator is the positive kinetic stencil
+    cache = OperatorCache(build_grid(50, 10.0), 0, 0.0)
+    levels, vectors = cache.bare_spectrum
+    assert levels[0].shape == (0,) and vectors[0].shape == (50, 0)
+    levels, vectors = scf_module._diagonalize_blocks([cache.one_body_block(0)])
+    assert levels[0].shape == (0,) and vectors[0].shape == (50, 0)
+    # an exact zero level is unoccupied, so neither path returns it
+    levels, vectors = scf_module._diagonalize_blocks([np.diag([-1.0, 0.0, 2.0])])
+    assert levels[0].tolist() == [-1.0] and vectors[0].shape == (3, 1)
+    cache = OperatorCache(build_grid(3, 4.0), 0, 0.0)
+    cache.kinetic_diag = [np.array([-1.0, 0.0, 2.0])]
+    cache.kinetic_off = 0.0
+    cache.v_nuclear = np.zeros(3)
+    levels, vectors = cache.bare_spectrum
+    assert levels[0].tolist() == [-1.0] and vectors[0].shape == (3, 1)
+
+
+def _dense_audit_details(result, cfg):
+    gamma = result.gamma
+    cache = OperatorCache(gamma.grid, cfg.l_max, cfg.Z)
+    bare = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
+    ham = mean_field_hamiltonian(gamma, cfg.Z, cache).blocks if cfg.interactions else bare
+    w_mf = [np.linalg.eigvalsh(h) for h in ham]
+
+    def chain(ws):
+        return sum((2 * l + 1) * float(np.sum(SPEC.g(w / cfg.T))) for l, w in enumerate(ws))
+
+    return {
+        "h0_eigenvalues": w_mf[0][:3].tolist(),
+        "discrete_q_mean_field": chain(w_mf),
+        "discrete_q_max_lin": chain([np.linalg.eigvalsh(b) for b in bare]),
+    }
+
+
+@pytest.mark.parametrize("interactions", [True, False])
+def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
+    cfg = small_config(l_max=2, interactions=interactions)
+    fast = scf_minimize(cfg)
+    dense_details = _dense_audit_details(fast, cfg)
+    for key, value in dense_details.items():
+        assert np.allclose(fast.audit.details[key], value, rtol=0.0, atol=1e-12), key
+
+    monkeypatch.setattr(scf_module, "_diagonalize_blocks", _dense_negative)
+    monkeypatch.setattr(
+        OperatorCache,
+        "bare_spectrum",
+        property(lambda c: _dense_negative([c.one_body_block(l) for l in range(c.l_max + 1)])),
+    )
+    dense = scf_minimize(cfg)
+    assert fast.converged and dense.converged
+    assert fast.iterations == dense.iterations
+    assert abs(fast.energy.total_free - dense.energy.total_free) <= cfg.tol_energy
+    assert abs(fast.mu - dense.mu) <= 1e-12
+    assert fast.audit.passed(cfg.tol_gamma) == dense.audit.passed(cfg.tol_gamma)
+    for key in dense_details:
+        assert np.allclose(
+            fast.audit.details[key], dense.audit.details[key], rtol=0.0, atol=1e-12
+        ), key
+
+
+def test_audit_bound_reads_three_levels_when_fewer_are_bound():
+    # the 10-bohr box binds only the 1s level; the 2s and 3s comparison
+    # levels are positive and must fail the bound, not vanish from it
+    cfg = small_config(n_points=200, r_max=10.0, l_max=1)
+    res = scf_minimize(cfg)
+    assert res.converged
+    w0 = res.audit.details["h0_eigenvalues"]
+    assert len(w0) == 3
+    assert w0[0] < 0.0 < w0[1] < w0[2]
+    assert w0 == pytest.approx([-0.248, 0.088, 0.546], abs=1e-3)
+    assert res.audit.eigenvalue_bound_ok is False
+
+
+def test_scipy_linalg_not_loaded_by_import():
+    # scipy.linalg and scipy.special each add ~0.3 s to every start; only an
+    # eigensolve or a convergent tail sum may pull them in
+    import fermitherm
+
+    probe = (
+        "import sys, fermitherm\n"
+        "from fermitherm import make_power_entropy, q_max_lin\n"
+        "q_max_lin(make_power_entropy(2.0), 1.0, 1.0)\n"
+        "loaded = {'scipy.linalg', 'scipy.special'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(fermitherm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+mixing_problems = st.fixed_dictionaries(
+    {
+        "m": st.floats(1.05, 2.95),
+        "Z": st.floats(0.5, 3.0),
+        "T": st.floats(0.02, 0.5),
+        "alpha": st.floats(0.05, 1.0),
+        "q_share": st.none() | st.floats(0.01, 0.9),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mixing_problems)
+def test_mixed_iterates_stay_in_K(problem):
+    # every iterate is validated (0 <= gamma <= 1, Hermitian) right after
+    # its mixing step; q is a share of the bare capacity at mu = 0, and a
+    # charge the mean field cannot bind just ends the run early
+    spec, Z, T = make_power_entropy(problem["m"]), problem["Z"], problem["T"]
+    grid = build_grid(40, 20.0 / Z)
+    bare_levels, _ = OperatorCache(grid, 1, Z).bare_spectrum
+    capacity = sum((2 * l + 1) * float(np.sum(spec.g(w / T))) for l, w in enumerate(bare_levels))
+    share = problem["q_share"]
+    cfg = ScfConfig(
+        spec=spec,
+        Z=Z,
+        T=T,
+        q=None if share is None else share * capacity,
+        n_points=grid.n_points,
+        r_max=grid.r_max,
+        l_max=1,
+        mixing_alpha=problem["alpha"],
+        max_iter=15,
+        check_iterates=True,
+    )
+    res = scf_minimize(cfg) if cfg.q is not None else scf_global(cfg)
+    res.gamma.validate(tol=1e-10)
