@@ -13,7 +13,6 @@ from .dynamics import (
     TrajectorySample,
     evolve,
     hspace_distance,
-    propagate_step,
     stability_experiment,
 )
 from .energy import (

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 model-regime refusal, 3 converged
 with audit failure, 4 convergence failure (including missing, malformed or
 unconverged input states).  CSV output is byte-deterministic: header row first,
 17-significant-digit floats, LF line endings.  A JSON file with the same
-keys as the flags can be passed via --config; explicit flags win.
+keys as the flags can be passed via --config; its values are converted as
+the flags' text would be, and explicit flags win.
 FERMITHERM_THREADS caps the fan-out of sweep and stability runs.
 """
 
@@ -71,19 +72,43 @@ def _worker_count(n_tasks: int) -> int:
     return max(1, min(n_tasks, cap))
 
 
+def _file_value(action: argparse.Action, value):
+    """A --config value converted from its text, as the flag's value would be.
+
+    The file thus accepts exactly what the flag accepts; an appended flag
+    (--eta) also takes a JSON list.
+    """
+    convert = action.type or str
+    try:
+        if isinstance(action, argparse._AppendAction):
+            return [convert(str(v)) for v in (value if isinstance(value, list) else [value])]
+        return convert(str(value))
+    except ValueError as exc:
+        raise ValueError(f"config key {action.dest!r}: {exc}") from exc
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    provided = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    provided = {
+        k: v for k, v in vars(args).items() if k not in ("func", "command", "parser")
+    }
     config_path = provided.pop("config", None)
     from_file = {}
     if config_path is not None:
         with open(config_path) as fh:
             from_file = json.load(fh)
+        if not isinstance(from_file, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(from_file) - set(defaults)
         if unknown:
             sys.stderr.write(
                 f"error: unknown config key(s): {', '.join(sorted(unknown))}\n"
             )
             raise SystemExit(1)
+        actions = {a.dest: a for a in args.parser._actions}
+        # null leaves the default in place
+        from_file = {
+            k: _file_value(actions[k], v) for k, v in from_file.items() if v is not None
+        }
     return {**defaults, **from_file, **provided}
 
 
@@ -399,7 +424,7 @@ def cmd_stability(args) -> int:
     )
     _require(opts, ("state", "dt", "horizon", "eta"))
     result, spec, Z, _ = _load_state(opts["state"])
-    etas = [float(e) for e in opts["eta"]]
+    etas = opts["eta"]
 
     def run(eta):
         return stability_experiment(
@@ -448,11 +473,11 @@ def build_parser() -> _Parser:
     p_entropy = sub.add_parser("entropy", help="A4 verdict and g/beta* table")
     add_common(p_entropy)
     p_entropy.add_argument("--lambda-grid", dest="lambda_grid", default=argparse.SUPPRESS)
-    p_entropy.set_defaults(func=cmd_entropy)
+    p_entropy.set_defaults(func=cmd_entropy, parser=p_entropy)
 
     p_linear = sub.add_parser("linear", help="linear-model thresholds")
     add_common(p_linear)
-    p_linear.set_defaults(func=cmd_linear)
+    p_linear.set_defaults(func=cmd_linear, parser=p_linear)
 
     def add_solver(p):
         add_common(p)
@@ -469,14 +494,14 @@ def build_parser() -> _Parser:
     p_min.add_argument("--q", type=float, default=argparse.SUPPRESS)
     p_min.add_argument("--density-csv", dest="density_csv", default=argparse.SUPPRESS)
     p_min.add_argument("--state", default=argparse.SUPPRESS)
-    p_min.set_defaults(func=cmd_minimize)
+    p_min.set_defaults(func=cmd_minimize, parser=p_min)
 
     p_sweep = sub.add_parser("sweep", help="I(q) over a charge list")
     add_solver(p_sweep)
     p_sweep.add_argument("--q-from", dest="q_from", type=float, default=argparse.SUPPRESS)
     p_sweep.add_argument("--q-to", dest="q_to", type=float, default=argparse.SUPPRESS)
     p_sweep.add_argument("--q-steps", dest="q_steps", type=int, default=argparse.SUPPRESS)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
 
     def add_dynamics(p):
         p.add_argument("--state", default=argparse.SUPPRESS)
@@ -490,14 +515,14 @@ def build_parser() -> _Parser:
     p_evolve = sub.add_parser("evolve", help="propagate a stored minimizer")
     add_dynamics(p_evolve)
     p_evolve.add_argument("--out", default=argparse.SUPPRESS)
-    p_evolve.set_defaults(func=cmd_evolve)
+    p_evolve.set_defaults(func=cmd_evolve, parser=p_evolve)
 
     p_stab = sub.add_parser("stability", help="perturb-and-track experiments")
     add_dynamics(p_stab)
-    p_stab.add_argument("--eta", action="append", default=argparse.SUPPRESS)
+    p_stab.add_argument("--eta", type=float, action="append", default=argparse.SUPPRESS)
     p_stab.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_stab.add_argument("--out-prefix", dest="out_prefix", default=argparse.SUPPRESS)
-    p_stab.set_defaults(func=cmd_stability)
+    p_stab.set_defaults(func=cmd_stability, parser=p_stab)
 
     return parser
 

@@ -37,11 +37,11 @@ __all__ = [
     "TrajectorySample",
     "evolve",
     "hspace_distance",
-    "propagate_step",
     "stability_experiment",
 ]
 
 _LOWDIN_EVERY = 200
+_DROP_TOL = 1e-14  # occupations at or below this are dropped from the factors
 
 
 class StepSizeError(RuntimeError):
@@ -102,13 +102,13 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix, sqrt_kin=Non
     return total
 
 
-def _factor_blocks(gamma: DensityMatrix, drop_tol: float = 1e-14):
+def _factor_blocks(gamma: DensityMatrix):
     """Orbital factorization gamma_l = W_l diag(n_l) W_l^H, small n dropped."""
     orbitals = []
     occupations = []
     for b in gamma.blocks:
         w, v = np.linalg.eigh(b.astype(complex))
-        keep = w > drop_tol
+        keep = w > _DROP_TOL
         orbitals.append(np.ascontiguousarray(v[:, keep]))
         occupations.append(w[keep])
     return orbitals, occupations
@@ -195,34 +195,7 @@ def _midpoint_unitary_step(gamma_state, orbitals, occupations, dt, cache, inner,
     return new_orbitals
 
 
-def propagate_step(
-    gamma: DensityMatrix,
-    dt: float,
-    Z: float,
-    inner_iterations: int = 3,
-    propagator: str = "expm",
-    cache: OperatorCache | None = None,
-) -> DensityMatrix:
-    """Advance one step of i d(gamma)/dt = [H_gamma, gamma].
-
-    The state is conjugated by exp(-i dt H[gamma_mid]) built per channel via
-    eigendecomposition (or its Cayley approximant), with the midpoint state
-    iterated ``inner_iterations`` times.  Spectrum, trace and tr beta(gamma)
-    are preserved to roundoff.
-    """
-    _check_step_controls(dt, inner_iterations, 1, propagator)
-    if cache is None:
-        cache = OperatorCache(gamma.grid, gamma.l_max, Z)
-    apply_u = _expm_apply if propagator == "expm" else _cayley_apply
-    orbitals, occupations = _factor_blocks(gamma)
-    new_orbitals = _midpoint_unitary_step(
-        gamma, orbitals, occupations, dt, cache, inner_iterations, apply_u
-    )
-    return _materialize(gamma.grid, new_orbitals, occupations)
-
-
-def _sample(t, grid, orbitals, occupations, spec, cache, reference, sqrt_kin, keep):
-    gamma = _materialize(grid, orbitals, occupations)
+def _sample(t, gamma, spec, cache, reference, sqrt_kin, keep):
     kin, nuc, direct, exch = _hf_terms(gamma, cache)
     # eigenvalues of the materialized state, so roundoff drift stays visible
     entropy = _entropy_of_occupations(
@@ -254,18 +227,19 @@ def evolve(
     inner_iterations: int = 3,
     propagator: str = "cayley",
     keep_gamma: bool = False,
-    cache: OperatorCache | None = None,
 ) -> list:
     """Propagate and sample observables every ``sample_stride`` steps.
 
-    The state is carried as orbital factors (unitary conjugation preserves
-    the factorization exactly); a symmetric re-orthonormalization every
-    200 steps absorbs roundoff drift.  Samples include t = 0 and the final
-    step.
+    Each step conjugates the state by exp(-i dt H[gamma_mid]) ("expm", per
+    channel by eigendecomposition) or its Cayley approximant ("cayley"),
+    with the midpoint state iterated ``inner_iterations`` times.  The state
+    is carried as orbital factors (unitary conjugation preserves the
+    factorization exactly); a symmetric re-orthonormalization every 200
+    steps absorbs roundoff drift.  Samples include t = 0 and the final
+    step; with ``keep_gamma`` each carries the state it was taken from.
     """
     _check_step_controls(dt, inner_iterations, sample_stride, propagator)
-    if cache is None:
-        cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
+    cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
     grid = gamma0.grid
     apply_u = _expm_apply if propagator == "expm" else _cayley_apply
     sqrt_kin = (
@@ -277,10 +251,8 @@ def evolve(
             blocks=[b.astype(complex) for b in reference.blocks],
         )
     orbitals, occupations = _factor_blocks(gamma0)
-    samples = [
-        _sample(0.0, grid, orbitals, occupations, spec, cache, reference, sqrt_kin, keep_gamma)
-    ]
     gamma_state = _materialize(grid, orbitals, occupations)
+    samples = [_sample(0.0, gamma_state, spec, cache, reference, sqrt_kin, keep_gamma)]
     for step in range(1, n_steps + 1):
         orbitals = _midpoint_unitary_step(
             gamma_state, orbitals, occupations, dt, cache, inner_iterations, apply_u
@@ -290,17 +262,7 @@ def evolve(
         gamma_state = _materialize(grid, orbitals, occupations)
         if step % sample_stride == 0 or step == n_steps:
             samples.append(
-                _sample(
-                    step * dt,
-                    grid,
-                    orbitals,
-                    occupations,
-                    spec,
-                    cache,
-                    reference,
-                    sqrt_kin,
-                    keep_gamma,
-                )
+                _sample(step * dt, gamma_state, spec, cache, reference, sqrt_kin, keep_gamma)
             )
     return samples
 

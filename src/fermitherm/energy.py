@@ -202,17 +202,18 @@ def _entropy_of_occupations(occupations, spec: EntropySpec) -> float:
     )
 
 
-def _entropy_of_blocks(
-    gamma: DensityMatrix, spec: EntropySpec, clip_tol: float = 1e-10
-) -> float:
+_CLIP_TOL = 1e-10
+
+
+def _entropy_of_blocks(gamma: DensityMatrix, spec: EntropySpec) -> float:
     """tr beta(gamma) from per-block eigenvalues, weighted by 2l+1.
 
-    Eigenvalues within clip_tol of [0, 1] are clipped; anything further out
+    Eigenvalues within _CLIP_TOL of [0, 1] are clipped; anything further out
     is a genuine constraint violation and raises.
     """
     occupations = [np.linalg.eigvalsh(b) for b in gamma.blocks]
     for l, w in enumerate(occupations):
-        if w[0] < -clip_tol or w[-1] > 1.0 + clip_tol:
+        if w[0] < -_CLIP_TOL or w[-1] > 1.0 + _CLIP_TOL:
             raise ValueError(
                 f"occupation eigenvalues outside [0,1] in channel l={l}: "
                 f"[{w[0]:.3e}, {w[-1]:.10f}]"

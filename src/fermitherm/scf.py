@@ -10,6 +10,12 @@ Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
 ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
 block, and one tridiagonal solve of the bare blocks per run, shared by the
 warm start, every interaction-free iteration and the audit.
+
+Every run that gets past the warm start leaves through one exit.  There the
+returned state's mean field is solved once: that solve gives the residual
+and mu, and its levels, kept on the result, give the audit's charge chain.
+A converged run reports the energy the loop computed for its last candidate
+from the occupations, so no eigendecomposition of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ __all__ = [
 
 _ALPHA_FLOOR = 1.0 / 16.0
 _ENERGY_RISE_STREAK = 5
+_EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
 
 
 class UnboundedRegimeError(RuntimeError):
@@ -132,7 +139,12 @@ class MinimizerAudit:
 
 @dataclass
 class ScfResult:
-    """Outcome of one SCF run; ``energy`` is None only for a reloaded state."""
+    """Outcome of one SCF run; ``energy`` is None only for a reloaded state.
+
+    ``levels`` holds, per channel, the negative levels of H_gamma from the
+    final solve that gave ``residual``; it is None for a reloaded state and
+    for an "unreachable-charge" result.
+    """
 
     gamma: DensityMatrix
     mu: float
@@ -143,6 +155,7 @@ class ScfResult:
     status: str
     audit: MinimizerAudit | None = None
     history: list = field(default_factory=list)
+    levels: list | None = None
 
 
 def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
@@ -280,35 +293,21 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             history=history,
         )
 
+    iterations, converged, max_iter = 0, False, config.max_iter
     if constrained and config.q == 0.0:
+        # the zero state is the minimizer: skip the loop, keep the final solve
         gamma = zero_density_matrix(grid, config.l_max)
-        energy = final_energy(gamma)
-        result = ScfResult(
-            gamma=gamma,
-            mu=-math.inf,
-            energy=energy,
-            residual=0.0,
-            iterations=0,
-            converged=True,
-            status="converged",
-            history=history,
-        )
-        result.audit = minimizer_audit(result, config, cache=cache)
-        return result
-
-    try:
-        gamma, occs = _initial_state(cache, config, constrained)
-    except UnreachableChargeError:
-        return unreachable(zero_density_matrix(grid, config.l_max), 0)
-
+        energy, converged, max_iter = final_energy(gamma), True, 0
+    else:
+        try:
+            gamma, occs = _initial_state(cache, config, constrained)
+        except UnreachableChargeError:
+            return unreachable(zero_density_matrix(grid, config.l_max), 0)
+        e_prev = _candidate_energy(gamma, occs, spec, T, cache, config.interactions).total_free
     alpha = config.mixing_alpha
-    e_prev = _candidate_energy(gamma, occs, spec, T, cache, config.interactions).total_free
     rise_streak = 0
-    mu = 0.0
-    converged = False
-    iterations = 0
 
-    for iteration in range(1, config.max_iter + 1):
+    for iteration in range(1, max_iter + 1):
         iterations = iteration
         levels, vectors = spectrum(gamma)
         try:
@@ -322,7 +321,8 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             float(np.max(np.abs(nb - ob))) if nb.size else 0.0
             for nb, ob in zip(new_blocks, gamma.blocks)
         )
-        e_new = _candidate_energy(candidate, occs, spec, T, cache, config.interactions).total_free
+        energy = _candidate_energy(candidate, occs, spec, T, cache, config.interactions)
+        e_new = energy.total_free
         history.append(
             {
                 "iteration": iteration,
@@ -354,7 +354,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         if config.check_iterates:
             gamma.validate(tol=1e-10)
 
-    # self-consistency residual on the final state
+    # the one solve of the returned state: residual, mu and the audit's levels
     levels, vectors = spectrum(gamma)
     try:
         mu_final, rebuilt, _ = _fill_blocks(
@@ -367,16 +367,19 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     except UnreachableChargeError:
         mu_final, residual = 0.0, math.inf
         converged = False
+    if not converged:
+        energy = final_energy(gamma)
 
     result = ScfResult(
         gamma=gamma,
         mu=mu_final,
-        energy=final_energy(gamma),
+        energy=energy,
         residual=residual,
         iterations=iterations,
         converged=converged,
         status="converged" if converged else "max_iter",
         history=history,
+        levels=levels,
     )
     if converged:
         result.audit = minimizer_audit(result, config, cache=cache)
@@ -399,17 +402,19 @@ def minimizer_audit(
     result: ScfResult,
     config: ScfConfig,
     cache: OperatorCache | None = None,
-    eigenvalue_tol: float = 5e-4,
 ) -> MinimizerAudit:
     """Check the proven properties of minimizers on a converged result.
 
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
     levels of H_gamma sit below -(Z-q)^2/(4 j^2) within an h^2-scale
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
-    (d) negative free energy for q > 0.
+    (d) negative free energy for q > 0.  The chain reads ``result.levels``
+    from the run's final solve, so a reloaded state, which has none, is
+    refused like an unconverged one.  H_gamma is rebuilt for (a), and (b)
+    is the audit's one eigensolve.
     """
-    if not result.converged:
-        raise ValueError("minimizer_audit refuses unconverged results")
+    if not result.converged or result.levels is None:
+        raise ValueError("minimizer_audit refuses unconverged or reloaded results")
     gamma = result.gamma
     grid = gamma.grid
     if cache is None:
@@ -419,17 +424,10 @@ def minimizer_audit(
 
     from scipy.linalg import eigh
 
-    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     if config.interactions:
         ham_blocks = mean_field_hamiltonian(gamma, Z, cache).blocks
-        # g vanishes on [0, inf), so the charge chain needs only levels below zero
-        w_mf = [
-            eigh(h, eigvals_only=True, subset_by_value=(-np.inf, 0.0), driver="evr")
-            for h in ham_blocks
-        ]
     else:
         ham_blocks = [cache.one_body_block(l) for l in range(gamma.l_max + 1)]
-        w_mf = bare_levels
     lieb = sum(
         (2 * l + 1) * float(np.real(np.einsum("i,ij,ji->", grid.r, h, b)))
         for l, (h, b) in enumerate(zip(ham_blocks, gamma.blocks))
@@ -445,13 +443,15 @@ def minimizer_audit(
     )
     bounds = np.array([-((Z - q) ** 2) / (4.0 * j * j) for j in (1, 2, 3)])
     if Z - q > 0.0:
-        eig_ok = bool(np.all(w0 <= bounds[: w0.size] + eigenvalue_tol))
+        eig_ok = bool(np.all(w0 <= bounds[: w0.size] + _EIGENVALUE_TOL))
     else:
         eig_ok = True  # comparison operator has no negative spectrum
 
+    # g vanishes on [0, inf), so the chain needs only the levels below zero
+    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     mf_sum = 0.0
     bare_sum = 0.0
-    for l, (w, w_bare) in enumerate(zip(w_mf, bare_levels)):
+    for l, (w, w_bare) in enumerate(zip(result.levels, bare_levels)):
         mf_sum += (2 * l + 1) * float(np.sum(spec.g(w / T)))
         bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
     chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9

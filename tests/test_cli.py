@@ -314,6 +314,45 @@ def test_config_unknown_key_exit1(tmp_path, capsys):
     assert code == 1
 
 
+BAD_CONFIGS = {
+    "entropy": {"m": "two", "Z": 1, "T": 1},
+    "linear": {"m": 2, "Z": [1], "T": 1},
+    "minimize": {"m": 2, "Z": 1, "T": 1, "n": 2.5},
+    "sweep": {"m": 2, "Z": 1, "T": 1, "q_from": 0, "q_to": 0.1, "q_steps": "many"},
+    "evolve": {"state": "min.npz", "dt": 0.1, "horizon": {"t": 1}},
+    "stability": {"state": "min.npz", "dt": 0.1, "horizon": 1, "eta": [[1e-3]]},
+}
+
+
+@pytest.mark.parametrize("command", BAD_CONFIGS)
+def test_config_bad_value_exit1(tmp_path, capsys, command):
+    # a file value must pass the converter of its flag, checked before any work
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_CONFIGS[command]))
+    code, _, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 1
+    assert err.startswith("error: config key")
+    assert "Traceback" not in err
+
+
+def test_config_values_read_like_flags(tmp_path, capsys):
+    # strings are read like flag text, a scalar --eta like a one-item list,
+    # and null leaves the default in place
+    from fermitherm.cli import _merge, build_parser
+
+    flags = dict(zip(MINIMIZE_SMALL[1::2], MINIMIZE_SMALL[2::2]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k.lstrip("-"): v for k, v in flags.items()} | {"alpha": None}))
+    _, from_flags, _ = run(capsys, MINIMIZE_SMALL)
+    _, from_file, _ = run(capsys, ["minimize", "--config", str(cfg)])
+    assert from_file == from_flags
+    for eta, expected in ((1e-3, [1e-3]), ([1e-3, "0.01"], [1e-3, 0.01])):
+        cfg.write_text(json.dumps({"eta": eta, "horizon": "1"}))
+        args = build_parser().parse_args(["stability", "--config", str(cfg)])
+        opts = _merge(args, {"eta": None, "horizon": None})
+        assert opts == {"eta": expected, "horizon": 1.0}
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fermitherm.energy import OperatorCache, free_energy, mean_field_hamiltonian
+from fermitherm.energy import (
+    OperatorCache,
+    free_energy,
+    linear_energy_breakdown,
+    mean_field_hamiltonian,
+)
 from fermitherm.entropy import make_power_entropy
 from fermitherm.grid import (
     DensityMatrix,
@@ -123,6 +128,8 @@ def test_scf_zero_charge_gives_zero_state():
     assert res.mu == -math.inf
     assert res.energy.total_free == 0.0
     assert res.gamma.trace() == 0.0
+    assert res.iterations == 0
+    assert res.residual == 0.0
     assert res.audit is not None and res.audit.energy_negative_ok
 
 
@@ -173,6 +180,10 @@ def test_audit_refuses_unconverged():
     )
     with pytest.raises(ValueError):
         minimizer_audit(broken, cfg)
+    # a converged state without the final solve's levels, as a reloaded one
+    minimizer_audit(res, cfg)
+    with pytest.raises(ValueError):
+        minimizer_audit(dataclasses.replace(res, levels=None), cfg)
 
 
 def test_scf_refuses_unbounded_regime():
@@ -412,6 +423,13 @@ def _dense_audit_details(result, cfg):
 def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
     cfg = small_config(l_max=2, interactions=interactions)
     fast = scf_minimize(cfg)
+    # the energy from the last candidate's occupations against the full
+    # eigendecomposition of the returned gamma
+    reference = (free_energy if interactions else linear_energy_breakdown)(
+        fast.gamma, SPEC, cfg.Z, cfg.T
+    )
+    for key, value in dataclasses.asdict(reference).items():
+        assert abs(getattr(fast.energy, key) - value) <= 1e-12, key
     dense_details = _dense_audit_details(fast, cfg)
     for key, value in dense_details.items():
         assert np.allclose(fast.audit.details[key], value, rtol=0.0, atol=1e-12), key
@@ -432,6 +450,44 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
         assert np.allclose(
             fast.audit.details[key], dense.audit.details[key], rtol=0.0, atol=1e-12
         ), key
+
+
+def test_returned_state_is_solved_once(monkeypatch):
+    # one eigensolve per iteration plus one of the returned state; the audit
+    # reuses its levels and solves only for the three s levels; the energy
+    # comes from occupations, so gamma is never diagonalized
+    import scipy.linalg
+
+    calls = {"diagonalize": 0, "audit_eigh": 0, "eigvalsh": 0}
+    in_audit = []
+
+    def counted(fn, key, when=lambda: True):
+        def wrapper(*args, **kwargs):
+            if when():
+                calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def auditing(result, config, cache=None):
+        in_audit.append(True)
+        try:
+            return audit(result, config, cache=cache)
+        finally:
+            in_audit.pop()
+
+    audit = scf_module.minimizer_audit
+    monkeypatch.setattr(scf_module, "minimizer_audit", auditing)
+    monkeypatch.setattr(
+        scf_module, "_diagonalize_blocks", counted(scf_module._diagonalize_blocks, "diagonalize")
+    )
+    monkeypatch.setattr(
+        scipy.linalg, "eigh", counted(scipy.linalg.eigh, "audit_eigh", lambda: bool(in_audit))
+    )
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
+    res = scf_minimize(small_config(l_max=2))
+    assert res.converged and res.audit is not None and res.iterations > 1
+    assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 1, "eigvalsh": 0}
 
 
 def test_audit_bound_reads_three_levels_when_fewer_are_bound():
