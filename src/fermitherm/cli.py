@@ -21,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dynamics import _check_step_controls, evolve, stability_experiment
+from .dynamics import _check_step_controls, _step_count, evolve, stability_experiment
 from .entropy import InvalidExponentError, make_power_entropy, validate_a4
 from .grid import DensityMatrix, build_grid, density_from_gamma, hartree_potential
 from .linear import linear_report
@@ -230,18 +230,34 @@ _STATE_SCALARS = (
 )
 
 
+def _check_state_scalars(scalars: dict) -> None:
+    """Refuse stored scalars no grid, operator or model can be built from.
+
+    ``build_grid`` refuses a nonpositive ``r_max`` or ``n_points`` itself.
+    """
+    if int(scalars["l_max"]) < 0:
+        raise ValueError(f"l_max must be >= 0, got {scalars['l_max']}")
+    for key in ("r_max", "Z", "T"):
+        if not math.isfinite(float(scalars[key])):
+            raise ValueError(f"{key} must be finite, got {scalars[key]}")
+    if float(scalars["T"]) <= 0.0:
+        raise ValueError(f"T must be positive, got {scalars['T']}")
+
+
 def _load_state(path: str):
     """Reload a state written by ``_save_state``; only converged minimizers pass.
 
-    The file comes from outside the program, so keys, block shapes,
-    Hermiticity and the spectrum in [0, 1] are all checked before use.  No
-    energy is computed: ``evolve`` and ``stability`` never read it.
+    The file comes from outside the program, so keys, the grid and model
+    scalars, block shapes, Hermiticity and the spectrum in [0, 1] are all
+    checked before use.  No energy is computed: ``evolve`` and ``stability``
+    never read it.
     """
     if not os.path.exists(path):
         raise _StateError(f"state file not found: {path}")
     try:
         with np.load(path) as data:
             scalars = {k: data[k].item() for k in _STATE_SCALARS}
+            _check_state_scalars(scalars)
             blocks = [data[f"block_{l}"] for l in range(int(scalars["l_max"]) + 1)]
         gamma = DensityMatrix(
             grid=build_grid(int(scalars["n_points"]), float(scalars["r_max"])),
@@ -400,8 +416,8 @@ def cmd_evolve(args) -> int:
     _check_step_controls(
         opts["dt"], int(opts["inner"]), int(opts["stride"]), opts["propagator"]
     )
+    n_steps = _step_count(opts["horizon"], opts["dt"])
     result, spec, Z, _ = _load_state(opts["state"])
-    n_steps = max(1, int(round(opts["horizon"] / opts["dt"])))
     samples = evolve(
         result.gamma,
         spec,

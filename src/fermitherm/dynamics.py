@@ -12,6 +12,11 @@ eigendecomposition ("expm") and the Cayley form (I - i dt H/2)(I + i dt H/2)^-1
 ("cayley").  Both are exactly unitary and second order; the Cayley form
 applies to the orbital factors directly and is an order of magnitude cheaper,
 which is what makes 1e4-step trajectories affordable.
+
+The state is carried as orbital factors gamma_l = W_l diag(nu_l) W_l^H from start
+to end; dense blocks are factored only at the edge (input state, reference,
+minimizer) and built only as the input of ``mean_field_hamiltonian``, which the
+sampled energy reuses.  Entropy and distance come from the factors alone.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .energy import (
     mean_field_hamiltonian,
 )
 from .entropy import EntropySpec
-from .grid import DensityMatrix, kinetic_matrix
+from .grid import DensityMatrix
 from .scf import ScfResult
 
 __all__ = [
@@ -62,8 +67,8 @@ class TrajectorySample:
 
 def _check_step_controls(dt, inner_iterations, sample_stride, propagator) -> None:
     """Reject step controls that cannot drive a propagation."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero (negative dt propagates backward)")
+    if dt == 0.0 or not math.isfinite(dt):
+        raise ValueError("dt must be finite and nonzero (negative dt propagates backward)")
     if inner_iterations < 1:
         raise ValueError("inner_iterations must be >= 1")
     if sample_stride < 1:
@@ -72,34 +77,54 @@ def _check_step_controls(dt, inner_iterations, sample_stride, propagator) -> Non
         raise ValueError(f"unknown propagator {propagator!r}")
 
 
-def _sqrt_kinetic(grid, l_max):
-    mats = []
-    for l in range(l_max + 1):
-        w, v = np.linalg.eigh(kinetic_matrix(grid, l))
-        mats.append((v * np.sqrt(np.maximum(w, 0.0))) @ v.T)
-    return mats
+def _step_count(horizon, dt) -> int:
+    """Number of dt steps covering ``horizon``; refuses a horizon with none."""
+    ratio = horizon / dt
+    if not math.isfinite(ratio) or round(ratio) < 1:
+        raise ValueError(f"horizon {horizon} gives no step of dt {dt}")
+    return int(round(ratio))
 
 
-def _trace_norm(block) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(block))))
+def _kinetic_root(grid, l, x):
+    """M x, O(n k), for M with M^T M = T_l: forward differences / h (Dirichlet
+    zero padding) stacked over the rows sqrt(l(l+1)) / r."""
+    diff = np.diff(x, axis=0, prepend=0.0, append=0.0) / grid.h
+    return np.vstack([diff, (math.sqrt(l * (l + 1)) / grid.r)[:, None] * x])
 
 
-def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix, sqrt_kin=None) -> float:
+def _trace_norm_of_difference(x_a, nu_a, x_b, nu_b) -> float:
+    """||X_a diag(nu_a) X_a^H - X_b diag(nu_b) X_b^H||_1 on the span of [X_a, X_b].
+
+    With Q from a thin QR of [X_a, X_b] and R = Q^H X, the difference has the nonzero
+    spectrum of R_a diag(nu_a) R_a^H - R_b diag(nu_b) R_b^H; equal factors give 0.
+    """
+    q_h = np.linalg.qr(np.hstack([x_a, x_b]))[0].conj().T
+    r_a, r_b = q_h @ x_a, q_h @ x_b
+    small = (r_a * nu_a) @ r_a.conj().T - (r_b * nu_b) @ r_b.conj().T
+    return float(np.sum(np.abs(np.linalg.eigvalsh(small))))
+
+
+def _factored_distance(grid, factors_a, factors_b) -> float:
+    total = 0.0
+    for l, (w_a, nu_a, w_b, nu_b) in enumerate(zip(*factors_a, *factors_b)):
+        m_a, m_b = _kinetic_root(grid, l, w_a), _kinetic_root(grid, l, w_b)
+        total += (2 * l + 1) * (
+            _trace_norm_of_difference(w_a, nu_a, w_b, nu_b)
+            + _trace_norm_of_difference(m_a, nu_a, m_b, nu_b)
+        )
+    return total
+
+
+def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
     """Discrete energy-space norm of the difference.
 
     Per channel, trace norm of the difference plus trace norm of the
-    kinetic-square-root conjugated difference, weighted by 2l+1.
+    kinetic-square-root conjugated difference, weighted by 2l+1; both are
+    taken on the span of the two states' orbital factors (rank 2k).
     """
     if gamma_a.grid != gamma_b.grid or gamma_a.l_max != gamma_b.l_max:
         raise ValueError("states live on different discretizations")
-    if sqrt_kin is None:
-        sqrt_kin = _sqrt_kinetic(gamma_a.grid, gamma_a.l_max)
-    total = 0.0
-    for l, (ba, bb) in enumerate(zip(gamma_a.blocks, gamma_b.blocks)):
-        delta = ba - bb
-        conj = sqrt_kin[l] @ delta @ sqrt_kin[l]
-        total += (2 * l + 1) * (_trace_norm(delta) + _trace_norm(conj))
-    return total
+    return _factored_distance(gamma_a.grid, _factor_blocks(gamma_a), _factor_blocks(gamma_b))
 
 
 def _factor_blocks(gamma: DensityMatrix):
@@ -136,8 +161,7 @@ def _cayley_apply(h_blocks, dt, thins):
     n_ch, n, _ = stack.shape
     rhs = np.zeros((n_ch, n, r_max), dtype=complex)
     for k, t in enumerate(thins):
-        if t.shape[1]:
-            rhs[k, :, : t.shape[1]] = t - (0.5j * dt) * (stack[k] @ t)
+        rhs[k, :, : t.shape[1]] = t - (0.5j * dt) * (stack[k] @ t)
     a_plus = (0.5j * dt) * stack
     idx = np.arange(n)
     a_plus[:, idx, idx] += 1.0
@@ -159,60 +183,46 @@ def _midpoint_unitary_step(gamma_state, orbitals, occupations, dt, cache, inner,
 
     The mean field is frozen at a midpoint estimate improved by ``inner``
     fixed-point iterations; a growing field update signals a too-large dt.
+    The midpoint is materialized from the factors [W_n, W_next], [nu/2, nu/2].
     """
-    grid = gamma_state.grid
     gamma_mid = gamma_state
     new_orbitals = orbitals
-    prev_field_delta = None
+    prev_field_delta = math.inf
     prev_blocks = None
     for k in range(inner):
         ham = mean_field_hamiltonian(gamma_mid, cache.Z, cache)
         if prev_blocks is not None:
-            field_delta = sum(
-                float(np.linalg.norm(h - p)) for h, p in zip(ham.blocks, prev_blocks)
-            )
-            if (
-                prev_field_delta is not None
-                and field_delta > prev_field_delta
-                and field_delta > 1e-12
-            ):
-                raise StepSizeError(
-                    f"midpoint iteration diverging (dH {prev_field_delta:.3e} -> "
-                    f"{field_delta:.3e}); reduce dt"
-                )
+            field_delta = sum(float(np.linalg.norm(h - p)) for h, p in zip(ham.blocks, prev_blocks))
+            if field_delta > max(prev_field_delta, 1e-12):
+                change = f"dH {prev_field_delta:.3e} -> {field_delta:.3e}"
+                raise StepSizeError(f"midpoint iteration diverging ({change}); reduce dt")
             prev_field_delta = field_delta
         prev_blocks = ham.blocks
         new_orbitals = apply_u(ham.blocks, dt, orbitals)
         if k + 1 < inner:
-            gamma_next = _materialize(grid, new_orbitals, occupations)
-            gamma_mid = DensityMatrix(
-                grid=grid,
-                blocks=[
-                    0.5 * (a + b)
-                    for a, b in zip(gamma_state.blocks, gamma_next.blocks)
-                ],
+            gamma_mid = _materialize(
+                gamma_state.grid,
+                [np.hstack([a, b]) for a, b in zip(orbitals, new_orbitals)],
+                [0.5 * np.concatenate([occ, occ]) for occ in occupations],
             )
     return new_orbitals
 
 
-def _sample(t, gamma, spec, cache, reference, sqrt_kin, keep):
+def _sample(t, gamma, factors, spec, cache, reference, keep):
+    """Observables of ``gamma``; the entropy from the spectra of the k x k Gram
+    matrices of its ``factors``, W diag(sqrt nu), which keep roundoff drift visible."""
     kin, nuc, direct, exch = _hf_terms(gamma, cache)
-    # eigenvalues of the materialized state, so roundoff drift stays visible
-    entropy = _entropy_of_occupations(
-        [np.linalg.eigvalsh(b) for b in gamma.blocks], spec
-    )
-    dist = (
-        hspace_distance(gamma, reference, sqrt_kin)
-        if reference is not None
-        else math.nan
-    )
+    scaled = [w_mat * np.sqrt(occ) for w_mat, occ in zip(*factors)]
+    gram_spectra = [np.linalg.eigvalsh(x.conj().T @ x) for x in scaled]
     return TrajectorySample(
         t=t,
         gamma=gamma if keep else None,
         trace=gamma.trace(),
         hf_energy=kin + nuc + direct - exch,
-        entropy_trace=entropy,
-        dist_to_reference=dist,
+        entropy_trace=_entropy_of_occupations(gram_spectra, spec),
+        dist_to_reference=(
+            math.nan if reference is None else _factored_distance(gamma.grid, factors, reference)
+        ),
     )
 
 
@@ -233,26 +243,31 @@ def evolve(
     Each step conjugates the state by exp(-i dt H[gamma_mid]) ("expm", per
     channel by eigendecomposition) or its Cayley approximant ("cayley"),
     with the midpoint state iterated ``inner_iterations`` times.  The state
-    is carried as orbital factors (unitary conjugation preserves the
-    factorization exactly); a symmetric re-orthonormalization every 200
-    steps absorbs roundoff drift.  Samples include t = 0 and the final
-    step; with ``keep_gamma`` each carries the state it was taken from.
+    and the reference are factored once and carried as orbital factors
+    (unitary conjugation preserves the factorization exactly); a symmetric
+    re-orthonormalization every 200 steps absorbs roundoff drift.  Samples
+    include t = 0 and the final step; with ``keep_gamma`` each carries the
+    state it was taken from.
     """
     _check_step_controls(dt, inner_iterations, sample_stride, propagator)
-    cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
-    grid = gamma0.grid
-    apply_u = _expm_apply if propagator == "expm" else _cayley_apply
-    sqrt_kin = (
-        _sqrt_kinetic(grid, gamma0.l_max) if reference is not None else None
+    if reference is not None:
+        if reference.grid != gamma0.grid or reference.l_max != gamma0.l_max:
+            raise ValueError("states live on different discretizations")
+        reference = _factor_blocks(reference)
+    return _propagate(
+        gamma0.grid, _factor_blocks(gamma0), spec, Z, dt, n_steps, reference,
+        sample_stride, inner_iterations, propagator, keep_gamma,
     )
-    if reference is not None and not reference.is_complex():
-        reference = DensityMatrix(
-            grid=reference.grid,
-            blocks=[b.astype(complex) for b in reference.blocks],
-        )
-    orbitals, occupations = _factor_blocks(gamma0)
+
+
+def _propagate(grid, factors, spec, Z, dt, n_steps, reference, sample_stride,
+               inner_iterations, propagator, keep_gamma) -> list:
+    """``evolve`` on a factored state and a factored (or None) reference."""
+    orbitals, occupations = factors
+    cache = OperatorCache(grid, len(orbitals) - 1, Z)
+    apply_u = _expm_apply if propagator == "expm" else _cayley_apply
     gamma_state = _materialize(grid, orbitals, occupations)
-    samples = [_sample(0.0, gamma_state, spec, cache, reference, sqrt_kin, keep_gamma)]
+    samples = [_sample(0.0, gamma_state, factors, spec, cache, reference, keep_gamma)]
     for step in range(1, n_steps + 1):
         orbitals = _midpoint_unitary_step(
             gamma_state, orbitals, occupations, dt, cache, inner_iterations, apply_u
@@ -261,9 +276,9 @@ def evolve(
             orbitals = [_lowdin(w_mat) for w_mat in orbitals]
         gamma_state = _materialize(grid, orbitals, occupations)
         if step % sample_stride == 0 or step == n_steps:
-            samples.append(
-                _sample(step * dt, gamma_state, spec, cache, reference, sqrt_kin, keep_gamma)
-            )
+            samples.append(_sample(
+                step * dt, gamma_state, (orbitals, occupations), spec, cache, reference, keep_gamma
+            ))
     return samples
 
 
@@ -298,43 +313,27 @@ def stability_experiment(
 ) -> StabilityResult:
     """Kick a converged minimizer by a unitary of size eta and track dist.
 
-    The perturbation conjugates each block by exp(-i eta A_l) with A_l a
-    seeded random Hermitian of unit Frobenius norm, so the perturbed state
-    keeps the exact trace and occupation spectrum (it stays in K_q).
+    The perturbation conjugates each block by U_l = exp(-i eta A_l) with A_l
+    a seeded random Hermitian of unit Frobenius norm, so the perturbed state
+    keeps the exact trace and occupation spectrum (it stays in K_q).  The
+    minimizer is factored once; the kick acts on its orbitals, U_l W_l, and
+    the same factors serve as the reference.
     """
     if not minimizer.converged:
         raise ValueError("stability_experiment requires a converged minimizer")
     _check_step_controls(dt, inner_iterations, sample_stride, propagator)
-    gamma_ref = minimizer.gamma
-    grid = gamma_ref.grid
+    n_steps = _step_count(horizon, dt)
+    reference = _factor_blocks(minimizer.gamma)
     rng = np.random.default_rng(seed)
-    blocks0 = []
-    for b in gamma_ref.blocks:
-        n = b.shape[0]
+    kicked = []
+    for w_ref in reference[0]:
+        n = w_ref.shape[0]
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = 0.5 * (raw + raw.conj().T)
         herm /= np.linalg.norm(herm)
-        if eta == 0.0:
-            blocks0.append(b.astype(complex))
-            continue
-        w, v = np.linalg.eigh(herm)
-        u_pert = (v * np.exp(-1j * eta * w)) @ v.conj().T
-        blocks0.append(u_pert @ b @ u_pert.conj().T)
-    gamma0 = DensityMatrix(grid=grid, blocks=blocks0)
-    n_steps = max(1, int(round(horizon / dt)))
-    samples = evolve(
-        gamma0,
-        spec,
-        Z,
-        dt,
-        n_steps,
-        reference=gamma_ref,
-        sample_stride=sample_stride,
-        inner_iterations=inner_iterations,
-        propagator=propagator,
+        kicked += _expm_apply([herm], eta, [w_ref])
+    samples = _propagate(
+        minimizer.gamma.grid, (kicked, reference[1]), spec, Z, dt, n_steps, reference,
+        sample_stride, inner_iterations, propagator, False,
     )
-    return StabilityResult(
-        eta=eta,
-        sup_dist=max(s.dist_to_reference for s in samples),
-        samples=samples,
-    )
+    return StabilityResult(eta, max(s.dist_to_reference for s in samples), samples)

@@ -96,6 +96,12 @@ class ScfConfig:
     interactions: bool = True
 
     def __post_init__(self):
+        for name in ("Z", "T", "q", "r_max", "tol_gamma", "tol_energy"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.l_max < 0:
+            raise ValueError(f"l_max must be >= 0, got {self.l_max}")
         if self.T <= 0.0:
             raise ValueError("scf requires T > 0")
         if not 0.0 < self.mixing_alpha <= 1.0:

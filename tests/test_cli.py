@@ -238,7 +238,11 @@ def test_evolve_missing_state_exit4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["evolve", "stability"])
-@pytest.mark.parametrize("flag", [["--dt", "0"], ["--stride", "0"]], ids=["dt0", "stride0"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--dt", "0"], ["--stride", "0"], ["--horizon", "-5"], ["--horizon", "0"]],
+    ids=["dt0", "stride0", "horizon-5", "horizon0"],
+)
 def test_dynamics_bad_step_controls_exit1(stored_state, tmp_path, capsys, command, flag):
     argv = [command, "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1"]
     if command == "stability":
@@ -249,12 +253,21 @@ def test_dynamics_bad_step_controls_exit1(stored_state, tmp_path, capsys, comman
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tamper", ["asymmetric", "shape", "spectrum", "missing"])
+@pytest.mark.parametrize(
+    "tamper",
+    ["asymmetric", "shape", "spectrum", "missing", "lmax_negative", "rmax_nan", "Z_nan"],
+)
 def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tamper):
     with np.load(stored_state) as data:
         arrays = dict(data)
     block = arrays["block_1"]
-    if tamper == "asymmetric":
+    if tamper == "lmax_negative":
+        arrays["l_max"] = np.array(-1)
+    elif tamper == "rmax_nan":
+        arrays["r_max"] = np.array(np.nan)
+    elif tamper == "Z_nan":
+        arrays["Z"] = np.array(np.nan)
+    elif tamper == "asymmetric":
         block[0, 1] += 1e-3
     elif tamper == "shape":
         arrays["block_1"] = block[:-1, :-1]
@@ -269,6 +282,21 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
     )
     assert code == 4
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--lmax", "-1"], ["--T", "nan"], ["--Z", "nan"], ["--q", "inf"], ["--rmax", "nan"]],
+    ids=["lmax-1", "Tnan", "Znan", "qinf", "rmaxnan"],
+)
+def test_minimize_bad_numbers_exit1(capsys, flag):
+    # refused by ScfConfig before any solve, not a traceback or a NaN result
+    argv = ["minimize", "--m", "2", "--Z", "1", "--T", "1", "--q", "0.1",
+            "--n", "50", "--rmax", "20", "--lmax", "1"]
+    code, out, err = run(capsys, argv + flag)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err and out == ""
 
 
 def test_stability_files_and_ratio(stored_state, tmp_path, capsys):

@@ -9,8 +9,9 @@ from fermitherm.dynamics import (
     hspace_distance,
     stability_experiment,
 )
+from fermitherm.energy import _entropy_of_occupations
 from fermitherm.entropy import make_power_entropy
-from fermitherm.grid import DensityMatrix, zero_density_matrix
+from fermitherm.grid import DensityMatrix, build_grid, kinetic_matrix, zero_density_matrix
 from fermitherm.scf import ScfConfig, scf_minimize
 
 SPEC = make_power_entropy(2.0)
@@ -236,3 +237,92 @@ def test_step_size_error_on_wild_dt():
     gamma0 = DensityMatrix(grid=grid, blocks=blocks)
     with pytest.raises(StepSizeError):
         one_step(gamma0, 5.0, 1.0, inner_iterations=6)
+
+
+def dense_hspace_distance(gamma_a, gamma_b):
+    """The dense reference: n x n trace norms of delta and T^1/2 delta T^1/2."""
+
+    def trace_norm(block):
+        return float(np.sum(np.abs(np.linalg.eigvalsh(block))))
+
+    total = 0.0
+    for l, (ba, bb) in enumerate(zip(gamma_a.blocks, gamma_b.blocks)):
+        w, v = np.linalg.eigh(kinetic_matrix(gamma_a.grid, l))
+        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
+        delta = ba - bb
+        total += (2 * l + 1) * (trace_norm(delta) + trace_norm(root @ delta @ root))
+    return total
+
+
+def test_hspace_distance_matches_dense_reference(minimizer):
+    gamma = minimizer.gamma
+    zero = zero_density_matrix(gamma.grid, gamma.l_max)
+    pairs = [(perturbed(minimizer), gamma), (gamma, zero), (perturbed(minimizer, 0.5, 9), zero)]
+    for a, b in pairs:
+        dense = dense_hspace_distance(a, b)
+        assert dense > 0.0
+        assert abs(hspace_distance(a, b) - dense) <= 1e-9 * dense
+    assert hspace_distance(zero, zero) == 0.0
+
+
+def test_evolve_refuses_reference_on_other_discretization(minimizer):
+    gamma = minimizer.gamma
+    others = [
+        zero_density_matrix(build_grid(gamma.grid.n_points, 2.0 * gamma.grid.r_max), gamma.l_max),
+        zero_density_matrix(gamma.grid, gamma.l_max + 1),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="discretization"):
+            evolve(gamma, SPEC, 1.0, dt=0.01, n_steps=1, reference=other)
+
+
+def test_sampled_entropy_matches_dense_spectrum(minimizer):
+    # the Gram spectrum of the factors against eigvalsh of the materialized
+    # blocks, across a Loewdin pass (every 200 steps)
+    samples = evolve(perturbed(minimizer, eta=0.3), SPEC, 1.0, dt=0.02, n_steps=220,
+                     sample_stride=55, keep_gamma=True)
+    for s in samples:
+        dense = _entropy_of_occupations([np.linalg.eigvalsh(b) for b in s.gamma.blocks], SPEC)
+        assert abs(s.entropy_trace - dense) <= 1e-14
+
+
+@pytest.mark.parametrize("propagator", ["cayley", "expm"])
+def test_stability_kick_matches_dense_kick(minimizer, propagator):
+    # the kick on the orbitals against evolving the densely kicked state
+    eta, seed, dt, horizon = 1e-2, 5, 0.02, 0.4
+    res = stability_experiment(minimizer, SPEC, 1.0, eta=eta, horizon=horizon, dt=dt,
+                               seed=seed, propagator=propagator)
+    dense = evolve(perturbed(minimizer, eta, seed), SPEC, 1.0, dt, round(horizon / dt),
+                   reference=minimizer.gamma, sample_stride=10, propagator=propagator)
+    assert len(res.samples) == len(dense) == 3
+    for a, b in zip(res.samples, dense):
+        assert a.t == b.t
+        for field in ("trace", "hf_energy", "entropy_trace", "dist_to_reference"):
+            assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12, field
+
+
+def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
+    # n x n eigensolves: one kick direction and one minimizer factorization
+    # per channel; samples, distance and Loewdin work on k x k matrices
+    n = minimizer.gamma.grid.n_points
+    calls = []
+
+    def counting(fn):
+        def wrapped(a, *args, **kwargs):
+            if np.shape(a) == (n, n):
+                calls.append(fn.__name__)
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
+                               sample_stride=5, propagator="cayley")
+    assert len(res.samples) == 5
+    assert calls == ["eigh"] * 2 * (minimizer.gamma.l_max + 1)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -5.0, 0.004, math.nan, math.inf])
+def test_stability_rejects_horizon_without_steps(minimizer, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=horizon, dt=0.01)

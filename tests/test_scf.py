@@ -186,6 +186,16 @@ def test_audit_refuses_unconverged():
         minimizer_audit(dataclasses.replace(res, levels=None), cfg)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("l_max", -1), ("Z", math.nan), ("T", math.nan), ("T", math.inf), ("q", math.nan),
+     ("q", math.inf), ("r_max", math.nan), ("tol_gamma", math.nan), ("tol_energy", math.inf)],
+)
+def test_config_rejects_negative_lmax_and_nonfinite_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+
+
 def test_scf_refuses_unbounded_regime():
     spec3 = make_power_entropy(3.0)
     with pytest.raises(UnboundedRegimeError):
