@@ -21,7 +21,13 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .dynamics import _check_step_controls, _step_count, evolve, stability_experiment
+from .dynamics import (
+    _check_kick,
+    _check_step_controls,
+    _step_count,
+    evolve,
+    stability_experiment,
+)
 from .entropy import InvalidExponentError, make_power_entropy, validate_a4
 from .grid import DensityMatrix, build_grid, density_from_gamma, hartree_potential
 from .linear import linear_report
@@ -439,8 +445,14 @@ def cmd_stability(args) -> int:
         {**_DYNAMICS_DEFAULTS, "eta": None, "seed": 0, "out_prefix": "stability_"},
     )
     _require(opts, ("state", "dt", "horizon", "eta"))
-    result, spec, Z, _ = _load_state(opts["state"])
+    _check_step_controls(
+        opts["dt"], int(opts["inner"]), int(opts["stride"]), opts["propagator"]
+    )
+    _step_count(opts["horizon"], opts["dt"])
     etas = opts["eta"]
+    for eta in etas:
+        _check_kick(eta)
+    result, spec, Z, _ = _load_state(opts["state"])
 
     def run(eta):
         return stability_experiment(

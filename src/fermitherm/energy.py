@@ -24,6 +24,7 @@ from .grid import (
     kinetic_matrix,
     kinetic_tridiagonal,
     multipole_kernel,
+    multipole_kernel_inverse,
     nuclear_potential,
 )
 
@@ -89,7 +90,9 @@ class OperatorCache:
     through the O(n) Newton-shell ``hartree_potential``.  The negative
     spectrum of the bare blocks, ``bare_spectrum``, is solved on first use
     and then shared by the warm start, the interaction-free iterations and
-    the minimizer audit.
+    the minimizer audit.  The tridiagonal kernel inverses,
+    ``kernel_inverses``, are likewise built on first use, by the factored
+    mean field of the dynamics only.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
@@ -100,12 +103,12 @@ class OperatorCache:
         self.kinetic_diag = [diag for diag, _ in stencils]
         self.kinetic_off = stencils[0][1]
         self.v_nuclear = nuclear_potential(grid, Z)
-        angular = exchange_weights(l_max)
+        self.angular = exchange_weights(l_max)
         self.pair_kernels = {}
         for l in range(l_max + 1):
             for lp in range(l, l_max + 1):
                 combined = np.zeros((grid.n_points, grid.n_points))
-                for L, a_l in angular[(l, lp)]:
+                for L, a_l in self.angular[(l, lp)]:
                     combined += a_l * multipole_kernel(grid, L)
                 self.pair_kernels[(l, lp)] = combined
 
@@ -147,6 +150,13 @@ class OperatorCache:
             levels.append(w[neg])
             vectors.append(v[:, neg])
         return levels, vectors
+
+    @cached_property
+    def kernel_inverses(self) -> tuple:
+        """(diagonals, off-diagonals) of J_L = w_L^-1, stacked by row L for
+        L = 0..2 l_max, the multipole orders the exchange couples."""
+        pairs = [multipole_kernel_inverse(self.grid, L) for L in range(2 * self.l_max + 1)]
+        return np.array([d for d, _ in pairs]), np.array([o for _, o in pairs])
 
     def pair_kernel(self, l: int, lp: int) -> np.ndarray:
         return self.pair_kernels[(min(l, lp), max(l, lp))]

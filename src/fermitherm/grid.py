@@ -24,6 +24,7 @@ __all__ = [
     "kinetic_matrix",
     "kinetic_tridiagonal",
     "multipole_kernel",
+    "multipole_kernel_inverse",
     "nuclear_potential",
     "zero_density_matrix",
 ]
@@ -175,6 +176,30 @@ def multipole_kernel(grid: RadialGrid, L: int) -> np.ndarray:
     r_small = np.minimum.outer(r, r)
     r_large = np.maximum.outer(r, r)
     return (r_small / r_large) ** L / r_large
+
+
+def multipole_kernel_inverse(grid: RadialGrid, L: int) -> tuple:
+    """(diagonal, off-diagonal) of the tridiagonal J_L = w_L^-1.
+
+    w_L[i,j] = u_min(i,j) v_max(i,j) with u = r^L, v = r^-(L+1) is semiseparable
+    in generator form, so its inverse is tridiagonal with off_i = -1/d_i,
+    d_i = u_{i+1} v_i - u_i v_{i+1}, and diagonal entries from the same d_i
+    (Meurant, SIAM J. Matrix Anal. Appl. 13, 1992).  d_i is formed without
+    cancellation as expm1((2L+1) log1p(h/r_i)) (r_{i+1}/r_i)^-(L+1) / r_i.
+    """
+    if L < 0:
+        raise ValueError(f"multipole order must be >= 0, got {L}")
+    r = grid.r
+    if grid.n_points == 1:
+        return r.copy(), np.zeros(0)
+    ratio = r[1:] / r[:-1]
+    d = np.expm1((2 * L + 1) * np.log1p(grid.h / r[:-1])) * ratio ** -(L + 1) / r[:-1]
+    diag = np.empty_like(r)
+    # u_{i-1}/(d_{i-1} u_i) + u_{i+1}/(d_i u_i), with u-ratios taken as r-ratios
+    diag[1:-1] = ratio[:-1] ** -L / d[:-1] + ratio[1:] ** L / d[1:]
+    diag[0] = ratio[0] ** L / d[0]
+    diag[-1] = ratio[-1] ** (L + 1) / d[-1]
+    return diag, -1.0 / d
 
 
 def dilate(gamma: DensityMatrix, eta: float) -> DensityMatrix:

@@ -299,6 +299,19 @@ def test_minimize_bad_numbers_exit1(capsys, flag):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_stability_non_finite_eta_exit1(stored_state, tmp_path, capsys, eta):
+    argv = ["stability", "--dt", "0.02", "--horizon", "0.1", "--eta", "1e-3", "--eta", eta,
+            "--out-prefix", str(tmp_path / "s_")]
+    code, out, err = run(capsys, argv + ["--state", str(stored_state)])
+    assert code == 1
+    assert "eta" in err and "Traceback" not in err
+    assert out == "" and not list(tmp_path.glob("s_*"))
+    # refused before the state is read, as the step controls are
+    code, _, err = run(capsys, argv + ["--state", str(tmp_path / "nope.npz")])
+    assert code == 1 and "eta" in err
+
+
 def test_stability_files_and_ratio(stored_state, tmp_path, capsys):
     prefix = str(tmp_path / "stab_")
     code, out, _ = run(

@@ -9,7 +9,8 @@ from fermitherm.dynamics import (
     hspace_distance,
     stability_experiment,
 )
-from fermitherm.energy import _entropy_of_occupations
+from fermitherm import dynamics
+from fermitherm.energy import OperatorCache, _entropy_of_occupations, mean_field_hamiltonian
 from fermitherm.entropy import make_power_entropy
 from fermitherm.grid import DensityMatrix, build_grid, kinetic_matrix, zero_density_matrix
 from fermitherm.scf import ScfConfig, scf_minimize
@@ -326,3 +327,126 @@ def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
 def test_stability_rejects_horizon_without_steps(minimizer, horizon):
     with pytest.raises(ValueError, match="horizon"):
         stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=horizon, dt=0.01)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_stability_refuses_non_finite_eta(minimizer, eta):
+    with pytest.raises(ValueError, match="eta"):
+        stability_experiment(minimizer, SPEC, 1.0, eta=eta, horizon=1.0, dt=0.02)
+
+
+@pytest.mark.parametrize(
+    "n, r_max, rank", [(200, 0.5, 2), (50, 1.0, 30)], ids=["rank2", "rank30"]
+)
+def test_converged_midpoint_iteration_does_not_raise(n, r_max, rank):
+    # the midpoint iteration contracts to roundoff at dt = 1; roundoff that
+    # wobbles below the divergence floor is not a divergence
+    gamma0 = strongly_interacting_state(n, r_max, seed=0, scale=0.9, rank=rank)
+    samples = evolve(gamma0, SPEC, 1.0, dt=1.0, n_steps=1, inner_iterations=6,
+                     propagator="cayley")
+    assert abs(samples[-1].trace - samples[0].trace) <= 1e-12
+
+
+def test_step_size_error_on_growing_orbital_update():
+    gamma0 = strongly_interacting_state(100, 1.0, seed=0, scale=0.9, rank=3)
+    with pytest.raises(StepSizeError, match="diverging"):
+        one_step(gamma0, 5.0, 1.0, inner_iterations=6)
+
+
+def random_factors(grid, ranks, seed):
+    """Orthonormal complex orbitals and occupations in (0.05, 0.5) per channel."""
+    rng = np.random.default_rng(seed)
+    n = grid.n_points
+    orbitals, occupations = [], []
+    for k in ranks:
+        raw = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        orbitals.append(np.linalg.qr(raw)[0])
+        occupations.append(rng.uniform(0.05, 0.5, k))
+    return orbitals, occupations
+
+
+def factor_cases():
+    """(grid, orbitals, occupations): rank 2/1, a midpoint of rank 4/2
+    ([W_a, W_b] with halved weights), l_max = 2 (multipoles up to L = 4), and
+    rank 6/6 (a wide band: 12 and 18 exchange terms)."""
+    grid = build_grid(120, 30.0)
+    w_a, nu = random_factors(grid, (2, 1), 1)
+    w_b, _ = random_factors(grid, (2, 1), 2)
+    midpoint = ([np.hstack([a, b]) for a, b in zip(w_a, w_b)],
+                [0.5 * np.concatenate([o, o]) for o in nu])
+    grid2 = build_grid(80, 20.0)
+    grid3 = build_grid(40, 10.0)
+    return [(grid, w_a, nu), (grid, *midpoint), (grid2, *random_factors(grid2, (2, 1, 1), 3)),
+            (grid3, *random_factors(grid3, (6, 6), 4))]
+
+
+FACTOR_CASE_IDS = ["rank2-1", "midpoint4-2", "lmax2", "rank6-6"]
+
+
+def factored_field_apply(field, l, x):
+    """H_l x from the factored field: tridiagonal T_l, diagonal potential, and
+    w (J_L^-1 (conj(w) x)) per exchange term by a tridiagonal solve."""
+    from scipy.linalg import solve_banded
+
+    cache = field.cache
+    out = (cache.kinetic_diag[l] + field.v_local)[:, None] * x
+    out[1:] += cache.kinetic_off * x[:-1]
+    out[:-1] += cache.kinetic_off * x[1:]
+    kernel_diag, kernel_off = cache.kernel_inverses
+    for c, L, w in zip(*field.terms[l][:2], field.terms[l][2].T):
+        off = kernel_off[L]
+        band = np.vstack([np.append(0.0, off), kernel_diag[L], np.append(off, 0.0)])
+        out -= c * w[:, None] * solve_banded((1, 1), band, np.conj(w)[:, None] * x)
+    return out
+
+
+def dense_hamiltonian(grid, orbitals, occupations, Z):
+    cache = OperatorCache(grid, len(orbitals) - 1, Z)
+    gamma = dynamics._materialize(grid, orbitals, occupations)
+    return cache, mean_field_hamiltonian(gamma, Z, cache).blocks
+
+
+@pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
+def test_factored_field_matches_dense_hamiltonian(case):
+    grid, orbitals, occupations = factor_cases()[case]
+    cache, h_blocks = dense_hamiltonian(grid, orbitals, occupations, 2.0)
+    field = dynamics._factored_field(cache, orbitals, occupations)
+    x = np.random.default_rng(case).standard_normal((grid.n_points, 3)) + 0j
+    for l, h_block in enumerate(h_blocks):
+        expected = h_block @ x
+        err = np.max(np.abs(factored_field_apply(field, l, x) - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dt", [0.05, -1.0])
+@pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
+def test_banded_cayley_matches_dense_solve(case, dt):
+    grid, orbitals, occupations = factor_cases()[case]
+    cache, h_blocks = dense_hamiltonian(grid, orbitals, occupations, 2.0)
+    field = dynamics._factored_field(cache, orbitals, occupations)
+    thins = random_factors(grid, [2] * len(orbitals), 10 + case)[0]
+    banded = dynamics._cayley_apply(field, dt, thins)
+    for h_block, thin, got in zip(h_blocks, thins, banded):
+        step = 0.5j * dt * h_block
+        eye = np.eye(grid.n_points)
+        expected = np.linalg.solve(eye + step, thin - step @ thin)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_stability_cayley_builds_no_dense_mean_field(minimizer, monkeypatch):
+    # the rank-2/1 minimizer steps on its factors; dense blocks only per sample
+    calls = {"mean_field_hamiltonian": 0, "_materialize": 0}
+
+    def counting(name):
+        original = getattr(dynamics, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counting(name))
+    res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
+                               sample_stride=5, propagator="cayley")
+    assert calls == {"mean_field_hamiltonian": 0, "_materialize": len(res.samples)}

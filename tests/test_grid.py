@@ -10,6 +10,7 @@ from fermitherm.grid import (
     hartree_potential,
     kinetic_matrix,
     multipole_kernel,
+    multipole_kernel_inverse,
     nuclear_potential,
     zero_density_matrix,
 )
@@ -148,6 +149,32 @@ def test_multipole_symmetry_and_bound():
         assert np.allclose(w, w.T)
         assert np.all(w > 0.0)
         assert np.all(w <= 1.0 / grid.r[0] + 1e-15)
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_multipole_kernel_inverse_matches_dense_kernel(n):
+    # the closed-form tridiagonal against the dense kernel, for every
+    # multipole order an l_max = 2 exchange couples
+    from scipy.linalg import solve_banded
+
+    grid = build_grid(n, n / 10.0)
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    for L in range(5):
+        w = multipole_kernel(grid, L)
+        diag, off = multipole_kernel_inverse(grid, L)
+        inverse = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(inverse @ w - np.eye(n))) <= 1e-11
+        band = np.vstack([np.append(0.0, off), diag, np.append(off, 0.0)])
+        expected = w @ x
+        solved = solve_banded((1, 1), band, x)
+        assert np.max(np.abs(solved - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+
+def test_multipole_kernel_inverse_single_node():
+    grid = build_grid(1, 2.0)
+    diag, off = multipole_kernel_inverse(grid, 3)
+    assert diag * multipole_kernel(grid, 3)[0, 0] == pytest.approx([1.0], abs=1e-15)
+    assert off.shape == (0,)
 
 
 def test_dilate_rescales_grid_only():
