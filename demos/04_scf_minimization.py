@@ -2,9 +2,11 @@
 
 The fixed point gamma = g((H_gamma - mu)/T) is reached by diagonalizing the
 mean-field blocks, filling the pooled levels through the occupation map
-(chemical potential bisected to hit tr gamma = q), and mixing.  At T > 0
-the filling is single-valued, so fractional occupations appear naturally
-and no aufbau tie-breaking is ever needed.
+(chemical potential bisected to hit tr gamma = q), and optimal damping: each
+step moves to the point of least free energy on the segment from the iterate
+to that filled candidate.  At T > 0 the filling is single-valued, so
+fractional occupations appear naturally and no aufbau tie-breaking is ever
+needed.
 """
 
 import numpy as np

@@ -132,7 +132,6 @@ _SOLVER_DEFAULTS = {
     "n": 2000,
     "rmax": None,
     "lmax": 3,
-    "alpha": 0.5,
     "tol_gamma": 1e-9,
     "tol_energy": 1e-9,
     "max_iter": 300,
@@ -148,7 +147,6 @@ def _scf_config(opts: dict, q) -> ScfConfig:
         n_points=int(opts["n"]),
         r_max=opts["rmax"],
         l_max=int(opts["lmax"]),
-        mixing_alpha=opts["alpha"],
         tol_gamma=opts["tol_gamma"],
         tol_energy=opts["tol_energy"],
         max_iter=int(opts["max_iter"]),
@@ -310,7 +308,6 @@ def _result_payload(result: ScfResult, config: ScfConfig) -> dict:
             "n_points": config.n_points,
             "r_max": config.resolved_r_max(),
             "l_max": config.l_max,
-            "mixing_alpha": config.mixing_alpha,
             "tol_gamma": config.tol_gamma,
             "tol_energy": config.tol_energy,
             "max_iter": config.max_iter,
@@ -512,7 +509,6 @@ def build_parser() -> _Parser:
         p.add_argument("--n", type=int, default=argparse.SUPPRESS)
         p.add_argument("--rmax", type=float, default=argparse.SUPPRESS)
         p.add_argument("--lmax", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
         p.add_argument("--tol-gamma", dest="tol_gamma", type=float, default=argparse.SUPPRESS)
         p.add_argument("--tol-energy", dest="tol_energy", type=float, default=argparse.SUPPRESS)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=argparse.SUPPRESS)

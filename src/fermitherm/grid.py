@@ -20,6 +20,7 @@ __all__ = [
     "build_grid",
     "density_from_gamma",
     "dilate",
+    "factored_density",
     "hartree_potential",
     "kinetic_matrix",
     "kinetic_tridiagonal",
@@ -103,6 +104,15 @@ class DensityMatrix:
 def zero_density_matrix(grid: RadialGrid, l_max: int) -> DensityMatrix:
     n = grid.n_points
     return DensityMatrix(grid=grid, blocks=[np.zeros((n, n)) for _ in range(l_max + 1)])
+
+
+def factored_density(grid: RadialGrid, orbitals, weights) -> DensityMatrix:
+    """The state with blocks W_l diag(nu_l) W_l^H, symmetrized against rounding."""
+    blocks = []
+    for w_mat, nu in zip(orbitals, weights):
+        b = (w_mat * nu) @ w_mat.conj().T
+        blocks.append(0.5 * (b + b.conj().T))
+    return DensityMatrix(grid=grid, blocks=blocks)
 
 
 def kinetic_tridiagonal(grid: RadialGrid, l: int) -> tuple:

@@ -2,20 +2,29 @@
 
 The fixed point is gamma = g((H_gamma - mu)/T): diagonalize the mean-field
 blocks, pool the levels across channels with their angular multiplicities,
-fill them through the occupation map with the chemical potential bisected to
-meet the charge constraint, then mix linearly.  T > 0 makes the filling
-single-valued, so no degeneracy tie-breaking ever appears.
+and fill them through the occupation map with the chemical potential bisected
+to meet the charge constraint.  T > 0 makes the filling single-valued, so no
+degeneracy tie-breaking ever appears.
+
+Iterates are carried as orbital factors gamma_l = W_l diag(nu_l) W_l^T and
+advanced by optimal damping (Cances & Le Bris, Int. J. Quantum Chem. 79,
+2000): the next iterate is the point of the segment from gamma to its filled
+candidate with the least free energy.  Along that segment the Hartree-Fock
+energy is an exact quadratic and tr beta is convex; both are evaluated on the
+span of the two factor sets, so the search takes no n x n eigendecomposition.
+Dense blocks are built once per iterate, as the input of the mean field.
 
 Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
 ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
 block, and one tridiagonal solve of the bare blocks per run, shared by the
 warm start, every interaction-free iteration and the audit.
 
-Every run that gets past the warm start leaves through one exit.  There the
-returned state's mean field is solved once: that solve gives the residual
-and mu, and its levels, kept on the result, give the audit's charge chain.
-A converged run reports the energy the loop computed for its last candidate
-from the occupations, so no eigendecomposition of gamma is ever taken.
+The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
+audit bounds, and the free-energy gap meet their tolerances; the last step is
+then the full one, to the candidate.  The returned state's mean field is
+solved once more: that solve gives the residual, mu and the levels kept on
+the result for the audit's charge chain.  The entropy comes from the factor
+weights, so no eigendecomposition of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -34,8 +43,6 @@ from .energy import (
     _hf_terms,
     _make_breakdown,
     _one_body_terms,
-    free_energy,
-    linear_energy_breakdown,
     mean_field_hamiltonian,
 )
 from .entropy import EntropySpec
@@ -44,6 +51,7 @@ from .grid import (
     RadialGrid,
     build_grid,
     density_from_gamma,
+    factored_density,
     zero_density_matrix,
 )
 from .linear import UnreachableChargeError, q_max_lin, regime_classify, Regime
@@ -62,8 +70,9 @@ __all__ = [
     "scf_minimize",
 ]
 
-_ALPHA_FLOOR = 1.0 / 16.0
-_ENERGY_RISE_STREAK = 5
+_DROP_TOL = 1e-14  # factor weights at or below this share of the largest are dropped
+_BISECTIONS = 30  # halvings of the step-length bracket
+_F_ROUNDING = 1e-14  # relative rounding of a free-energy difference along a step
 _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
 
 
@@ -88,7 +97,6 @@ class ScfConfig:
     n_points: int = 2000
     r_max: float | None = None
     l_max: int = 3
-    mixing_alpha: float = 0.5
     tol_gamma: float = 1e-9
     tol_energy: float = 1e-9
     max_iter: int = 300
@@ -104,8 +112,6 @@ class ScfConfig:
             raise ValueError(f"l_max must be >= 0, got {self.l_max}")
         if self.T <= 0.0:
             raise ValueError("scf requires T > 0")
-        if not 0.0 < self.mixing_alpha <= 1.0:
-            raise ValueError("mixing_alpha must lie in (0, 1]")
         if self.tol_gamma <= 0.0 or self.tol_energy <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.q is not None and self.q < 0.0:
@@ -149,7 +155,12 @@ class ScfResult:
 
     ``levels`` holds, per channel, the negative levels of H_gamma from the
     final solve that gave ``residual``; it is None for a reloaded state and
-    for an "unreachable-charge" result.
+    for an "unreachable-charge" result.  ``history`` has one entry per
+    accepted step: the iteration, the Frobenius ``defect`` and ``mu`` of the
+    solved iterate, the step ``t`` along the segment to its candidate, and
+    the ``free_energy`` of the iterate the step accepted.  ``status`` is
+    "converged", "max_iter", "stalled" (no point of the segment lowers F) or
+    "unreachable-charge".
     """
 
     gamma: DensityMatrix
@@ -168,11 +179,15 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
     """Fill levels (energy, multiplicity) to total charge q.
 
     Returns (mu, occupations) with occupations aligned to the input order
-    and sum(mult * occ) = q to 1e-12; occupations are g((eps - mu)/T) unless
-    no float mu resolves q to that tolerance (see the end of the bisection).
+    and sum(mult * occ) = q to rounding.  mu is bisected down to adjacent
+    floats and the occupations g((eps - mu)/T) are interpolated across that
+    last bracket: for m > 2, g is infinitely steep at a level edge, so q(mu)
+    can jump between neighbouring floats, and the interpolation restores the
+    charge while keeping every occupation monotone in q.  An exact charge
+    keeps the SCF line search free of a first-order mu * (tr gamma - q) term.
     If even mu = 0 cannot bind q, the charge is unreachable and
-    UnreachableChargeError is raised (the unbinding signal).  q = 0 gives
-    the mu = -inf sentinel.
+    UnreachableChargeError is raised (the unbinding signal).  q = 0 gives the
+    mu = -inf sentinel.
     """
     if q < 0.0:
         raise ValueError(f"charge must be nonnegative, got {q}")
@@ -191,23 +206,18 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
         )
     lo = float(np.min(eps)) - T * abs(spec.saturation_lambda)
     hi = 0.0
-    mu = hi
     for _ in range(200):
         mu = 0.5 * (lo + hi)
-        q_mu = filled(mu)
-        if abs(q_mu - q) <= 1e-12:
-            return mu, spec.g((eps - mu) / T)
-        if q_mu < q:
+        if mu in (lo, hi):
+            break
+        if filled(mu) < q:
             lo = mu
         else:
             hi = mu
-    # No float mu meets the tolerance: for m > 2, g is infinitely steep at a
-    # level edge, so q(mu) can jump by more than 1e-12 between neighbouring
-    # floats.  Interpolating the filling across the final bracket restores
-    # sum(mult * occ) = q and keeps every occupation monotone in q.
     occ_lo, occ_hi = spec.g((eps - lo) / T), spec.g((eps - hi) / T)
-    t = (q - filled(lo)) / (filled(hi) - filled(lo))
-    return mu, occ_lo + t * (occ_hi - occ_lo)
+    span = filled(hi) - filled(lo)  # 0 only where q is within 1e-12 of an empty capacity
+    t = (q - filled(lo)) / span if span > 0.0 else 1.0
+    return lo + t * (hi - lo), occ_lo + t * (occ_hi - occ_lo)
 
 
 def _diagonalize_blocks(blocks):
@@ -225,45 +235,145 @@ def _diagonalize_blocks(blocks):
     return levels, vectors
 
 
-def _fill_blocks(levels, vectors, spec, T, q, constrained):
-    """Occupation-filled blocks from pooled eigenpairs; returns (mu, blocks, occs)."""
-    if constrained:
-        pooled = []
-        for l, w in enumerate(levels):
-            pooled.extend((e, 2 * l + 1) for e in w)
-        mu, occ_flat = occupations_from_levels(pooled, spec, T, q)
-        occs = []
-        k = 0
-        for w in levels:
-            occs.append(occ_flat[k : k + len(w)])
-            k += len(w)
-    else:
-        mu = 0.0
-        occs = [spec.g(w / T) for w in levels]
-    blocks = []
-    for w, v, occ in zip(levels, vectors, occs):
-        blocks.append((v * occ) @ v.T)
-    return mu, blocks, occs
+def _fill_levels(levels, spec, T, q, constrained):
+    """(mu, per-channel occupations) of the pooled levels."""
+    if not constrained:
+        return 0.0, [spec.g(w / T) for w in levels]
+    pooled = [(e, 2 * l + 1) for l, w in enumerate(levels) for e in w]
+    mu, occ_flat = occupations_from_levels(pooled, spec, T, q)
+    bounds = np.cumsum([0] + [len(w) for w in levels])
+    return mu, [occ_flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _candidate_energy(gamma, occs, spec, T, cache, interactions=True) -> EnergyBreakdown:
-    """Free energy of a freshly filled state, entropy from its occupations."""
-    if interactions:
-        kin, nuc, direct, exch = _hf_terms(gamma, cache)
-    else:
-        kin, nuc, _ = _one_body_terms(gamma, cache)
-        direct = exch = 0.0
-    entropy = _entropy_of_occupations(occs, spec)
-    return _make_breakdown(kin, nuc, direct, exch, entropy, T)
+def _trimmed(orbitals, weights):
+    """Factors without the weights at or below _DROP_TOL times the largest."""
+    floor = _DROP_TOL * max((float(np.max(nu, initial=0.0)) for nu in weights), default=0.0)
+    keep = [nu > floor for nu in weights]
+    return [w[:, k] for w, k in zip(orbitals, keep)], [nu[k] for nu, k in zip(weights, keep)]
+
+
+def _check_factors(factors, tol: float = 1e-10) -> None:
+    """0 <= gamma_l <= 1 for gamma_l = W diag(nu) W^T: orthonormal W, nu in [0, 1]."""
+    for l, (w, nu) in enumerate(zip(*factors)):
+        gram = float(np.max(np.abs(w.T @ w - np.eye(w.shape[1])), initial=0.0))
+        if gram > tol:
+            raise ValueError(f"channel l={l} orbitals not orthonormal: defect {gram:.2e}")
+        if nu.size and (nu.min() < -tol or nu.max() > 1.0 + tol):
+            raise ValueError(
+                f"channel l={l} occupations outside [0,1]: [{nu.min():.2e}, {nu.max():.6f}]"
+            )
+
+
+class _Segment:
+    """The segment gamma_t = gamma + t (candidate - gamma), t in [0, 1], per channel.
+
+    Both ends are factored, so the segment lives on the span of [W, W~]: with Q
+    from a thin QR of it and R = Q^T W, gamma_t = Q (A + t D) Q^T for the small
+    A = R diag(nu) R^T and D = R~ diag(nu~) R~^T - A.  Spectra along the segment
+    are those of A + t D, so no n x n eigendecomposition is ever taken.
+    """
+
+    def __init__(self, factors, candidate):
+        self.frames, self.starts, self.steps = [], [], []
+        for w_a, nu_a, w_b, nu_b in zip(*factors, *candidate):
+            frame = np.linalg.qr(np.hstack([w_a, w_b]))[0]
+            r_a, r_b = frame.T @ w_a, frame.T @ w_b
+            start = (r_a * nu_a) @ r_a.T
+            self.frames.append(frame)
+            self.starts.append(start)
+            self.steps.append((r_b * nu_b) @ r_b.T - start)
+
+    def defect(self) -> float:
+        """max_l ||candidate_l - gamma_l||_F, the norm the audit bounds."""
+        return max((float(np.linalg.norm(d)) for d in self.steps), default=0.0)
+
+    def spectra(self, t):
+        return [np.linalg.eigh(a + t * d) for a, d in zip(self.starts, self.steps)]
+
+    def dense_step(self, grid) -> DensityMatrix:
+        """candidate - gamma as dense blocks, the input of the two-body energy."""
+        return DensityMatrix(
+            grid=grid, blocks=[(q @ d) @ q.T for q, d in zip(self.frames, self.steps)]
+        )
+
+    def slope(self, ham_blocks) -> float:
+        """tr(H_gamma (candidate - gamma)) = sum_l (2l+1) <Q^T H_l Q, D_l>."""
+        return sum(
+            (2 * l + 1) * float(np.sum((q.T @ h @ q) * d))
+            for l, (h, q, d) in enumerate(zip(ham_blocks, self.frames, self.steps))
+        )
+
+    def factors(self, t):
+        """Orbital factors of gamma_t, small weights dropped."""
+        orbitals, weights = [], []
+        for q, (lam, u) in zip(self.frames, self.spectra(t)):
+            orbitals.append(q @ u)
+            weights.append(lam)
+        return _trimmed(orbitals, weights)
+
+
+def _entropy_of_spectra(spectra, spec) -> float:
+    return _entropy_of_occupations([lam for lam, _ in spectra], spec)
+
+
+def _step_length(segment, slope, curvature, spec, T, free, fallback):
+    """(t, resolved): the t in [0, 1] minimizing F(gamma_t), by bisection on F'(t).
+
+    F(gamma_t) - F(gamma) = t s + t^2 c + T (S(t) - S(0)) with s the slope of
+    the Hartree-Fock energy, c the two-body energy of the step and
+    S(t) = tr beta(gamma_t), convex in t.  F'(t) = s + 2 c t +
+    T tr(beta'(gamma_t) D) stays accurate where the values of F barely
+    differ, so the search brackets a zero of F'.  For c >= 0, F is convex and
+    that zero is its minimum; otherwise the lower of it and t = 1 is kept.
+
+    Values of F and F' within ``slack`` = _F_ROUNDING |F(gamma)| of zero count
+    as zero.  The candidate minimizes the convex linearized functional, so
+    F'(0) < 0 whenever it differs from gamma; where F'(0) does not clear the
+    slack, the step is lost in rounding, ``resolved`` is False and the
+    ``fallback`` step is taken.  Any t is halved until
+    F(gamma_t) <= F(gamma) + slack.
+    """
+    slack = _F_ROUNDING * abs(free)
+
+    def derivative(t):
+        total = slope + 2.0 * curvature * t
+        for l, ((lam, u), d) in enumerate(zip(segment.spectra(t), segment.steps)):
+            diag = np.einsum("ij,ij->j", u, d @ u)  # diag(U^T D U)
+            beta_prime = spec.beta_prime(np.clip(lam, 0.0, 1.0))
+            total += T * (2 * l + 1) * float(np.dot(beta_prime, diag))
+        return total
+
+    s0 = _entropy_of_spectra(segment.spectra(0.0), spec)
+
+    def rise(t):
+        entropy = _entropy_of_spectra(segment.spectra(t), spec)
+        return t * slope + t * t * curvature + T * (entropy - s0)
+
+    resolved = derivative(0.0) < -slack
+    t = 1.0 if resolved else fallback
+    if resolved and derivative(1.0) > slack:
+        lo, hi = 0.0, 1.0
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if derivative(mid) < 0.0 else (lo, mid)
+        t = 0.5 * (lo + hi)
+        if curvature < 0.0 and rise(1.0) < rise(t):
+            t = 1.0
+    for _ in range(_BISECTIONS):
+        if rise(t) <= slack:
+            return t, resolved
+        t *= 0.5
+    return 0.0, resolved
 
 
 def _initial_state(cache: OperatorCache, config: ScfConfig, constrained: bool):
-    """Warm start: fill the bare kinetic+nuclear spectrum (linear minimizer)."""
+    """Warm start: fill the bare kinetic+nuclear spectrum (linear minimizer).
+
+    Returns the dense state and its orbital factors."""
     levels, vectors = cache.bare_spectrum
-    mu, blocks, occs = _fill_blocks(
-        levels, vectors, config.spec, config.T, config.q, constrained
-    )
-    return DensityMatrix(grid=cache.grid, blocks=blocks), occs
+    _, occs = _fill_levels(levels, config.spec, config.T, config.q, constrained)
+    factors = _trimmed(vectors, occs)
+    return factored_density(cache.grid, *factors), factors
 
 
 def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
@@ -276,22 +386,26 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
 
-    def spectrum(state):
-        """Negative eigenpairs of H_state; the bare field does not depend on it."""
+    def solve(state):
+        """(H_state blocks, negative levels, vectors); the bare field is fixed."""
         if config.interactions:
-            return _diagonalize_blocks(mean_field_hamiltonian(state, Z, cache).blocks)
-        return cache.bare_spectrum
+            ham = mean_field_hamiltonian(state, Z, cache).blocks
+            return (ham, *_diagonalize_blocks(ham))
+        return (None, *cache.bare_spectrum)
 
-    def final_energy(state):
+    def terms(state):
         if config.interactions:
-            return free_energy(state, spec, Z, T, cache)
-        return linear_energy_breakdown(state, spec, Z, T, cache)
+            return _hf_terms(state, cache)
+        return (*_one_body_terms(state, cache)[:2], 0.0, 0.0)
 
-    def unreachable(state, iterations):
+    def breakdown(state, weights):
+        return _make_breakdown(*terms(state), _entropy_of_occupations(weights, spec), T)
+
+    def unreachable(state, weights, iterations):
         return ScfResult(
             gamma=state,
             mu=0.0,
-            energy=final_energy(state),
+            energy=breakdown(state, weights),
             residual=math.inf,
             iterations=iterations,
             converged=False,
@@ -299,95 +413,80 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             history=history,
         )
 
-    iterations, converged, max_iter = 0, False, config.max_iter
-    if constrained and config.q == 0.0:
-        # the zero state is the minimizer: skip the loop, keep the final solve
-        gamma = zero_density_matrix(grid, config.l_max)
-        energy, converged, max_iter = final_energy(gamma), True, 0
-    else:
-        try:
-            gamma, occs = _initial_state(cache, config, constrained)
-        except UnreachableChargeError:
-            return unreachable(zero_density_matrix(grid, config.l_max), 0)
-        e_prev = _candidate_energy(gamma, occs, spec, T, cache, config.interactions).total_free
-    alpha = config.mixing_alpha
-    rise_streak = 0
+    try:
+        gamma, factors = _initial_state(cache, config, constrained)
+    except UnreachableChargeError:
+        return unreachable(zero_density_matrix(grid, config.l_max), [], 0)
+    energy = breakdown(gamma, factors[1])
+    e_hf, free = energy.total_hf, energy.total_free
+    # at q = 0 the warm start is the zero state, the minimizer: only the final solve
+    zero_charge = constrained and config.q == 0.0
+    status = "converged" if zero_charge else "max_iter"
+    # the last step a resolved search chose; reused where F' is lost in rounding
+    iterations, damping = 0, 1.0
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, 1 if zero_charge else config.max_iter + 1):
         iterations = iteration
-        levels, vectors = spectrum(gamma)
+        ham, levels, vectors = solve(gamma)
         try:
-            mu, new_blocks, occs = _fill_blocks(
-                levels, vectors, spec, T, config.q, constrained
-            )
+            mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
         except UnreachableChargeError:
-            return unreachable(gamma, iterations)
-        candidate = DensityMatrix(grid=grid, blocks=new_blocks)
-        defect = max(
-            float(np.max(np.abs(nb - ob))) if nb.size else 0.0
-            for nb, ob in zip(new_blocks, gamma.blocks)
+            return unreachable(gamma, factors[1], iterations)
+        candidate = _trimmed(vectors, occs)
+        segment = _Segment(factors, candidate)
+        defect = segment.defect()
+        kin, nuc, direct, exch = terms(segment.dense_step(grid))
+        slope = kin + nuc if ham is None else segment.slope(ham)
+        curvature = direct - exch
+        gap = slope + curvature + T * (
+            _entropy_of_occupations(occs, spec) - _entropy_of_occupations(factors[1], spec)
         )
-        energy = _candidate_energy(candidate, occs, spec, T, cache, config.interactions)
-        e_new = energy.total_free
-        history.append(
-            {
-                "iteration": iteration,
-                "free_energy": e_new,
-                "defect": defect,
-                "alpha": alpha,
-                "mu": mu,
-            }
-        )
-        if defect <= config.tol_gamma and abs(e_new - e_prev) <= config.tol_energy:
-            gamma = candidate
-            converged = True
-            break
-        if e_new > e_prev:
-            rise_streak += 1
-            if rise_streak >= _ENERGY_RISE_STREAK:
-                alpha = max(0.5 * alpha, _ALPHA_FLOOR)
-                rise_streak = 0
+        if defect <= config.tol_gamma and abs(gap) <= config.tol_energy:
+            status, t = "converged", 1.0  # the candidate is the returned state
+        elif ham is None:
+            t = 1.0  # without interactions the candidate minimizes the linear model
         else:
-            rise_streak = 0
-        e_prev = e_new
-        gamma = DensityMatrix(
-            grid=grid,
-            blocks=[
-                (1.0 - alpha) * ob + alpha * nb
-                for ob, nb in zip(gamma.blocks, new_blocks)
-            ],
+            t, resolved = _step_length(segment, slope, curvature, spec, T, free, damping)
+            if resolved:
+                damping = t
+        if t == 0.0:
+            status = "stalled"  # no point of the segment lowers F
+            break
+        e_hf += t * slope + t * t * curvature
+        factors = candidate if t == 1.0 else segment.factors(t)
+        gamma = factored_density(grid, *factors)
+        free = e_hf + T * _entropy_of_occupations(factors[1], spec)
+        history.append(
+            {"iteration": iteration, "free_energy": free, "defect": defect, "t": t, "mu": mu}
         )
         if config.check_iterates:
-            gamma.validate(tol=1e-10)
+            _check_factors(factors)
+        if status == "converged":
+            break
 
     # the one solve of the returned state: residual, mu and the audit's levels
-    levels, vectors = spectrum(gamma)
+    _, levels, vectors = solve(gamma)
     try:
-        mu_final, rebuilt, _ = _fill_blocks(
-            levels, vectors, spec, T, config.q, constrained
-        )
-        residual = max(
-            float(np.linalg.norm(rb - gb))
-            for rb, gb in zip(rebuilt, gamma.blocks)
-        )
+        mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
+        residual = _Segment(factors, _trimmed(vectors, occs)).defect()
     except UnreachableChargeError:
-        mu_final, residual = 0.0, math.inf
-        converged = False
-    if not converged:
-        energy = final_energy(gamma)
-
+        mu, residual = 0.0, math.inf
+        if status == "converged":
+            status = "max_iter"
+    if history:  # the state moved: its energy terms, once
+        energy = breakdown(gamma, factors[1])
     result = ScfResult(
         gamma=gamma,
-        mu=mu_final,
+        mu=mu,
         energy=energy,
         residual=residual,
         iterations=iterations,
-        converged=converged,
-        status="converged" if converged else "max_iter",
+        converged=status == "converged",
+        status=status,
         history=history,
         levels=levels,
     )
-    if converged:
+    if result.converged:
         result.audit = minimizer_audit(result, config, cache=cache)
     return result
 

@@ -98,6 +98,19 @@ def test_minimize_roundtrip(tmp_path, capsys):
     assert header == "r,rho_line,V_H"
 
 
+def test_minimize_stops_on_the_audited_norm(tmp_path, capsys):
+    # a loop stopping on the largest entry of the defect converged here with a
+    # Frobenius residual above the audit's 10 tol_gamma bound, and exited 3
+    out_json = tmp_path / "res.json"
+    argv = ["minimize", "--m", "2", "--Z", "6", "--T", "0.01", "--q", "5",
+            "--n", "300", "--rmax", "16.33", "--lmax", "3", "--out", str(out_json)]
+    code, _, _ = run(capsys, argv)
+    payload = json.loads(out_json.read_text())
+    assert payload["converged"] and payload["audit"]["passed"]
+    assert payload["residual"] <= payload["config"]["tol_gamma"]
+    assert code == 0
+
+
 def test_minimize_unbounded_exit2(capsys):
     code, _, err = run(
         capsys, ["minimize", "--m", "3", "--Z", "1", "--T", "1", "--q", "0.1"]
@@ -355,6 +368,20 @@ def test_config_unknown_key_exit1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_alpha_is_unknown_exit1(tmp_path, capsys, where):
+    # the SCF has no mixing step any more; a file or a flag naming one is refused
+    if where == "file":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 2, "Z": 1, "T": 1, "q": 0.1, "alpha": 0.5}))
+        argv = ["minimize", "--config", str(cfg)]
+    else:
+        argv = MINIMIZE_SMALL + ["--alpha", "0.5"]
+    code, _, err = run(capsys, argv)
+    assert code == 1
+    assert "alpha" in err and "Traceback" not in err
+
+
 BAD_CONFIGS = {
     "entropy": {"m": "two", "Z": 1, "T": 1},
     "linear": {"m": 2, "Z": [1], "T": 1},
@@ -383,7 +410,7 @@ def test_config_values_read_like_flags(tmp_path, capsys):
 
     flags = dict(zip(MINIMIZE_SMALL[1::2], MINIMIZE_SMALL[2::2]))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({k.lstrip("-"): v for k, v in flags.items()} | {"alpha": None}))
+    cfg.write_text(json.dumps({k.lstrip("-"): v for k, v in flags.items()} | {"max_iter": None}))
     _, from_flags, _ = run(capsys, MINIMIZE_SMALL)
     _, from_file, _ = run(capsys, ["minimize", "--config", str(cfg)])
     assert from_file == from_flags

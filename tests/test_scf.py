@@ -11,7 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fermitherm.energy import (
     OperatorCache,
+    _entropy_of_blocks,
+    _hf_terms,
     free_energy,
+    hf_energy,
     linear_energy_breakdown,
     mean_field_hamiltonian,
 )
@@ -19,6 +22,7 @@ from fermitherm.entropy import make_power_entropy
 from fermitherm.grid import (
     DensityMatrix,
     build_grid,
+    factored_density,
     kinetic_matrix,
     nuclear_potential,
 )
@@ -535,18 +539,15 @@ mixing_problems = st.fixed_dictionaries(
         "m": st.floats(1.05, 2.95),
         "Z": st.floats(0.5, 3.0),
         "T": st.floats(0.02, 0.5),
-        "alpha": st.floats(0.05, 1.0),
         "q_share": st.none() | st.floats(0.01, 0.9),
     }
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(mixing_problems)
-def test_mixed_iterates_stay_in_K(problem):
-    # every iterate is validated (0 <= gamma <= 1, Hermitian) right after
-    # its mixing step; q is a share of the bare capacity at mu = 0, and a
-    # charge the mean field cannot bind just ends the run early
+def _mixing_run(problem):
+    """A short run on a 40-point grid, every iterate checked; q is a share of
+    the bare capacity at mu = 0, and a charge the mean field cannot bind
+    just ends the run early."""
     spec, Z, T = make_power_entropy(problem["m"]), problem["Z"], problem["T"]
     grid = build_grid(40, 20.0 / Z)
     bare_levels, _ = OperatorCache(grid, 1, Z).bare_spectrum
@@ -560,9 +561,89 @@ def test_mixed_iterates_stay_in_K(problem):
         n_points=grid.n_points,
         r_max=grid.r_max,
         l_max=1,
-        mixing_alpha=problem["alpha"],
         max_iter=15,
         check_iterates=True,
     )
-    res = scf_minimize(cfg) if cfg.q is not None else scf_global(cfg)
-    res.gamma.validate(tol=1e-10)
+    return scf_minimize(cfg) if cfg.q is not None else scf_global(cfg)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(mixing_problems)
+def test_mixed_iterates_stay_in_K(problem):
+    # every iterate's factors are checked (orthonormal orbitals, weights in
+    # [0, 1]) right after its step; the returned state is validated densely
+    _mixing_run(problem).gamma.validate(tol=1e-10)
+
+
+def test_damped_iterates_never_raise_the_free_energy():
+    steps = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mixing_problems)
+    def check(problem):
+        res = _mixing_run(problem)
+        free = [h["free_energy"] for h in res.history]
+        for a, b in zip(free, free[1:]):
+            assert b <= a + 1e-12 * abs(a)
+        steps.extend(h["t"] for h in res.history)
+
+    check()
+    # the line search damps: not every accepted step is the full one
+    assert any(0.0 < t < 1.0 for t in steps)
+
+
+def _segment_problem(m, q):
+    """A damped iterate (half a step from the warm start) and its filled candidate."""
+    cfg = small_config(spec=make_power_entropy(m), T=0.3, q=q, n_points=120, l_max=2)
+    cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
+
+    def candidate(gamma):
+        ham = mean_field_hamiltonian(gamma, cfg.Z, cache).blocks
+        levels, vectors = scf_module._diagonalize_blocks(ham)
+        _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q, True)
+        return ham, scf_module._trimmed(vectors, occs)
+
+    gamma0, factors0 = scf_module._initial_state(cache, cfg, constrained=True)
+    factors = scf_module._Segment(factors0, candidate(gamma0)[1]).factors(0.5)
+    gamma = factored_density(cache.grid, *factors)
+    ham, cand = candidate(gamma)
+    return cfg, cache, gamma, ham, factored_density(cache.grid, *cand), factors, cand
+
+
+# charges past the 1s level, so the damped iterates carry several orbitals
+@pytest.mark.parametrize("m, q", [(1.5, 0.3), (2.0, 0.4), (2.5, 0.4)])
+def test_segment_matches_dense_interpolation(m, q):
+    cfg, cache, gamma, ham, cand, factors, cand_factors = _segment_problem(m, q)
+    segment = scf_module._Segment(factors, cand_factors)
+    dense_step = [c - g for c, g in zip(cand.blocks, gamma.blocks)]
+    # the damped iterate has more orbitals than the candidate it came from
+    assert any(w.shape[1] > v.shape[1] for w, v in zip(factors[0], cand_factors[0]))
+    assert segment.defect() == pytest.approx(
+        max(np.linalg.norm(d) for d in dense_step), rel=1e-10, abs=1e-15
+    )
+    slope = sum((2 * l + 1) * np.sum(h * d) for l, (h, d) in enumerate(zip(ham, dense_step)))
+    assert abs(segment.slope(ham) - slope) <= 1e-12
+    kin, nuc, direct, exch = _hf_terms(segment.dense_step(cache.grid), cache)
+    e_hf = hf_energy(gamma, cfg.Z, cache).total_hf
+    for t in (0.0, 0.2, 0.5, 0.8, 1.0):
+        blocks = [(1.0 - t) * g + t * c for g, c in zip(gamma.blocks, cand.blocks)]
+        factored = factored_density(cache.grid, *segment.factors(t)).blocks
+        assert max(np.max(np.abs(f - b)) for f, b in zip(factored, blocks)) <= 1e-12
+        exact = DensityMatrix(grid=cache.grid, blocks=blocks)
+        entropy = scf_module._entropy_of_spectra(segment.spectra(t), cfg.spec)
+        assert abs(entropy - _entropy_of_blocks(exact, cfg.spec)) <= 1e-12
+        # the Hartree-Fock energy is the exact quadratic of the slope and the step's
+        # two-body energy
+        model = e_hf + t * segment.slope(ham) + t * t * (direct - exch)
+        assert abs(model - hf_energy(exact, cfg.Z, cache).total_hf) <= 1e-12
+
+
+def test_optimal_damping_converges_where_linear_mixing_was_slow():
+    # linear mixing at alpha = 0.5 needed 30 iterations here
+    cfg = small_config(
+        spec=make_power_entropy(2.5), Z=3.0, T=0.05, q=1.5, r_max=20.0, l_max=2
+    )
+    res = scf_minimize(cfg)
+    assert res.converged and res.iterations <= 20
+    assert res.audit.passed(cfg.tol_gamma)
+    assert res.gamma.trace() == pytest.approx(1.5, abs=1e-10)
