@@ -13,13 +13,13 @@ eigendecomposition ("expm") and the Cayley form (I - i dt H/2)(I + i dt H/2)^-1
 
 The state is carried as orbital factors gamma_l = W_l diag(nu_l) W_l^H from start
 to end; dense blocks are factored only at the edge (input state, reference,
-minimizer).  A Cayley step reads the factors alone: the mean field is a
+minimizer).  Both propagators take the factored mean field of the midpoint
+(``energy._factored_field``).  A Cayley step reads its terms alone: a
 tridiagonal kinetic part, a diagonal potential and exchange terms through the
 tridiagonal inverses of the multipole kernels, and the Cayley system is solved
-exactly as one banded LU per channel.  The reference ``expm`` takes the dense
-``mean_field_hamiltonian`` of a materialized midpoint.  Dense blocks are
-otherwise built only for the sampled energy; entropy and distance come from
-the factors alone.
+exactly as one banded LU per channel.  The reference ``expm`` takes the
+field's dense blocks.  Samples take energy, trace, entropy and distance from
+the factors; a dense state is built only when a sample keeps it.
 """
 
 from __future__ import annotations
@@ -33,12 +33,14 @@ import numpy as np
 from .energy import (
     OperatorCache,
     _entropy_of_occupations,
+    _factor_blocks,
+    _factored_field,
     _hf_terms,
-    mean_field_hamiltonian,
+    _kinetic_root,
 )
 from .entropy import EntropySpec
-from .grid import DensityMatrix, RadialDensity, factored_density, hartree_potential
-from .scf import _DROP_TOL, ScfResult
+from .grid import DensityMatrix, factored_density
+from .scf import ScfResult
 
 __all__ = [
     "StabilityResult",
@@ -99,13 +101,6 @@ def _step_count(horizon, dt) -> int:
     return int(round(ratio))
 
 
-def _kinetic_root(grid, l, x):
-    """M x, O(n k), for M with M^T M = T_l: forward differences / h (Dirichlet
-    zero padding) stacked over the rows sqrt(l(l+1)) / r."""
-    diff = np.diff(x, axis=0, prepend=0.0, append=0.0) / grid.h
-    return np.vstack([diff, (math.sqrt(l * (l + 1)) / grid.r)[:, None] * x])
-
-
 def _trace_norm_of_difference(x_a, nu_a, x_b, nu_b) -> float:
     """||X_a diag(nu_a) X_a^H - X_b diag(nu_b) X_b^H||_1 on the span of [X_a, X_b].
 
@@ -141,56 +136,7 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
     return _factored_distance(gamma_a.grid, _factor_blocks(gamma_a), _factor_blocks(gamma_b))
 
 
-def _factor_blocks(gamma: DensityMatrix):
-    """Orbital factorization gamma_l = W_l diag(n_l) W_l^H, small n dropped.
-
-    A real block keeps a real eigensolve and gives real orbitals."""
-    orbitals = []
-    occupations = []
-    for b in gamma.blocks:
-        w, v = np.linalg.eigh(b)
-        keep = w > _DROP_TOL  # absolute: these occupations are at most 1
-        orbitals.append(np.ascontiguousarray(v[:, keep]))
-        occupations.append(w[keep])
-    return orbitals, occupations
-
-
 _materialize = factored_density  # a name of its own: the layer the benchmark traces
-
-
-@dataclass
-class _FactoredField:
-    """The mean field of a factored state, never formed as an n x n matrix.
-
-    H_l = T_l + diag(v_local) - K_l.  Since (w_L * w w^H) x = w (w_L (conj(w) x)),
-    K_l = sum_t c_t diag(w_t) J_t^-1 diag(conj(w_t)) with the tridiagonal
-    J_t = w_L^-1 of ``OperatorCache.kernel_inverses``, over the terms
-    t = (l', L, orbital k) of weight c_t = A_L(l,l') nu_k / (2l+1).
-    ``terms[l]`` holds (c, L, W) of channel l: weights, orders and the n x m
-    matrix of the vectors w_t.
-    """
-
-    cache: OperatorCache
-    v_local: np.ndarray
-    terms: list
-
-
-def _factored_field(cache, orbitals, occupations) -> _FactoredField:
-    grid = cache.grid
-    rho_line = sum(
-        (2 * l + 1) * (np.abs(w_mat) ** 2 @ occ)
-        for l, (w_mat, occ) in enumerate(zip(orbitals, occupations))
-    ) / grid.h
-    v_local = cache.v_nuclear + hartree_potential(grid, RadialDensity(grid, rho_line))
-    terms = []
-    for l in range(len(orbitals)):
-        weights, orders, vectors = zip(*[
-            (a_l * occ / (2 * l + 1), np.full(len(occ), L), w_mat)
-            for lp, (w_mat, occ) in enumerate(zip(orbitals, occupations))
-            for L, a_l in cache.angular[(l, lp)]
-        ])
-        terms.append((np.concatenate(weights), np.concatenate(orders), np.hstack(vectors)))
-    return _FactoredField(cache, v_local, terms)
 
 
 def _cayley_apply(field, dt, thins):
@@ -270,21 +216,26 @@ def _midpoint_unitary_step(orbitals, occupations, dt, inner, field_of, apply_u):
 
 
 def _sample(t, factors, spec, cache, reference, keep):
-    """Observables of the state with these ``factors``, materialized here for the
-    energy; the entropy from the spectra of the k x k Gram matrices of the
-    factors, W diag(sqrt nu), which keep roundoff drift visible."""
-    gamma = _materialize(cache.grid, *factors)
-    kin, nuc, direct, exch = _hf_terms(gamma, cache)
-    scaled = [w_mat * np.sqrt(occ) for w_mat, occ in zip(*factors)]
-    gram_spectra = [np.linalg.eigvalsh(x.conj().T @ x) for x in scaled]
+    """Observables of the state with these ``factors``, all from the factors.
+
+    Trace and entropy come from the spectra of R diag(nu) R^H, with R from a
+    thin QR of W: those are the nonzero eigenvalues of the state, so the
+    roundoff drift of W stays visible and a negative weight stays negative.
+    The state is materialized only to be kept."""
+    orbitals, occupations = factors
+    kin, nuc, direct, exch = _hf_terms(orbitals, occupations, cache)
+    spectra = []
+    for w_mat, occ in zip(orbitals, occupations):
+        r = np.linalg.qr(w_mat, mode="r")
+        spectra.append(np.linalg.eigvalsh((r * occ) @ r.conj().T))
     return TrajectorySample(
         t=t,
-        gamma=gamma if keep else None,
-        trace=gamma.trace(),
+        gamma=_materialize(cache.grid, orbitals, occupations) if keep else None,
+        trace=sum((2 * l + 1) * float(np.sum(lam)) for l, lam in enumerate(spectra)),
         hf_energy=kin + nuc + direct - exch,
-        entropy_trace=_entropy_of_occupations(gram_spectra, spec),
+        entropy_trace=_entropy_of_occupations(spectra, spec),
         dist_to_reference=(
-            math.nan if reference is None else _factored_distance(gamma.grid, factors, reference)
+            math.nan if reference is None else _factored_distance(cache.grid, factors, reference)
         ),
     )
 
@@ -327,9 +278,9 @@ def _propagate(grid, factors, spec, Z, dt, n_steps, reference, sample_stride,
                inner_iterations, propagator, keep_gamma) -> list:
     """``evolve`` on a factored state and a factored (or None) reference.
 
-    Cayley steps read the factors alone (``_factored_field``,
-    ``_cayley_apply``); ``expm`` builds the dense mean field from materialized
-    midpoints.
+    Both propagators take the field of the midpoint factors
+    (``_factored_field``): Cayley steps read its terms (``_cayley_apply``),
+    ``expm`` its dense blocks.
     """
     orbitals, occupations = factors
     cache = OperatorCache(grid, len(orbitals) - 1, Z)
@@ -337,7 +288,7 @@ def _propagate(grid, factors, spec, Z, dt, n_steps, reference, sample_stride,
         field_of, apply_u = partial(_factored_field, cache), _cayley_apply
     else:
         def field_of(orbs, occs):
-            return mean_field_hamiltonian(_materialize(grid, orbs, occs), Z, cache).blocks
+            return _factored_field(cache, orbs, occs).dense_blocks()
 
         apply_u = _expm_apply
     samples = [_sample(0.0, factors, spec, cache, reference, keep_gamma)]

@@ -5,10 +5,19 @@ at -Z^2/(4 j^2)).  The exchange term is assembled channel-pairwise through
 multipole kernels with squared Wigner-3j angular factors, normalized so
 that direct and exchange cancel exactly for a fully occupied rank-one
 s orbital.
+
+Every two-body quantity is computed on orbital factors gamma_l =
+W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form
+(``grid.multipole_apply``) and never stored.  One mean field,
+``_FactoredField``, serves the Cayley steps of the dynamics (its terms) and
+every dense eigensolve (``dense_blocks``); the energies are O(n k^2) sums
+over orbital pairs.  The public functions take a dense ``DensityMatrix``
+and factor it once, by one eigh per block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,12 +27,13 @@ from .angular import exchange_weights
 from .entropy import EntropySpec
 from .grid import (
     DensityMatrix,
+    RadialDensity,
     RadialGrid,
-    density_from_gamma,
     hartree_potential,
     kinetic_matrix,
     kinetic_tridiagonal,
-    multipole_kernel,
+    multipole_apply,
+    multipole_generators,
     multipole_kernel_inverse,
     nuclear_potential,
 )
@@ -84,15 +94,13 @@ class OperatorCache:
 
     The kinetic operator is kept tridiagonal: ``kinetic_diag[l]`` per channel
     plus the scalar ``kinetic_off`` shared by all channels.  Next to it sit
-    the nuclear diagonal and the angular-combined exchange kernels
-    sum_L A_L(l,l') w_L for each channel pair (symmetric in l <-> l'), the
-    only n x n arrays held.  The direct term needs no kernel: it goes
-    through the O(n) Newton-shell ``hartree_potential``.  The negative
-    spectrum of the bare blocks, ``bare_spectrum``, is solved on first use
-    and then shared by the warm start, the interaction-free iterations and
-    the minimizer audit.  The tridiagonal kernel inverses,
-    ``kernel_inverses``, are likewise built on first use, by the factored
-    mean field of the dynamics only.
+    the nuclear diagonal and the squared-3j weights ``angular`` of each
+    channel pair.  No n x n array is held: the multipole kernels act through
+    their generators (``grid.multipole_apply``), or through their tridiagonal
+    inverses, ``kernel_inverses``, which the Cayley steps of the dynamics
+    build on first use.  The negative spectrum of the bare blocks,
+    ``bare_spectrum``, is solved on first use and then shared by the warm
+    start, the interaction-free iterations and the minimizer audit.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
@@ -104,13 +112,6 @@ class OperatorCache:
         self.kinetic_off = stencils[0][1]
         self.v_nuclear = nuclear_potential(grid, Z)
         self.angular = exchange_weights(l_max)
-        self.pair_kernels = {}
-        for l in range(l_max + 1):
-            for lp in range(l, l_max + 1):
-                combined = np.zeros((grid.n_points, grid.n_points))
-                for L, a_l in self.angular[(l, lp)]:
-                    combined += a_l * multipole_kernel(grid, L)
-                self.pair_kernels[(l, lp)] = combined
 
     def one_body_block(self, l: int, v_local=None, out=None) -> np.ndarray:
         """Dense T_l + diag(v_local), added in place onto ``out`` when given.
@@ -158,9 +159,6 @@ class OperatorCache:
         pairs = [multipole_kernel_inverse(self.grid, L) for L in range(2 * self.l_max + 1)]
         return np.array([d for d, _ in pairs]), np.array([o for _, o in pairs])
 
-    def pair_kernel(self, l: int, lp: int) -> np.ndarray:
-        return self.pair_kernels[(min(l, lp), max(l, lp))]
-
     def matches(self, gamma: DensityMatrix) -> bool:
         return gamma.grid == self.grid and gamma.l_max <= self.l_max
 
@@ -173,35 +171,96 @@ def _cache_for(gamma: DensityMatrix, Z: float, cache: OperatorCache | None) -> O
     return cache
 
 
-def _one_body_terms(gamma: DensityMatrix, cache: OperatorCache):
-    """(kinetic, nuclear, line density) of a state, O(n) per block.
+_DROP_TOL = 1e-14  # factor weights at or below this share of the largest |weight| are dropped
 
-    The kinetic trace reads only the three central diagonals of each block.
+
+def _trimmed(orbitals, weights):
+    """Factors without the weights |nu| <= _DROP_TOL max|nu|, over all channels."""
+    floor = _DROP_TOL * max((float(np.max(np.abs(nu), initial=0.0)) for nu in weights), default=0.0)
+    keep = [np.abs(nu) > floor for nu in weights]
+    return (
+        [np.ascontiguousarray(w[:, k]) for w, k in zip(orbitals, keep)],
+        [nu[k] for nu, k in zip(weights, keep)],
+    )
+
+
+def _factor_blocks(gamma: DensityMatrix):
+    """Orbital factors gamma_l = W_l diag(nu_l) W_l^H by one eigh per block.
+
+    The weights keep their sign, so an indefinite block (a difference of
+    states) factors as well as a state.  A real block keeps a real eigensolve
+    and gives real orbitals."""
+    spectra = [np.linalg.eigh(b) for b in gamma.blocks]
+    return _trimmed([v for _, v in spectra], [w for w, _ in spectra])
+
+
+def _density_line(grid: RadialGrid, orbitals, weights) -> np.ndarray:
+    """rho_line = sum_l (2l+1) sum_k nu_k |w_k|^2 / h."""
+    return sum(
+        (2 * l + 1) * (np.abs(w_mat) ** 2 @ nu)
+        for l, (w_mat, nu) in enumerate(zip(orbitals, weights))
+    ) / grid.h
+
+
+def _kinetic_root(grid, l, x):
+    """M x, O(n k), for M with M^T M = T_l: forward differences / h (Dirichlet
+    zero padding) stacked over the rows sqrt(l(l+1)) / r."""
+    diff = np.diff(x, axis=0, prepend=0.0, append=0.0) / grid.h
+    return np.vstack([diff, (math.sqrt(l * (l + 1)) / grid.r)[:, None] * x])
+
+
+def _one_body_terms(orbitals, weights, cache: OperatorCache):
+    """(kinetic, nuclear, line density) of factored blocks, O(n k) per channel.
+
+    The kinetic energy is sum_k nu_k ||M_l w_k||^2 with T_l = M_l^T M_l.
     """
-    kin = 0.0
-    for l, b in enumerate(gamma.blocks):
-        diag_part = np.dot(cache.kinetic_diag[l], np.real(np.diagonal(b)))
-        off_part = np.real(np.sum(np.diagonal(b, 1)) + np.sum(np.diagonal(b, -1)))
-        kin += (2 * l + 1) * float(diag_part + cache.kinetic_off * off_part)
-    rho = density_from_gamma(gamma)
-    nuc = gamma.grid.h * float(np.dot(cache.v_nuclear, rho.rho_line))
-    return kin, nuc, rho
+    kin = sum(
+        (2 * l + 1) * float(np.sum(np.abs(_kinetic_root(cache.grid, l, w_mat)) ** 2, axis=0) @ nu)
+        for l, (w_mat, nu) in enumerate(zip(orbitals, weights))
+    )
+    rho_line = _density_line(cache.grid, orbitals, weights)
+    nuc = cache.grid.h * float(np.dot(cache.v_nuclear, rho_line))
+    return kin, nuc, rho_line
 
 
-def _hf_terms(gamma: DensityMatrix, cache: OperatorCache):
-    """(kinetic, nuclear, direct, exchange) of a state, all real.
+_PAIR_BLOCK = 1 << 18  # entries of the orbital-pair columns formed at once
 
-    The direct term is (h/2) rho . V_H, with V_H from the Newton-shell sum.
+
+def _exchange_energy(orbitals, weights, cache: OperatorCache) -> float:
+    """1/2 sum_(l,l') sum_L A_L sum_(k,j) nu_k nu_j <y, w_L y> with y = w_k conj(w_j).
+
+    Each term is the exchange contraction of the orbital pair (k in l, j in l');
+    the two orders of a channel pair give the same real value, so each
+    unordered pair is taken once and counted twice off the diagonal.
     """
-    kin, nuc, rho = _one_body_terms(gamma, cache)
-    grid = gamma.grid
-    direct = 0.5 * grid.h * float(np.dot(rho.rho_line, hartree_potential(grid, rho)))
-    exch = 0.0
-    for l, bl in enumerate(gamma.blocks):
-        for lp, blp in enumerate(gamma.blocks):
-            kernel = cache.pair_kernel(l, lp)
-            exch += 0.5 * float(np.real(np.sum(kernel * bl * np.conj(blp))))
-    return kin, nuc, direct, exch
+    n = cache.grid.n_points
+    total = 0.0
+    for l, (w_l, nu_l) in enumerate(zip(orbitals, weights)):
+        for lp in range(l, len(orbitals)):
+            conj_lp, nu_lp = orbitals[lp].conj(), weights[lp]
+            pair = 0.5 if lp == l else 1.0
+            # the pairs of a block of orbitals k at a time, as the columns of y
+            step = max(1, _PAIR_BLOCK // max(1, n * len(nu_lp)))
+            for k in range(0, len(nu_l), step):
+                y = (w_l[:, k : k + step, None] * conj_lp[:, None, :]).reshape(n, -1)
+                nu_pairs = np.outer(nu_l[k : k + step], nu_lp).ravel()
+                for L, a_l in cache.angular[(l, lp)]:
+                    form = np.real(np.sum(y.conj() * multipole_apply(cache.grid, L, y), axis=0))
+                    total += pair * a_l * float(form @ nu_pairs)
+    return total
+
+
+def _hf_terms(orbitals, weights, cache: OperatorCache):
+    """(kinetic, nuclear, direct, exchange) of factored blocks W diag(nu) W^H.
+
+    The weights may be negative (a step between two states).  The direct
+    term is (h/2) rho . V_H, with V_H from the Newton-shell sum.
+    """
+    kin, nuc, rho_line = _one_body_terms(orbitals, weights, cache)
+    grid = cache.grid
+    v_hartree = hartree_potential(grid, RadialDensity(grid, rho_line))
+    direct = 0.5 * grid.h * float(np.dot(rho_line, v_hartree))
+    return kin, nuc, direct, _exchange_energy(orbitals, weights, cache)
 
 
 def _entropy_of_occupations(occupations, spec: EntropySpec) -> float:
@@ -215,20 +274,19 @@ def _entropy_of_occupations(occupations, spec: EntropySpec) -> float:
 _CLIP_TOL = 1e-10
 
 
-def _entropy_of_blocks(gamma: DensityMatrix, spec: EntropySpec) -> float:
-    """tr beta(gamma) from per-block eigenvalues, weighted by 2l+1.
+def _entropy_of_blocks(spectra, spec: EntropySpec) -> float:
+    """tr beta(gamma) from the eigenvalues of its blocks, weighted by 2l+1.
 
     Eigenvalues within _CLIP_TOL of [0, 1] are clipped; anything further out
     is a genuine constraint violation and raises.
     """
-    occupations = [np.linalg.eigvalsh(b) for b in gamma.blocks]
-    for l, w in enumerate(occupations):
-        if w[0] < -_CLIP_TOL or w[-1] > 1.0 + _CLIP_TOL:
+    for l, w in enumerate(spectra):
+        if w.size and (w.min() < -_CLIP_TOL or w.max() > 1.0 + _CLIP_TOL):
             raise ValueError(
                 f"occupation eigenvalues outside [0,1] in channel l={l}: "
-                f"[{w[0]:.3e}, {w[-1]:.10f}]"
+                f"[{w.min():.3e}, {w.max():.10f}]"
             )
-    return _entropy_of_occupations(occupations, spec)
+    return _entropy_of_occupations(spectra, spec)
 
 
 def hf_energy(
@@ -236,7 +294,7 @@ def hf_energy(
 ) -> EnergyBreakdown:
     """Hartree-Fock energy; the entropy slot is zero."""
     cache = _cache_for(gamma, Z, cache)
-    kin, nuc, direct, exch = _hf_terms(gamma, cache)
+    kin, nuc, direct, exch = _hf_terms(*_factor_blocks(gamma), cache)
     return _make_breakdown(kin, nuc, direct, exch, 0.0, 0.0)
 
 
@@ -247,11 +305,11 @@ def free_energy(
     T: float,
     cache: OperatorCache | None = None,
 ) -> EnergyBreakdown:
-    """Hartree-Fock energy plus T * tr beta(gamma)."""
+    """Hartree-Fock energy plus T * tr beta(gamma), from one factorization."""
     cache = _cache_for(gamma, Z, cache)
-    kin, nuc, direct, exch = _hf_terms(gamma, cache)
-    entropy = _entropy_of_blocks(gamma, spec)
-    return _make_breakdown(kin, nuc, direct, exch, entropy, T)
+    orbitals, weights = _factor_blocks(gamma)
+    kin, nuc, direct, exch = _hf_terms(orbitals, weights, cache)
+    return _make_breakdown(kin, nuc, direct, exch, _entropy_of_blocks(weights, spec), T)
 
 
 def linear_energy_breakdown(
@@ -263,9 +321,9 @@ def linear_energy_breakdown(
 ) -> EnergyBreakdown:
     """Breakdown of the linear functional (direct and exchange dropped)."""
     cache = _cache_for(gamma, Z, cache)
-    kin, nuc, _ = _one_body_terms(gamma, cache)
-    entropy = _entropy_of_blocks(gamma, spec)
-    return _make_breakdown(kin, nuc, 0.0, 0.0, entropy, T)
+    orbitals, weights = _factor_blocks(gamma)
+    kin, nuc, _ = _one_body_terms(orbitals, weights, cache)
+    return _make_breakdown(kin, nuc, 0.0, 0.0, _entropy_of_blocks(weights, spec), T)
 
 
 def linear_free_energy(
@@ -291,23 +349,61 @@ class MeanFieldHamiltonian:
     blocks: list
 
 
+@dataclass
+class _FactoredField:
+    """The mean field of a factored state.
+
+    H_l = T_l + diag(v_local) - K_l.  Since (w_L * w w^H) x = w (w_L (conj(w) x)),
+    K_l = sum_t c_t diag(w_t) w_L diag(conj(w_t)) over the terms
+    t = (l', L, orbital k) of weight c_t = A_L(l,l') nu_k / (2l+1).
+    ``terms[l]`` holds (c, L, W) of channel l: weights, orders and the n x m
+    matrix of the vectors w_t.  The Cayley steps of the dynamics read the
+    terms alone; ``dense_blocks`` forms H for a dense eigensolve.
+    """
+
+    cache: OperatorCache
+    v_local: np.ndarray
+    terms: list
+
+    def dense_blocks(self) -> list:
+        """H_l as n x n blocks, one GEMM per channel for K_l.
+
+        With the generators of each term's kernel, S = (u * W) diag(c) (v * W)^H
+        equals K_l on and above the diagonal (r_i <= r_j), so
+        K_l = triu(S) + triu(S, 1)^H.
+        """
+        grid = self.cache.grid
+        blocks = []
+        for l, (weights, orders, vectors) in enumerate(self.terms):
+            u, v = multipole_generators(grid, orders)
+            upper = np.triu((u * vectors * weights) @ (v * vectors).conj().T)
+            h_block = -(upper + upper.conj().T)
+            h_block.flat[:: grid.n_points + 1] *= 0.5  # the diagonal was taken twice
+            blocks.append(self.cache.one_body_block(l, self.v_local, out=h_block))
+        return blocks
+
+
+def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:
+    grid = cache.grid
+    rho = RadialDensity(grid, _density_line(grid, orbitals, weights))
+    v_local = cache.v_nuclear + hartree_potential(grid, rho)
+    terms = []
+    for l in range(len(orbitals)):
+        coefficients, orders, vectors = zip(*[
+            (a_l * nu / (2 * l + 1), np.full(len(nu), L), w_mat)
+            for lp, (w_mat, nu) in enumerate(zip(orbitals, weights))
+            for L, a_l in cache.angular[(l, lp)]
+        ])
+        terms.append((np.concatenate(coefficients), np.concatenate(orders), np.hstack(vectors)))
+    return _FactoredField(cache, v_local, terms)
+
+
 def mean_field_hamiltonian(
     gamma: DensityMatrix, Z: float, cache: OperatorCache | None = None
 ) -> MeanFieldHamiltonian:
     cache = _cache_for(gamma, Z, cache)
-    grid = gamma.grid
-    v_local = cache.v_nuclear + hartree_potential(grid, density_from_gamma(gamma))
-    dtype = np.result_type(*[b.dtype for b in gamma.blocks])
-    n = grid.n_points
-    blocks = []
-    for l in range(gamma.l_max + 1):
-        h_block = np.zeros((n, n), dtype=dtype)
-        for lp, blp in enumerate(gamma.blocks):
-            h_block += cache.pair_kernel(l, lp) * blp
-        # -K_l = -(sum_l' kernel * Gamma_l')/(2l+1), then the one-body part on top
-        h_block /= -(2 * l + 1)
-        blocks.append(cache.one_body_block(l, v_local, out=h_block))
-    return MeanFieldHamiltonian(grid=grid, blocks=blocks)
+    field = _factored_field(cache, *_factor_blocks(gamma))
+    return MeanFieldHamiltonian(grid=gamma.grid, blocks=field.dense_blocks())
 
 
 def hardy_positivity_diagnostic(grid: RadialGrid, l: int = 0) -> float:
@@ -390,7 +486,7 @@ def inequality_audit(
         tr beta(X gamma X) <= tr(X beta(gamma) X) at three radii.
     """
     cache = _cache_for(gamma, Z, cache)
-    kin, nuc, direct, exch = _hf_terms(gamma, cache)
+    kin, nuc, direct, exch = _hf_terms(*_factor_blocks(gamma), cache)
     total_hf = kin + nuc + direct - exch
     q = gamma.trace()
     checks = [

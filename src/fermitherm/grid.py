@@ -9,6 +9,7 @@ single quadrature weight ``h``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ __all__ = [
     "hartree_potential",
     "kinetic_matrix",
     "kinetic_tridiagonal",
+    "multipole_apply",
+    "multipole_generators",
     "multipole_kernel",
     "multipole_kernel_inverse",
     "nuclear_potential",
@@ -167,19 +170,50 @@ def hartree_potential(grid: RadialGrid, density: RadialDensity) -> np.ndarray:
     """Electrostatic potential of a spherical charge distribution.
 
     V(r_i) = (inner charge)/r_i + sum of outer shells at their own radius,
-    so r * V(r) never exceeds the total charge.
+    so r * V(r) never exceeds the total charge: the L = 0 kernel applied to
+    the shell charges h rho.
     """
     if density.grid != grid:
         raise ValueError("density lives on a different grid")
-    q_inner = grid.h * np.cumsum(density.rho_line)
-    outer_terms = grid.h * density.rho_line / grid.r
-    # strict outer sum: total minus inclusive cumulative
-    outer = np.sum(outer_terms) - np.cumsum(outer_terms)
-    return q_inner / grid.r + outer
+    return multipole_apply(grid, 0, grid.h * density.rho_line)
+
+
+def multipole_generators(grid: RadialGrid, L) -> tuple:
+    """(u, v) with w_L[i,j] = u_min(i,j) v_max(i,j): u = (r/s)^L, v = (r/s)^-(L+1)/s.
+
+    The scale s = sqrt(r_0 r_(n-1)) centres both ranges on 1, so neither
+    overflows for the orders the exchange couples.  An array ``L`` gives one
+    column per order.
+    """
+    scale = math.sqrt(grid.r[0] * grid.r[-1])
+    x = grid.r / scale
+    if np.ndim(L):
+        x = x[:, None]
+    return x**L, x ** (-np.asarray(L) - 1) / scale
+
+
+def multipole_apply(grid: RadialGrid, L, x: np.ndarray) -> np.ndarray:
+    """w_L x in O(n) per column, with w_L never formed.
+
+    (w_L x)_i = v_i sum_{j<=i} u_j x_j + u_i sum_{j>i} v_j x_j from the
+    generators.  The outer sum is a reversed cumulative sum: as a total minus
+    a running sum it would cancel wherever the outer tail is small.  An array
+    ``L`` gives the order of each column of x.
+    """
+    u, v = multipole_generators(grid, L)
+    expand = (slice(None),) + (None,) * (x.ndim - u.ndim)
+    u, v = u[expand], v[expand]
+    out = v * np.cumsum(u * x, axis=0)
+    out[:-1] += u[:-1] * np.cumsum((v * x)[::-1], axis=0)[-2::-1]
+    return out
 
 
 def multipole_kernel(grid: RadialGrid, L: int) -> np.ndarray:
-    """Symmetric kernel w_L[i,j] = r_<^L / r_>^(L+1) at the node pairs."""
+    """Symmetric kernel w_L[i,j] = r_<^L / r_>^(L+1) at the node pairs, dense.
+
+    The library applies w_L through ``multipole_apply`` or its tridiagonal
+    inverse; this dense form is the reference they are checked against.
+    """
     if L < 0:
         raise ValueError(f"multipole order must be >= 0, got {L}")
     r = grid.r

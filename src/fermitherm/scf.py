@@ -12,7 +12,9 @@ advanced by optimal damping (Cances & Le Bris, Int. J. Quantum Chem. 79,
 candidate with the least free energy.  Along that segment the Hartree-Fock
 energy is an exact quadratic and tr beta is convex; both are evaluated on the
 span of the two factor sets, so the search takes no n x n eigendecomposition.
-Dense blocks are built once per iterate, as the input of the mean field.
+The energies of the iterate and of the step come from their factors; the
+only dense matrices are the mean-field blocks the eigensolve needs, and the
+returned state, materialized once.
 
 Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
 ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
@@ -23,8 +25,9 @@ The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
 audit bounds, and the free-energy gap meet their tolerances; the last step is
 then the full one, to the candidate.  The returned state's mean field is
 solved once more: that solve gives the residual, mu and the levels kept on
-the result for the audit's charge chain.  The entropy comes from the factor
-weights, so no eigendecomposition of gamma is ever taken.
+the result for the audit's charge chain, and its dense blocks serve the
+audit.  The entropy comes from the factor weights, so no eigendecomposition
+of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -40,9 +43,11 @@ from .energy import (
     EnergyBreakdown,
     OperatorCache,
     _entropy_of_occupations,
+    _factored_field,
     _hf_terms,
     _make_breakdown,
     _one_body_terms,
+    _trimmed,
     mean_field_hamiltonian,
 )
 from .entropy import EntropySpec
@@ -52,7 +57,6 @@ from .grid import (
     build_grid,
     density_from_gamma,
     factored_density,
-    zero_density_matrix,
 )
 from .linear import UnreachableChargeError, q_max_lin, regime_classify, Regime
 
@@ -70,7 +74,6 @@ __all__ = [
     "scf_minimize",
 ]
 
-_DROP_TOL = 1e-14  # factor weights at or below this share of the largest are dropped
 _BISECTIONS = 30  # halvings of the step-length bracket
 _F_ROUNDING = 1e-14  # relative rounding of a free-energy difference along a step
 _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
@@ -245,13 +248,6 @@ def _fill_levels(levels, spec, T, q, constrained):
     return mu, [occ_flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _trimmed(orbitals, weights):
-    """Factors without the weights at or below _DROP_TOL times the largest."""
-    floor = _DROP_TOL * max((float(np.max(nu, initial=0.0)) for nu in weights), default=0.0)
-    keep = [nu > floor for nu in weights]
-    return [w[:, k] for w, k in zip(orbitals, keep)], [nu[k] for nu, k in zip(weights, keep)]
-
-
 def _check_factors(factors, tol: float = 1e-10) -> None:
     """0 <= gamma_l <= 1 for gamma_l = W diag(nu) W^T: orthonormal W, nu in [0, 1]."""
     for l, (w, nu) in enumerate(zip(*factors)):
@@ -290,11 +286,10 @@ class _Segment:
     def spectra(self, t):
         return [np.linalg.eigh(a + t * d) for a, d in zip(self.starts, self.steps)]
 
-    def dense_step(self, grid) -> DensityMatrix:
-        """candidate - gamma as dense blocks, the input of the two-body energy."""
-        return DensityMatrix(
-            grid=grid, blocks=[(q @ d) @ q.T for q, d in zip(self.frames, self.steps)]
-        )
+    def step_factors(self):
+        """Orbital factors of candidate - gamma = Q D Q^T, with the signed
+        eigenvalues of D: the input of the step's two-body energy."""
+        return self._on_frames([np.linalg.eigh(d) for d in self.steps])
 
     def slope(self, ham_blocks) -> float:
         """tr(H_gamma (candidate - gamma)) = sum_l (2l+1) <Q^T H_l Q, D_l>."""
@@ -305,11 +300,12 @@ class _Segment:
 
     def factors(self, t):
         """Orbital factors of gamma_t, small weights dropped."""
-        orbitals, weights = [], []
-        for q, (lam, u) in zip(self.frames, self.spectra(t)):
-            orbitals.append(q @ u)
-            weights.append(lam)
-        return _trimmed(orbitals, weights)
+        return self._on_frames(self.spectra(t))
+
+    def _on_frames(self, spectra):
+        """(Q U, lambda) per channel for small eigendecompositions (lambda, U)."""
+        return _trimmed([q @ u for q, (_, u) in zip(self.frames, spectra)],
+                        [lam for lam, _ in spectra])
 
 
 def _entropy_of_spectra(spectra, spec) -> float:
@@ -367,13 +363,11 @@ def _step_length(segment, slope, curvature, spec, T, free, fallback):
 
 
 def _initial_state(cache: OperatorCache, config: ScfConfig, constrained: bool):
-    """Warm start: fill the bare kinetic+nuclear spectrum (linear minimizer).
-
-    Returns the dense state and its orbital factors."""
+    """Warm start: the orbital factors of the filled bare kinetic+nuclear
+    spectrum (the linear minimizer)."""
     levels, vectors = cache.bare_spectrum
     _, occs = _fill_levels(levels, config.spec, config.T, config.q, constrained)
-    factors = _trimmed(vectors, occs)
-    return factored_density(cache.grid, *factors), factors
+    return _trimmed(vectors, occs)
 
 
 def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
@@ -386,26 +380,26 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
 
-    def solve(state):
-        """(H_state blocks, negative levels, vectors); the bare field is fixed."""
+    def solve(factors):
+        """(dense H blocks, negative levels, vectors); the bare field is fixed."""
         if config.interactions:
-            ham = mean_field_hamiltonian(state, Z, cache).blocks
+            ham = _factored_field(cache, *factors).dense_blocks()
             return (ham, *_diagonalize_blocks(ham))
         return (None, *cache.bare_spectrum)
 
-    def terms(state):
+    def terms(factors):
         if config.interactions:
-            return _hf_terms(state, cache)
-        return (*_one_body_terms(state, cache)[:2], 0.0, 0.0)
+            return _hf_terms(*factors, cache)
+        return (*_one_body_terms(*factors, cache)[:2], 0.0, 0.0)
 
-    def breakdown(state, weights):
-        return _make_breakdown(*terms(state), _entropy_of_occupations(weights, spec), T)
+    def breakdown(factors):
+        return _make_breakdown(*terms(factors), _entropy_of_occupations(factors[1], spec), T)
 
-    def unreachable(state, weights, iterations):
+    def unreachable(factors, iterations):
         return ScfResult(
-            gamma=state,
+            gamma=factored_density(grid, *factors),
             mu=0.0,
-            energy=breakdown(state, weights),
+            energy=breakdown(factors),
             residual=math.inf,
             iterations=iterations,
             converged=False,
@@ -414,10 +408,11 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         )
 
     try:
-        gamma, factors = _initial_state(cache, config, constrained)
+        factors = _initial_state(cache, config, constrained)
     except UnreachableChargeError:
-        return unreachable(zero_density_matrix(grid, config.l_max), [], 0)
-    energy = breakdown(gamma, factors[1])
+        empty = np.zeros((grid.n_points, 0))
+        return unreachable(([empty] * (config.l_max + 1), [np.zeros(0)] * (config.l_max + 1)), 0)
+    energy = breakdown(factors)
     e_hf, free = energy.total_hf, energy.total_free
     # at q = 0 the warm start is the zero state, the minimizer: only the final solve
     zero_charge = constrained and config.q == 0.0
@@ -427,15 +422,15 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
 
     for iteration in range(1, 1 if zero_charge else config.max_iter + 1):
         iterations = iteration
-        ham, levels, vectors = solve(gamma)
+        ham, levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
         except UnreachableChargeError:
-            return unreachable(gamma, factors[1], iterations)
+            return unreachable(factors, iterations)
         candidate = _trimmed(vectors, occs)
         segment = _Segment(factors, candidate)
         defect = segment.defect()
-        kin, nuc, direct, exch = terms(segment.dense_step(grid))
+        kin, nuc, direct, exch = terms(segment.step_factors())
         slope = kin + nuc if ham is None else segment.slope(ham)
         curvature = direct - exch
         gap = slope + curvature + T * (
@@ -454,7 +449,6 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             break
         e_hf += t * slope + t * t * curvature
         factors = candidate if t == 1.0 else segment.factors(t)
-        gamma = factored_density(grid, *factors)
         free = e_hf + T * _entropy_of_occupations(factors[1], spec)
         history.append(
             {"iteration": iteration, "free_energy": free, "defect": defect, "t": t, "mu": mu}
@@ -464,8 +458,8 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         if status == "converged":
             break
 
-    # the one solve of the returned state: residual, mu and the audit's levels
-    _, levels, vectors = solve(gamma)
+    # the one solve of the returned state: residual, mu, the audit's levels and H
+    ham, levels, vectors = solve(factors)
     try:
         mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
         residual = _Segment(factors, _trimmed(vectors, occs)).defect()
@@ -474,9 +468,9 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         if status == "converged":
             status = "max_iter"
     if history:  # the state moved: its energy terms, once
-        energy = breakdown(gamma, factors[1])
+        energy = breakdown(factors)
     result = ScfResult(
-        gamma=gamma,
+        gamma=factored_density(grid, *factors),
         mu=mu,
         energy=energy,
         residual=residual,
@@ -487,7 +481,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         levels=levels,
     )
     if result.converged:
-        result.audit = minimizer_audit(result, config, cache=cache)
+        result.audit = _audit(result, config, cache, ham)
     return result
 
 
@@ -515,23 +509,30 @@ def minimizer_audit(
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
     (d) negative free energy for q > 0.  The chain reads ``result.levels``
     from the run's final solve, so a reloaded state, which has none, is
-    refused like an unconverged one.  H_gamma is rebuilt for (a), and (b)
-    is the audit's one eigensolve.
+    refused like an unconverged one.  H_gamma is built here for (a) and (b);
+    a solve audits its result with the H of its final solve instead.
     """
     if not result.converged or result.levels is None:
         raise ValueError("minimizer_audit refuses unconverged or reloaded results")
+    if cache is None:
+        cache = OperatorCache(result.gamma.grid, config.l_max, config.Z)
+    ham_blocks = None
+    if config.interactions:
+        ham_blocks = mean_field_hamiltonian(result.gamma, config.Z, cache).blocks
+    return _audit(result, config, cache, ham_blocks)
+
+
+def _audit(result, config, cache, ham_blocks) -> MinimizerAudit:
+    """``minimizer_audit`` given H_gamma (None: the bare blocks, interactions off);
+    (b) is its one eigensolve."""
     gamma = result.gamma
     grid = gamma.grid
-    if cache is None:
-        cache = OperatorCache(grid, config.l_max, config.Z)
     spec, T, Z = config.spec, config.T, config.Z
     q = gamma.trace()
 
     from scipy.linalg import eigh
 
-    if config.interactions:
-        ham_blocks = mean_field_hamiltonian(gamma, Z, cache).blocks
-    else:
+    if ham_blocks is None:
         ham_blocks = [cache.one_body_block(l) for l in range(gamma.l_max + 1)]
     lieb = sum(
         (2 * l + 1) * float(np.real(np.einsum("i,ij,ji->", grid.r, h, b)))

@@ -9,8 +9,10 @@ from fermitherm.dynamics import (
     hspace_distance,
     stability_experiment,
 )
+import dense_reference
 from fermitherm import dynamics
-from fermitherm.energy import OperatorCache, _entropy_of_occupations, mean_field_hamiltonian
+from fermitherm import energy as energy_module
+from fermitherm.energy import OperatorCache, _entropy_of_occupations
 from fermitherm.entropy import make_power_entropy
 from fermitherm.grid import DensityMatrix, build_grid, kinetic_matrix, zero_density_matrix
 from fermitherm.scf import ScfConfig, scf_minimize
@@ -151,6 +153,21 @@ def test_evolve_stationary_state_stays(minimizer):
         sample_stride=25,
     )
     assert max(s.dist_to_reference for s in samples) <= 1e-8
+
+
+def test_evolve_samples_a_slightly_negative_weight(minimizer):
+    # a stored state passes validation with eigenvalues down to -1e-10; the
+    # signed factor weight it gets must not turn the samples into NaN
+    gamma = minimizer.gamma
+    edge = np.zeros(gamma.grid.n_points)
+    edge[-1] = 1.0
+    state = DensityMatrix(
+        grid=gamma.grid, blocks=[gamma.blocks[0] - 1e-12 * np.outer(edge, edge), gamma.blocks[1]]
+    )
+    state.validate()
+    for s in evolve(state, SPEC, 1.0, dt=0.01, n_steps=2):
+        assert abs(s.trace - state.trace()) <= 1e-14
+        assert math.isfinite(s.entropy_trace) and math.isfinite(s.hf_energy)
 
 
 def test_evolve_keep_gamma_flag(minimizer):
@@ -403,7 +420,7 @@ def factored_field_apply(field, l, x):
 def dense_hamiltonian(grid, orbitals, occupations, Z):
     cache = OperatorCache(grid, len(orbitals) - 1, Z)
     gamma = dynamics._materialize(grid, orbitals, occupations)
-    return cache, mean_field_hamiltonian(gamma, Z, cache).blocks
+    return cache, dense_reference.dense_hamiltonian(gamma, Z)
 
 
 @pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
@@ -434,19 +451,39 @@ def test_banded_cayley_matches_dense_solve(case, dt):
 
 
 def test_stability_cayley_builds_no_dense_mean_field(minimizer, monkeypatch):
-    # the rank-2/1 minimizer steps on its factors; dense blocks only per sample
-    calls = {"mean_field_hamiltonian": 0, "_materialize": 0}
+    # the rank-2/1 minimizer steps and is sampled on its factors: no dense
+    # mean field and no dense state
+    calls = {"mean_field_hamiltonian": 0, "dense_blocks": 0, "_materialize": 0}
 
-    def counting(name):
-        original = getattr(dynamics, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        return wrapped
+        monkeypatch.setattr(owner, name, wrapped)
 
-    for name in calls:
-        monkeypatch.setattr(dynamics, name, counting(name))
+    counting(energy_module, "mean_field_hamiltonian")
+    counting(energy_module._FactoredField, "dense_blocks")
+    counting(dynamics, "_materialize")
     res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
                                sample_stride=5, propagator="cayley")
-    assert calls == {"mean_field_hamiltonian": 0, "_materialize": len(res.samples)}
+    assert len(res.samples) == 5
+    assert calls == {"mean_field_hamiltonian": 0, "dense_blocks": 0, "_materialize": 0}
+
+
+@pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
+def test_sample_energy_matches_dense_reference(case):
+    # the sampled energy and trace from the factors against the dense
+    # contractions of the materialized state; the real case is the first one
+    # with real orbitals
+    grid, orbitals, occupations = factor_cases()[case]
+    if case == 0:
+        orbitals = [np.linalg.qr(np.real(w))[0] for w in orbitals]
+    cache = OperatorCache(grid, len(orbitals) - 1, 2.0)
+    sample = dynamics._sample(0.0, (orbitals, occupations), SPEC, cache, None, True)
+    kin, nuc, direct, exch = dense_reference.dense_hf_terms(sample.gamma, 2.0)
+    expected = kin + nuc + direct - exch
+    scale = abs(kin) + abs(nuc) + abs(direct) + abs(exch)
+    assert abs(sample.hf_energy - expected) <= 1e-12 * scale
+    assert abs(sample.trace - sample.gamma.trace()) <= 1e-14 * sample.gamma.trace()

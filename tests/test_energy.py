@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dense_reference import dense_hamiltonian, dense_hf_terms
 from fermitherm.energy import (
     GridMismatchError,
     OperatorCache,
+    _FactoredField,
+    _factor_blocks,
     _hf_terms,
     brown_kosaki_terms,
     free_energy,
@@ -142,7 +145,7 @@ def test_structured_terms_match_dense_references():
     # the O(n) kinetic and direct paths against the dense operators they replace
     grid = build_grid(400, 40.0)
     gamma = random_state(grid, l_max=2, seed=13, scale=0.5, complex_blocks=True)
-    kin, _, direct, _ = _hf_terms(gamma, OperatorCache(grid, 2, Z=1.0))
+    kin, _, direct, _ = _hf_terms(*_factor_blocks(gamma), OperatorCache(grid, 2, Z=1.0))
     dense_kin = sum(
         (2 * l + 1) * float(np.real(np.einsum("ij,ji->", kinetic_matrix(grid, l), b)))
         for l, b in enumerate(gamma.blocks)
@@ -283,3 +286,85 @@ def test_hardy_diagnostic_reports_without_asserting():
     # output only, so the test merely checks it is a finite number
     val = hardy_positivity_diagnostic(build_grid(120, 12.0))
     assert np.isfinite(val)
+
+
+def indefinite_state(grid, l_max, seed):
+    """Blocks of a state plus a full-rank symmetric perturbation: indefinite."""
+    gamma = random_state(grid, l_max, seed=seed, scale=0.5)
+    rng = np.random.default_rng(seed + 1)
+    blocks = []
+    for b in gamma.blocks:
+        d = rng.standard_normal(b.shape)
+        blocks.append(b + 0.1 * (d + d.T) / np.linalg.norm(d))
+    return DensityMatrix(grid=grid, blocks=blocks)
+
+
+def reference_states():
+    """Real and complex states of rank n/4 + 2, an indefinite one (a direction
+    of criterion 6) and a rank-one s state."""
+    grid = build_grid(90, 15.0)
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal(90)
+    v /= np.linalg.norm(v)
+    return [
+        random_state(grid, l_max=2, seed=21, scale=0.6),
+        random_state(grid, l_max=2, seed=22, scale=0.6, complex_blocks=True),
+        indefinite_state(grid, 2, seed=23),
+        DensityMatrix(grid=grid, blocks=[0.4 * np.outer(v, v), np.zeros((90, 90))]),
+    ]
+
+
+REFERENCE_IDS = ["real", "complex", "indefinite", "rank-one"]
+
+
+@pytest.mark.parametrize("case", range(4), ids=REFERENCE_IDS)
+def test_factored_terms_match_dense_reference(case):
+    gamma = reference_states()[case]
+    got = hf_energy(gamma, Z=1.5)
+    expected = dense_hf_terms(gamma, 1.5)
+    for name, value in zip(("kinetic", "nuclear", "direct", "exchange"), expected):
+        assert abs(getattr(got, name) - value) <= 1e-12 * abs(value), name
+    for block, dense in zip(mean_field_hamiltonian(gamma, Z=1.5).blocks, dense_hamiltonian(gamma, 1.5)):
+        assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [50, 400, 2000])
+def test_exchange_assembly_matches_dense_kernels(n):
+    # K = sum_t c_t (w_t w_t^H) * w_(L_t) by one triu GEMM, against the dense
+    # kernels, for every order up to L = 6 and real and complex vectors
+    grid = build_grid(n, 60.0)
+    cache = OperatorCache(grid, 0, Z=0.0)
+    cache.kinetic_diag, cache.kinetic_off = [np.zeros(n)], 0.0  # H = -K exactly
+    rng = np.random.default_rng(n)
+    orders = np.arange(7)
+    coefficients = rng.uniform(0.1, 1.0, 7)
+    real = np.linalg.qr(rng.standard_normal((n, 7)))[0]
+    for vectors in (real, real + 1j * np.linalg.qr(rng.standard_normal((n, 7)))[0]):
+        field = _FactoredField(cache, np.zeros(n), [(coefficients, orders, vectors)])
+        (block,) = field.dense_blocks()
+        exchange = -block
+        expected = np.zeros((n, n), dtype=vectors.dtype)
+        for c, L, w in zip(coefficients, orders, vectors.T):
+            expected += c * np.outer(w, w.conj()) * multipole_kernel(grid, L)
+        assert np.max(np.abs(exchange - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_operator_cache_holds_no_dense_array():
+    # the kernels act through generators and tridiagonal inverses: nothing of
+    # n^2 entries is held, also after the lazily built parts
+    n = 60
+    cache = OperatorCache(build_grid(n, 10.0), 2, Z=1.0)
+    cache.bare_spectrum, cache.kernel_inverses
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+
+    held = [a for value in vars(cache).values() for a in arrays(value)]
+    assert held and all(a.size < n * n for a in held)

@@ -9,6 +9,7 @@ from fermitherm.grid import (
     dilate,
     hartree_potential,
     kinetic_matrix,
+    multipole_apply,
     multipole_kernel,
     multipole_kernel_inverse,
     nuclear_potential,
@@ -175,6 +176,39 @@ def test_multipole_kernel_inverse_single_node():
     diag, off = multipole_kernel_inverse(grid, 3)
     assert diag * multipole_kernel(grid, 3)[0, 0] == pytest.approx([1.0], abs=1e-15)
     assert off.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [50, 400, 2000])
+def test_multipole_apply_matches_dense_kernel(n):
+    # the generator-form apply against the dense kernel, real and complex
+    # columns, every order up to L = 6 (l_max = 3) on the CLI-default box
+    grid = build_grid(n, 60.0)
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n, 3))
+    columns = [real, real + 1j * rng.standard_normal((n, 3))]
+    for L in range(7):
+        w = multipole_kernel(grid, L)
+        for x in columns:
+            expected = w @ x
+            err = np.max(np.abs(multipole_apply(grid, L, x) - expected))
+            assert err <= 1e-13 * np.max(np.abs(expected))
+        # one order per column gives the same columns
+        orders = np.array([L, 0, 6])
+        mixed = multipole_apply(grid, orders, real)
+        for j, order in enumerate(orders):
+            expected = multipole_kernel(grid, order) @ real[:, j]
+            assert np.max(np.abs(mixed[:, j] - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_multipole_apply_outer_sum_does_not_cancel():
+    # for L = 6 and a flat x the outer sum over r_j > r_i falls by ~1e12 across
+    # the grid while u_i grows to balance it; formed as a total minus a running
+    # sum it would carry the total's rounding into every far node
+    grid = build_grid(400, 40.0)
+    x = np.ones(400)
+    expected = multipole_kernel(grid, 6) @ x
+    got = multipole_apply(grid, 6, x)
+    assert np.max(np.abs(got - expected) / expected) <= 1e-13
 
 
 def test_dilate_rescales_grid_only():

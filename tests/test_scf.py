@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dense_reference import dense_hf_terms
+from fermitherm import energy as energy_module
 from fermitherm.energy import (
     OperatorCache,
     _entropy_of_blocks,
@@ -389,7 +391,7 @@ def test_negative_spectrum_matches_dense_reference():
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
     bare_blocks = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
     _assert_same_spectrum(cache.bare_spectrum, _dense_negative(bare_blocks))
-    warm, _ = scf_module._initial_state(cache, cfg, constrained=True)
+    warm = factored_density(cache.grid, *scf_module._initial_state(cache, cfg, constrained=True))
     mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache).blocks
     _assert_same_spectrum(
         scf_module._diagonalize_blocks(mf_blocks), _dense_negative(mf_blocks)
@@ -483,15 +485,15 @@ def test_returned_state_is_solved_once(monkeypatch):
 
         return wrapper
 
-    def auditing(result, config, cache=None):
+    def auditing(*args):
         in_audit.append(True)
         try:
-            return audit(result, config, cache=cache)
+            return audit(*args)
         finally:
             in_audit.pop()
 
-    audit = scf_module.minimizer_audit
-    monkeypatch.setattr(scf_module, "minimizer_audit", auditing)
+    audit = scf_module._audit
+    monkeypatch.setattr(scf_module, "_audit", auditing)
     monkeypatch.setattr(
         scf_module, "_diagonalize_blocks", counted(scf_module._diagonalize_blocks, "diagonalize")
     )
@@ -502,6 +504,28 @@ def test_returned_state_is_solved_once(monkeypatch):
     res = scf_minimize(small_config(l_max=2))
     assert res.converged and res.audit is not None and res.iterations > 1
     assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 1, "eigvalsh": 0}
+
+
+def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
+    # inside a solve the audit reads the H of the final solve: neither a dense
+    # state is factored nor a mean field rebuilt from one
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense state factored inside scf")
+
+    monkeypatch.setattr(energy_module, "_factor_blocks", refuse)
+    monkeypatch.setattr(energy_module, "mean_field_hamiltonian", refuse)
+    monkeypatch.setattr(scf_module, "mean_field_hamiltonian", refuse)
+    cfg = small_config(l_max=2)
+    res = scf_minimize(cfg)
+    assert res.converged and res.audit is not None
+    assert res.audit.lieb_value <= 1e-8 and res.audit.qmaxlin_chain_ok
+    monkeypatch.undo()
+    # the public audit, called alone, builds H_gamma itself and agrees
+    alone = minimizer_audit(res, cfg)
+    assert alone.lieb_value == pytest.approx(res.audit.lieb_value, rel=1e-10, abs=1e-15)
+    assert alone.details["h0_eigenvalues"] == pytest.approx(
+        res.audit.details["h0_eigenvalues"], rel=0.0, abs=1e-12
+    )
 
 
 def test_audit_bound_reads_three_levels_when_fewer_are_bound():
@@ -603,7 +627,8 @@ def _segment_problem(m, q):
         _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q, True)
         return ham, scf_module._trimmed(vectors, occs)
 
-    gamma0, factors0 = scf_module._initial_state(cache, cfg, constrained=True)
+    factors0 = scf_module._initial_state(cache, cfg, constrained=True)
+    gamma0 = factored_density(cache.grid, *factors0)
     factors = scf_module._Segment(factors0, candidate(gamma0)[1]).factors(0.5)
     gamma = factored_density(cache.grid, *factors)
     ham, cand = candidate(gamma)
@@ -623,18 +648,25 @@ def test_segment_matches_dense_interpolation(m, q):
     )
     slope = sum((2 * l + 1) * np.sum(h * d) for l, (h, d) in enumerate(zip(ham, dense_step)))
     assert abs(segment.slope(ham) - slope) <= 1e-12
-    kin, nuc, direct, exch = _hf_terms(segment.dense_step(cache.grid), cache)
-    e_hf = hf_energy(gamma, cfg.Z, cache).total_hf
+    # the step's two-body energy from its factors against the dense contraction
+    kin, nuc, direct, exch = _hf_terms(*segment.step_factors(), cache)
+    _, _, dense_direct, dense_exch = dense_hf_terms(DensityMatrix(cache.grid, dense_step), cfg.Z)
+    assert abs(direct - dense_direct) <= 1e-12 * abs(dense_direct)
+    assert abs(exch - dense_exch) <= 1e-12 * abs(dense_exch)
+    e_hf = sum(dense_hf_terms(gamma, cfg.Z)[:3]) - dense_hf_terms(gamma, cfg.Z)[3]
     for t in (0.0, 0.2, 0.5, 0.8, 1.0):
         blocks = [(1.0 - t) * g + t * c for g, c in zip(gamma.blocks, cand.blocks)]
         factored = factored_density(cache.grid, *segment.factors(t)).blocks
         assert max(np.max(np.abs(f - b)) for f, b in zip(factored, blocks)) <= 1e-12
         exact = DensityMatrix(grid=cache.grid, blocks=blocks)
         entropy = scf_module._entropy_of_spectra(segment.spectra(t), cfg.spec)
-        assert abs(entropy - _entropy_of_blocks(exact, cfg.spec)) <= 1e-12
+        dense_spectra = [np.linalg.eigvalsh(b) for b in blocks]
+        assert abs(entropy - _entropy_of_blocks(dense_spectra, cfg.spec)) <= 1e-12
         # the Hartree-Fock energy is the exact quadratic of the slope and the step's
         # two-body energy
         model = e_hf + t * segment.slope(ham) + t * t * (direct - exch)
+        kin_t, nuc_t, direct_t, exch_t = dense_hf_terms(exact, cfg.Z)
+        assert abs(model - (kin_t + nuc_t + direct_t - exch_t)) <= 1e-12
         assert abs(model - hf_energy(exact, cfg.Z, cache).total_hf) <= 1e-12
 
 
