@@ -12,14 +12,15 @@ eigendecomposition ("expm") and the Cayley form (I - i dt H/2)(I + i dt H/2)^-1
 ("cayley").  Both are exactly unitary and second order.
 
 The state is carried as orbital factors gamma_l = W_l diag(nu_l) W_l^H from start
-to end; dense blocks are factored only at the edge (input state, reference,
-minimizer).  Both propagators take the factored mean field of the midpoint
+to end, read from ``DensityMatrix.factors`` of the input state, the reference
+and the minimizer (a state built from dense blocks is factored there, once).
+Both propagators take the factored mean field of the midpoint
 (``energy._factored_field``).  A Cayley step reads its terms alone: a
 tridiagonal kinetic part, a diagonal potential and exchange terms through the
 tridiagonal inverses of the multipole kernels, and the Cayley system is solved
 exactly as one banded LU per channel.  The reference ``expm`` takes the
 field's dense blocks.  Samples take energy, trace, entropy and distance from
-the factors; a dense state is built only when a sample keeps it.
+the factors; a kept sample state holds its factors.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ import numpy as np
 from .energy import (
     OperatorCache,
     _entropy_of_occupations,
-    _factor_blocks,
+    _factor_spectra,
     _factored_field,
     _hf_terms,
     _kinetic_root,
 )
 from .entropy import EntropySpec
-from .grid import DensityMatrix, factored_density
+from .grid import DensityMatrix
 from .scf import ScfResult
 
 __all__ = [
@@ -133,10 +134,7 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
     """
     if gamma_a.grid != gamma_b.grid or gamma_a.l_max != gamma_b.l_max:
         raise ValueError("states live on different discretizations")
-    return _factored_distance(gamma_a.grid, _factor_blocks(gamma_a), _factor_blocks(gamma_b))
-
-
-_materialize = factored_density  # a name of its own: the layer the benchmark traces
+    return _factored_distance(gamma_a.grid, gamma_a.factors, gamma_b.factors)
 
 
 def _cayley_apply(field, dt, thins):
@@ -220,17 +218,12 @@ def _sample(t, factors, spec, cache, reference, keep):
 
     Trace and entropy come from the spectra of R diag(nu) R^H, with R from a
     thin QR of W: those are the nonzero eigenvalues of the state, so the
-    roundoff drift of W stays visible and a negative weight stays negative.
-    The state is materialized only to be kept."""
-    orbitals, occupations = factors
-    kin, nuc, direct, exch = _hf_terms(orbitals, occupations, cache)
-    spectra = []
-    for w_mat, occ in zip(orbitals, occupations):
-        r = np.linalg.qr(w_mat, mode="r")
-        spectra.append(np.linalg.eigvalsh((r * occ) @ r.conj().T))
+    roundoff drift of W stays visible and a negative weight stays negative."""
+    kin, nuc, direct, exch = _hf_terms(*factors, cache)
+    spectra = _factor_spectra(*factors)
     return TrajectorySample(
         t=t,
-        gamma=_materialize(cache.grid, orbitals, occupations) if keep else None,
+        gamma=DensityMatrix.from_factors(cache.grid, *factors) if keep else None,
         trace=sum((2 * l + 1) * float(np.sum(lam)) for l, lam in enumerate(spectra)),
         hf_energy=kin + nuc + direct - exch,
         entropy_trace=_entropy_of_occupations(spectra, spec),
@@ -257,7 +250,7 @@ def evolve(
     Each step conjugates the state by exp(-i dt H[gamma_mid]) ("expm", per
     channel by eigendecomposition) or its Cayley approximant ("cayley"),
     with the midpoint state iterated ``inner_iterations`` times.  The state
-    and the reference are factored once and carried as orbital factors
+    and the reference are read as orbital factors and carried so
     (unitary conjugation preserves the factorization exactly); a symmetric
     re-orthonormalization every 200 steps absorbs roundoff drift.  Samples
     include t = 0 and the final step; with ``keep_gamma`` each carries the
@@ -267,9 +260,9 @@ def evolve(
     if reference is not None:
         if reference.grid != gamma0.grid or reference.l_max != gamma0.l_max:
             raise ValueError("states live on different discretizations")
-        reference = _factor_blocks(reference)
+        reference = reference.factors
     return _propagate(
-        gamma0.grid, _factor_blocks(gamma0), spec, Z, dt, n_steps, reference,
+        gamma0.grid, gamma0.factors, spec, Z, dt, n_steps, reference,
         sample_stride, inner_iterations, propagator, keep_gamma,
     )
 
@@ -339,15 +332,15 @@ def stability_experiment(
     The perturbation conjugates each block by U_l = exp(-i eta A_l) with A_l
     a seeded random Hermitian of unit Frobenius norm, so the perturbed state
     keeps the exact trace and occupation spectrum (it stays in K_q).  The
-    minimizer is factored once; the kick acts on its orbitals, U_l W_l, and
-    the same factors serve as the reference.
+    kick acts on the minimizer's orbitals, U_l W_l, and the same factors
+    serve as the reference.
     """
     if not minimizer.converged:
         raise ValueError("stability_experiment requires a converged minimizer")
     _check_step_controls(dt, inner_iterations, sample_stride, propagator)
     _check_kick(eta)
     n_steps = _step_count(horizon, dt)
-    reference = _factor_blocks(minimizer.gamma)
+    reference = minimizer.gamma.factors
     rng = np.random.default_rng(seed)
     kicked = []
     for w_ref in reference[0]:

@@ -11,8 +11,8 @@ W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form
 (``grid.multipole_apply``) and never stored.  One mean field,
 ``_FactoredField``, serves the Cayley steps of the dynamics (its terms) and
 every dense eigensolve (``dense_blocks``); the energies are O(n k^2) sums
-over orbital pairs.  The public functions take a dense ``DensityMatrix``
-and factor it once, by one eigh per block.
+over orbital pairs.  The public functions read ``DensityMatrix.factors``
+(a state built from dense blocks is factored once, by one eigh per block).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .grid import (
     DensityMatrix,
     RadialDensity,
     RadialGrid,
+    _density_line,
     hartree_potential,
     kinetic_matrix,
     kinetic_tridiagonal,
@@ -171,37 +172,6 @@ def _cache_for(gamma: DensityMatrix, Z: float, cache: OperatorCache | None) -> O
     return cache
 
 
-_DROP_TOL = 1e-14  # factor weights at or below this share of the largest |weight| are dropped
-
-
-def _trimmed(orbitals, weights):
-    """Factors without the weights |nu| <= _DROP_TOL max|nu|, over all channels."""
-    floor = _DROP_TOL * max((float(np.max(np.abs(nu), initial=0.0)) for nu in weights), default=0.0)
-    keep = [np.abs(nu) > floor for nu in weights]
-    return (
-        [np.ascontiguousarray(w[:, k]) for w, k in zip(orbitals, keep)],
-        [nu[k] for nu, k in zip(weights, keep)],
-    )
-
-
-def _factor_blocks(gamma: DensityMatrix):
-    """Orbital factors gamma_l = W_l diag(nu_l) W_l^H by one eigh per block.
-
-    The weights keep their sign, so an indefinite block (a difference of
-    states) factors as well as a state.  A real block keeps a real eigensolve
-    and gives real orbitals."""
-    spectra = [np.linalg.eigh(b) for b in gamma.blocks]
-    return _trimmed([v for _, v in spectra], [w for w, _ in spectra])
-
-
-def _density_line(grid: RadialGrid, orbitals, weights) -> np.ndarray:
-    """rho_line = sum_l (2l+1) sum_k nu_k |w_k|^2 / h."""
-    return sum(
-        (2 * l + 1) * (np.abs(w_mat) ** 2 @ nu)
-        for l, (w_mat, nu) in enumerate(zip(orbitals, weights))
-    ) / grid.h
-
-
 def _kinetic_root(grid, l, x):
     """M x, O(n k), for M with M^T M = T_l: forward differences / h (Dirichlet
     zero padding) stacked over the rows sqrt(l(l+1)) / r."""
@@ -271,6 +241,16 @@ def _entropy_of_occupations(occupations, spec: EntropySpec) -> float:
     )
 
 
+def _factor_spectra(orbitals, weights) -> list:
+    """Per channel, the nonzero spectrum of X diag(nu) X^H: the eigenvalues of
+    R diag(nu) R^H, with R from a thin QR of X (k x k, whatever n is)."""
+    spectra = []
+    for x, nu in zip(orbitals, weights):
+        r = np.linalg.qr(x, mode="r")
+        spectra.append(np.linalg.eigvalsh((r * nu) @ r.conj().T))
+    return spectra
+
+
 _CLIP_TOL = 1e-10
 
 
@@ -293,9 +273,7 @@ def hf_energy(
     gamma: DensityMatrix, Z: float, cache: OperatorCache | None = None
 ) -> EnergyBreakdown:
     """Hartree-Fock energy; the entropy slot is zero."""
-    cache = _cache_for(gamma, Z, cache)
-    kin, nuc, direct, exch = _hf_terms(*_factor_blocks(gamma), cache)
-    return _make_breakdown(kin, nuc, direct, exch, 0.0, 0.0)
+    return _make_breakdown(*_hf_terms(*gamma.factors, _cache_for(gamma, Z, cache)), 0.0, 0.0)
 
 
 def free_energy(
@@ -305,11 +283,9 @@ def free_energy(
     T: float,
     cache: OperatorCache | None = None,
 ) -> EnergyBreakdown:
-    """Hartree-Fock energy plus T * tr beta(gamma), from one factorization."""
-    cache = _cache_for(gamma, Z, cache)
-    orbitals, weights = _factor_blocks(gamma)
-    kin, nuc, direct, exch = _hf_terms(orbitals, weights, cache)
-    return _make_breakdown(kin, nuc, direct, exch, _entropy_of_blocks(weights, spec), T)
+    """Hartree-Fock energy plus T * tr beta(gamma), from the state's factors."""
+    terms = _hf_terms(*gamma.factors, _cache_for(gamma, Z, cache))
+    return _make_breakdown(*terms, _entropy_of_blocks(gamma.factors[1], spec), T)
 
 
 def linear_energy_breakdown(
@@ -320,10 +296,8 @@ def linear_energy_breakdown(
     cache: OperatorCache | None = None,
 ) -> EnergyBreakdown:
     """Breakdown of the linear functional (direct and exchange dropped)."""
-    cache = _cache_for(gamma, Z, cache)
-    orbitals, weights = _factor_blocks(gamma)
-    kin, nuc, _ = _one_body_terms(orbitals, weights, cache)
-    return _make_breakdown(kin, nuc, 0.0, 0.0, _entropy_of_blocks(weights, spec), T)
+    kin, nuc, _ = _one_body_terms(*gamma.factors, _cache_for(gamma, Z, cache))
+    return _make_breakdown(kin, nuc, 0.0, 0.0, _entropy_of_blocks(gamma.factors[1], spec), T)
 
 
 def linear_free_energy(
@@ -401,8 +375,7 @@ def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:
 def mean_field_hamiltonian(
     gamma: DensityMatrix, Z: float, cache: OperatorCache | None = None
 ) -> MeanFieldHamiltonian:
-    cache = _cache_for(gamma, Z, cache)
-    field = _factored_field(cache, *_factor_blocks(gamma))
+    field = _factored_field(_cache_for(gamma, Z, cache), *gamma.factors)
     return MeanFieldHamiltonian(grid=gamma.grid, blocks=field.dense_blocks())
 
 
@@ -431,20 +404,18 @@ def _cutoff_profile(s: np.ndarray) -> np.ndarray:
 def brown_kosaki_terms(
     gamma: DensityMatrix, spec: EntropySpec, x_diag: np.ndarray
 ) -> tuple:
-    """(tr beta(X gamma X), tr(X beta(gamma) X)) for a diagonal X with X^2 <= 1."""
-    lhs = _entropy_of_occupations(
-        [np.linalg.eigvalsh(x_diag[:, None] * b * x_diag[None, :]) for b in gamma.blocks],
-        spec,
+    """(tr beta(X gamma X), tr(X beta(gamma) X)) for a diagonal X with X^2 <= 1.
+
+    From the orthonormal factors, as beta(0) = 0: the nonzero spectrum of
+    (x W) diag(nu) (x W)^H, and tr(X beta(gamma_l) X) = sum_k beta(nu_k) ||x w_k||^2.
+    """
+    orbitals, weights = gamma.factors
+    cut = [x_diag[:, None] * w for w in orbitals]
+    lhs = _entropy_of_occupations(_factor_spectra(cut, weights), spec)
+    rhs = sum(
+        (2 * l + 1) * float(np.sum(np.abs(c) ** 2, axis=0) @ spec.beta(np.clip(nu, 0.0, 1.0)))
+        for l, (c, nu) in enumerate(zip(cut, weights))
     )
-    rhs = 0.0
-    for l, b in enumerate(gamma.blocks):
-        w, vecs = np.linalg.eigh(b)
-        beta_diag = np.real(
-            np.einsum(
-                "ik,k,ik->i", vecs, spec.beta(np.clip(w, 0.0, 1.0)), np.conj(vecs)
-            )
-        )
-        rhs += (2 * l + 1) * float(np.dot(x_diag**2, beta_diag))
     return lhs, rhs
 
 
@@ -486,7 +457,7 @@ def inequality_audit(
         tr beta(X gamma X) <= tr(X beta(gamma) X) at three radii.
     """
     cache = _cache_for(gamma, Z, cache)
-    kin, nuc, direct, exch = _hf_terms(*_factor_blocks(gamma), cache)
+    kin, nuc, direct, exch = _hf_terms(*gamma.factors, cache)
     total_hf = kin + nuc + direct - exch
     q = gamma.trace()
     checks = [

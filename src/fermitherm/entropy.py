@@ -106,12 +106,7 @@ class EntropySpec:
         """
 
         def f(a):
-            occ = np.zeros_like(a)
-            neg = a < 0.0
-            if np.any(neg):
-                occ[neg] = np.minimum(
-                    (-a[neg] / self.m) ** (1.0 / (self.m - 1.0)), 1.0
-                )
+            occ = self.g(a)
             return a * occ + occ**self.m
 
         return _eval(lam, f)

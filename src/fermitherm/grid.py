@@ -21,7 +21,6 @@ __all__ = [
     "build_grid",
     "density_from_gamma",
     "dilate",
-    "factored_density",
     "hartree_potential",
     "kinetic_matrix",
     "kinetic_tridiagonal",
@@ -59,63 +58,119 @@ def build_grid(n_points: int, r_max: float) -> RadialGrid:
     return RadialGrid(n_points=n_points, r_max=float(r_max), h=h, r=r)
 
 
-@dataclass
+_DROP_TOL = 1e-14  # factor weights at or below this share of the largest |weight| are dropped
+
+
+def _trimmed(orbitals, weights):
+    """Factors without the weights |nu| <= _DROP_TOL max|nu|, over all channels."""
+    floor = _DROP_TOL * max((float(np.max(np.abs(nu), initial=0.0)) for nu in weights), default=0.0)
+    keep = [np.abs(nu) > floor for nu in weights]
+    return (
+        [np.ascontiguousarray(w[:, k]) for w, k in zip(orbitals, keep)],
+        [nu[k] for nu, k in zip(weights, keep)],
+    )
+
+
+def _factor_blocks(blocks):
+    """Orbital factors gamma_l = W_l diag(nu_l) W_l^H by one eigh per block.
+
+    The weights keep their sign, so an indefinite block (a difference of
+    states) factors as well as a state.  A real block keeps a real eigensolve
+    and gives real orbitals."""
+    spectra = [np.linalg.eigh(b) for b in blocks]
+    return _trimmed([v for _, v in spectra], [w for w, _ in spectra])
+
+
+def _materialize(orbitals, weights) -> list:
+    """Dense blocks W_l diag(nu_l) W_l^H, symmetrized against rounding."""
+    products = [(w_mat * nu) @ w_mat.conj().T for w_mat, nu in zip(orbitals, weights)]
+    return [0.5 * (b + b.conj().T) for b in products]
+
+
+def _density_line(grid: RadialGrid, orbitals, weights) -> np.ndarray:
+    """rho_line = sum_l (2l+1) sum_k nu_k |w_k|^2 / h."""
+    return sum(
+        (2 * l + 1) * (np.abs(w_mat) ** 2 @ nu)
+        for l, (w_mat, nu) in enumerate(zip(orbitals, weights))
+    ) / grid.h
+
+
 class DensityMatrix:
     """Per-channel Hermitian blocks Gamma_l with 0 <= Gamma_l <= 1.
 
     Channel ``l`` enters all traces with its angular multiplicity 2l+1.
     Blocks are real symmetric for static states and complex Hermitian
-    during time evolution.  Treated as immutable once built.
+    during time evolution.  Treated as immutable once built.  The form it was
+    built from is kept and the other made on first read, then cached:
+    ``DensityMatrix(grid, blocks)`` is factored by one eigh per block, and a
+    state ``from_factors`` (Gamma_l = W_l diag(nu_l) W_l^H) forms no n x n
+    block unless ``blocks`` is read.
     """
 
-    grid: RadialGrid
-    blocks: list
+    def __init__(self, grid: RadialGrid, blocks):
+        self.grid = grid
+        self._blocks = list(blocks)
+        self._factors = None
+        self._dense_input = True
+
+    @classmethod
+    def from_factors(cls, grid: RadialGrid, orbitals, weights) -> "DensityMatrix":
+        state = cls(grid, [])
+        state._blocks, state._dense_input = None, False
+        state._factors = (list(orbitals), list(weights))
+        return state
+
+    @property
+    def blocks(self) -> list:
+        if self._blocks is None:
+            self._blocks = _materialize(*self._factors)
+        return self._blocks
+
+    @property
+    def factors(self) -> tuple:
+        """(orbitals, weights): per channel W_l (n x k) and nu_l (k,)."""
+        if self._factors is None:
+            self._factors = _factor_blocks(self._blocks)
+        return self._factors
 
     @property
     def l_max(self) -> int:
-        return len(self.blocks) - 1
+        return len(self._blocks if self._factors is None else self._factors[1]) - 1
 
     def trace(self) -> float:
-        return float(
-            sum(
-                (2 * l + 1) * np.real(np.trace(b))
-                for l, b in enumerate(self.blocks)
-            )
-        )
-
-    def is_complex(self) -> bool:
-        return any(np.iscomplexobj(b) for b in self.blocks)
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(grid=self.grid, blocks=[b.copy() for b in self.blocks])
+        return float(sum((2 * l + 1) * np.sum(nu) for l, nu in enumerate(self.factors[1])))
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Check Hermiticity and the spectral constraint 0 <= Gamma <= 1."""
-        for l, b in enumerate(self.blocks):
-            if b.shape != (self.grid.n_points, self.grid.n_points):
-                raise ValueError(f"block l={l} has shape {b.shape}")
-            herm = np.max(np.abs(b - b.conj().T))
-            if herm > tol:
-                raise ValueError(f"block l={l} not Hermitian: defect {herm:.2e}")
-            w = np.linalg.eigvalsh(b)
-            if w[0] < -tol or w[-1] > 1.0 + tol:
+        """Check the input form, then 0 <= Gamma <= 1 on the factors' weights.
+
+        Dense blocks must be n x n and Hermitian, checked before they are
+        factored (eigh reads one triangle); factors need orthonormal orbitals.
+        """
+        n = self.grid.n_points
+        if self._dense_input:
+            for l, b in enumerate(self._blocks):
+                if b.shape != (n, n):
+                    raise ValueError(f"block l={l} has shape {b.shape}")
+                herm = np.max(np.abs(b - b.conj().T))
+                if herm > tol:
+                    raise ValueError(f"block l={l} not Hermitian: defect {herm:.2e}")
+        else:
+            for l, (w, nu) in enumerate(zip(*self._factors)):
+                if w.shape != (n, nu.size):
+                    raise ValueError(f"channel l={l} orbitals have shape {w.shape}")
+                gram = float(np.max(np.abs(w.conj().T @ w - np.eye(nu.size)), initial=0.0))
+                if gram > tol:
+                    raise ValueError(f"channel l={l} orbitals not orthonormal: defect {gram:.2e}")
+        for l, nu in enumerate(self.factors[1]):
+            if nu.size and (nu.min() < -tol or nu.max() > 1.0 + tol):
                 raise ValueError(
-                    f"block l={l} eigenvalues outside [0,1]: [{w[0]:.2e}, {w[-1]:.6f}]"
+                    f"channel l={l} occupations outside [0,1]: [{nu.min():.2e}, {nu.max():.6f}]"
                 )
 
 
 def zero_density_matrix(grid: RadialGrid, l_max: int) -> DensityMatrix:
-    n = grid.n_points
-    return DensityMatrix(grid=grid, blocks=[np.zeros((n, n)) for _ in range(l_max + 1)])
-
-
-def factored_density(grid: RadialGrid, orbitals, weights) -> DensityMatrix:
-    """The state with blocks W_l diag(nu_l) W_l^H, symmetrized against rounding."""
-    blocks = []
-    for w_mat, nu in zip(orbitals, weights):
-        b = (w_mat * nu) @ w_mat.conj().T
-        blocks.append(0.5 * (b + b.conj().T))
-    return DensityMatrix(grid=grid, blocks=blocks)
+    empty = np.zeros((grid.n_points, 0))
+    return DensityMatrix.from_factors(grid, [empty] * (l_max + 1), [np.zeros(0)] * (l_max + 1))
 
 
 def kinetic_tridiagonal(grid: RadialGrid, l: int) -> tuple:
@@ -160,10 +215,7 @@ class RadialDensity:
 
 def density_from_gamma(gamma: DensityMatrix) -> RadialDensity:
     """rho_line[i] = (1/h) sum_l (2l+1) (Gamma_l)_ii; h*sum equals tr gamma."""
-    rho = np.zeros(gamma.grid.n_points)
-    for l, b in enumerate(gamma.blocks):
-        rho += (2 * l + 1) * np.real(np.diagonal(b))
-    return RadialDensity(grid=gamma.grid, rho_line=rho / gamma.grid.h)
+    return RadialDensity(grid=gamma.grid, rho_line=_density_line(gamma.grid, *gamma.factors))
 
 
 def hartree_potential(grid: RadialGrid, density: RadialDensity) -> np.ndarray:
@@ -249,12 +301,14 @@ def multipole_kernel_inverse(grid: RadialGrid, L: int) -> tuple:
 def dilate(gamma: DensityMatrix, eta: float) -> DensityMatrix:
     """Length contraction by eta > 1 (grid rescaled, matrix entries kept).
 
-    Because the blocks are untouched and only the mesh spacing changes,
-    the scaling laws hold as exact floating-point identities: kinetic
-    traces scale by eta^2, Coulomb energies by eta, occupation spectra
-    (hence entropy and trace) not at all.
+    Because the factors (and dense blocks, if held) are untouched and only
+    the mesh spacing changes, the scaling laws hold as exact floating-point
+    identities: kinetic traces scale by eta^2, Coulomb energies by eta,
+    occupation spectra (hence entropy and trace) not at all.
     """
     if eta <= 0.0:
         raise ValueError(f"dilation scale must be positive, got {eta}")
     new_grid = build_grid(gamma.grid.n_points, gamma.grid.r_max / eta)
-    return DensityMatrix(grid=new_grid, blocks=[b.copy() for b in gamma.blocks])
+    dilated = DensityMatrix.from_factors(new_grid, *gamma.factors)
+    dilated._blocks = gamma._blocks
+    return dilated

@@ -13,8 +13,8 @@ candidate with the least free energy.  Along that segment the Hartree-Fock
 energy is an exact quadratic and tr beta is convex; both are evaluated on the
 span of the two factor sets, so the search takes no n x n eigendecomposition.
 The energies of the iterate and of the step come from their factors; the
-only dense matrices are the mean-field blocks the eigensolve needs, and the
-returned state, materialized once.
+only dense matrices are the mean-field blocks the eigensolve needs.  The
+returned state keeps its factors (``DensityMatrix.from_factors``).
 
 Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
 ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
@@ -26,8 +26,8 @@ audit bounds, and the free-energy gap meet their tolerances; the last step is
 then the full one, to the candidate.  The returned state's mean field is
 solved once more: that solve gives the residual, mu and the levels kept on
 the result for the audit's charge chain, and its dense blocks serve the
-audit.  The entropy comes from the factor weights, so no eigendecomposition
-of gamma is ever taken.
+audit with the state's factors.  The entropy comes from the factor weights,
+so no eigendecomposition of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -47,16 +47,16 @@ from .energy import (
     _hf_terms,
     _make_breakdown,
     _one_body_terms,
-    _trimmed,
     mean_field_hamiltonian,
 )
 from .entropy import EntropySpec
 from .grid import (
     DensityMatrix,
     RadialGrid,
+    _trimmed,
     build_grid,
     density_from_gamma,
-    factored_density,
+    zero_density_matrix,
 )
 from .linear import UnreachableChargeError, q_max_lin, regime_classify, Regime
 
@@ -248,18 +248,6 @@ def _fill_levels(levels, spec, T, q, constrained):
     return mu, [occ_flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _check_factors(factors, tol: float = 1e-10) -> None:
-    """0 <= gamma_l <= 1 for gamma_l = W diag(nu) W^T: orthonormal W, nu in [0, 1]."""
-    for l, (w, nu) in enumerate(zip(*factors)):
-        gram = float(np.max(np.abs(w.T @ w - np.eye(w.shape[1])), initial=0.0))
-        if gram > tol:
-            raise ValueError(f"channel l={l} orbitals not orthonormal: defect {gram:.2e}")
-        if nu.size and (nu.min() < -tol or nu.max() > 1.0 + tol):
-            raise ValueError(
-                f"channel l={l} occupations outside [0,1]: [{nu.min():.2e}, {nu.max():.6f}]"
-            )
-
-
 class _Segment:
     """The segment gamma_t = gamma + t (candidate - gamma), t in [0, 1], per channel.
 
@@ -397,7 +385,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
 
     def unreachable(factors, iterations):
         return ScfResult(
-            gamma=factored_density(grid, *factors),
+            gamma=DensityMatrix.from_factors(grid, *factors),
             mu=0.0,
             energy=breakdown(factors),
             residual=math.inf,
@@ -410,8 +398,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     try:
         factors = _initial_state(cache, config, constrained)
     except UnreachableChargeError:
-        empty = np.zeros((grid.n_points, 0))
-        return unreachable(([empty] * (config.l_max + 1), [np.zeros(0)] * (config.l_max + 1)), 0)
+        return unreachable(zero_density_matrix(grid, config.l_max).factors, 0)
     energy = breakdown(factors)
     e_hf, free = energy.total_hf, energy.total_free
     # at q = 0 the warm start is the zero state, the minimizer: only the final solve
@@ -454,7 +441,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             {"iteration": iteration, "free_energy": free, "defect": defect, "t": t, "mu": mu}
         )
         if config.check_iterates:
-            _check_factors(factors)
+            DensityMatrix.from_factors(grid, *factors).validate()
         if status == "converged":
             break
 
@@ -470,7 +457,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     if history:  # the state moved: its energy terms, once
         energy = breakdown(factors)
     result = ScfResult(
-        gamma=factored_density(grid, *factors),
+        gamma=DensityMatrix.from_factors(grid, *factors),
         mu=mu,
         energy=energy,
         residual=residual,
@@ -535,8 +522,8 @@ def _audit(result, config, cache, ham_blocks) -> MinimizerAudit:
     if ham_blocks is None:
         ham_blocks = [cache.one_body_block(l) for l in range(gamma.l_max + 1)]
     lieb = sum(
-        (2 * l + 1) * float(np.real(np.einsum("i,ij,ji->", grid.r, h, b)))
-        for l, (h, b) in enumerate(zip(ham_blocks, gamma.blocks))
+        (2 * l + 1) * float(np.real(np.sum((grid.r[:, None] * w).conj() * (h @ w), axis=0)) @ nu)
+        for l, (h, w, nu) in enumerate(zip(ham_blocks, *gamma.factors))
     )
 
     # the lowest three s levels, bound or not: a negative-only slice would

@@ -1,16 +1,16 @@
-"""Dense references for the two-body terms, built from the n x n multipole kernels.
+"""Dense references for the two-body terms and the Brown-Kosaki traces.
 
 The library applies the kernels w_L through their generators and never forms
 them; these helpers form them whole, as ``multipole_kernel`` gives them, and
 contract them with dense blocks by Hadamard products over every ordered
-channel pair.  They are O(n^2) per pair and serve only as the oracle.
+channel pair.  They read ``gamma.blocks`` only, never the state's factors,
+are O(n^2) per pair or O(n^3) per block, and serve only as the oracle.
 """
 
 import numpy as np
 
 from fermitherm.angular import exchange_weights
 from fermitherm.grid import (
-    density_from_gamma,
     kinetic_matrix,
     multipole_kernel,
     nuclear_potential,
@@ -28,7 +28,7 @@ def pair_kernels(grid, l_max):
 
 def _shells(gamma):
     """h rho, the charge of each grid shell, and the dense Hartree potential."""
-    shells = gamma.grid.h * density_from_gamma(gamma).rho_line
+    shells = sum((2 * l + 1) * np.real(np.diagonal(b)) for l, b in enumerate(gamma.blocks))
     return shells, multipole_kernel(gamma.grid, 0) @ shells
 
 
@@ -62,3 +62,17 @@ def dense_hamiltonian(gamma, Z):
         - sum(kernels[(l, lp)] * blp for lp, blp in enumerate(gamma.blocks)) / (2 * l + 1)
         for l in range(gamma.l_max + 1)
     ]
+
+
+def dense_brown_kosaki_terms(gamma, spec, x_diag):
+    """(tr beta(X gamma X), tr(X beta(gamma) X)) from full spectra of the blocks."""
+    lhs = rhs = 0.0
+    for l, b in enumerate(gamma.blocks):
+        inner = np.linalg.eigvalsh(x_diag[:, None] * b * x_diag[None, :])
+        lhs += (2 * l + 1) * float(np.sum(spec.beta(np.clip(inner, 0.0, 1.0))))
+        w, vecs = np.linalg.eigh(b)
+        beta_diag = np.real(
+            np.einsum("ik,k,ik->i", vecs, spec.beta(np.clip(w, 0.0, 1.0)), np.conj(vecs))
+        )
+        rhs += (2 * l + 1) * float(np.dot(x_diag**2, beta_diag))
+    return lhs, rhs

@@ -241,6 +241,25 @@ def test_load_state_builds_no_operator_cache(stored_state, monkeypatch):
     assert (spec.m, Z, T) == (2.0, 1.0, 1.0)
 
 
+def test_evolve_factors_stored_state_once(stored_state, tmp_path, capsys, monkeypatch):
+    # validation factors the loaded blocks; evolve reads the same factors for
+    # the initial state and the reference
+    import fermitherm.grid
+
+    calls = []
+    factor_blocks = fermitherm.grid._factor_blocks
+
+    def counting(blocks):
+        calls.append(len(blocks))
+        return factor_blocks(blocks)
+
+    monkeypatch.setattr(fermitherm.grid, "_factor_blocks", counting)
+    argv = ["evolve", "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.04"]
+    code, _, _ = run(capsys, argv + ["--out", str(tmp_path / "traj.csv")])
+    assert code == 0
+    assert calls == [2]
+
+
 def test_evolve_missing_state_exit4(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -12,6 +12,7 @@ from fermitherm.dynamics import (
 import dense_reference
 from fermitherm import dynamics
 from fermitherm import energy as energy_module
+from fermitherm import grid as grid_module
 from fermitherm.energy import OperatorCache, _entropy_of_occupations
 from fermitherm.entropy import make_power_entropy
 from fermitherm.grid import DensityMatrix, build_grid, kinetic_matrix, zero_density_matrix
@@ -320,8 +321,9 @@ def test_stability_kick_matches_dense_kick(minimizer, propagator):
 
 
 def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
-    # n x n eigensolves: one kick direction and one minimizer factorization
-    # per channel; samples, distance and Loewdin work on k x k matrices
+    # n x n eigensolves: one kick direction per channel (the minimizer keeps
+    # the factors of its solve); samples, distance and Loewdin work on k x k
+    # matrices
     n = minimizer.gamma.grid.n_points
     calls = []
 
@@ -337,7 +339,7 @@ def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
     res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
                                sample_stride=5, propagator="cayley")
     assert len(res.samples) == 5
-    assert calls == ["eigh"] * 2 * (minimizer.gamma.l_max + 1)
+    assert calls == ["eigh"] * (minimizer.gamma.l_max + 1)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -5.0, 0.004, math.nan, math.inf])
@@ -419,7 +421,7 @@ def factored_field_apply(field, l, x):
 
 def dense_hamiltonian(grid, orbitals, occupations, Z):
     cache = OperatorCache(grid, len(orbitals) - 1, Z)
-    gamma = dynamics._materialize(grid, orbitals, occupations)
+    gamma = DensityMatrix.from_factors(grid, orbitals, occupations)
     return cache, dense_reference.dense_hamiltonian(gamma, Z)
 
 
@@ -452,8 +454,9 @@ def test_banded_cayley_matches_dense_solve(case, dt):
 
 def test_stability_cayley_builds_no_dense_mean_field(minimizer, monkeypatch):
     # the rank-2/1 minimizer steps and is sampled on its factors: no dense
-    # mean field and no dense state
-    calls = {"mean_field_hamiltonian": 0, "dense_blocks": 0, "_materialize": 0}
+    # mean field, no dense state and no factorization of one
+    names = ("mean_field_hamiltonian", "dense_blocks", "_materialize", "_factor_blocks")
+    calls = dict.fromkeys(names, 0)
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -465,11 +468,12 @@ def test_stability_cayley_builds_no_dense_mean_field(minimizer, monkeypatch):
 
     counting(energy_module, "mean_field_hamiltonian")
     counting(energy_module._FactoredField, "dense_blocks")
-    counting(dynamics, "_materialize")
+    counting(grid_module, "_materialize")
+    counting(grid_module, "_factor_blocks")
     res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
                                sample_stride=5, propagator="cayley")
     assert len(res.samples) == 5
-    assert calls == {"mean_field_hamiltonian": 0, "dense_blocks": 0, "_materialize": 0}
+    assert calls == dict.fromkeys(names, 0)
 
 
 @pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
@@ -486,4 +490,5 @@ def test_sample_energy_matches_dense_reference(case):
     expected = kin + nuc + direct - exch
     scale = abs(kin) + abs(nuc) + abs(direct) + abs(exch)
     assert abs(sample.hf_energy - expected) <= 1e-12 * scale
-    assert abs(sample.trace - sample.gamma.trace()) <= 1e-14 * sample.gamma.trace()
+    dense_trace = sum((2 * l + 1) * np.real(np.trace(b)) for l, b in enumerate(sample.gamma.blocks))
+    assert abs(sample.trace - dense_trace) <= 1e-14 * dense_trace

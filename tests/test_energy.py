@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dense_reference import dense_hamiltonian, dense_hf_terms
+from dense_reference import dense_brown_kosaki_terms, dense_hamiltonian, dense_hf_terms
 from fermitherm.energy import (
     GridMismatchError,
     OperatorCache,
     _FactoredField,
-    _factor_blocks,
+    _cutoff_profile,
     _hf_terms,
     brown_kosaki_terms,
     free_energy,
@@ -145,7 +145,7 @@ def test_structured_terms_match_dense_references():
     # the O(n) kinetic and direct paths against the dense operators they replace
     grid = build_grid(400, 40.0)
     gamma = random_state(grid, l_max=2, seed=13, scale=0.5, complex_blocks=True)
-    kin, _, direct, _ = _hf_terms(*_factor_blocks(gamma), OperatorCache(grid, 2, Z=1.0))
+    kin, _, direct, _ = _hf_terms(*gamma.factors, OperatorCache(grid, 2, Z=1.0))
     dense_kin = sum(
         (2 * l + 1) * float(np.real(np.einsum("ij,ji->", kinetic_matrix(grid, l), b)))
         for l, b in enumerate(gamma.blocks)
@@ -326,6 +326,22 @@ def test_factored_terms_match_dense_reference(case):
         assert abs(getattr(got, name) - value) <= 1e-12 * abs(value), name
     for block, dense in zip(mean_field_hamiltonian(gamma, Z=1.5).blocks, dense_hamiltonian(gamma, 1.5)):
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("case", [0, 1, 3], ids=["real", "complex", "rank-one"])
+def test_brown_kosaki_terms_match_dense_reference(case):
+    # the k x k spectra of the factored terms against full spectra of the
+    # dense blocks, at the three cutoff radii of the audit and with no cutoff
+    gamma = reference_states()[case]
+    spec = make_power_entropy(2.5)
+    grid = gamma.grid
+    for x_diag in [_cutoff_profile(grid.r / (grid.r_max / d)) for d in (8.0, 4.0, 2.0)] + [
+        np.ones(grid.n_points)
+    ]:
+        got = brown_kosaki_terms(gamma, spec, x_diag)
+        expected = dense_brown_kosaki_terms(gamma, spec, x_diag)
+        for value, reference in zip(got, expected):
+            assert abs(value - reference) <= 1e-12 * abs(reference)
 
 
 @pytest.mark.parametrize("n", [50, 400, 2000])

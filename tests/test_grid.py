@@ -281,3 +281,98 @@ def test_pointwise_kernel_bound():
     assert np.all(
         kernel[ii, jj] ** 2 <= rho_t[ii] * rho_t[jj] * (1.0 + 1e-12) + 1e-30
     )
+
+
+def random_factors(grid, ranks, seed, complex_orbitals=False):
+    """Orthonormal orbitals and weights in (0, 1) per channel."""
+    rng = np.random.default_rng(seed)
+    orbitals, weights = [], []
+    for k in ranks:
+        a = rng.standard_normal((grid.n_points, k))
+        if complex_orbitals:
+            a = a + 1j * rng.standard_normal(a.shape)
+        orbitals.append(np.linalg.qr(a)[0])
+        weights.append(rng.uniform(0.05, 0.95, k))
+    return orbitals, weights
+
+
+@pytest.mark.parametrize("complex_orbitals", [False, True], ids=["real", "complex"])
+def test_from_factors_blocks_match_outer_products(complex_orbitals):
+    # the dense view of a factored state is the symmetrized W diag(nu) W^H
+    grid = build_grid(70, 12.0)
+    orbitals, weights = random_factors(grid, [4, 2, 0], 5, complex_orbitals)
+    gamma = DensityMatrix.from_factors(grid, orbitals, weights)
+    assert gamma.l_max == 2
+    for block, w, nu in zip(gamma.blocks, orbitals, weights):
+        b = (w * nu) @ w.conj().T
+        assert np.max(np.abs(block - 0.5 * (b + b.conj().T)), initial=0.0) <= 1e-15
+    assert gamma.trace() == pytest.approx(
+        sum((2 * l + 1) * np.real(np.trace(b)) for l, b in enumerate(gamma.blocks)), rel=1e-14
+    )
+
+
+def test_density_from_factors_matches_block_diagonals():
+    grid = build_grid(70, 12.0)
+    gamma = DensityMatrix.from_factors(grid, *random_factors(grid, [3, 5], 6, True))
+    dense = sum((2 * l + 1) * np.real(np.diagonal(b)) for l, b in enumerate(gamma.blocks))
+    assert np.max(np.abs(density_from_gamma(gamma).rho_line - dense / grid.h)) <= 1e-13 * np.max(
+        dense / grid.h
+    )
+
+
+def test_factored_state_forms_no_dense_block(monkeypatch):
+    # trace, density, dilation and validation of a factored state stay on its
+    # factors; the dense view is formed only when read
+    import fermitherm.grid as grid_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense block formed")
+
+    monkeypatch.setattr(grid_module, "_materialize", refuse)
+    grid = build_grid(50, 10.0)
+    gamma = DensityMatrix.from_factors(grid, *random_factors(grid, [2, 1], 7))
+    gamma.validate()
+    dilated = dilate(gamma, 2.0)
+    assert dilated.trace() == gamma.trace()
+    assert density_from_gamma(gamma).charge == pytest.approx(gamma.trace(), rel=1e-13)
+    assert zero_density_matrix(grid, 2).trace() == 0.0
+    with pytest.raises(AssertionError, match="dense block"):
+        gamma.blocks
+
+
+def test_dense_state_is_factored_once(monkeypatch):
+    import fermitherm.grid as grid_module
+
+    calls = []
+    factor_blocks = grid_module._factor_blocks
+
+    def counting(blocks):
+        calls.append(len(blocks))
+        return factor_blocks(blocks)
+
+    monkeypatch.setattr(grid_module, "_factor_blocks", counting)
+    grid = build_grid(40, 8.0)
+    blocks = DensityMatrix.from_factors(grid, *random_factors(grid, [3, 2], 8)).blocks
+    gamma = DensityMatrix(grid, blocks)
+    gamma.validate()
+    gamma.trace()
+    density_from_gamma(gamma)
+    assert calls == [2]
+
+
+def test_validate_rejects_bad_factors():
+    grid = build_grid(30, 6.0)
+    orbitals, weights = random_factors(grid, [3, 2], 9)
+    DensityMatrix.from_factors(grid, orbitals, weights).validate()
+    shear = np.eye(3)
+    shear[0, 1] = 1e-6
+    skewed = [orbitals[0] @ shear, orbitals[1]]
+    with pytest.raises(ValueError, match="orthonormal"):
+        DensityMatrix.from_factors(grid, skewed, weights).validate()
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix.from_factors(grid, [orbitals[0][:-1], orbitals[1]], weights).validate()
+    for bad in (-1e-6, 1.0 + 1e-6):
+        nu = [weights[0].copy(), weights[1]]
+        nu[0][1] = bad
+        with pytest.raises(ValueError, match="outside"):
+            DensityMatrix.from_factors(grid, orbitals, nu).validate()

@@ -21,10 +21,10 @@ from fermitherm.energy import (
     mean_field_hamiltonian,
 )
 from fermitherm.entropy import make_power_entropy
+from fermitherm import grid as grid_module
 from fermitherm.grid import (
     DensityMatrix,
     build_grid,
-    factored_density,
     kinetic_matrix,
     nuclear_potential,
 )
@@ -156,7 +156,7 @@ def test_scf_iterates_stay_in_K():
     cfg = small_config(n_points=200, check_iterates=True)
     res = scf_minimize(cfg)
     assert res.converged
-    res.gamma.validate(tol=1e-10)
+    DensityMatrix(res.gamma.grid, res.gamma.blocks).validate(tol=1e-10)
 
 
 def test_scf_audit_fields_populated():
@@ -391,7 +391,8 @@ def test_negative_spectrum_matches_dense_reference():
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
     bare_blocks = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
     _assert_same_spectrum(cache.bare_spectrum, _dense_negative(bare_blocks))
-    warm = factored_density(cache.grid, *scf_module._initial_state(cache, cfg, constrained=True))
+    factors = scf_module._initial_state(cache, cfg, constrained=True)
+    warm = DensityMatrix.from_factors(cache.grid, *factors)
     mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache).blocks
     _assert_same_spectrum(
         scf_module._diagonalize_blocks(mf_blocks), _dense_negative(mf_blocks)
@@ -512,7 +513,7 @@ def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense state factored inside scf")
 
-    monkeypatch.setattr(energy_module, "_factor_blocks", refuse)
+    monkeypatch.setattr(grid_module, "_factor_blocks", refuse)
     monkeypatch.setattr(energy_module, "mean_field_hamiltonian", refuse)
     monkeypatch.setattr(scf_module, "mean_field_hamiltonian", refuse)
     cfg = small_config(l_max=2)
@@ -526,6 +527,40 @@ def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
     assert alone.details["h0_eigenvalues"] == pytest.approx(
         res.audit.details["h0_eigenvalues"], rel=0.0, abs=1e-12
     )
+
+
+def test_solve_and_dynamics_never_round_trip_the_state(monkeypatch):
+    # a solve returns its factors, and the dynamics read them: with both
+    # format conversions refused, a solve converges and audits, and its result
+    # is kicked, evolved and compared with itself
+    from fermitherm.dynamics import evolve, stability_experiment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("state converted between dense and factored form")
+
+    monkeypatch.setattr(grid_module, "_factor_blocks", refuse)
+    monkeypatch.setattr(grid_module, "_materialize", refuse)
+    cfg = small_config(n_points=80, r_max=20.0, tol_gamma=1e-11, tol_energy=1e-12)
+    res = scf_minimize(cfg)
+    assert res.converged and res.audit.lieb_value <= 1e-8 and res.audit.qmaxlin_chain_ok
+    kicked = stability_experiment(res, SPEC, cfg.Z, eta=1e-3, horizon=0.1, dt=0.05)
+    assert 0.0 < kicked.sup_dist < 1e-2
+    samples = evolve(res.gamma, SPEC, cfg.Z, dt=0.05, n_steps=2, reference=res.gamma)
+    assert max(s.dist_to_reference for s in samples) <= 1e-8
+
+
+def test_check_iterates_validates_factors(monkeypatch):
+    # check_iterates runs the factored validation on every iterate
+    seen = []
+    validate = DensityMatrix.validate
+
+    def recording(self, *args, **kwargs):
+        seen.append(self._dense_input)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "validate", recording)
+    res = scf_minimize(small_config(n_points=100, check_iterates=True))
+    assert res.converged and seen == [False] * res.iterations
 
 
 def test_audit_bound_reads_three_levels_when_fewer_are_bound():
@@ -596,7 +631,8 @@ def _mixing_run(problem):
 def test_mixed_iterates_stay_in_K(problem):
     # every iterate's factors are checked (orthonormal orbitals, weights in
     # [0, 1]) right after its step; the returned state is validated densely
-    _mixing_run(problem).gamma.validate(tol=1e-10)
+    gamma = _mixing_run(problem).gamma
+    DensityMatrix(gamma.grid, gamma.blocks).validate(tol=1e-10)
 
 
 def test_damped_iterates_never_raise_the_free_energy():
@@ -628,11 +664,11 @@ def _segment_problem(m, q):
         return ham, scf_module._trimmed(vectors, occs)
 
     factors0 = scf_module._initial_state(cache, cfg, constrained=True)
-    gamma0 = factored_density(cache.grid, *factors0)
+    gamma0 = DensityMatrix.from_factors(cache.grid, *factors0)
     factors = scf_module._Segment(factors0, candidate(gamma0)[1]).factors(0.5)
-    gamma = factored_density(cache.grid, *factors)
+    gamma = DensityMatrix.from_factors(cache.grid, *factors)
     ham, cand = candidate(gamma)
-    return cfg, cache, gamma, ham, factored_density(cache.grid, *cand), factors, cand
+    return cfg, cache, gamma, ham, DensityMatrix.from_factors(cache.grid, *cand), factors, cand
 
 
 # charges past the 1s level, so the damped iterates carry several orbitals
@@ -656,7 +692,7 @@ def test_segment_matches_dense_interpolation(m, q):
     e_hf = sum(dense_hf_terms(gamma, cfg.Z)[:3]) - dense_hf_terms(gamma, cfg.Z)[3]
     for t in (0.0, 0.2, 0.5, 0.8, 1.0):
         blocks = [(1.0 - t) * g + t * c for g, c in zip(gamma.blocks, cand.blocks)]
-        factored = factored_density(cache.grid, *segment.factors(t)).blocks
+        factored = DensityMatrix.from_factors(cache.grid, *segment.factors(t)).blocks
         assert max(np.max(np.abs(f - b)) for f, b in zip(factored, blocks)) <= 1e-12
         exact = DensityMatrix(grid=cache.grid, blocks=blocks)
         entropy = scf_module._entropy_of_spectra(segment.spectra(t), cfg.spec)
