@@ -107,18 +107,23 @@ class DensityMatrix:
     block unless ``blocks`` is read.
     """
 
-    def __init__(self, grid: RadialGrid, blocks):
+    def __init__(self, grid: RadialGrid, blocks=None, factors=None):
+        """From dense ``blocks`` or from ``factors`` (orbitals, weights); factors
+        given with blocks are their cached factorization."""
+        if blocks is None and factors is None:
+            raise ValueError("a density matrix needs blocks or factors")
         self.grid = grid
-        self._blocks = list(blocks)
-        self._factors = None
-        self._dense_input = True
+        self._dense_input = blocks is not None
+        self._blocks = None if blocks is None else list(blocks)
+        self._factors = None if factors is None else (list(factors[0]), list(factors[1]))
 
     @classmethod
     def from_factors(cls, grid: RadialGrid, orbitals, weights) -> "DensityMatrix":
-        state = cls(grid, [])
-        state._blocks, state._dense_input = None, False
-        state._factors = (list(orbitals), list(weights))
-        return state
+        return cls(grid, factors=(orbitals, weights))
+
+    def _on_grid(self, grid: RadialGrid) -> "DensityMatrix":
+        """The same matrices on another grid, kept in the form they were built from."""
+        return DensityMatrix(grid, self._blocks if self._dense_input else None, self._factors)
 
     @property
     def blocks(self) -> list:
@@ -138,7 +143,9 @@ class DensityMatrix:
         return len(self._blocks if self._factors is None else self._factors[1]) - 1
 
     def trace(self) -> float:
-        return float(sum((2 * l + 1) * np.sum(nu) for l, nu in enumerate(self.factors[1])))
+        """sum_l (2l+1) sum_k nu_k |w_k|^2, the trace of W diag(nu) W^H."""
+        terms = (np.sum(np.abs(w) ** 2 @ nu) for w, nu in zip(*self.factors))
+        return float(sum((2 * l + 1) * t for l, t in enumerate(terms)))
 
     def validate(self, tol: float = 1e-10) -> None:
         """Check the input form, then 0 <= Gamma <= 1 on the factors' weights.
@@ -301,14 +308,12 @@ def multipole_kernel_inverse(grid: RadialGrid, L: int) -> tuple:
 def dilate(gamma: DensityMatrix, eta: float) -> DensityMatrix:
     """Length contraction by eta > 1 (grid rescaled, matrix entries kept).
 
-    Because the factors (and dense blocks, if held) are untouched and only
-    the mesh spacing changes, the scaling laws hold as exact floating-point
-    identities: kinetic traces scale by eta^2, Coulomb energies by eta,
-    occupation spectra (hence entropy and trace) not at all.
+    The state keeps the form it was built from (dense blocks or factors),
+    with any cached factors, and only the mesh spacing changes, so the
+    scaling laws hold as exact floating-point identities: kinetic traces
+    scale by eta^2, Coulomb energies by eta, occupation spectra (hence
+    entropy and trace) not at all.
     """
     if eta <= 0.0:
         raise ValueError(f"dilation scale must be positive, got {eta}")
-    new_grid = build_grid(gamma.grid.n_points, gamma.grid.r_max / eta)
-    dilated = DensityMatrix.from_factors(new_grid, *gamma.factors)
-    dilated._blocks = gamma._blocks
-    return dilated
+    return gamma._on_grid(build_grid(gamma.grid.n_points, gamma.grid.r_max / eta))

@@ -26,6 +26,11 @@ def pair_kernels(grid, l_max):
     }
 
 
+def dense_trace(gamma):
+    """sum_l (2l+1) tr Gamma_l from the diagonals of the dense blocks."""
+    return sum((2 * l + 1) * float(np.real(np.trace(b))) for l, b in enumerate(gamma.blocks))
+
+
 def _shells(gamma):
     """h rho, the charge of each grid shell, and the dense Hartree potential."""
     shells = sum((2 * l + 1) * np.real(np.diagonal(b)) for l, b in enumerate(gamma.blocks))

@@ -490,5 +490,5 @@ def test_sample_energy_matches_dense_reference(case):
     expected = kin + nuc + direct - exch
     scale = abs(kin) + abs(nuc) + abs(direct) + abs(exch)
     assert abs(sample.hf_energy - expected) <= 1e-12 * scale
-    dense_trace = sum((2 * l + 1) * np.real(np.trace(b)) for l, b in enumerate(sample.gamma.blocks))
+    dense_trace = dense_reference.dense_trace(sample.gamma)
     assert abs(sample.trace - dense_trace) <= 1e-14 * dense_trace

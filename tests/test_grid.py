@@ -306,9 +306,13 @@ def test_from_factors_blocks_match_outer_products(complex_orbitals):
     for block, w, nu in zip(gamma.blocks, orbitals, weights):
         b = (w * nu) @ w.conj().T
         assert np.max(np.abs(block - 0.5 * (b + b.conj().T)), initial=0.0) <= 1e-15
-    assert gamma.trace() == pytest.approx(
-        sum((2 * l + 1) * np.real(np.trace(b)) for l, b in enumerate(gamma.blocks)), rel=1e-14
-    )
+    # the trace is that of W diag(nu) W^H, so it sees orbitals that lost their norm
+    stretched = DensityMatrix.from_factors(grid, [1.01 * w for w in orbitals], weights)
+    for state in (gamma, stretched):
+        assert state.trace() == pytest.approx(
+            sum((2 * l + 1) * np.real(np.trace(b)) for l, b in enumerate(state.blocks)), rel=1e-14
+        )
+    assert stretched.trace() == pytest.approx(1.01**2 * gamma.trace(), rel=1e-14)
 
 
 def test_density_from_factors_matches_block_diagonals():
@@ -358,6 +362,33 @@ def test_dense_state_is_factored_once(monkeypatch):
     gamma.trace()
     density_from_gamma(gamma)
     assert calls == [2]
+
+
+def test_dilated_dense_state_keeps_its_form(monkeypatch):
+    # a dense state stays dense under dilation: its blocks are still checked
+    # for Hermiticity, and factors it already has come along without an eigh
+    import fermitherm.grid as grid_module
+
+    calls = []
+    factor_blocks = grid_module._factor_blocks
+
+    def counting(blocks):
+        calls.append(len(blocks))
+        return factor_blocks(blocks)
+
+    monkeypatch.setattr(grid_module, "_factor_blocks", counting)
+    grid = build_grid(40, 8.0)
+    blocks = DensityMatrix.from_factors(grid, *random_factors(grid, [3, 2], 10)).blocks
+    gamma = DensityMatrix(grid, blocks)
+    dilated = dilate(gamma, 2.0)
+    assert calls == [] and all(a is b for a, b in zip(dilated.blocks, blocks))
+    gamma.trace()
+    assert dilate(gamma, 2.0).trace() == gamma.trace() and calls == [2]
+    skewed = [blocks[0] + 1e-6 * np.triu(np.ones_like(blocks[0]), 1), blocks[1]]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dilate(DensityMatrix(grid, skewed), 2.0).validate()
+    with pytest.raises(ValueError, match="blocks or factors"):
+        DensityMatrix(grid)
 
 
 def test_validate_rejects_bad_factors():

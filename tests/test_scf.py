@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_reference import dense_hf_terms
+from dense_reference import dense_hf_terms, dense_trace
 from fermitherm import energy as energy_module
 from fermitherm.energy import (
     OperatorCache,
@@ -149,7 +149,7 @@ def test_scf_small_run_converges():
     # rank-one trial bounds the minimum from above: I <= -q/4 + q^2
     assert res.energy.total_free <= -0.015 + 5e-4
     assert res.energy.total_free < 0.0
-    assert res.gamma.trace() == pytest.approx(0.1, abs=1e-9)
+    assert dense_trace(res.gamma) == pytest.approx(0.1, abs=1e-9)
 
 
 def test_scf_iterates_stay_in_K():
@@ -233,7 +233,7 @@ def test_scf_global_converges_with_zero_multiplier():
     assert res.energy.total_free < 0.0
     # trace chain: bound charge cannot exceed the bare-spectrum capacity
     assert res.audit.qmaxlin_chain_ok
-    assert res.gamma.trace() <= res.audit.details["discrete_q_max_lin"] + 1e-9
+    assert dense_trace(res.gamma) <= res.audit.details["discrete_q_max_lin"] + 1e-9
 
 
 def test_converged_energy_beats_trial_library():
@@ -354,7 +354,7 @@ def test_interactions_off_single_orbital_occupation():
     )
     res = scf_minimize(cfg)
     assert res.converged
-    assert res.gamma.trace() == pytest.approx(0.1, abs=1e-9)
+    assert dense_trace(res.gamma) == pytest.approx(0.1, abs=1e-9)
     # linear model at fixed q: occupations g((eps - mu)/T); check against
     # the analytic inverse on the discrete spectrum
     h_bare = kinetic_matrix(res.gamma.grid, 0) + np.diag(
@@ -419,8 +419,7 @@ def test_negative_spectrum_empty_and_zero_level():
     assert levels[0].tolist() == [-1.0] and vectors[0].shape == (3, 1)
 
 
-def _dense_audit_details(result, cfg):
-    gamma = result.gamma
+def _dense_audit_details(gamma, cfg):
     cache = OperatorCache(gamma.grid, cfg.l_max, cfg.Z)
     bare = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
     ham = mean_field_hamiltonian(gamma, cfg.Z, cache).blocks if cfg.interactions else bare
@@ -441,13 +440,15 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
     cfg = small_config(l_max=2, interactions=interactions)
     fast = scf_minimize(cfg)
     # the energy from the last candidate's occupations against the full
-    # eigendecomposition of the returned gamma
+    # eigendecomposition of the returned gamma: the state rebuilt from its
+    # dense blocks is factored again, independently of the solve's factors
+    dense_gamma = DensityMatrix(fast.gamma.grid, fast.gamma.blocks)
     reference = (free_energy if interactions else linear_energy_breakdown)(
-        fast.gamma, SPEC, cfg.Z, cfg.T
+        dense_gamma, SPEC, cfg.Z, cfg.T
     )
     for key, value in dataclasses.asdict(reference).items():
         assert abs(getattr(fast.energy, key) - value) <= 1e-12, key
-    dense_details = _dense_audit_details(fast, cfg)
+    dense_details = _dense_audit_details(dense_gamma, cfg)
     for key, value in dense_details.items():
         assert np.allclose(fast.audit.details[key], value, rtol=0.0, atol=1e-12), key
 
@@ -714,4 +715,4 @@ def test_optimal_damping_converges_where_linear_mixing_was_slow():
     res = scf_minimize(cfg)
     assert res.converged and res.iterations <= 20
     assert res.audit.passed(cfg.tol_gamma)
-    assert res.gamma.trace() == pytest.approx(1.5, abs=1e-10)
+    assert dense_trace(res.gamma) == pytest.approx(1.5, abs=1e-10)
