@@ -22,10 +22,8 @@ from .energy import (
     MeanFieldHamiltonian,
     OperatorCache,
     free_energy,
-    hardy_positivity_diagnostic,
     hf_energy,
     inequality_audit,
-    linear_free_energy,
     mean_field_hamiltonian,
 )
 from .entropy import (

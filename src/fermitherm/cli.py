@@ -6,18 +6,18 @@ unconverged input states).  CSV output is byte-deterministic: header row first,
 17-significant-digit floats, LF line endings.  A JSON file with the same
 keys as the flags can be passed via --config; its values are converted as
 the flags' text would be, and explicit flags win.
-FERMITHERM_THREADS caps the fan-out of sweep and stability runs.
+FERMITHERM_THREADS caps the threads of a sweep.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .dynamics import (
     stability_experiment,
 )
 from .entropy import InvalidExponentError, make_power_entropy, validate_a4
-from .grid import DensityMatrix, build_grid, density_from_gamma, hartree_potential
+from .grid import DensityMatrix, density_from_gamma, hartree_potential
 from .linear import linear_report
 from .scf import ScfConfig, ScfResult, UnboundedRegimeError, charge_sweep, scf_minimize, scf_global
 
@@ -93,7 +93,12 @@ def _file_value(action: argparse.Action, value):
         raise ValueError(f"config key {action.dest!r}: {exc}") from exc
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
+def _merge(args: argparse.Namespace, defaults: dict | None = None) -> dict:
+    """The command's own ``defaults``, then the --config file, then the flags given.
+
+    An option none of them sets is absent; the library function it feeds
+    supplies the default (``_library_args``).
+    """
     provided = {
         k: v for k, v in vars(args).items() if k not in ("func", "command", "parser")
     }
@@ -104,18 +109,18 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
             from_file = json.load(fh)
         if not isinstance(from_file, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(from_file) - set(defaults)
+        actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
+        unknown = set(from_file) - set(actions)
         if unknown:
             sys.stderr.write(
                 f"error: unknown config key(s): {', '.join(sorted(unknown))}\n"
             )
             raise SystemExit(1)
-        actions = {a.dest: a for a in args.parser._actions}
         # null leaves the default in place
         from_file = {
             k: _file_value(actions[k], v) for k, v in from_file.items() if v is not None
         }
-    return {**defaults, **from_file, **provided}
+    return {**(defaults or {}), **from_file, **provided}
 
 
 def _require(opts: dict, keys) -> None:
@@ -125,36 +130,38 @@ def _require(opts: dict, keys) -> None:
         raise SystemExit(1)
 
 
-_PHYSICS_DEFAULTS = {"m": None, "Z": None, "T": None}
-_SOLVER_DEFAULTS = {
-    **_PHYSICS_DEFAULTS,
-    "q": None,
-    "n": 2000,
-    "rmax": None,
-    "lmax": 3,
-    "tol_gamma": 1e-9,
-    "tol_energy": 1e-9,
-    "max_iter": 300,
+def _library_args(opts: dict, func, names: dict) -> dict:
+    """Keyword arguments of ``func`` from the options ``names`` maps to them.
+
+    An option not given takes ``func``'s own default, so no default of the
+    library is restated here.
+    """
+    params = inspect.signature(func).parameters
+    return {arg: opts[key] if key in opts else params[arg].default for key, arg in names.items()}
+
+
+_SOLVER_ARGS = {
+    "q": "q",
+    "n": "n_points",
+    "rmax": "r_max",
+    "lmax": "l_max",
+    "tol_gamma": "tol_gamma",
+    "tol_energy": "tol_energy",
+    "max_iter": "max_iter",
 }
 
 
-def _scf_config(opts: dict, q) -> ScfConfig:
+def _scf_config(opts: dict) -> ScfConfig:
     return ScfConfig(
         spec=make_power_entropy(opts["m"]),
         Z=opts["Z"],
         T=opts["T"],
-        q=q,
-        n_points=int(opts["n"]),
-        r_max=opts["rmax"],
-        l_max=int(opts["lmax"]),
-        tol_gamma=opts["tol_gamma"],
-        tol_energy=opts["tol_energy"],
-        max_iter=int(opts["max_iter"]),
+        **_library_args(opts, ScfConfig, _SOLVER_ARGS),
     )
 
 
 def cmd_entropy(args) -> int:
-    opts = _merge(args, {**_PHYSICS_DEFAULTS, "lambda_grid": None, "out": None})
+    opts = _merge(args)
     _require(opts, ("m", "Z", "T"))
     try:
         spec = make_power_entropy(opts["m"])
@@ -162,7 +169,7 @@ def cmd_entropy(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     report = validate_a4(spec, opts["Z"], opts["T"])
-    if opts["lambda_grid"] is not None:
+    if "lambda_grid" in opts:
         lams = [float(tok) for tok in str(opts["lambda_grid"]).split(",")]
     else:
         lams = list(np.linspace(-spec.m - 1.0, 1.0, 9))
@@ -174,12 +181,12 @@ def cmd_entropy(args) -> int:
     )
     rows = [(lam, float(spec.g(lam)), float(spec.beta_star(lam))) for lam in lams]
     text = verdict + "\n" + _csv_text(("lambda", "g", "beta_star"), rows)
-    _emit(text, opts["out"])
+    _emit(text, opts.get("out"))
     return 0 if report.converges else 2
 
 
 def cmd_linear(args) -> int:
-    opts = _merge(args, {**_PHYSICS_DEFAULTS, "out": None})
+    opts = _merge(args)
     _require(opts, ("m", "Z", "T"))
     try:
         spec = make_power_entropy(opts["m"])
@@ -202,116 +209,81 @@ def cmd_linear(args) -> int:
             ("m", "Z", "T", "regime", "q_max_lin", "F_min", "tail", "q_guaranteed"),
             [row],
         ),
-        opts["out"],
+        opts.get("out"),
     )
     return 0
 
 
+def _config_record(config: ScfConfig) -> dict:
+    """Every config field as a plain value: the entropy by its exponent m, r_max resolved."""
+    record = {f.name: getattr(config, f.name) for f in fields(config) if f.name != "spec"}
+    return {**record, "m": config.spec.m, "r_max": config.resolved_r_max()}
+
+
 def _save_state(path: str, result: ScfResult, config: ScfConfig) -> None:
-    payload = {
-        "n_points": config.n_points,
-        "r_max": config.resolved_r_max(),
-        "l_max": config.l_max,
-        "Z": config.Z,
-        "T": config.T,
-        "m": config.spec.m,
-        "q": math.nan if config.q is None else config.q,
-        "mu": result.mu,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "converged": int(result.converged),
-    }
-    arrays = {f"block_{l}": b for l, b in enumerate(result.gamma.blocks)}
-    np.savez(path, **payload, **arrays)
+    """The minimizer as the solver holds it, orbitals W_l and weights nu_l per channel."""
+    orbitals, weights = result.gamma.factors
+    np.savez(
+        path,
+        config=json.dumps(_config_record(config)),
+        mu=result.mu,
+        residual=result.residual,
+        iterations=result.iterations,
+        status=result.status,
+        **{f"orbitals_{l}": w for l, w in enumerate(orbitals)},
+        **{f"weights_{l}": nu for l, nu in enumerate(weights)},
+    )
 
 
 class _StateError(Exception):
     """A stored state is missing, malformed or not a converged minimizer (exit 4)."""
 
 
-_STATE_SCALARS = (
-    "n_points", "r_max", "l_max", "Z", "T", "m", "mu", "residual", "iterations", "converged",
-)
+def _load_state(path: str) -> tuple:
+    """(result, config) from a file ``_save_state`` wrote; only converged minimizers pass.
 
-
-def _check_state_scalars(scalars: dict) -> None:
-    """Refuse stored scalars no grid, operator or model can be built from.
-
-    ``build_grid`` refuses a nonpositive ``r_max`` or ``n_points`` itself.
-    """
-    if int(scalars["l_max"]) < 0:
-        raise ValueError(f"l_max must be >= 0, got {scalars['l_max']}")
-    for key in ("r_max", "Z", "T"):
-        if not math.isfinite(float(scalars[key])):
-            raise ValueError(f"{key} must be finite, got {scalars[key]}")
-    if float(scalars["T"]) <= 0.0:
-        raise ValueError(f"T must be positive, got {scalars['T']}")
-
-
-def _load_state(path: str):
-    """Reload a state written by ``_save_state``; only converged minimizers pass.
-
-    The file comes from outside the program, so keys, the grid and model
-    scalars, block shapes, Hermiticity and the spectrum in [0, 1] are all
-    checked before use.  No energy is computed: ``evolve`` and ``stability``
+    The file comes from outside the program.  ``ScfConfig``, the entropy and
+    the grid check the stored config, and ``DensityMatrix.validate`` the
+    factors, before use.  No energy is computed: ``evolve`` and ``stability``
     never read it.
     """
     if not os.path.exists(path):
         raise _StateError(f"state file not found: {path}")
     try:
         with np.load(path) as data:
-            scalars = {k: data[k].item() for k in _STATE_SCALARS}
-            _check_state_scalars(scalars)
-            blocks = [data[f"block_{l}"] for l in range(int(scalars["l_max"]) + 1)]
-        gamma = DensityMatrix(
-            grid=build_grid(int(scalars["n_points"]), float(scalars["r_max"])),
-            blocks=blocks,
-        )
-        gamma.validate()
-        spec = make_power_entropy(float(scalars["m"]))
-        Z, T = float(scalars["Z"]), float(scalars["T"])
-        converged = bool(int(scalars["converged"]))
-        result = ScfResult(
-            gamma=gamma,
-            mu=float(scalars["mu"]),
-            energy=None,
-            residual=float(scalars["residual"]),
-            iterations=int(scalars["iterations"]),
-            converged=converged,
-            status="converged" if converged else "max_iter",
-        )
+            record = json.loads(data["config"].item())
+            spec = make_power_entropy(record["m"])
+            config = ScfConfig(spec=spec, **{k: v for k, v in record.items() if k != "m"})
+            channels = range(config.l_max + 1)
+            gamma = DensityMatrix.from_factors(
+                config.make_grid(),
+                [data[f"orbitals_{l}"] for l in channels],
+                [data[f"weights_{l}"] for l in channels],
+            )
+            gamma.validate()
+            status = str(data["status"])
+            result = ScfResult(
+                gamma=gamma,
+                mu=float(data["mu"]),
+                energy=None,
+                residual=float(data["residual"]),
+                iterations=int(data["iterations"]),
+                converged=status == "converged",
+                status=status,
+            )
     except (KeyError, OSError, TypeError, ValueError) as exc:
         raise _StateError(f"invalid state file {path}: {exc}") from exc
     if not result.converged:
         raise _StateError("input state is not a converged minimizer")
-    return result, spec, Z, T
+    return result, config
 
 
 def _result_payload(result: ScfResult, config: ScfConfig) -> dict:
     audit = None
     if result.audit is not None:
-        audit = {
-            "selfconsistency_residual": result.audit.selfconsistency_residual,
-            "lieb_value": result.audit.lieb_value,
-            "eigenvalue_bound_ok": result.audit.eigenvalue_bound_ok,
-            "qmaxlin_chain_ok": result.audit.qmaxlin_chain_ok,
-            "energy_negative_ok": result.audit.energy_negative_ok,
-            "passed": result.audit.passed(config.tol_gamma),
-            "details": result.audit.details,
-        }
+        audit = {**asdict(result.audit), "passed": result.audit.passed(config.tol_gamma)}
     return {
-        "config": {
-            "m": config.spec.m,
-            "Z": config.Z,
-            "T": config.T,
-            "q": config.q,
-            "n_points": config.n_points,
-            "r_max": config.resolved_r_max(),
-            "l_max": config.l_max,
-            "tol_gamma": config.tol_gamma,
-            "tol_energy": config.tol_energy,
-            "max_iter": config.max_iter,
-        },
+        "config": _config_record(config),
         "converged": result.converged,
         "status": result.status,
         "iterations": result.iterations,
@@ -324,24 +296,21 @@ def _result_payload(result: ScfResult, config: ScfConfig) -> dict:
 
 
 def cmd_minimize(args) -> int:
-    opts = _merge(
-        args,
-        {**_SOLVER_DEFAULTS, "out": None, "density_csv": None, "state": None},
-    )
+    opts = _merge(args)
     _require(opts, ("m", "Z", "T"))
-    config = _scf_config(opts, opts["q"])
-    result = scf_minimize(config) if opts["q"] is not None else scf_global(config)
+    config = _scf_config(opts)
+    result = scf_minimize(config) if config.q is not None else scf_global(config)
     payload = _result_payload(result, config)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, opts["out"])
+    _emit(text, opts.get("out"))
 
-    state_path = opts["state"]
-    if state_path is None and opts["out"] is not None:
+    state_path = opts.get("state")
+    if state_path is None and "out" in opts:
         state_path = os.path.splitext(opts["out"])[0] + ".npz"
     if state_path is not None:
         _save_state(state_path, result, config)
 
-    if opts["density_csv"] is not None:
+    if "density_csv" in opts:
         rho = density_from_gamma(result.gamma)
         v_h = hartree_potential(result.gamma.grid, rho)
         rows = list(zip(result.gamma.grid.r, rho.rho_line, v_h))
@@ -355,16 +324,7 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = _merge(
-        args,
-        {
-            **_SOLVER_DEFAULTS,
-            "q_from": None,
-            "q_to": None,
-            "q_steps": None,
-            "out": None,
-        },
-    )
+    opts = _merge(args)
     _require(opts, ("m", "Z", "T", "q_from", "q_to", "q_steps"))
     steps = int(opts["q_steps"])
     if steps < 1 or opts["q_to"] < opts["q_from"]:
@@ -374,7 +334,7 @@ def cmd_sweep(args) -> int:
         q_list = [float(opts["q_from"])]
     else:
         q_list = list(np.linspace(opts["q_from"], opts["q_to"], steps))
-    config = _scf_config(opts, None)
+    config = _scf_config(opts)
     sweep = charge_sweep(config, q_list, workers=_worker_count(len(q_list)))
     rows = [
         (r.q, r.free_energy, r.mu, r.converged, r.binding_flag) for r in sweep.rows
@@ -388,7 +348,7 @@ def cmd_sweep(args) -> int:
     ]
     _emit(
         _csv_text(("q", "I", "mu", "converged", "binding_flag"), rows, footer),
-        opts["out"],
+        opts.get("out"),
     )
     return 0 if all(r.converged for r in sweep.rows) else 4
 
@@ -403,74 +363,52 @@ def _trajectory_rows(samples):
 _TRAJ_HEADER = ("t", "trace", "E_hf", "entropy_trace", "dist")
 
 
-_DYNAMICS_DEFAULTS = {
-    "state": None,
-    "dt": None,
-    "horizon": None,
-    "stride": 10,
-    "inner": 3,
-    "propagator": "cayley",
-}
+_STEP_ARGS = {"stride": "sample_stride", "inner": "inner_iterations", "propagator": "propagator"}
+
+
+def _step_args(opts: dict, func) -> dict:
+    """The step controls ``func`` takes, checked before any state is read."""
+    controls = _library_args(opts, func, _STEP_ARGS)
+    _check_step_controls(opts["dt"], **controls)
+    return controls
 
 
 def cmd_evolve(args) -> int:
-    opts = _merge(args, {**_DYNAMICS_DEFAULTS, "out": None})
+    opts = _merge(args, {"stride": 10})
     _require(opts, ("state", "dt", "horizon"))
-    _check_step_controls(
-        opts["dt"], int(opts["inner"]), int(opts["stride"]), opts["propagator"]
-    )
+    controls = _step_args(opts, evolve)
     n_steps = _step_count(opts["horizon"], opts["dt"])
-    result, spec, Z, _ = _load_state(opts["state"])
+    result, config = _load_state(opts["state"])
     samples = evolve(
         result.gamma,
-        spec,
-        Z,
+        config.spec,
+        config.Z,
         dt=opts["dt"],
         n_steps=n_steps,
         reference=result.gamma,
-        sample_stride=int(opts["stride"]),
-        inner_iterations=int(opts["inner"]),
-        propagator=opts["propagator"],
+        **controls,
     )
-    _emit(_csv_text(_TRAJ_HEADER, _trajectory_rows(samples)), opts["out"])
+    _emit(_csv_text(_TRAJ_HEADER, _trajectory_rows(samples)), opts.get("out"))
     return 0
 
 
 def cmd_stability(args) -> int:
-    opts = _merge(
-        args,
-        {**_DYNAMICS_DEFAULTS, "eta": None, "seed": 0, "out_prefix": "stability_"},
-    )
+    opts = _merge(args, {"out_prefix": "stability_"})
     _require(opts, ("state", "dt", "horizon", "eta"))
-    _check_step_controls(
-        opts["dt"], int(opts["inner"]), int(opts["stride"]), opts["propagator"]
-    )
+    controls = _step_args(opts, stability_experiment)
+    controls.update(_library_args(opts, stability_experiment, {"seed": "seed"}))
     _step_count(opts["horizon"], opts["dt"])
     etas = opts["eta"]
     for eta in etas:
         _check_kick(eta)
-    result, spec, Z, _ = _load_state(opts["state"])
-
-    def run(eta):
-        return stability_experiment(
-            result,
-            spec,
-            Z,
-            eta=eta,
-            horizon=opts["horizon"],
-            dt=opts["dt"],
-            seed=int(opts["seed"]),
-            sample_stride=int(opts["stride"]),
-            inner_iterations=int(opts["inner"]),
-            propagator=opts["propagator"],
+    result, config = _load_state(opts["state"])
+    outcomes = [
+        stability_experiment(
+            result, config.spec, config.Z, eta=eta, horizon=opts["horizon"], dt=opts["dt"],
+            **controls,
         )
-
-    workers = _worker_count(len(etas))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, etas))
-    else:
-        outcomes = [run(eta) for eta in etas]
+        for eta in etas
+    ]
 
     prefix = opts["out_prefix"]
     for eta, outcome in zip(etas, outcomes):

@@ -31,7 +31,6 @@ from .grid import (
     RadialGrid,
     _density_line,
     hartree_potential,
-    kinetic_matrix,
     kinetic_tridiagonal,
     multipole_apply,
     multipole_generators,
@@ -47,11 +46,9 @@ __all__ = [
     "OperatorCache",
     "brown_kosaki_terms",
     "free_energy",
-    "hardy_positivity_diagnostic",
     "linear_energy_breakdown",
     "hf_energy",
     "inequality_audit",
-    "linear_free_energy",
     "mean_field_hamiltonian",
 ]
 
@@ -300,17 +297,6 @@ def linear_energy_breakdown(
     return _make_breakdown(kin, nuc, 0.0, 0.0, _entropy_of_blocks(gamma.factors[1], spec), T)
 
 
-def linear_free_energy(
-    gamma: DensityMatrix,
-    spec: EntropySpec,
-    Z: float,
-    T: float,
-    cache: OperatorCache | None = None,
-) -> float:
-    """Free energy with the two-body terms (direct, exchange) dropped."""
-    return linear_energy_breakdown(gamma, spec, Z, T, cache).total_free
-
-
 @dataclass
 class MeanFieldHamiltonian:
     """Per-channel blocks H_l = kinetic_l + diag(v_nuclear + v_hartree) - K_l.
@@ -377,19 +363,6 @@ def mean_field_hamiltonian(
 ) -> MeanFieldHamiltonian:
     field = _factored_field(_cache_for(gamma, Z, cache), *gamma.factors)
     return MeanFieldHamiltonian(grid=gamma.grid, blocks=field.dense_blocks())
-
-
-def hardy_positivity_diagnostic(grid: RadialGrid, l: int = 0) -> float:
-    """Smallest eigenvalue of r(-d^2/dr^2) + (-d^2/dr^2) r on the grid.
-
-    The continuum operator is nonnegative (a Hardy-type positivity),
-    but the discrete stencil may dip below zero near the origin; the
-    value is reported as a diagnostic and never asserted anywhere.
-    """
-    k = kinetic_matrix(grid, l)
-    r_mat = grid.r[:, None] * k
-    sym = r_mat + r_mat.T
-    return float(np.linalg.eigvalsh(sym)[0])
 
 
 def _cutoff_profile(s: np.ndarray) -> np.ndarray:

@@ -150,10 +150,15 @@ class DensityMatrix:
     def validate(self, tol: float = 1e-10) -> None:
         """Check the input form, then 0 <= Gamma <= 1 on the factors' weights.
 
-        Dense blocks must be n x n and Hermitian, checked before they are
-        factored (eigh reads one triangle); factors need orthonormal orbitals.
+        Every entry must be finite (NaN passes each bound test below).  Dense
+        blocks must be n x n and Hermitian, checked before they are factored
+        (eigh reads one triangle); factors need 1-D weights and orthonormal
+        orbitals.
         """
         n = self.grid.n_points
+        arrays = self._blocks if self._dense_input else [*self._factors[0], *self._factors[1]]
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValueError("state has non-finite entries")
         if self._dense_input:
             for l, b in enumerate(self._blocks):
                 if b.shape != (n, n):
@@ -163,8 +168,11 @@ class DensityMatrix:
                     raise ValueError(f"block l={l} not Hermitian: defect {herm:.2e}")
         else:
             for l, (w, nu) in enumerate(zip(*self._factors)):
-                if w.shape != (n, nu.size):
-                    raise ValueError(f"channel l={l} orbitals have shape {w.shape}")
+                if nu.ndim != 1 or w.shape != (n, nu.size):
+                    raise ValueError(
+                        f"channel l={l}: orbitals of shape {w.shape} do not fit weights "
+                        f"of shape {nu.shape}"
+                    )
                 gram = float(np.max(np.abs(w.conj().T @ w - np.eye(nu.size)), initial=0.0))
                 if gram > tol:
                     raise ValueError(f"channel l={l} orbitals not orthonormal: defect {gram:.2e}")

@@ -103,7 +103,6 @@ class ScfConfig:
     tol_gamma: float = 1e-9
     tol_energy: float = 1e-9
     max_iter: int = 300
-    check_iterates: bool = False
     interactions: bool = True
 
     def __post_init__(self):
@@ -440,8 +439,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         history.append(
             {"iteration": iteration, "free_energy": free, "defect": defect, "t": t, "mu": mu}
         )
-        if config.check_iterates:
-            DensityMatrix.from_factors(grid, *factors).validate()
+        DensityMatrix.from_factors(grid, *factors).validate()  # each iterate stays a state
         if status == "converged":
             break
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -236,14 +237,14 @@ def test_load_state_builds_no_operator_cache(stored_state, monkeypatch):
         raise AssertionError("OperatorCache built while loading a state")
 
     monkeypatch.setattr(fermitherm.energy, "OperatorCache", refuse)
-    result, spec, Z, T = _load_state(str(stored_state))
+    result, config = _load_state(str(stored_state))
     assert result.converged and result.energy is None
-    assert (spec.m, Z, T) == (2.0, 1.0, 1.0)
+    assert (config.spec.m, config.Z, config.T) == (2.0, 1.0, 1.0)
 
 
 def test_evolve_factors_stored_state_once(stored_state, tmp_path, capsys, monkeypatch):
-    # validation factors the loaded blocks; evolve reads the same factors for
-    # the initial state and the reference
+    # the file holds the factors themselves: loading, validation and evolve
+    # factor no block
     import fermitherm.grid
 
     calls = []
@@ -257,7 +258,7 @@ def test_evolve_factors_stored_state_once(stored_state, tmp_path, capsys, monkey
     argv = ["evolve", "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.04"]
     code, _, _ = run(capsys, argv + ["--out", str(tmp_path / "traj.csv")])
     assert code == 0
-    assert calls == [2]
+    assert calls == []
 
 
 def test_evolve_missing_state_exit4(tmp_path, capsys):
@@ -285,35 +286,113 @@ def test_dynamics_bad_step_controls_exit1(stored_state, tmp_path, capsys, comman
     assert "Traceback" not in err
 
 
+def _with_config(arrays, **changes):
+    record = json.loads(arrays["config"].item())
+    arrays["config"] = np.array(json.dumps({**record, **changes}))
+
+
 @pytest.mark.parametrize(
     "tamper",
-    ["asymmetric", "shape", "spectrum", "missing", "lmax_negative", "rmax_nan", "Z_nan"],
+    [
+        "nonorthonormal", "shape", "spectrum", "missing", "lmax_negative", "rmax_nan", "Z_nan",
+        "nan", "weights_2d", "old_format",
+    ],
 )
 def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tamper):
     with np.load(stored_state) as data:
         arrays = dict(data)
-    block = arrays["block_1"]
+    orbitals = arrays["orbitals_0"]
     if tamper == "lmax_negative":
-        arrays["l_max"] = np.array(-1)
+        _with_config(arrays, l_max=-1)
     elif tamper == "rmax_nan":
-        arrays["r_max"] = np.array(np.nan)
+        _with_config(arrays, r_max=math.nan)
     elif tamper == "Z_nan":
-        arrays["Z"] = np.array(np.nan)
-    elif tamper == "asymmetric":
-        block[0, 1] += 1e-3
+        _with_config(arrays, Z=math.nan)
+    elif tamper == "nonorthonormal":
+        orbitals[:, 0] *= 1.001
     elif tamper == "shape":
-        arrays["block_1"] = block[:-1, :-1]
+        arrays["orbitals_0"] = orbitals[:-1]
     elif tamper == "spectrum":
-        arrays["block_1"] = 2.0 * np.eye(block.shape[0])
-    else:
-        del arrays["block_1"]
+        arrays["weights_0"] = 2.0 * np.ones_like(arrays["weights_0"])
+    elif tamper == "nan":
+        orbitals[0, 0] = np.nan
+    elif tamper == "weights_2d":
+        arrays["weights_0"] = arrays["weights_0"][:, None]
+    elif tamper == "missing":
+        del arrays["orbitals_1"]
+    else:  # the dense block_<l> layout is not read
+        arrays = {"block_0": orbitals @ orbitals.T, "l_max": np.array(0)}
     bad = tmp_path / "bad.npz"
     np.savez(bad, **arrays)
     code, _, err = run(
         capsys, ["evolve", "--state", str(bad), "--dt", "0.02", "--horizon", "0.1"]
     )
     assert code == 4
-    assert "error:" in err
+    assert "error:" in err and "Traceback" not in err
+    if tamper in ("missing", "old_format"):
+        assert ("orbitals_1" if tamper == "missing" else "config") in err
+
+
+def test_state_file_roundtrips_an_empty_channel(tmp_path):
+    # a channel with no occupied orbital is stored as an (n, 0) block of factors
+    from fermitherm.cli import _load_state, _save_state
+    from fermitherm.entropy import make_power_entropy
+    from fermitherm.grid import DensityMatrix
+    from fermitherm.scf import ScfConfig, ScfResult
+
+    config = ScfConfig(spec=make_power_entropy(2.0), Z=1.0, T=1.0, q=0.5, n_points=40,
+                       r_max=20.0, l_max=2)
+    rng = np.random.default_rng(5)
+    orbitals = [np.linalg.qr(rng.standard_normal((40, 2)))[0], np.zeros((40, 0)),
+                np.linalg.qr(rng.standard_normal((40, 1)))[0]]
+    weights = [np.array([0.9, 0.2]), np.zeros(0), np.array([0.1])]
+    gamma = DensityMatrix.from_factors(config.make_grid(), orbitals, weights)
+    result = ScfResult(gamma=gamma, mu=-0.1, energy=None, residual=1e-12, iterations=3,
+                       converged=True, status="converged")
+    path = tmp_path / "state.npz"
+    _save_state(str(path), result, config)
+    loaded, loaded_config = _load_state(str(path))
+    assert loaded_config == config
+    assert (loaded.mu, loaded.residual, loaded.iterations) == (-0.1, 1e-12, 3)
+    for got, want in zip(loaded.gamma.factors, (orbitals, weights)):
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_evolve_from_file_matches_library_bit_for_bit(stored_state, tmp_path, capsys):
+    from fermitherm.cli import _TRAJ_HEADER, _csv_text, _trajectory_rows
+    from fermitherm.dynamics import evolve
+    from fermitherm.entropy import make_power_entropy
+    from fermitherm.scf import ScfConfig, scf_minimize
+
+    traj = tmp_path / "traj.csv"
+    argv = ["evolve", "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.4"]
+    code, _, _ = run(capsys, argv + ["--out", str(traj)])
+    assert code == 0
+    spec = make_power_entropy(2.0)
+    config = ScfConfig(spec=spec, Z=1.0, T=1.0, q=0.1, n_points=150, r_max=30.0, l_max=1)
+    result = scf_minimize(config)
+    samples = evolve(result.gamma, spec, 1.0, dt=0.02, n_steps=20, reference=result.gamma,
+                     sample_stride=10)
+    assert traj.read_text() == _csv_text(_TRAJ_HEADER, _trajectory_rows(samples))
+
+
+def test_minimize_evolve_stability_stay_factored(tmp_path, capsys, monkeypatch):
+    # the state goes from the solver to the file to the dynamics as factors
+    import fermitherm.grid
+
+    def refuse(*args):
+        raise AssertionError("a state was turned dense or factored again")
+
+    monkeypatch.setattr(fermitherm.grid, "_materialize", refuse)
+    monkeypatch.setattr(fermitherm.grid, "_factor_blocks", refuse)
+    code, _, _ = run(capsys, MINIMIZE_SMALL + ["--out", str(tmp_path / "min.json")])
+    assert code in (0, 3)
+    state = ["--state", str(tmp_path / "min.npz"), "--dt", "0.02", "--horizon", "0.1"]
+    code, _, _ = run(capsys, ["evolve", *state, "--out", str(tmp_path / "traj.csv")])
+    assert code == 0
+    argv = ["stability", *state, "--eta", "1e-3", "--out-prefix", str(tmp_path / "s_")]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -459,3 +538,28 @@ def test_minimize_json_deterministic(tmp_path, capsys):
         assert code in (0, 3)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_readme_commands_parse(capsys):
+    # every fenced `fermitherm ...` command in the README names only flags and
+    # values the parser accepts; nothing is run
+    import re
+    import shlex
+    from pathlib import Path
+
+    from fermitherm.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fenced = "\n".join(re.findall(r"```[a-z]*\n(.*?)```", readme, re.S))
+    lines = fenced.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("fermitherm ")]
+    assert {argv[0] for argv in commands} == {
+        "entropy", "linear", "minimize", "sweep", "evolve", "stability",
+    }
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: fermitherm {' '.join(argv)}\n"
+                        + capsys.readouterr().err)

@@ -12,7 +12,7 @@ from fermitherm.energy import (
     free_energy,
     hf_energy,
     inequality_audit,
-    linear_free_energy,
+    linear_energy_breakdown,
     mean_field_hamiltonian,
 )
 from fermitherm.entropy import make_power_entropy
@@ -125,14 +125,14 @@ def test_free_energy_rejects_bad_eigenvalues():
 def test_linear_free_energy_zero_and_rank_one():
     grid = build_grid(400, 40.0)
     spec = make_power_entropy(2.0)
-    assert linear_free_energy(zero_density_matrix(grid, 0), spec, 1.0, 1.0) == 0.0
+    assert linear_energy_breakdown(zero_density_matrix(grid, 0), spec, 1.0, 1.0).total_free == 0.0
     eps, orbs = bare_orbitals(grid, Z=1.0)
     phi = orbs[:, 0]
     nu_grid = np.linspace(0.0, 1.0, 41)
     values = []
     for nu in nu_grid:
         gamma = DensityMatrix(grid=grid, blocks=[nu * np.outer(phi, phi)])
-        got = linear_free_energy(gamma, spec, 1.0, 1.0)
+        got = linear_energy_breakdown(gamma, spec, 1.0, 1.0).total_free
         assert got == pytest.approx(nu * eps[0] + nu**2, abs=1e-10)
         values.append(got)
     # minimized at nu = g(eps_1 / T)
@@ -277,15 +277,6 @@ def test_grid_mismatch_raises():
     gamma = zero_density_matrix(grid_a, 1)
     with pytest.raises(GridMismatchError):
         hf_energy(gamma, Z=1.0, cache=cache)
-
-
-def test_hardy_diagnostic_reports_without_asserting():
-    from fermitherm.energy import hardy_positivity_diagnostic
-
-    # continuum operator is nonnegative; the discrete value is educational
-    # output only, so the test merely checks it is a finite number
-    val = hardy_positivity_diagnostic(build_grid(120, 12.0))
-    assert np.isfinite(val)
 
 
 def indefinite_state(grid, l_max, seed):

@@ -243,6 +243,16 @@ def test_validate_accepts_valid_and_rejects_bad():
         DensityMatrix(grid=grid, blocks=[bad]).validate()
 
 
+def test_validate_rejects_non_finite_blocks():
+    # NaN passes every bound test, so it is refused on its own
+    grid = build_grid(30, 6.0)
+    for value in (np.nan, np.inf):
+        block = np.zeros((30, 30))
+        block[3, 3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(grid=grid, blocks=[block]).validate()
+
+
 def test_sqrt_density_gradient_bound():
     # h * sum((sqrt(rho)')^2 with one-sided differences is controlled by the
     # kinetic quadratic form (boundary bonds make the stencil form larger).
@@ -407,3 +417,17 @@ def test_validate_rejects_bad_factors():
         nu[0][1] = bad
         with pytest.raises(ValueError, match="outside"):
             DensityMatrix.from_factors(grid, orbitals, nu).validate()
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix.from_factors(grid, orbitals, [weights[0][:, None], weights[1]]).validate()
+
+
+def test_validate_rejects_non_finite_factors():
+    grid = build_grid(30, 6.0)
+    orbitals, weights = random_factors(grid, [3, 2], 9)
+    nan_orbital = [orbitals[0].copy(), orbitals[1]]
+    nan_orbital[0][4, 1] = np.nan
+    nan_weight = [weights[0], weights[1].copy()]
+    nan_weight[1][0] = np.nan
+    for w, nu in ((nan_orbital, weights), (orbitals, nan_weight)):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix.from_factors(grid, w, nu).validate()

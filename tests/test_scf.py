@@ -153,7 +153,7 @@ def test_scf_small_run_converges():
 
 
 def test_scf_iterates_stay_in_K():
-    cfg = small_config(n_points=200, check_iterates=True)
+    cfg = small_config(n_points=200)
     res = scf_minimize(cfg)
     assert res.converged
     DensityMatrix(res.gamma.grid, res.gamma.blocks).validate(tol=1e-10)
@@ -551,7 +551,7 @@ def test_solve_and_dynamics_never_round_trip_the_state(monkeypatch):
 
 
 def test_check_iterates_validates_factors(monkeypatch):
-    # check_iterates runs the factored validation on every iterate
+    # the solver runs the factored validation on every iterate
     seen = []
     validate = DensityMatrix.validate
 
@@ -560,7 +560,7 @@ def test_check_iterates_validates_factors(monkeypatch):
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(DensityMatrix, "validate", recording)
-    res = scf_minimize(small_config(n_points=100, check_iterates=True))
+    res = scf_minimize(small_config(n_points=100))
     assert res.converged and seen == [False] * res.iterations
 
 
@@ -622,7 +622,6 @@ def _mixing_run(problem):
         r_max=grid.r_max,
         l_max=1,
         max_iter=15,
-        check_iterates=True,
     )
     return scf_minimize(cfg) if cfg.q is not None else scf_global(cfg)
 
