@@ -42,7 +42,6 @@ from .grid import (
     dilate,
     hartree_potential,
     kinetic_matrix,
-    multipole_kernel,
     nuclear_potential,
     zero_density_matrix,
 )

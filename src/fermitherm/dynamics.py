@@ -26,6 +26,7 @@ the factors; a kept sample state holds its factors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -253,30 +254,18 @@ def evolve(
     and the reference are read as orbital factors and carried so
     (unitary conjugation preserves the factorization exactly); a symmetric
     re-orthonormalization every 200 steps absorbs roundoff drift.  Samples
-    include t = 0 and the final step; with ``keep_gamma`` each carries the
-    state it was taken from.
+    include t = 0 and the last of the ``n_steps`` (a nonnegative integer);
+    with ``keep_gamma`` each carries the state it was taken from.
     """
     _check_step_controls(dt, inner_iterations, sample_stride, propagator)
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     if reference is not None:
         if reference.grid != gamma0.grid or reference.l_max != gamma0.l_max:
             raise ValueError("states live on different discretizations")
         reference = reference.factors
-    return _propagate(
-        gamma0.grid, gamma0.factors, spec, Z, dt, n_steps, reference,
-        sample_stride, inner_iterations, propagator, keep_gamma,
-    )
-
-
-def _propagate(grid, factors, spec, Z, dt, n_steps, reference, sample_stride,
-               inner_iterations, propagator, keep_gamma) -> list:
-    """``evolve`` on a factored state and a factored (or None) reference.
-
-    Both propagators take the field of the midpoint factors
-    (``_factored_field``): Cayley steps read its terms (``_cayley_apply``),
-    ``expm`` its dense blocks.
-    """
-    orbitals, occupations = factors
-    cache = OperatorCache(grid, len(orbitals) - 1, Z)
+    orbitals, occupations = gamma0.factors
+    cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
     if propagator == "cayley":
         field_of, apply_u = partial(_factored_field, cache), _cayley_apply
     else:
@@ -284,7 +273,7 @@ def _propagate(grid, factors, spec, Z, dt, n_steps, reference, sample_stride,
             return _factored_field(cache, orbs, occs).dense_blocks()
 
         apply_u = _expm_apply
-    samples = [_sample(0.0, factors, spec, cache, reference, keep_gamma)]
+    samples = [_sample(0.0, gamma0.factors, spec, cache, reference, keep_gamma)]
     for step in range(1, n_steps + 1):
         orbitals = _midpoint_unitary_step(
             orbitals, occupations, dt, inner_iterations, field_of, apply_u
@@ -332,25 +321,27 @@ def stability_experiment(
     The perturbation conjugates each block by U_l = exp(-i eta A_l) with A_l
     a seeded random Hermitian of unit Frobenius norm, so the perturbed state
     keeps the exact trace and occupation spectrum (it stays in K_q).  The
-    kick acts on the minimizer's orbitals, U_l W_l, and the same factors
-    serve as the reference.
+    kick acts on the minimizer's orbitals, U_l W_l.  The run is then the
+    Cauchy problem ``evolve`` started from the kicked state, with the
+    minimizer as the reference, over round(horizon / dt) steps.
     """
     if not minimizer.converged:
         raise ValueError("stability_experiment requires a converged minimizer")
     _check_step_controls(dt, inner_iterations, sample_stride, propagator)
     _check_kick(eta)
     n_steps = _step_count(horizon, dt)
-    reference = minimizer.gamma.factors
+    orbitals, occupations = minimizer.gamma.factors
     rng = np.random.default_rng(seed)
     kicked = []
-    for w_ref in reference[0]:
+    for w_ref in orbitals:
         n = w_ref.shape[0]
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = 0.5 * (raw + raw.conj().T)
         herm /= np.linalg.norm(herm)
         kicked += _expm_apply([herm], eta, [w_ref])
-    samples = _propagate(
-        minimizer.gamma.grid, (kicked, reference[1]), spec, Z, dt, n_steps, reference,
-        sample_stride, inner_iterations, propagator, False,
+    samples = evolve(
+        DensityMatrix.from_factors(minimizer.gamma.grid, kicked, occupations), spec, Z, dt,
+        n_steps, reference=minimizer.gamma, sample_stride=sample_stride,
+        inner_iterations=inner_iterations, propagator=propagator,
     )
     return StabilityResult(eta, max(s.dist_to_reference for s in samples), samples)

@@ -45,18 +45,24 @@ def _eval(x, fn):
 
 @dataclass(frozen=True)
 class EntropySpec:
-    """Power-family entropy with exponent ``m``.
+    """Power-family entropy with exponent ``m``; ``make_power_entropy`` checks m.
 
-    ``saturation_lambda`` is the threshold below which the occupation map
-    pins at 1 (equal to ``-m`` for the power family).  ``a4_status``
-    records whether the hydrogen-tail summability condition can hold:
-    "conditional" for 1 < m < 3, "violated" for m >= 3.
+    ``saturation_lambda`` = -m is the threshold below which the occupation
+    map pins at 1.  ``a4_status`` records whether the hydrogen-tail
+    summability condition can hold: "conditional" for 1 < m < 3, "violated"
+    for m >= 3.  Both follow from m, as does the class constant ``family``.
     """
 
-    family: str
+    family = "power"
     m: float
-    saturation_lambda: float
-    a4_status: str
+
+    @property
+    def saturation_lambda(self) -> float:
+        return -self.m
+
+    @property
+    def a4_status(self) -> str:
+        return A4_VIOLATED if self.m >= 3.0 else A4_CONDITIONAL
 
     def beta(self, nu):
         """Entropy integrand nu**m; raises outside [0, 1]."""
@@ -124,10 +130,7 @@ def make_power_entropy(m: float) -> EntropySpec:
         raise InvalidExponentError(
             f"power entropy requires m > 1, got m = {m}"
         )
-    status = A4_VIOLATED if m >= 3.0 else A4_CONDITIONAL
-    return EntropySpec(
-        family="power", m=m, saturation_lambda=-m, a4_status=status
-    )
+    return EntropySpec(m=m)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "kinetic_tridiagonal",
     "multipole_apply",
     "multipole_generators",
-    "multipole_kernel",
     "multipole_kernel_inverse",
     "nuclear_potential",
     "zero_density_matrix",
@@ -51,8 +50,8 @@ class RadialGrid:
 def build_grid(n_points: int, r_max: float) -> RadialGrid:
     if n_points <= 0:
         raise ValueError(f"n_points must be positive, got {n_points}")
-    if r_max <= 0.0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not 0.0 < r_max < math.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     h = r_max / (n_points + 1)
     r = h * np.arange(1, n_points + 1, dtype=float)
     return RadialGrid(n_points=n_points, r_max=float(r_max), h=h, r=r)
@@ -273,20 +272,6 @@ def multipole_apply(grid: RadialGrid, L, x: np.ndarray) -> np.ndarray:
     out = v * np.cumsum(u * x, axis=0)
     out[:-1] += u[:-1] * np.cumsum((v * x)[::-1], axis=0)[-2::-1]
     return out
-
-
-def multipole_kernel(grid: RadialGrid, L: int) -> np.ndarray:
-    """Symmetric kernel w_L[i,j] = r_<^L / r_>^(L+1) at the node pairs, dense.
-
-    The library applies w_L through ``multipole_apply`` or its tridiagonal
-    inverse; this dense form is the reference they are checked against.
-    """
-    if L < 0:
-        raise ValueError(f"multipole order must be >= 0, got {L}")
-    r = grid.r
-    r_small = np.minimum.outer(r, r)
-    r_large = np.maximum.outer(r, r)
-    return (r_small / r_large) ** L / r_large
 
 
 def multipole_kernel_inverse(grid: RadialGrid, L: int) -> tuple:

@@ -19,7 +19,8 @@ returned state keeps its factors (``DensityMatrix.from_factors``).
 Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
 ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
 block, and one tridiagonal solve of the bare blocks per run, shared by the
-warm start, every interaction-free iteration and the audit.
+warm start (the minimizer when interactions are off, so such a run takes
+no iteration), that run's final solve and the audit.
 
 The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
 audit bounds, and the free-energy gap meet their tolerances; the last step is
@@ -157,10 +158,12 @@ class ScfResult:
 
     ``levels`` holds, per channel, the negative levels of H_gamma from the
     final solve that gave ``residual``; it is None for a reloaded state and
-    for an "unreachable-charge" result.  ``history`` has one entry per
-    accepted step: the iteration, the Frobenius ``defect`` and ``mu`` of the
-    solved iterate, the step ``t`` along the segment to its candidate, and
-    the ``free_energy`` of the iterate the step accepted.  ``status`` is
+    for an "unreachable-charge" result, which skips that solve.  ``history``
+    has one entry per accepted step: the iteration, the Frobenius ``defect``
+    and ``mu`` of the solved iterate, the step ``t`` along the segment to its
+    candidate, and the ``free_energy`` of the iterate the step accepted.
+    Runs whose warm start is the minimizer (q = 0, or no interactions) take
+    no step: ``iterations`` is 0 and ``history`` empty.  ``status`` is
     "converged", "max_iter", "stalled" (no point of the segment lowers F) or
     "unreachable-charge".
     """
@@ -382,50 +385,38 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     def breakdown(factors):
         return _make_breakdown(*terms(factors), _entropy_of_occupations(factors[1], spec), T)
 
-    def unreachable(factors, iterations):
-        return ScfResult(
-            gamma=DensityMatrix.from_factors(grid, *factors),
-            mu=0.0,
-            energy=breakdown(factors),
-            residual=math.inf,
-            iterations=iterations,
-            converged=False,
-            status="unreachable-charge",
-            history=history,
-        )
-
     try:
         factors = _initial_state(cache, config, constrained)
+        # the warm start is the minimizer at q = 0 and without interactions
+        minimal = not config.interactions or (constrained and config.q == 0.0)
+        status = "converged" if minimal else "max_iter"
     except UnreachableChargeError:
-        return unreachable(zero_density_matrix(grid, config.l_max).factors, 0)
+        factors = zero_density_matrix(grid, config.l_max).factors
+        status = "unreachable-charge"
     energy = breakdown(factors)
     e_hf, free = energy.total_hf, energy.total_free
-    # at q = 0 the warm start is the zero state, the minimizer: only the final solve
-    zero_charge = constrained and config.q == 0.0
-    status = "converged" if zero_charge else "max_iter"
     # the last step a resolved search chose; reused where F' is lost in rounding
     iterations, damping = 0, 1.0
 
-    for iteration in range(1, 1 if zero_charge else config.max_iter + 1):
+    for iteration in range(1, config.max_iter + 1 if status == "max_iter" else 1):
         iterations = iteration
         ham, levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
         except UnreachableChargeError:
-            return unreachable(factors, iterations)
+            status = "unreachable-charge"
+            break
         candidate = _trimmed(vectors, occs)
         segment = _Segment(factors, candidate)
         defect = segment.defect()
         kin, nuc, direct, exch = terms(segment.step_factors())
-        slope = kin + nuc if ham is None else segment.slope(ham)
+        slope = segment.slope(ham)
         curvature = direct - exch
         gap = slope + curvature + T * (
             _entropy_of_occupations(occs, spec) - _entropy_of_occupations(factors[1], spec)
         )
         if defect <= config.tol_gamma and abs(gap) <= config.tol_energy:
             status, t = "converged", 1.0  # the candidate is the returned state
-        elif ham is None:
-            t = 1.0  # without interactions the candidate minimizes the linear model
         else:
             t, resolved = _step_length(segment, slope, curvature, spec, T, free, damping)
             if resolved:
@@ -443,15 +434,16 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         if status == "converged":
             break
 
-    # the one solve of the returned state: residual, mu, the audit's levels and H
-    ham, levels, vectors = solve(factors)
-    try:
-        mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
-        residual = _Segment(factors, _trimmed(vectors, occs)).defect()
-    except UnreachableChargeError:
-        mu, residual = 0.0, math.inf
-        if status == "converged":
-            status = "max_iter"
+    mu, residual, levels = 0.0, math.inf, None
+    if status != "unreachable-charge":
+        # the one solve of the returned state: residual, mu, the audit's levels and H
+        ham, levels, vectors = solve(factors)
+        try:
+            mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
+            residual = _Segment(factors, _trimmed(vectors, occs)).defect()
+        except UnreachableChargeError:
+            if status == "converged":
+                status = "max_iter"
     if history:  # the state moved: its energy terms, once
         energy = breakdown(factors)
     result = ScfResult(
@@ -605,11 +597,12 @@ def _binding_flag(result: ScfResult, q: float) -> str:
 def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     """Run scf_minimize over an increasing charge list and report I(q).
 
-    Distinct charges are independent; with workers > 1 they run on a thread
-    pool.  numpy releases the GIL in the mean-field assembly and the energy
-    terms, which overlap across threads; SciPy's LAPACK wrappers hold it, so
-    the partial eigensolves of concurrent charges run one at a time.  Rows
-    come back in input order regardless of scheduling.
+    Distinct charges are independent; they run on a pool of ``workers``
+    threads (one runs them in order; fewer than one raises ValueError).
+    numpy releases the GIL in the mean-field assembly and the energy terms,
+    which overlap across threads; SciPy's LAPACK wrappers hold it, so the
+    partial eigensolves of concurrent charges run one at a time.  Rows come
+    back in input order regardless of scheduling.
     """
     q_list = list(q_list)
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
@@ -618,11 +611,8 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     def solve(q: float) -> ScfResult:
         return scf_minimize(dataclasses.replace(config, q=q))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, q_list))
-    else:
-        results = [solve(q) for q in q_list]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(solve, q_list))
 
     rows = [
         SweepRow(

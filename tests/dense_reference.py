@@ -1,7 +1,7 @@
 """Dense references for the two-body terms and the Brown-Kosaki traces.
 
 The library applies the kernels w_L through their generators and never forms
-them; these helpers form them whole, as ``multipole_kernel`` gives them, and
+them; these helpers form them whole (``multipole_kernel``) and
 contract them with dense blocks by Hadamard products over every ordered
 channel pair.  They read ``gamma.blocks`` only, never the state's factors,
 are O(n^2) per pair or O(n^3) per block, and serve only as the oracle.
@@ -10,11 +10,20 @@ are O(n^2) per pair or O(n^3) per block, and serve only as the oracle.
 import numpy as np
 
 from fermitherm.angular import exchange_weights
-from fermitherm.grid import (
-    kinetic_matrix,
-    multipole_kernel,
-    nuclear_potential,
-)
+from fermitherm.grid import kinetic_matrix, nuclear_potential
+
+
+def multipole_kernel(grid, L):
+    """Symmetric kernel w_L[i,j] = r_<^L / r_>^(L+1) at the node pairs, dense.
+
+    The library applies w_L through ``multipole_apply`` or its tridiagonal
+    inverse and never forms it; this dense form is the reference both are
+    checked against.
+    """
+    r = grid.r
+    r_small = np.minimum.outer(r, r)
+    r_large = np.maximum.outer(r, r)
+    return (r_small / r_large) ** L / r_large
 
 
 def pair_kernels(grid, l_max):

@@ -72,6 +72,13 @@ def test_linear_finite_regime(capsys):
     assert float(fields[4]) == pytest.approx(0.0456926, abs=1e-6)
 
 
+def test_linear_bad_exponent_exit1(capsys):
+    code, out, err = run(capsys, ["linear", "--m", "1", "--Z", "1", "--T", "1"])
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "m > 1" in line
+
+
 def test_linear_infinite_regime(capsys):
     code, out, _ = run(capsys, ["linear", "--m", "2", "--Z", "1", "--T", "1"])
     assert code == 0
@@ -186,6 +193,23 @@ def test_sweep_csv(tmp_path, capsys, monkeypatch):
     assert any("q_max_lin = inf" in f for f in footers)
 
 
+def test_sweep_one_step_runs_q_from(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys,
+        [
+            "sweep", "--m", "2", "--Z", "1", "--T", "1",
+            "--q-from", "0.05", "--q-to", "0.1", "--q-steps", "1",
+            "--n", "120", "--rmax", "25", "--lmax", "1",
+            "--out", str(out_csv),
+        ],
+    )
+    assert code == 0
+    rows = [line for line in out_csv.read_text().splitlines()[1:] if not line.startswith("#")]
+    (row,) = rows
+    assert row.split(",")[0] == "0.050000000000000003"  # 0.05 to 17 digits
+
+
 def test_sweep_bad_range_exit1(capsys):
     code, _, _ = run(
         capsys,
@@ -195,6 +219,20 @@ def test_sweep_bad_range_exit1(capsys):
         ],
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("q_from, q_to", [("0.05", "inf"), ("nan", "0.1")])
+def test_sweep_non_finite_range_exit1(capsys, q_from, q_to):
+    # refused as a range, not as a linspace of nan charges
+    code, out, err = run(
+        capsys,
+        [
+            "sweep", "--m", "2", "--Z", "1", "--T", "1",
+            "--q-from", q_from, "--q-to", q_to, "--q-steps", "1",
+        ],
+    )
+    assert code == 1 and out == ""
+    assert err == "error: bad sweep range\n"
 
 
 @pytest.fixture()

@@ -226,6 +226,13 @@ def test_evolve_rejects_unknown_propagator(minimizer):
         evolve(minimizer.gamma, SPEC, 1.0, dt=0.01, n_steps=1, propagator="magnus")
 
 
+@pytest.mark.parametrize("n_steps", [-3, 2.5])
+def test_evolve_rejects_bad_step_count(minimizer, n_steps):
+    # not one t = 0 sample for a negative count, nor a TypeError from range
+    with pytest.raises(ValueError, match="n_steps"):
+        evolve(minimizer.gamma, SPEC, 1.0, dt=0.01, n_steps=n_steps)
+
+
 @pytest.mark.parametrize(
     "controls",
     [dict(dt=0.0), dict(sample_stride=0), dict(inner_iterations=0)],

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from dense_reference import dense_brown_kosaki_terms, dense_hamiltonian, dense_hf_terms
+from dense_reference import (
+    dense_brown_kosaki_terms,
+    dense_hamiltonian,
+    dense_hf_terms,
+    multipole_kernel,
+)
 from fermitherm.energy import (
     GridMismatchError,
     OperatorCache,
@@ -21,7 +26,6 @@ from fermitherm.grid import (
     build_grid,
     dilate,
     kinetic_matrix,
-    multipole_kernel,
     nuclear_potential,
     zero_density_matrix,
 )

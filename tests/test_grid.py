@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense_reference import multipole_kernel
 from fermitherm.grid import (
     DensityMatrix,
     RadialDensity,
@@ -10,7 +11,6 @@ from fermitherm.grid import (
     hartree_potential,
     kinetic_matrix,
     multipole_apply,
-    multipole_kernel,
     multipole_kernel_inverse,
     nuclear_potential,
     zero_density_matrix,
@@ -40,6 +40,12 @@ def test_build_grid_rejects_nonpositive():
         build_grid(0, 1.0)
     with pytest.raises(ValueError):
         build_grid(100, -2.0)
+
+
+@pytest.mark.parametrize("r_max", [np.nan, np.inf])
+def test_build_grid_rejects_non_finite_r_max(r_max):
+    with pytest.raises(ValueError, match="finite"):
+        build_grid(100, r_max)
 
 
 def test_discrete_hydrogen_spectrum():
@@ -227,6 +233,14 @@ def test_dilate_rejects_nonpositive_scale():
     grid = build_grid(10, 2.0)
     with pytest.raises(ValueError):
         dilate(zero_density_matrix(grid, 0), 0.0)
+
+
+@pytest.mark.parametrize("eta", [np.nan, 1e-310], ids=["nan", "overflowing"])
+def test_dilate_rejects_a_scale_without_a_finite_grid(eta):
+    # r_max / eta is nan, or overflows to inf: no grid, rather than a state on one
+    grid = build_grid(10, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        dilate(zero_density_matrix(grid, 0), eta)
 
 
 def test_validate_accepts_valid_and_rejects_bad():

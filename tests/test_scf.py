@@ -313,6 +313,44 @@ def test_charge_sweep_requires_increasing():
         charge_sweep(small_config(), [0.1, 0.05])
 
 
+def test_charge_sweep_refuses_no_workers():
+    with pytest.raises(ValueError):
+        charge_sweep(small_config(n_points=60), [0.02], workers=0)
+
+
+@pytest.mark.parametrize("q", [0.1, None])
+def test_interaction_free_solve_returns_the_warm_start(q):
+    # the filled bare spectrum is the linear minimizer: no iteration, and the
+    # returned factors are the warm start's, bit for bit
+    cfg = small_config(n_points=150, q=q, interactions=False)
+    res = scf_minimize(cfg) if q is not None else scf_global(cfg)
+    assert res.converged and res.audit is not None
+    assert res.iterations == 0 and res.history == [] and res.residual == 0.0
+    cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
+    orbitals, weights = scf_module._initial_state(cache, cfg, q is not None)
+    got_orbitals, got_weights = res.gamma.factors
+    for got, want in zip(got_orbitals + got_weights, orbitals + weights):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_unreachable_warm_start_makes_no_eigensolve(monkeypatch):
+    # the warm start cannot hold the charge: the result leaves through the
+    # one exit without a loop iteration or a final solve
+    calls = []
+
+    def counting(blocks):
+        calls.append(len(blocks))
+        return diagonalize(blocks)
+
+    diagonalize = scf_module._diagonalize_blocks
+    monkeypatch.setattr(scf_module, "_diagonalize_blocks", counting)
+    res = scf_minimize(small_config(spec=make_power_entropy(1.5), q=50.0))
+    assert res.status == "unreachable-charge" and not res.converged
+    assert res.iterations == 0 and res.history == [] and res.levels is None
+    assert res.mu == 0.0 and res.residual == math.inf and res.gamma.trace() == 0.0
+    assert calls == []
+
+
 def test_interactions_off_matches_truncated_linear_series():
     # discrete linear model, channel truncation l <= 3: the 34-bohr box cuts
     # the Rydberg series just above the fourth shell, so the minimum tracks
