@@ -10,33 +10,29 @@ import numpy as np
 
 from fermitherm import (
     DensityMatrix,
+    OperatorCache,
     build_grid,
     density_from_gamma,
     dilate,
     hartree_potential,
     hf_energy,
-    kinetic_matrix,
-    nuclear_potential,
 )
 
+# the bound levels of the tridiagonal bare operator T_0 - 1/r, with their orbitals
 grid = build_grid(1500, 60.0)
-h_bare = kinetic_matrix(grid, 0) + np.diag(nuclear_potential(grid, 1.0))
-levels = np.linalg.eigvalsh(h_bare)[:3]
+bare_levels, bare_vectors = OperatorCache(grid, 0, 1.0).bare_spectrum
+levels = bare_levels[0][:3]
 print("l=0 spectrum of -d^2/dr^2 - 1/r on the grid (n=1500, r_max=60):")
 for j, e in enumerate(levels, start=1):
     exact = -0.25 / j**2
     print(f"  j={j}: {e:+.8f}  exact {exact:+.8f}  error {e - exact:+.2e}")
 
-coarse = build_grid(750, 60.0)
-h_coarse = kinetic_matrix(coarse, 0) + np.diag(nuclear_potential(coarse, 1.0))
-e_coarse = np.linalg.eigvalsh(h_coarse)[0]
+e_coarse = OperatorCache(build_grid(750, 60.0), 0, 1.0).bare_spectrum[0][0][0]
 ratio = (e_coarse + 0.25) / (levels[0] + 0.25)
 print(f"\nhalving h shrinks the ground-level error by {ratio:.2f} (O(h^2) -> ~4)")
 
 # ground orbital -> density -> Hartree potential
-_, vecs = np.linalg.eigh(h_bare)
-u = vecs[:, 0]
-gamma = DensityMatrix(grid=grid, blocks=[np.outer(u, u)])
+gamma = DensityMatrix.from_factors(grid, [bare_vectors[0][:, :1]], [np.ones(1)])
 rho = density_from_gamma(gamma)
 v_h = hartree_potential(grid, rho)
 print(f"\ntotal charge: {rho.charge:.12f}")

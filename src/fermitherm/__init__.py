@@ -41,7 +41,6 @@ from .grid import (
     density_from_gamma,
     dilate,
     hartree_potential,
-    kinetic_matrix,
     nuclear_potential,
     zero_density_matrix,
 )
@@ -67,9 +66,7 @@ from .scf import (
     ScfResult,
     SweepResult,
     SweepRow,
-    UnboundedRegimeError,
     charge_sweep,
-    minimizer_audit,
     occupations_from_levels,
     scf_global,
     scf_minimize,

@@ -30,8 +30,8 @@ from .dynamics import (
 )
 from .entropy import make_power_entropy, validate_a4
 from .grid import DensityMatrix, density_from_gamma, hartree_potential
-from .linear import linear_report
-from .scf import ScfConfig, ScfResult, UnboundedRegimeError, charge_sweep, scf_minimize, scf_global
+from .linear import UnboundedModelError, linear_report
+from .scf import ScfConfig, ScfResult, charge_sweep, scf_minimize, scf_global
 
 __all__ = ["main"]
 
@@ -484,7 +484,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except UnboundedRegimeError as exc:
+    except UnboundedModelError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except _StateError as exc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .energy import (
     OperatorCache,
-    _entropy_of_occupations,
+    _entropy_of_blocks,
     _factor_spectra,
     _factored_field,
     _hf_terms,
@@ -42,7 +42,7 @@ from .energy import (
 )
 from .entropy import EntropySpec
 from .grid import DensityMatrix
-from .scf import ScfResult
+from .scf import ScfResult, _Segment
 
 __all__ = [
     "StabilityResult",
@@ -103,27 +103,16 @@ def _step_count(horizon, dt) -> int:
     return int(round(ratio))
 
 
-def _trace_norm_of_difference(x_a, nu_a, x_b, nu_b) -> float:
-    """||X_a diag(nu_a) X_a^H - X_b diag(nu_b) X_b^H||_1 on the span of [X_a, X_b].
-
-    With Q from a thin QR of [X_a, X_b] and R = Q^H X, the difference has the nonzero
-    spectrum of R_a diag(nu_a) R_a^H - R_b diag(nu_b) R_b^H; equal factors give 0.
-    """
-    q_h = np.linalg.qr(np.hstack([x_a, x_b]))[0].conj().T
-    r_a, r_b = q_h @ x_a, q_h @ x_b
-    small = (r_a * nu_a) @ r_a.conj().T - (r_b * nu_b) @ r_b.conj().T
-    return float(np.sum(np.abs(np.linalg.eigvalsh(small))))
-
-
 def _factored_distance(grid, factors_a, factors_b) -> float:
-    total = 0.0
-    for l, (w_a, nu_a, w_b, nu_b) in enumerate(zip(*factors_a, *factors_b)):
-        m_a, m_b = _kinetic_root(grid, l, w_a), _kinetic_root(grid, l, w_b)
-        total += (2 * l + 1) * (
-            _trace_norm_of_difference(w_a, nu_a, w_b, nu_b)
-            + _trace_norm_of_difference(m_a, nu_a, m_b, nu_b)
-        )
-    return total
+    """sum_l (2l+1) (||gamma_a - gamma_b||_1 + ||M_l (gamma_a - gamma_b) M_l^H||_1),
+    both trace norms on the span of the two factor sets (``scf._Segment``)."""
+    def rooted(factors):
+        orbitals, weights = factors
+        return [_kinetic_root(grid, l, w) for l, w in enumerate(orbitals)], weights
+
+    plain = _Segment(factors_a, factors_b).trace_norms()
+    kinetic = _Segment(rooted(factors_a), rooted(factors_b)).trace_norms()
+    return sum((2 * l + 1) * (a + b) for l, (a, b) in enumerate(zip(plain, kinetic)))
 
 
 def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
@@ -227,7 +216,7 @@ def _sample(t, factors, spec, cache, reference, keep):
         gamma=DensityMatrix.from_factors(cache.grid, *factors) if keep else None,
         trace=sum((2 * l + 1) * float(np.sum(lam)) for l, lam in enumerate(spectra)),
         hf_energy=kin + nuc + direct - exch,
-        entropy_trace=_entropy_of_occupations(spectra, spec),
+        entropy_trace=_entropy_of_blocks(spectra, spec),
         dist_to_reference=(
             math.nan if reference is None else _factored_distance(cache.grid, factors, reference)
         ),

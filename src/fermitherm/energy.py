@@ -230,14 +230,6 @@ def _hf_terms(orbitals, weights, cache: OperatorCache):
     return kin, nuc, direct, _exchange_energy(orbitals, weights, cache)
 
 
-def _entropy_of_occupations(occupations, spec: EntropySpec) -> float:
-    """sum_l (2l+1) sum beta(nu) over per-channel occupations clipped to [0, 1]."""
-    return sum(
-        (2 * l + 1) * float(np.sum(spec.beta(np.clip(occ, 0.0, 1.0))))
-        for l, occ in enumerate(occupations)
-    )
-
-
 def _factor_spectra(orbitals, weights) -> list:
     """Per channel, the nonzero spectrum of X diag(nu) X^H: the eigenvalues of
     R diag(nu) R^H, with R from a thin QR of X (k x k, whatever n is)."""
@@ -251,19 +243,23 @@ def _factor_spectra(orbitals, weights) -> list:
 _CLIP_TOL = 1e-10
 
 
-def _entropy_of_blocks(spectra, spec: EntropySpec) -> float:
-    """tr beta(gamma) from the eigenvalues of its blocks, weighted by 2l+1.
+def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
+    """tr beta(gamma) = sum_l (2l+1) sum beta(nu) over per-channel occupations
+    (factor weights, or eigenvalues of the blocks).
 
-    Eigenvalues within _CLIP_TOL of [0, 1] are clipped; anything further out
+    Occupations within _CLIP_TOL of [0, 1] are clipped; anything further out
     is a genuine constraint violation and raises.
     """
-    for l, w in enumerate(spectra):
+    for l, w in enumerate(occupations):
         if w.size and (w.min() < -_CLIP_TOL or w.max() > 1.0 + _CLIP_TOL):
             raise ValueError(
                 f"occupation eigenvalues outside [0,1] in channel l={l}: "
                 f"[{w.min():.3e}, {w.max():.10f}]"
             )
-    return _entropy_of_occupations(spectra, spec)
+    return sum(
+        (2 * l + 1) * float(np.sum(spec.beta(np.clip(occ, 0.0, 1.0))))
+        for l, occ in enumerate(occupations)
+    )
 
 
 def hf_energy(
@@ -384,7 +380,7 @@ def brown_kosaki_terms(
     """
     orbitals, weights = gamma.factors
     cut = [x_diag[:, None] * w for w in orbitals]
-    lhs = _entropy_of_occupations(_factor_spectra(cut, weights), spec)
+    lhs = _entropy_of_blocks(_factor_spectra(cut, weights), spec)
     rhs = sum(
         (2 * l + 1) * float(np.sum(np.abs(c) ** 2, axis=0) @ spec.beta(np.clip(nu, 0.0, 1.0)))
         for l, (c, nu) in enumerate(zip(cut, weights))

@@ -22,7 +22,6 @@ __all__ = [
     "density_from_gamma",
     "dilate",
     "hartree_potential",
-    "kinetic_matrix",
     "kinetic_tridiagonal",
     "multipole_apply",
     "multipole_generators",
@@ -151,8 +150,8 @@ class DensityMatrix:
 
         Every entry must be finite (NaN passes each bound test below).  Dense
         blocks must be n x n and Hermitian, checked before they are factored
-        (eigh reads one triangle); factors need 1-D weights and orthonormal
-        orbitals.
+        (eigh reads one triangle); factors need real 1-D weights and
+        orthonormal orbitals.
         """
         n = self.grid.n_points
         arrays = self._blocks if self._dense_input else [*self._factors[0], *self._factors[1]]
@@ -172,6 +171,8 @@ class DensityMatrix:
                         f"channel l={l}: orbitals of shape {w.shape} do not fit weights "
                         f"of shape {nu.shape}"
                     )
+                if np.iscomplexobj(nu):
+                    raise ValueError(f"channel l={l} weights are not real")
                 gram = float(np.max(np.abs(w.conj().T @ w - np.eye(nu.size)), initial=0.0))
                 if gram > tol:
                     raise ValueError(f"channel l={l} orbitals not orthonormal: defect {gram:.2e}")
@@ -193,21 +194,6 @@ def kinetic_tridiagonal(grid: RadialGrid, l: int) -> tuple:
         raise ValueError(f"angular momentum must be >= 0, got {l}")
     inv_h2 = 1.0 / grid.h**2
     return 2.0 * inv_h2 + l * (l + 1) / grid.r**2, -inv_h2
-
-
-def kinetic_matrix(grid: RadialGrid, l: int) -> np.ndarray:
-    """-d^2/dr^2 with the (-1, 2, -1)/h^2 stencil plus l(l+1)/r^2, dense.
-
-    Symmetric positive definite under Dirichlet conditions at 0 and r_max.
-    """
-    diag, off_value = kinetic_tridiagonal(grid, l)
-    n = grid.n_points
-    mat = np.zeros((n, n))
-    mat[np.arange(n), np.arange(n)] = diag
-    off = np.arange(n - 1)
-    mat[off, off + 1] = off_value
-    mat[off + 1, off] = off_value
-    return mat
 
 
 def nuclear_potential(grid: RadialGrid, Z: float) -> np.ndarray:

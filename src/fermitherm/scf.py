@@ -25,10 +25,10 @@ no iteration), that run's final solve and the audit.
 The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
 audit bounds, and the free-energy gap meet their tolerances; the last step is
 then the full one, to the candidate.  The returned state's mean field is
-solved once more: that solve gives the residual, mu and the levels kept on
-the result for the audit's charge chain, and its dense blocks serve the
-audit with the state's factors.  The entropy comes from the factor weights,
-so no eigendecomposition of gamma is ever taken.
+solved once more: that solve gives the residual and mu, and its levels (the
+audit's charge chain) and dense blocks feed ``minimizer_audit`` with the
+state's factors.  The entropy comes from the factor weights, so no
+eigendecomposition of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ import numpy as np
 from .energy import (
     EnergyBreakdown,
     OperatorCache,
-    _entropy_of_occupations,
+    _entropy_of_blocks,
     _factored_field,
     _hf_terms,
-    _make_breakdown,
-    _one_body_terms,
-    mean_field_hamiltonian,
+    free_energy,
+    linear_energy_breakdown,
 )
 from .entropy import EntropySpec
 from .grid import (
@@ -59,7 +58,7 @@ from .grid import (
     density_from_gamma,
     zero_density_matrix,
 )
-from .linear import UnreachableChargeError, q_max_lin, regime_classify, Regime
+from .linear import UnboundedModelError, UnreachableChargeError, q_max_lin, regime_classify, Regime
 
 __all__ = [
     "MinimizerAudit",
@@ -67,9 +66,7 @@ __all__ = [
     "ScfResult",
     "SweepResult",
     "SweepRow",
-    "UnboundedRegimeError",
     "charge_sweep",
-    "minimizer_audit",
     "occupations_from_levels",
     "scf_global",
     "scf_minimize",
@@ -78,10 +75,6 @@ __all__ = [
 _BISECTIONS = 30  # halvings of the step-length bracket
 _F_ROUNDING = 1e-14  # relative rounding of a free-energy difference along a step
 _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
-
-
-class UnboundedRegimeError(RuntimeError):
-    """The free energy is unbounded from below; minimization refused."""
 
 
 @dataclass
@@ -156,9 +149,9 @@ class MinimizerAudit:
 class ScfResult:
     """Outcome of one SCF run; ``energy`` is None only for a reloaded state.
 
-    ``levels`` holds, per channel, the negative levels of H_gamma from the
-    final solve that gave ``residual``; it is None for a reloaded state and
-    for an "unreachable-charge" result, which skips that solve.  ``history``
+    ``audit`` is the ``minimizer_audit`` of a converged run, built from its
+    final solve, the one that gave ``residual``; it is None otherwise and
+    for a reloaded state.  ``history``
     has one entry per accepted step: the iteration, the Frobenius ``defect``
     and ``mu`` of the solved iterate, the step ``t`` along the segment to its
     candidate, and the ``free_energy`` of the iterate the step accepted.
@@ -177,7 +170,6 @@ class ScfResult:
     status: str
     audit: MinimizerAudit | None = None
     history: list = field(default_factory=list)
-    levels: list | None = None
 
 
 def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
@@ -254,24 +246,30 @@ class _Segment:
     """The segment gamma_t = gamma + t (candidate - gamma), t in [0, 1], per channel.
 
     Both ends are factored, so the segment lives on the span of [W, W~]: with Q
-    from a thin QR of it and R = Q^T W, gamma_t = Q (A + t D) Q^T for the small
-    A = R diag(nu) R^T and D = R~ diag(nu~) R~^T - A.  Spectra along the segment
-    are those of A + t D, so no n x n eigendecomposition is ever taken.
+    from a thin QR of it and R = Q^H W, gamma_t = Q (A + t D) Q^H for the small
+    A = R diag(nu) R^H and D = R~ diag(nu~) R~^H - A.  Spectra along the segment
+    are those of A + t D, so no n x n eigendecomposition is ever taken.  The
+    SCF line search walks it; the dynamics read only the difference D of two
+    factored states (``trace_norms``), real or complex.
     """
 
     def __init__(self, factors, candidate):
         self.frames, self.starts, self.steps = [], [], []
         for w_a, nu_a, w_b, nu_b in zip(*factors, *candidate):
             frame = np.linalg.qr(np.hstack([w_a, w_b]))[0]
-            r_a, r_b = frame.T @ w_a, frame.T @ w_b
-            start = (r_a * nu_a) @ r_a.T
+            r_a, r_b = (frame.conj().T @ w for w in (w_a, w_b))
+            start = (r_a * nu_a) @ r_a.conj().T
             self.frames.append(frame)
             self.starts.append(start)
-            self.steps.append((r_b * nu_b) @ r_b.T - start)
+            self.steps.append((r_b * nu_b) @ r_b.conj().T - start)
 
     def defect(self) -> float:
         """max_l ||candidate_l - gamma_l||_F, the norm the audit bounds."""
         return max((float(np.linalg.norm(d)) for d in self.steps), default=0.0)
+
+    def trace_norms(self) -> list:
+        """[||candidate_l - gamma_l||_1] per channel: sum |eig(D_l)|."""
+        return [float(np.sum(np.abs(np.linalg.eigvalsh(d)))) for d in self.steps]
 
     def spectra(self, t):
         return [np.linalg.eigh(a + t * d) for a, d in zip(self.starts, self.steps)]
@@ -296,10 +294,6 @@ class _Segment:
         """(Q U, lambda) per channel for small eigendecompositions (lambda, U)."""
         return _trimmed([q @ u for q, (_, u) in zip(self.frames, spectra)],
                         [lam for lam, _ in spectra])
-
-
-def _entropy_of_spectra(spectra, spec) -> float:
-    return _entropy_of_occupations([lam for lam, _ in spectra], spec)
 
 
 def _step_length(segment, slope, curvature, spec, T, free, fallback):
@@ -329,11 +323,13 @@ def _step_length(segment, slope, curvature, spec, T, free, fallback):
             total += T * (2 * l + 1) * float(np.dot(beta_prime, diag))
         return total
 
-    s0 = _entropy_of_spectra(segment.spectra(0.0), spec)
+    def entropy(t):
+        return _entropy_of_blocks([lam for lam, _ in segment.spectra(t)], spec)
+
+    s0 = entropy(0.0)
 
     def rise(t):
-        entropy = _entropy_of_spectra(segment.spectra(t), spec)
-        return t * slope + t * t * curvature + T * (entropy - s0)
+        return t * slope + t * t * curvature + T * (entropy(t) - s0)
 
     resolved = derivative(0.0) < -slack
     t = 1.0 if resolved else fallback
@@ -362,9 +358,7 @@ def _initial_state(cache: OperatorCache, config: ScfConfig, constrained: bool):
 
 def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
     if regime_classify(config.spec.m) is Regime.UNBOUNDED:
-        raise UnboundedRegimeError(
-            f"free energy unbounded from below for m = {config.spec.m}"
-        )
+        raise UnboundedModelError(f"free energy unbounded from below for m = {config.spec.m}")
     spec, Z, T = config.spec, config.Z, config.T
     grid = config.make_grid()
     cache = OperatorCache(grid, config.l_max, Z)
@@ -377,13 +371,10 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             return (ham, *_diagonalize_blocks(ham))
         return (None, *cache.bare_spectrum)
 
-    def terms(factors):
-        if config.interactions:
-            return _hf_terms(*factors, cache)
-        return (*_one_body_terms(*factors, cache)[:2], 0.0, 0.0)
+    energy_of = free_energy if config.interactions else linear_energy_breakdown
 
     def breakdown(factors):
-        return _make_breakdown(*terms(factors), _entropy_of_occupations(factors[1], spec), T)
+        return energy_of(DensityMatrix.from_factors(grid, *factors), spec, Z, T, cache)
 
     try:
         factors = _initial_state(cache, config, constrained)
@@ -409,11 +400,11 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         candidate = _trimmed(vectors, occs)
         segment = _Segment(factors, candidate)
         defect = segment.defect()
-        kin, nuc, direct, exch = terms(segment.step_factors())
+        _, _, direct, exch = _hf_terms(*segment.step_factors(), cache)
         slope = segment.slope(ham)
         curvature = direct - exch
         gap = slope + curvature + T * (
-            _entropy_of_occupations(occs, spec) - _entropy_of_occupations(factors[1], spec)
+            _entropy_of_blocks(occs, spec) - _entropy_of_blocks(factors[1], spec)
         )
         if defect <= config.tol_gamma and abs(gap) <= config.tol_energy:
             status, t = "converged", 1.0  # the candidate is the returned state
@@ -426,7 +417,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
             break
         e_hf += t * slope + t * t * curvature
         factors = candidate if t == 1.0 else segment.factors(t)
-        free = e_hf + T * _entropy_of_occupations(factors[1], spec)
+        free = e_hf + T * _entropy_of_blocks(factors[1], spec)
         history.append(
             {"iteration": iteration, "free_energy": free, "defect": defect, "t": t, "mu": mu}
         )
@@ -434,7 +425,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         if status == "converged":
             break
 
-    mu, residual, levels = 0.0, math.inf, None
+    mu, residual = 0.0, math.inf
     if status != "unreachable-charge":
         # the one solve of the returned state: residual, mu, the audit's levels and H
         ham, levels, vectors = solve(factors)
@@ -455,10 +446,9 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         converged=status == "converged",
         status=status,
         history=history,
-        levels=levels,
     )
     if result.converged:
-        result.audit = _audit(result, config, cache, ham)
+        result.audit = minimizer_audit(result, config, cache, ham, levels)
     return result
 
 
@@ -474,34 +464,16 @@ def scf_global(config: ScfConfig) -> ScfResult:
     return _run_scf(config, constrained=False)
 
 
-def minimizer_audit(
-    result: ScfResult,
-    config: ScfConfig,
-    cache: OperatorCache | None = None,
-) -> MinimizerAudit:
+def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit:
     """Check the proven properties of minimizers on a converged result.
 
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
     levels of H_gamma sit below -(Z-q)^2/(4 j^2) within an h^2-scale
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
-    (d) negative free energy for q > 0.  The chain reads ``result.levels``
-    from the run's final solve, so a reloaded state, which has none, is
-    refused like an unconverged one.  H_gamma is built here for (a) and (b);
-    a solve audits its result with the H of its final solve instead.
+    (d) negative free energy for q > 0.  ``ham_blocks`` (None: the bare
+    blocks, interactions off) and its negative ``levels`` per channel come
+    from the solve of the result's state; (b) is the audit's one eigensolve.
     """
-    if not result.converged or result.levels is None:
-        raise ValueError("minimizer_audit refuses unconverged or reloaded results")
-    if cache is None:
-        cache = OperatorCache(result.gamma.grid, config.l_max, config.Z)
-    ham_blocks = None
-    if config.interactions:
-        ham_blocks = mean_field_hamiltonian(result.gamma, config.Z, cache).blocks
-    return _audit(result, config, cache, ham_blocks)
-
-
-def _audit(result, config, cache, ham_blocks) -> MinimizerAudit:
-    """``minimizer_audit`` given H_gamma (None: the bare blocks, interactions off);
-    (b) is its one eigensolve."""
     gamma = result.gamma
     grid = gamma.grid
     spec, T, Z = config.spec, config.T, config.Z
@@ -534,7 +506,7 @@ def _audit(result, config, cache, ham_blocks) -> MinimizerAudit:
     bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     mf_sum = 0.0
     bare_sum = 0.0
-    for l, (w, w_bare) in enumerate(zip(result.levels, bare_levels)):
+    for l, (w, w_bare) in enumerate(zip(levels, bare_levels)):
         mf_sum += (2 * l + 1) * float(np.sum(spec.g(w / T)))
         bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
     chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9

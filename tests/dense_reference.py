@@ -1,16 +1,32 @@
-"""Dense references for the two-body terms and the Brown-Kosaki traces.
+"""Dense references for the kinetic operator, the two-body terms and the
+Brown-Kosaki traces.
 
-The library applies the kernels w_L through their generators and never forms
-them; these helpers form them whole (``multipole_kernel``) and
-contract them with dense blocks by Hadamard products over every ordered
-channel pair.  They read ``gamma.blocks`` only, never the state's factors,
+The library keeps the kinetic operator tridiagonal and applies the kernels
+w_L through their generators, and never forms either; these helpers form them
+whole (``kinetic_matrix``, ``multipole_kernel``) and contract them with dense
+blocks by Hadamard products over every ordered channel pair.  They read ``gamma.blocks`` only, never the state's factors,
 are O(n^2) per pair or O(n^3) per block, and serve only as the oracle.
 """
 
 import numpy as np
 
 from fermitherm.angular import exchange_weights
-from fermitherm.grid import kinetic_matrix, nuclear_potential
+from fermitherm.grid import kinetic_tridiagonal, nuclear_potential
+
+
+def kinetic_matrix(grid, l):
+    """-d^2/dr^2 with the (-1, 2, -1)/h^2 stencil plus l(l+1)/r^2, dense.
+
+    Symmetric positive definite under Dirichlet conditions at 0 and r_max.
+    """
+    diag, off_value = kinetic_tridiagonal(grid, l)
+    n = grid.n_points
+    mat = np.zeros((n, n))
+    mat[np.arange(n), np.arange(n)] = diag
+    off = np.arange(n - 1)
+    mat[off, off + 1] = off_value
+    mat[off + 1, off] = off_value
+    return mat
 
 
 def multipole_kernel(grid, L):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from dense_reference import kinetic_matrix
 from fermitherm.dynamics import evolve, stability_experiment
 from fermitherm.energy import OperatorCache, free_energy, hf_energy, mean_field_hamiltonian
 from fermitherm.entropy import make_power_entropy, validate_a4
@@ -19,7 +20,6 @@ from fermitherm.grid import (
     DensityMatrix,
     build_grid,
     dilate,
-    kinetic_matrix,
     nuclear_potential,
 )
 from fermitherm.linear import (

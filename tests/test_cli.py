@@ -333,7 +333,7 @@ def _with_config(arrays, **changes):
     "tamper",
     [
         "nonorthonormal", "shape", "spectrum", "missing", "lmax_negative", "rmax_nan", "Z_nan",
-        "nan", "weights_2d", "old_format",
+        "nan", "weights_2d", "complex_weights", "old_format",
     ],
 )
 def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tamper):
@@ -356,6 +356,8 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
         orbitals[0, 0] = np.nan
     elif tamper == "weights_2d":
         arrays["weights_0"] = arrays["weights_0"][:, None]
+    elif tamper == "complex_weights":
+        arrays["weights_0"] = arrays["weights_0"] + 0.2j
     elif tamper == "missing":
         del arrays["orbitals_1"]
     else:  # the dense block_<l> layout is not read
@@ -369,6 +371,19 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
     assert "error:" in err and "Traceback" not in err
     if tamper in ("missing", "old_format"):
         assert ("orbitals_1" if tamper == "missing" else "config") in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "stability"])
+def test_dynamics_refuse_unconverged_state_exit4(tmp_path, capsys, command):
+    state = tmp_path / "early.npz"
+    code, _, _ = run(capsys, MINIMIZE_SMALL + ["--max-iter", "1", "--state", str(state)])
+    assert code == 4 and state.exists()
+    argv = [command, "--state", str(state), "--dt", "0.02", "--horizon", "0.1"]
+    if command == "stability":
+        argv += ["--eta", "1e-3", "--out-prefix", str(tmp_path / "s_")]
+    code, _, err = run(capsys, argv)
+    assert code == 4
+    assert "not a converged minimizer" in err and "Traceback" not in err
 
 
 def test_state_file_roundtrips_an_empty_channel(tmp_path):

@@ -13,9 +13,9 @@ import dense_reference
 from fermitherm import dynamics
 from fermitherm import energy as energy_module
 from fermitherm import grid as grid_module
-from fermitherm.energy import OperatorCache, _entropy_of_occupations
+from fermitherm.energy import OperatorCache, _entropy_of_blocks
 from fermitherm.entropy import make_power_entropy
-from fermitherm.grid import DensityMatrix, build_grid, kinetic_matrix, zero_density_matrix
+from fermitherm.grid import DensityMatrix, build_grid, zero_density_matrix
 from fermitherm.scf import ScfConfig, scf_minimize
 
 SPEC = make_power_entropy(2.0)
@@ -273,7 +273,7 @@ def dense_hspace_distance(gamma_a, gamma_b):
 
     total = 0.0
     for l, (ba, bb) in enumerate(zip(gamma_a.blocks, gamma_b.blocks)):
-        w, v = np.linalg.eigh(kinetic_matrix(gamma_a.grid, l))
+        w, v = np.linalg.eigh(dense_reference.kinetic_matrix(gamma_a.grid, l))
         root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
         delta = ba - bb
         total += (2 * l + 1) * (trace_norm(delta) + trace_norm(root @ delta @ root))
@@ -300,6 +300,8 @@ def test_evolve_refuses_reference_on_other_discretization(minimizer):
     for other in others:
         with pytest.raises(ValueError, match="discretization"):
             evolve(gamma, SPEC, 1.0, dt=0.01, n_steps=1, reference=other)
+        with pytest.raises(ValueError, match="discretization"):
+            hspace_distance(gamma, other)
 
 
 def test_sampled_entropy_matches_dense_spectrum(minimizer):
@@ -308,7 +310,7 @@ def test_sampled_entropy_matches_dense_spectrum(minimizer):
     samples = evolve(perturbed(minimizer, eta=0.3), SPEC, 1.0, dt=0.02, n_steps=220,
                      sample_stride=55, keep_gamma=True)
     for s in samples:
-        dense = _entropy_of_occupations([np.linalg.eigvalsh(b) for b in s.gamma.blocks], SPEC)
+        dense = _entropy_of_blocks([np.linalg.eigvalsh(b) for b in s.gamma.blocks], SPEC)
         assert abs(s.entropy_trace - dense) <= 1e-14
 
 

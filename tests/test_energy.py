@@ -5,6 +5,7 @@ from dense_reference import (
     dense_brown_kosaki_terms,
     dense_hamiltonian,
     dense_hf_terms,
+    kinetic_matrix,
     multipole_kernel,
 )
 from fermitherm.energy import (
@@ -25,7 +26,6 @@ from fermitherm.grid import (
     DensityMatrix,
     build_grid,
     dilate,
-    kinetic_matrix,
     nuclear_potential,
     zero_density_matrix,
 )

@@ -1,8 +1,10 @@
 """The package namespace re-exports only public names that exist."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import fermitherm
@@ -26,3 +28,48 @@ def test_every_public_name_exists():
         module = importlib.import_module(f"fermitherm.{info.name}")
         absent = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not absent, (info.name, absent)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = {info.name for info in pkgutil.iter_modules(fermitherm.__path__)}
+
+
+def _readme_dotted_names():
+    """Dotted names in the README's inline code spans, fenced blocks left out."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", text)
+    return sorted({s for s in spans if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", s)})
+
+
+def _resolves(owner, names) -> bool:
+    """getattr along ``names``; the last one may also be a dataclass field
+    without a class default."""
+    for i, name in enumerate(names):
+        if hasattr(owner, name):
+            owner = getattr(owner, name)
+        elif i == len(names) - 1 and dataclasses.is_dataclass(owner):
+            return name in {f.name for f in dataclasses.fields(owner)}
+        else:
+            return False
+    return True
+
+
+def test_readme_dotted_names_resolve():
+    # `module.name` for a fermitherm module and `Class.field` for an exported
+    # class; other dotted spans (file names, other packages) are not ours
+    checked, unresolved = [], []
+    for dotted in _readme_dotted_names():
+        head, *rest = dotted.split(".")
+        if head == "fermitherm":
+            owner = fermitherm
+        elif head in MODULES:
+            owner = importlib.import_module(f"fermitherm.{head}")
+        elif isinstance(getattr(fermitherm, head, None), type):
+            owner = getattr(fermitherm, head)
+        else:
+            continue
+        checked.append(dotted)
+        if not _resolves(owner, rest):
+            unresolved.append(dotted)
+    assert {"grid.multipole_apply", "ScfResult.history"} <= set(checked)
+    assert not unresolved, unresolved

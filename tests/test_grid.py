@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense_reference import multipole_kernel
+from dense_reference import kinetic_matrix, multipole_kernel
 from fermitherm.grid import (
     DensityMatrix,
     RadialDensity,
@@ -9,7 +9,6 @@ from fermitherm.grid import (
     density_from_gamma,
     dilate,
     hartree_potential,
-    kinetic_matrix,
     multipole_apply,
     multipole_kernel_inverse,
     nuclear_potential,
@@ -255,6 +254,8 @@ def test_validate_accepts_valid_and_rejects_bad():
     bad[0, 1] = 1.0  # not symmetric
     with pytest.raises(ValueError):
         DensityMatrix(grid=grid, blocks=[bad]).validate()
+    with pytest.raises(ValueError, match="shape"):
+        DensityMatrix(grid=grid, blocks=[0.5 * np.outer(v, v)[:, :-1]]).validate()
 
 
 def test_validate_rejects_non_finite_blocks():
@@ -433,6 +434,9 @@ def test_validate_rejects_bad_factors():
             DensityMatrix.from_factors(grid, orbitals, nu).validate()
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix.from_factors(grid, orbitals, [weights[0][:, None], weights[1]]).validate()
+    # complex weights would make the Cayley step of the dynamics non-unitary
+    with pytest.raises(ValueError, match="not real"):
+        DensityMatrix.from_factors(grid, orbitals, [weights[0] + 0.2j, weights[1]]).validate()
 
 
 def test_validate_rejects_non_finite_factors():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dense_reference import dense_hf_terms, dense_trace
+from dense_reference import dense_hamiltonian, dense_hf_terms, dense_trace, kinetic_matrix
 from fermitherm import energy as energy_module
 from fermitherm.energy import (
     OperatorCache,
@@ -25,15 +25,12 @@ from fermitherm import grid as grid_module
 from fermitherm.grid import (
     DensityMatrix,
     build_grid,
-    kinetic_matrix,
     nuclear_potential,
 )
 from fermitherm import scf as scf_module
-from fermitherm.linear import UnreachableChargeError
+from fermitherm.linear import UnboundedModelError, UnreachableChargeError
 from fermitherm.scf import (
     ScfConfig,
-    ScfResult,
-    UnboundedRegimeError,
     charge_sweep,
     minimizer_audit,
     occupations_from_levels,
@@ -172,26 +169,6 @@ def test_scf_audit_fields_populated():
     assert audit.eigenvalue_bound_ok in (True, False)
 
 
-def test_audit_refuses_unconverged():
-    cfg = small_config()
-    res = scf_minimize(cfg)
-    broken = ScfResult(
-        gamma=res.gamma,
-        mu=res.mu,
-        energy=res.energy,
-        residual=res.residual,
-        iterations=res.iterations,
-        converged=False,
-        status="max_iter",
-    )
-    with pytest.raises(ValueError):
-        minimizer_audit(broken, cfg)
-    # a converged state without the final solve's levels, as a reloaded one
-    minimizer_audit(res, cfg)
-    with pytest.raises(ValueError):
-        minimizer_audit(dataclasses.replace(res, levels=None), cfg)
-
-
 @pytest.mark.parametrize(
     "field, value",
     [("l_max", -1), ("Z", math.nan), ("T", math.nan), ("T", math.inf), ("q", math.nan),
@@ -204,7 +181,7 @@ def test_config_rejects_negative_lmax_and_nonfinite_numbers(field, value):
 
 def test_scf_refuses_unbounded_regime():
     spec3 = make_power_entropy(3.0)
-    with pytest.raises(UnboundedRegimeError):
+    with pytest.raises(UnboundedModelError):
         scf_minimize(small_config(spec=spec3))
 
 
@@ -212,6 +189,18 @@ def test_scf_unreachable_charge_status():
     res = scf_minimize(small_config(q=5.0, max_iter=30))
     assert not res.converged
     assert res.status == "unreachable-charge"
+    assert res.audit is None
+    # an unconverged solve is not audited either
+    res = scf_minimize(small_config(max_iter=1))
+    assert res.status == "max_iter" and res.audit is None
+
+
+def test_config_resolves_default_rmax():
+    assert small_config(Z=2.0, r_max=None).resolved_r_max() == 30.0
+    assert small_config(Z=2.0, r_max=None).make_grid().r_max == 30.0
+    for Z in (0.0, -1.0):
+        with pytest.raises(ValueError, match="r_max"):
+            small_config(Z=Z, r_max=None).resolved_r_max()
 
 
 def test_scf_global_zero_nucleus():
@@ -308,6 +297,13 @@ def test_charge_sweep_keeps_interactions_off(monkeypatch):
     assert sweep.rows[0].mu == single.mu
 
 
+def test_charge_sweep_flags_unreachable_charge():
+    # q = 5 exceeds the mu = 0 capacity of the bare spectrum
+    sweep = charge_sweep(small_config(n_points=100, r_max=30.0), [0.02, 5.0])
+    assert [row.binding_flag for row in sweep.rows] == ["bound", "unreachable"]
+    assert [row.converged for row in sweep.rows] == [True, False]
+
+
 def test_charge_sweep_requires_increasing():
     with pytest.raises(ValueError):
         charge_sweep(small_config(), [0.1, 0.05])
@@ -346,7 +342,7 @@ def test_unreachable_warm_start_makes_no_eigensolve(monkeypatch):
     monkeypatch.setattr(scf_module, "_diagonalize_blocks", counting)
     res = scf_minimize(small_config(spec=make_power_entropy(1.5), q=50.0))
     assert res.status == "unreachable-charge" and not res.converged
-    assert res.iterations == 0 and res.history == [] and res.levels is None
+    assert res.iterations == 0 and res.history == [] and res.audit is None
     assert res.mu == 0.0 and res.residual == math.inf and res.gamma.trace() == 0.0
     assert calls == []
 
@@ -532,8 +528,8 @@ def test_returned_state_is_solved_once(monkeypatch):
         finally:
             in_audit.pop()
 
-    audit = scf_module._audit
-    monkeypatch.setattr(scf_module, "_audit", auditing)
+    audit = scf_module.minimizer_audit
+    monkeypatch.setattr(scf_module, "minimizer_audit", auditing)
     monkeypatch.setattr(
         scf_module, "_diagonalize_blocks", counted(scf_module._diagonalize_blocks, "diagonalize")
     )
@@ -554,14 +550,19 @@ def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
 
     monkeypatch.setattr(grid_module, "_factor_blocks", refuse)
     monkeypatch.setattr(energy_module, "mean_field_hamiltonian", refuse)
-    monkeypatch.setattr(scf_module, "mean_field_hamiltonian", refuse)
     cfg = small_config(l_max=2)
     res = scf_minimize(cfg)
     assert res.converged and res.audit is not None
     assert res.audit.lieb_value <= 1e-8 and res.audit.qmaxlin_chain_ok
     monkeypatch.undo()
-    # the public audit, called alone, builds H_gamma itself and agrees
-    alone = minimizer_audit(res, cfg)
+    # the same audit on the independent dense H_gamma and its negative levels agrees
+    ham = dense_hamiltonian(res.gamma, cfg.Z)
+    levels = [w[w < 0.0] for w in map(np.linalg.eigvalsh, ham)]
+    cache = OperatorCache(res.gamma.grid, cfg.l_max, cfg.Z)
+    alone = minimizer_audit(res, cfg, cache, ham, levels)
+    assert alone.details["discrete_q_mean_field"] == pytest.approx(
+        res.audit.details["discrete_q_mean_field"], rel=0.0, abs=1e-12
+    )
     assert alone.lieb_value == pytest.approx(res.audit.lieb_value, rel=1e-10, abs=1e-15)
     assert alone.details["h0_eigenvalues"] == pytest.approx(
         res.audit.details["h0_eigenvalues"], rel=0.0, abs=1e-12
@@ -733,7 +734,7 @@ def test_segment_matches_dense_interpolation(m, q):
         factored = DensityMatrix.from_factors(cache.grid, *segment.factors(t)).blocks
         assert max(np.max(np.abs(f - b)) for f, b in zip(factored, blocks)) <= 1e-12
         exact = DensityMatrix(grid=cache.grid, blocks=blocks)
-        entropy = scf_module._entropy_of_spectra(segment.spectra(t), cfg.spec)
+        entropy = _entropy_of_blocks([lam for lam, _ in segment.spectra(t)], cfg.spec)
         dense_spectra = [np.linalg.eigvalsh(b) for b in blocks]
         assert abs(entropy - _entropy_of_blocks(dense_spectra, cfg.spec)) <= 1e-12
         # the Hartree-Fock energy is the exact quadratic of the slope and the step's
