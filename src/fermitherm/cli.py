@@ -1,6 +1,7 @@
 """Command-line surface: entropy/linear tables, SCF runs, sweeps, dynamics.
 
-Exit codes: 0 success, 1 usage error, 2 model-regime refusal, 3 converged
+Exit codes: 0 success, 1 usage error (also an input out of range, or one whose
+hydrogen series overflows), 2 model-regime refusal, 3 converged
 with audit failure, 4 convergence failure (including missing, malformed or
 unconverged input states).  CSV output is byte-deterministic: header row first,
 17-significant-digit floats, LF line endings.  A JSON file with the same
@@ -175,7 +176,8 @@ def cmd_entropy(args) -> int:
         if report.converges
         else "A4 diverges"
     )
-    rows = [(lam, float(spec.g(lam)), float(spec.beta_star(lam))) for lam in lams]
+    # one array call: a scalar call may round the last bit differently
+    rows = zip(lams, spec.g(lams).tolist(), spec.beta_star(lams).tolist())
     text = verdict + "\n" + _csv_text(("lambda", "g", "beta_star"), rows)
     _emit(text, opts.get("out"))
     return 0 if report.converges else 2
@@ -490,6 +492,9 @@ def main(argv=None) -> int:
     except _StateError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
+    except OverflowError as exc:  # a closed form of the hydrogen series left the float range
+        sys.stderr.write(f"error: input out of floating-point range ({exc})\n")
+        return 1
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

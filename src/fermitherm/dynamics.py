@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -177,11 +176,12 @@ def _expm_apply(h_blocks, dt, thins):
     return out
 
 
-def _midpoint_unitary_step(orbitals, occupations, dt, inner, field_of, apply_u):
+def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache, apply_u):
     """One conjugation step; returns the new orbital list.
 
-    The field is frozen at a midpoint estimate improved by ``inner`` fixed-point
-    iterations; the midpoint has the factors [W_n, W_next], [nu/2, nu/2].  The
+    The field, built here on ``cache``, is frozen at a midpoint estimate improved
+    by ``inner`` fixed-point iterations; the midpoint has the factors
+    [W_n, W_next], [nu/2, nu/2].  ``apply_u(field, dt, W)`` is the unitary.  The
     update of the propagated orbitals, sum_l ||W_l^(k) - W_l^(k-1)||_F, is
     dimensionless (the columns are orthonormal); growing above
     _DIVERGENCE_FLOOR it signals a too-large dt.
@@ -191,7 +191,7 @@ def _midpoint_unitary_step(orbitals, occupations, dt, inner, field_of, apply_u):
     previous = None
     prev_delta = math.inf
     for _ in range(inner):
-        new_orbitals = apply_u(field_of(*mid), dt, orbitals)
+        new_orbitals = apply_u(_factored_field(cache, *mid), dt, orbitals)
         if previous is not None:
             delta = sum(float(np.linalg.norm(a - b)) for a, b in zip(new_orbitals, previous))
             if delta > max(prev_delta, _DIVERGENCE_FLOOR):
@@ -239,7 +239,8 @@ def evolve(
 
     Each step conjugates the state by exp(-i dt H[gamma_mid]) ("expm", per
     channel by eigendecomposition) or its Cayley approximant ("cayley"),
-    with the midpoint state iterated ``inner_iterations`` times.  The state
+    with the midpoint state iterated ``inner_iterations`` times (the step
+    builds the field; only the unitary is chosen here).  The state
     and the reference are read as orbital factors and carried so
     (unitary conjugation preserves the factorization exactly); a symmetric
     re-orthonormalization every 200 steps absorbs roundoff drift.  Samples
@@ -256,16 +257,14 @@ def evolve(
     orbitals, occupations = gamma0.factors
     cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
     if propagator == "cayley":
-        field_of, apply_u = partial(_factored_field, cache), _cayley_apply
+        apply_u = _cayley_apply
     else:
-        def field_of(orbs, occs):
-            return _factored_field(cache, orbs, occs).dense_blocks()
-
-        apply_u = _expm_apply
+        def apply_u(field, dt, thins):
+            return _expm_apply(field.dense_blocks(), dt, thins)
     samples = [_sample(0.0, gamma0.factors, spec, cache, reference, keep_gamma)]
     for step in range(1, n_steps + 1):
         orbitals = _midpoint_unitary_step(
-            orbitals, occupations, dt, inner_iterations, field_of, apply_u
+            orbitals, occupations, dt, inner_iterations, cache, apply_u
         )
         if step % _LOWDIN_EVERY == 0:
             orbitals = [_lowdin(w_mat) for w_mat in orbitals]

@@ -157,14 +157,11 @@ class OperatorCache:
         pairs = [multipole_kernel_inverse(self.grid, L) for L in range(2 * self.l_max + 1)]
         return np.array([d for d, _ in pairs]), np.array([o for _, o in pairs])
 
-    def matches(self, gamma: DensityMatrix) -> bool:
-        return gamma.grid == self.grid and gamma.l_max <= self.l_max
-
 
 def _cache_for(gamma: DensityMatrix, Z: float, cache: OperatorCache | None) -> OperatorCache:
     if cache is None:
         return OperatorCache(gamma.grid, gamma.l_max, Z)
-    if not cache.matches(gamma) or cache.Z != Z:
+    if not (gamma.grid == cache.grid and gamma.l_max <= cache.l_max and cache.Z == Z):
         raise GridMismatchError("operator cache does not match the state")
     return cache
 
@@ -241,6 +238,7 @@ def _factor_spectra(orbitals, weights) -> list:
 
 
 _CLIP_TOL = 1e-10
+_AUDIT_TOL = 1e-9  # absolute slack of each check of ``inequality_audit``
 
 
 def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
@@ -417,23 +415,23 @@ def inequality_audit(
     Z: float,
     T: float,
     cache: OperatorCache | None = None,
-    tol: float = 1e-9,
 ) -> InequalityAuditReport:
     """Numeric audit of the proven inequalities; failures are entries, not errors.
 
     (a) exchange <= direct; (b) coercivity total_hf >= kinetic/2 - 2 Z^2 q;
     (c) entropy monotonicity under [0,1]-valued diagonal cutoffs
         tr beta(X gamma X) <= tr(X beta(gamma) X) at three radii.
+    Each check passes within _AUDIT_TOL.
     """
     cache = _cache_for(gamma, Z, cache)
     kin, nuc, direct, exch = _hf_terms(*gamma.factors, cache)
     total_hf = kin + nuc + direct - exch
     q = gamma.trace()
     checks = [
-        AuditCheck("exchange_le_direct", exch <= direct + tol, exch, direct),
+        AuditCheck("exchange_le_direct", exch <= direct + _AUDIT_TOL, exch, direct),
         AuditCheck(
             "coercivity",
-            total_hf >= 0.5 * kin - 2.0 * Z * Z * q - tol,
+            total_hf >= 0.5 * kin - 2.0 * Z * Z * q - _AUDIT_TOL,
             total_hf,
             0.5 * kin - 2.0 * Z * Z * q,
         ),
@@ -443,6 +441,6 @@ def inequality_audit(
         x_diag = _cutoff_profile(r / r_cut)
         lhs, rhs = brown_kosaki_terms(gamma, spec, x_diag)
         checks.append(
-            AuditCheck(f"brown_kosaki_R={r_cut:g}", lhs <= rhs + tol, lhs, rhs)
+            AuditCheck(f"brown_kosaki_R={r_cut:g}", lhs <= rhs + _AUDIT_TOL, lhs, rhs)
         )
     return InequalityAuditReport(checks=tuple(checks))

@@ -10,6 +10,7 @@ single quadrature weight ``h``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,8 @@ class RadialGrid:
 
 
 def build_grid(n_points: int, r_max: float) -> RadialGrid:
-    if n_points <= 0:
-        raise ValueError(f"n_points must be positive, got {n_points}")
+    if not isinstance(n_points, numbers.Integral) or n_points <= 0:
+        raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
     h = r_max / (n_points + 1)
@@ -56,6 +57,7 @@ def build_grid(n_points: int, r_max: float) -> RadialGrid:
     return RadialGrid(n_points=n_points, r_max=float(r_max), h=h, r=r)
 
 
+_VALIDATE_TOL = 1e-10  # Hermiticity, orthonormality and [0, 1] slack of a stored state
 _DROP_TOL = 1e-14  # factor weights at or below this share of the largest |weight| are dropped
 
 
@@ -145,8 +147,9 @@ class DensityMatrix:
         terms = (np.sum(np.abs(w) ** 2 @ nu) for w, nu in zip(*self.factors))
         return float(sum((2 * l + 1) * t for l, t in enumerate(terms)))
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Check the input form, then 0 <= Gamma <= 1 on the factors' weights.
+    def validate(self) -> None:
+        """Check the input form, then 0 <= Gamma <= 1 on the factors' weights,
+        each to _VALIDATE_TOL.
 
         Every entry must be finite (NaN passes each bound test below).  Dense
         blocks must be n x n and Hermitian, checked before they are factored
@@ -162,7 +165,7 @@ class DensityMatrix:
                 if b.shape != (n, n):
                     raise ValueError(f"block l={l} has shape {b.shape}")
                 herm = np.max(np.abs(b - b.conj().T))
-                if herm > tol:
+                if herm > _VALIDATE_TOL:
                     raise ValueError(f"block l={l} not Hermitian: defect {herm:.2e}")
         else:
             for l, (w, nu) in enumerate(zip(*self._factors)):
@@ -174,10 +177,10 @@ class DensityMatrix:
                 if np.iscomplexobj(nu):
                     raise ValueError(f"channel l={l} weights are not real")
                 gram = float(np.max(np.abs(w.conj().T @ w - np.eye(nu.size)), initial=0.0))
-                if gram > tol:
+                if gram > _VALIDATE_TOL:
                     raise ValueError(f"channel l={l} orbitals not orthonormal: defect {gram:.2e}")
         for l, nu in enumerate(self.factors[1]):
-            if nu.size and (nu.min() < -tol or nu.max() > 1.0 + tol):
+            if nu.size and (nu.min() < -_VALIDATE_TOL or nu.max() > 1.0 + _VALIDATE_TOL):
                 raise ValueError(
                     f"channel l={l} occupations outside [0,1]: [{nu.min():.2e}, {nu.max():.6f}]"
                 )

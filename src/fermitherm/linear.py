@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropySpec, SeriesResult, _sum_series, validate_a4
+from .entropy import EntropySpec, SeriesResult, _saturation, _sum_series, validate_a4
 
 __all__ = [
     "HydrogenLevel",
@@ -52,7 +52,7 @@ class HydrogenLevel:
 
 
 def hydrogen_level(Z: float, j: int) -> HydrogenLevel:
-    if Z <= 0.0:
+    if not Z > 0.0:
         raise ValueError(f"hydrogen_level requires Z > 0, got {Z}")
     if j < 1:
         raise ValueError(f"hydrogen_level requires j >= 1, got {j}")
@@ -79,7 +79,7 @@ def regime_classify(m: float) -> Regime:
 
 
 def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
-    """Unconstrained minimum of the linear model: T sum_j j^2 beta*(lambda_j/T).
+    """Global minimum of the linear model: T sum_j j^2 beta*(lambda_j/T).
 
     Per level the minimum of lambda*nu + T*beta(nu) over nu in [0, 1] is
     T*beta*(lambda/T), hence the overall T prefactor.  Strictly negative;
@@ -91,19 +91,17 @@ def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesRe
         raise UnboundedModelError(
             f"linear model unbounded from below for m = {spec.m}"
         )
-    return SeriesResult(value=-T * report.value, tail_bound=T * report.tail_bound)
+    return SeriesResult(value=-T * report.value)
 
 
 def _g_series(spec: EntropySpec, Z: float, T: float, k: int) -> SeriesResult:
     """sum_j j**k g(-Z^2/(4 T j^2)) for k = 0 or 2, exactly.
 
-    The n levels with c/j^2 >= m (c = Z^2/(4T)) are saturated, g = 1, and add
-    sum_{j<=n} j**k; beyond them the summand is the pure power
-    (c/m)**(1/(m-1)) * j**(k - 2/(m-1)).
+    The n saturated levels (``_saturation``) add sum_{j<=n} j**k; beyond them
+    the summand is the pure power (c/m)**(1/(m-1)) * j**(k - 2/(m-1)).
     """
     m = spec.m
-    c = Z * Z / (4.0 * T)
-    n = int(math.floor(math.sqrt(c / m)))
+    c, n = _saturation(spec, Z, T)
     head = n * (n + 1) * (2 * n + 1) / 6.0 if k == 2 else float(n)
     return _sum_series(head, n + 1, (c / m) ** (1.0 / (m - 1.0)), k - 2.0 / (m - 1.0))
 
@@ -113,8 +111,6 @@ def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
 
     Finite iff m < 5/3 for the power family; value is +inf otherwise.
     """
-    if Z <= 0.0 or T <= 0.0:
-        raise ValueError("q_max_lin requires Z > 0 and T > 0")
     return _g_series(spec, Z, T, 2)
 
 
@@ -124,7 +120,8 @@ def q_of_mu(spec: EntropySpec, Z: float, T: float, mu: float) -> float:
     Finite for mu < 0 because only levels below mu contribute; at mu = 0
     this is q_max_lin (possibly infinite).
     """
-    if mu > 0.0:
+    _saturation(spec, Z, T)  # the check of Z and T
+    if not mu <= 0.0:
         raise ValueError(f"q_of_mu requires mu <= 0, got {mu}")
     if mu == 0.0:
         return q_max_lin(spec, Z, T).value
@@ -146,7 +143,7 @@ def mu_of_q(
 
     q = 0 returns the -inf sentinel; q at or above q_max_lin raises.
     """
-    if q < 0.0:
+    if not q >= 0.0:
         raise ValueError(f"mu_of_q requires q >= 0, got {q}")
     if q == 0.0:
         return -math.inf
@@ -170,13 +167,6 @@ def mu_of_q(
     return mid
 
 
-def _unweighted_g_sum(spec: EntropySpec, Z_eff: float, T: float) -> float:
-    """sum_j g(-Z_eff^2/(4 T j^2)) without degeneracy weights."""
-    if Z_eff <= 0.0:
-        return 0.0
-    return _g_series(spec, Z_eff, T, 0).value
-
-
 def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:
     """Largest q with q <= min{sum_j g(-(Z-q)^2/(4 T j^2)), Z}.
 
@@ -184,14 +174,13 @@ def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:
     increases, so the crossing is unique; found by bisection.  The sum
     carries no degeneracy weight.
     """
-    if Z <= 0.0 or T <= 0.0:
-        raise ValueError("guaranteed_existence_qmax requires Z > 0 and T > 0")
+    _saturation(spec, Z, T)  # the check of Z and T
     if spec.m >= 3.0:
         # unweighted sum diverges, the display holds on all of [0, Z)
         return Z
 
     def rhs(q: float) -> float:
-        return min(_unweighted_g_sum(spec, Z - q, T), Z)
+        return min(_g_series(spec, Z - q, T, 0).value, Z) if q < Z else 0.0
 
     lo, hi = 0.0, Z  # rhs(0) > 0 and rhs(Z) = 0, so the crossing is interior
     for _ in range(200):
@@ -218,7 +207,7 @@ class LinearReport:
 def linear_report(spec: EntropySpec, Z: float, T: float) -> LinearReport:
     regime = regime_classify(spec.m)
     if regime is Regime.UNBOUNDED:
-        ground = SeriesResult(value=-math.inf, tail_bound=math.inf)
+        ground = SeriesResult(value=-math.inf)
     else:
         ground = linear_ground_free_energy(spec, Z, T)
     return LinearReport(

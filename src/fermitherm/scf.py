@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -81,7 +82,7 @@ _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
 class ScfConfig:
     """Problem statement plus discretization and iteration controls.
 
-    ``q = None`` selects the unconstrained global problem (mu fixed at 0).
+    ``q = None`` selects the global problem, with no charge constraint (mu fixed at 0).
     ``r_max = None`` defaults to 60/Z.  ``interactions = False`` drops the
     Hartree and exchange terms, turning the run into the discrete linear
     model (used to compare against the analytic series).
@@ -104,8 +105,10 @@ class ScfConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.l_max < 0:
-            raise ValueError(f"l_max must be >= 0, got {self.l_max}")
+        for name in ("l_max", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if self.T <= 0.0:
             raise ValueError("scf requires T > 0")
         if self.tol_gamma <= 0.0 or self.tol_energy <= 0.0:
@@ -232,9 +235,9 @@ def _diagonalize_blocks(blocks):
     return levels, vectors
 
 
-def _fill_levels(levels, spec, T, q, constrained):
-    """(mu, per-channel occupations) of the pooled levels."""
-    if not constrained:
+def _fill_levels(levels, spec, T, q):
+    """(mu, per-channel occupations) of the levels filled to charge q; q = None pins mu at 0."""
+    if q is None:
         return 0.0, [spec.g(w / T) for w in levels]
     pooled = [(e, 2 * l + 1) for l, w in enumerate(levels) for e in w]
     mu, occ_flat = occupations_from_levels(pooled, spec, T, q)
@@ -348,15 +351,15 @@ def _step_length(segment, slope, curvature, spec, T, free, fallback):
     return 0.0, resolved
 
 
-def _initial_state(cache: OperatorCache, config: ScfConfig, constrained: bool):
+def _initial_state(cache: OperatorCache, config: ScfConfig):
     """Warm start: the orbital factors of the filled bare kinetic+nuclear
     spectrum (the linear minimizer)."""
     levels, vectors = cache.bare_spectrum
-    _, occs = _fill_levels(levels, config.spec, config.T, config.q, constrained)
+    _, occs = _fill_levels(levels, config.spec, config.T, config.q)
     return _trimmed(vectors, occs)
 
 
-def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
+def _run_scf(config: ScfConfig) -> ScfResult:
     if regime_classify(config.spec.m) is Regime.UNBOUNDED:
         raise UnboundedModelError(f"free energy unbounded from below for m = {config.spec.m}")
     spec, Z, T = config.spec, config.Z, config.T
@@ -369,7 +372,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         if config.interactions:
             ham = _factored_field(cache, *factors).dense_blocks()
             return (ham, *_diagonalize_blocks(ham))
-        return (None, *cache.bare_spectrum)
+        return ([cache.one_body_block(l) for l in range(config.l_max + 1)], *cache.bare_spectrum)
 
     energy_of = free_energy if config.interactions else linear_energy_breakdown
 
@@ -377,9 +380,9 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         return energy_of(DensityMatrix.from_factors(grid, *factors), spec, Z, T, cache)
 
     try:
-        factors = _initial_state(cache, config, constrained)
+        factors = _initial_state(cache, config)
         # the warm start is the minimizer at q = 0 and without interactions
-        minimal = not config.interactions or (constrained and config.q == 0.0)
+        minimal = not config.interactions or config.q == 0.0
         status = "converged" if minimal else "max_iter"
     except UnreachableChargeError:
         factors = zero_density_matrix(grid, config.l_max).factors
@@ -393,7 +396,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         iterations = iteration
         ham, levels, vectors = solve(factors)
         try:
-            mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
+            mu, occs = _fill_levels(levels, spec, T, config.q)
         except UnreachableChargeError:
             status = "unreachable-charge"
             break
@@ -430,7 +433,7 @@ def _run_scf(config: ScfConfig, constrained: bool) -> ScfResult:
         # the one solve of the returned state: residual, mu, the audit's levels and H
         ham, levels, vectors = solve(factors)
         try:
-            mu, occs = _fill_levels(levels, spec, T, config.q, constrained)
+            mu, occs = _fill_levels(levels, spec, T, config.q)
             residual = _Segment(factors, _trimmed(vectors, occs)).defect()
         except UnreachableChargeError:
             if status == "converged":
@@ -456,12 +459,12 @@ def scf_minimize(config: ScfConfig) -> ScfResult:
     """Minimize the free energy at fixed charge tr(gamma) = q."""
     if config.q is None:
         raise ValueError("scf_minimize needs config.q; use scf_global otherwise")
-    return _run_scf(config, constrained=True)
+    return _run_scf(config)
 
 
 def scf_global(config: ScfConfig) -> ScfResult:
-    """Unconstrained minimization; the multiplier stays pinned at zero."""
-    return _run_scf(config, constrained=False)
+    """Minimization with no charge constraint (``config.q`` is ignored); mu is pinned at 0."""
+    return _run_scf(dataclasses.replace(config, q=None))
 
 
 def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit:
@@ -470,9 +473,10 @@ def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
     levels of H_gamma sit below -(Z-q)^2/(4 j^2) within an h^2-scale
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
-    (d) negative free energy for q > 0.  ``ham_blocks`` (None: the bare
-    blocks, interactions off) and its negative ``levels`` per channel come
-    from the solve of the result's state; (b) is the audit's one eigensolve.
+    (d) negative free energy for q > 0.  The dense mean-field blocks
+    ``ham_blocks`` (the bare blocks when interactions are off) and their
+    negative ``levels`` per channel come from the solve of the result's
+    state; (b) is the audit's one eigensolve.
     """
     gamma = result.gamma
     grid = gamma.grid
@@ -481,8 +485,6 @@ def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit
 
     from scipy.linalg import eigh
 
-    if ham_blocks is None:
-        ham_blocks = [cache.one_body_block(l) for l in range(gamma.l_max + 1)]
     lieb = sum(
         (2 * l + 1) * float(np.real(np.sum((grid.r[:, None] * w).conj() * (h @ w), axis=0)) @ nu)
         for l, (h, w, nu) in enumerate(zip(ham_blocks, *gamma.factors))
@@ -573,7 +575,7 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     threads (one runs them in order; fewer than one raises ValueError).
     numpy releases the GIL in the mean-field assembly and the energy terms,
     which overlap across threads; SciPy's LAPACK wrappers hold it, so the
-    partial eigensolves of concurrent charges run one at a time.  Rows come
+    subset eigensolves of concurrent charges run one at a time.  Rows come
     back in input order regardless of scheduling.
     """
     q_list = list(q_list)

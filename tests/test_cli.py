@@ -46,6 +46,30 @@ def test_entropy_bad_exponent_exit1(capsys):
     assert "m > 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--m", "2", "--Z", "inf", "--T", "1"],
+        ["entropy", "--m", "2", "--Z", "nan", "--T", "1"],
+        ["entropy", "--m", "2", "--Z", "1", "--T", "1e-200"],
+        ["entropy", "--m", "2", "--Z", "1e200", "--T", "1"],
+        ["entropy", "--m", "2.999", "--Z", "1", "--T", "1e-205"],
+        ["entropy", "--m", "inf", "--Z", "1", "--T", "1"],
+        ["linear", "--m", "2", "--Z", "1", "--T", "1e-300"],
+        ["linear", "--m", "2", "--Z", "1", "--T", "nan"],
+        ["linear", "--m", "inf", "--Z", "1", "--T", "1"],
+        MINIMIZE_SMALL + ["--max-iter", "-3"],
+    ],
+    ids=["Z-inf", "Z-nan", "T-tiny", "Z-huge", "sum-overflows", "m-inf", "linear-T-tiny",
+         "linear-T-nan", "linear-m-inf", "minimize-negative-max-iter"],
+)
+def test_bad_or_overflowing_input_exit1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in err
+
+
 def test_entropy_lambda_grid(capsys):
     code, out, _ = run(
         capsys,

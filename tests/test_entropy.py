@@ -185,3 +185,44 @@ def test_a4_requires_positive_inputs():
         validate_a4(spec, Z=0.0, T=1.0)
     with pytest.raises(ValueError):
         validate_a4(spec, Z=1.0, T=-1.0)
+
+
+@pytest.mark.parametrize(
+    "Z, T, named",
+    [(math.nan, 1.0, "Z = nan"), (math.inf, 1.0, "Z = inf"), (1.0, math.nan, "T = nan"),
+     (1.0, math.inf, "T = inf"), (1e200, 1.0, "overflows"), (1.0, 1e-320, "overflows")],
+)
+def test_a4_refuses_non_finite_and_overflowing_scale(Z, T, named):
+    with pytest.raises(ValueError, match=named):
+        validate_a4(make_power_entropy(2.0), Z=Z, T=T)
+
+
+@pytest.mark.parametrize("m, T", [(2.0, 1e-200), (2.999, 1e-205)])
+def test_a4_overflowing_value_raises(m, T):
+    # c = Z^2/(4T) is finite; at m = 2 the power (c/m)**(m/(m-1)) overflows,
+    # near m = 3 the zeta tail is ~1/(3-m) times that finite power
+    with pytest.raises(OverflowError):
+        validate_a4(make_power_entropy(m), Z=1.0, T=T)
+
+
+@pytest.mark.parametrize("m", [math.inf, math.nan, -math.inf])
+def test_power_entropy_refuses_non_finite_exponent(m):
+    with pytest.raises(InvalidExponentError, match="m > 1"):
+        make_power_entropy(m)
+
+
+def test_maps_take_scalars_and_arrays_alike():
+    spec = make_power_entropy(2.5)
+    lam = np.array([-4.0, -1.0, -0.2, 0.0, 0.3])
+    nu = np.array([0.0, 0.25, 1.0])
+    for fn, grid in ((spec.g, lam), (spec.beta_star, lam), (spec.beta, nu), (spec.beta_prime, nu)):
+        values = fn(grid)
+        assert values.shape == grid.shape
+        for x, value in zip(grid, values):
+            scalar = fn(float(x))
+            # NumPy's array loop and the scalar pow may differ in the last bit
+            assert isinstance(scalar, np.float64)
+            assert scalar == pytest.approx(value, rel=1e-15, abs=0.0)
+        assert fn(grid.reshape(-1, 1)).shape == (grid.size, 1)
+    with pytest.raises(OccupationDomainError):
+        spec.beta_prime(1.5)

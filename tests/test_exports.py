@@ -73,3 +73,25 @@ def test_readme_dotted_names_resolve():
             unresolved.append(dotted)
     assert {"grid.multipole_apply", "ScfResult.history"} <= set(checked)
     assert not unresolved, unresolved
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _traced_layer_names():
+    """Function names of the benchmark's ``LAYERS`` table, read without importing it."""
+    tree = ast.parse(SPANS.read_text())
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"
+    ]
+    return [ast.literal_eval(row.elts[1]) for row in table.elts]
+
+
+def test_traced_layer_names_exist():
+    # the benchmark's span recorder rebinds these library names by string
+    names = _traced_layer_names()
+    assert "_midpoint_unitary_step" in names
+    modules = [importlib.import_module(f"fermitherm.{m}") for m in sorted(MODULES - {"__main__"})]
+    missing = [name for name in names if not any(hasattr(m, name) for m in modules)]
+    assert not missing, missing

@@ -41,6 +41,12 @@ def test_build_grid_rejects_nonpositive():
         build_grid(100, -2.0)
 
 
+@pytest.mark.parametrize("n_points", [60.5, 60.0, "60"])
+def test_build_grid_rejects_non_integral_size(n_points):
+    with pytest.raises(ValueError, match="n_points"):
+        build_grid(n_points, 20.0)
+
+
 @pytest.mark.parametrize("r_max", [np.nan, np.inf])
 def test_build_grid_rejects_non_finite_r_max(r_max):
     with pytest.raises(ValueError, match="finite"):

@@ -10,7 +10,7 @@ from scipy.special import zeta
 
 from fermitherm.entropy import make_power_entropy, validate_a4
 from fermitherm.linear import (
-    _unweighted_g_sum,
+    _g_series,
     Regime,
     UnboundedModelError,
     UnreachableChargeError,
@@ -40,6 +40,26 @@ def test_hydrogen_level_errors():
         hydrogen_level(1.0, 0)
     with pytest.raises(ValueError):
         hydrogen_level(0.0, 1)
+    with pytest.raises(ValueError):
+        hydrogen_level(math.nan, 1)
+
+
+def test_nan_arguments_are_refused():
+    spec = make_power_entropy(2.0)
+    with pytest.raises(ValueError, match="q >= 0"):
+        mu_of_q(spec, 1.0, 1.0, math.nan)
+    with pytest.raises(ValueError, match="mu <= 0"):
+        q_of_mu(spec, 1.0, 1.0, math.nan)
+    for Z, T in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite Z > 0 and T > 0"):
+            q_max_lin(spec, Z, T)
+        with pytest.raises(ValueError, match="finite Z > 0 and T > 0"):
+            guaranteed_existence_qmax(spec, Z, T)
+        with pytest.raises(ValueError, match="finite Z > 0 and T > 0"):
+            linear_report(spec, Z, T)
+    for Z, T in ((math.nan, 1.0), (-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="finite Z > 0 and T > 0"):
+            q_of_mu(spec, Z, T, -0.5)
 
 
 def test_regime_table():
@@ -176,7 +196,7 @@ def test_closed_form_series_inside_direct_enclosure(m, Z, T):
     a4_coeff = (m - 1.0) * (c / m) ** (m / (m - 1.0))
     assert _inside(a4.value, _enclosure(a4_terms, a4_coeff, p))
 
-    unweighted = _unweighted_g_sum(spec, Z, T)
+    unweighted = _g_series(spec, Z, T, 0).value
     assert _inside(unweighted, _enclosure(lambda j: spec.g(-c / j**2), g_coeff, p))
 
     qmax = q_max_lin(spec, Z, T)

@@ -153,7 +153,7 @@ def test_scf_iterates_stay_in_K():
     cfg = small_config(n_points=200)
     res = scf_minimize(cfg)
     assert res.converged
-    DensityMatrix(res.gamma.grid, res.gamma.blocks).validate(tol=1e-10)
+    DensityMatrix(res.gamma.grid, res.gamma.blocks).validate()
 
 
 def test_scf_audit_fields_populated():
@@ -175,6 +175,14 @@ def test_scf_audit_fields_populated():
      ("q", math.inf), ("r_max", math.nan), ("tol_gamma", math.nan), ("tol_energy", math.inf)],
 )
 def test_config_rejects_negative_lmax_and_nonfinite_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("l_max", 1.5), ("max_iter", 2.5), ("max_iter", -3), ("l_max", "2")]
+)
+def test_config_rejects_non_integral_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         small_config(**{field: value})
 
@@ -323,7 +331,7 @@ def test_interaction_free_solve_returns_the_warm_start(q):
     assert res.converged and res.audit is not None
     assert res.iterations == 0 and res.history == [] and res.residual == 0.0
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
-    orbitals, weights = scf_module._initial_state(cache, cfg, q is not None)
+    orbitals, weights = scf_module._initial_state(cache, cfg)
     got_orbitals, got_weights = res.gamma.factors
     for got, want in zip(got_orbitals + got_weights, orbitals + weights):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -425,7 +433,7 @@ def test_negative_spectrum_matches_dense_reference():
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
     bare_blocks = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
     _assert_same_spectrum(cache.bare_spectrum, _dense_negative(bare_blocks))
-    factors = scf_module._initial_state(cache, cfg, constrained=True)
+    factors = scf_module._initial_state(cache, cfg)
     warm = DensityMatrix.from_factors(cache.grid, *factors)
     mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache).blocks
     _assert_same_spectrum(
@@ -671,7 +679,7 @@ def test_mixed_iterates_stay_in_K(problem):
     # every iterate's factors are checked (orthonormal orbitals, weights in
     # [0, 1]) right after its step; the returned state is validated densely
     gamma = _mixing_run(problem).gamma
-    DensityMatrix(gamma.grid, gamma.blocks).validate(tol=1e-10)
+    DensityMatrix(gamma.grid, gamma.blocks).validate()
 
 
 def test_damped_iterates_never_raise_the_free_energy():
@@ -699,10 +707,10 @@ def _segment_problem(m, q):
     def candidate(gamma):
         ham = mean_field_hamiltonian(gamma, cfg.Z, cache).blocks
         levels, vectors = scf_module._diagonalize_blocks(ham)
-        _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q, True)
+        _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q)
         return ham, scf_module._trimmed(vectors, occs)
 
-    factors0 = scf_module._initial_state(cache, cfg, constrained=True)
+    factors0 = scf_module._initial_state(cache, cfg)
     gamma0 = DensityMatrix.from_factors(cache.grid, *factors0)
     factors = scf_module._Segment(factors0, candidate(gamma0)[1]).factors(0.5)
     gamma = DensityMatrix.from_factors(cache.grid, *factors)
