@@ -48,3 +48,4 @@ print(f"  tr(r H gamma) = {audit.lieb_value:+.3e}  (must be <= 0)")
 print(f"  l=0 levels below -(Z-q)^2/(4j^2): {audit.eigenvalue_bound_ok}")
 print(f"  charge chain q <= tr g(H/T) <= tr g(H_bare/T): {audit.qmaxlin_chain_ok}")
 print(f"  negative free energy: {audit.energy_negative_ok}")
+print(f"  exchange <= direct, coercivity, Brown-Kosaki at 3 radii: {audit.inequalities_ok}")

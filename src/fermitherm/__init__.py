@@ -18,8 +18,6 @@ from .dynamics import (
 from .energy import (
     EnergyBreakdown,
     GridMismatchError,
-    InequalityAuditReport,
-    MeanFieldHamiltonian,
     OperatorCache,
     free_energy,
     hf_energy,

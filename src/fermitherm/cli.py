@@ -1,9 +1,10 @@
 """Command-line surface: entropy/linear tables, SCF runs, sweeps, dynamics.
 
 Exit codes: 0 success, 1 usage error (also an input out of range, or one whose
-hydrogen series overflows), 2 model-regime refusal, 3 converged
-with audit failure, 4 convergence failure (including missing, malformed or
-unconverged input states).  CSV output is byte-deterministic: header row first,
+hydrogen series overflows), 2 model-regime refusal, 3 converged with a
+failed check of the minimizer audit (its inequality pairs included), 4
+convergence failure (including missing, malformed or unconverged input
+states).  CSV output is byte-deterministic: header row first,
 17-significant-digit floats, LF line endings.  A JSON file with the same
 keys as the flags can be passed via --config; its values are converted as
 the flags' text would be, and explicit flags win.
@@ -161,11 +162,23 @@ def _scf_config(opts: dict) -> ScfConfig:
     )
 
 
+def _hydrogen_series(fn, opts: dict):
+    """(spec, fn(spec, Z, T)) at the command's m, Z and T; a closed form of
+    the hydrogen series that leaves the float range is an input error naming them."""
+    _require(opts, ("m", "Z", "T"))
+    m, Z, T = opts["m"], opts["Z"], opts["T"]
+    spec = make_power_entropy(m)
+    try:
+        return spec, fn(spec, Z, T)
+    except OverflowError:
+        raise ValueError(
+            f"the hydrogen series leave the floating-point range at m = {m}, Z = {Z}, T = {T}"
+        ) from None
+
+
 def cmd_entropy(args) -> int:
     opts = _merge(args)
-    _require(opts, ("m", "Z", "T"))
-    spec = make_power_entropy(opts["m"])
-    report = validate_a4(spec, opts["Z"], opts["T"])
+    spec, report = _hydrogen_series(validate_a4, opts)
     if "lambda_grid" in opts:
         lams = [float(tok) for tok in str(opts["lambda_grid"]).split(",")]
     else:
@@ -185,8 +198,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_linear(args) -> int:
     opts = _merge(args)
-    _require(opts, ("m", "Z", "T"))
-    rep = linear_report(make_power_entropy(opts["m"]), opts["Z"], opts["T"])
+    _, rep = _hydrogen_series(linear_report, opts)
     row = (
         opts["m"],
         opts["Z"],

@@ -41,8 +41,6 @@ from .grid import (
 __all__ = [
     "EnergyBreakdown",
     "GridMismatchError",
-    "InequalityAuditReport",
-    "MeanFieldHamiltonian",
     "OperatorCache",
     "brown_kosaki_terms",
     "free_energy",
@@ -238,7 +236,6 @@ def _factor_spectra(orbitals, weights) -> list:
 
 
 _CLIP_TOL = 1e-10
-_AUDIT_TOL = 1e-9  # absolute slack of each check of ``inequality_audit``
 
 
 def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
@@ -292,18 +289,6 @@ def linear_energy_breakdown(
 
 
 @dataclass
-class MeanFieldHamiltonian:
-    """Per-channel blocks H_l = kinetic_l + diag(v_nuclear + v_hartree) - K_l.
-
-    Normalized as the exact gradient of the Hartree-Fock energy: for any
-    Hermitian perturbation, dE = sum_l (2l+1) tr(H_l dGamma_l).
-    """
-
-    grid: RadialGrid
-    blocks: list
-
-
-@dataclass
 class _FactoredField:
     """The mean field of a factored state.
 
@@ -354,9 +339,13 @@ def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:
 
 def mean_field_hamiltonian(
     gamma: DensityMatrix, Z: float, cache: OperatorCache | None = None
-) -> MeanFieldHamiltonian:
-    field = _factored_field(_cache_for(gamma, Z, cache), *gamma.factors)
-    return MeanFieldHamiltonian(grid=gamma.grid, blocks=field.dense_blocks())
+) -> list:
+    """Per-channel blocks H_l = kinetic_l + diag(v_nuclear + v_hartree) - K_l.
+
+    Normalized as the exact gradient of the Hartree-Fock energy: for any
+    Hermitian perturbation, dE = sum_l (2l+1) tr(H_l dGamma_l).
+    """
+    return _factored_field(_cache_for(gamma, Z, cache), *gamma.factors).dense_blocks()
 
 
 def _cutoff_profile(s: np.ndarray) -> np.ndarray:
@@ -386,61 +375,24 @@ def brown_kosaki_terms(
     return lhs, rhs
 
 
-@dataclass(frozen=True)
-class AuditCheck:
-    name: str
-    passed: bool
-    lhs: float
-    rhs: float
-
-
-@dataclass(frozen=True)
-class InequalityAuditReport:
-    checks: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def by_name(self, name: str) -> AuditCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 def inequality_audit(
-    gamma: DensityMatrix,
-    spec: EntropySpec,
-    Z: float,
-    T: float,
-    cache: OperatorCache | None = None,
-) -> InequalityAuditReport:
-    """Numeric audit of the proven inequalities; failures are entries, not errors.
+    gamma: DensityMatrix, spec: EntropySpec, Z: float, energy: EnergyBreakdown
+) -> dict:
+    """The proven inequalities on a state, as {name: (lhs, rhs)} with lhs <= rhs.
 
-    (a) exchange <= direct; (b) coercivity total_hf >= kinetic/2 - 2 Z^2 q;
-    (c) entropy monotonicity under [0,1]-valued diagonal cutoffs
-        tr beta(X gamma X) <= tr(X beta(gamma) X) at three radii.
-    Each check passes within _AUDIT_TOL.
+    exchange_le_direct: exchange <= direct; coercivity:
+    kinetic/2 - 2 Z^2 q <= total_hf; brown_kosaki_R=...: the entropy
+    monotonicity tr beta(X gamma X) <= tr(X beta(gamma) X) under a
+    [0,1]-valued diagonal cutoff X at three radii.  The energy terms are read
+    from ``energy``, the breakdown of ``gamma``.
     """
-    cache = _cache_for(gamma, Z, cache)
-    kin, nuc, direct, exch = _hf_terms(*gamma.factors, cache)
-    total_hf = kin + nuc + direct - exch
-    q = gamma.trace()
-    checks = [
-        AuditCheck("exchange_le_direct", exch <= direct + _AUDIT_TOL, exch, direct),
-        AuditCheck(
-            "coercivity",
-            total_hf >= 0.5 * kin - 2.0 * Z * Z * q - _AUDIT_TOL,
-            total_hf,
-            0.5 * kin - 2.0 * Z * Z * q,
-        ),
-    ]
-    r = gamma.grid.r
-    for r_cut in (gamma.grid.r_max / 8.0, gamma.grid.r_max / 4.0, gamma.grid.r_max / 2.0):
-        x_diag = _cutoff_profile(r / r_cut)
-        lhs, rhs = brown_kosaki_terms(gamma, spec, x_diag)
-        checks.append(
-            AuditCheck(f"brown_kosaki_R={r_cut:g}", lhs <= rhs + _AUDIT_TOL, lhs, rhs)
+    checks = {
+        "exchange_le_direct": (energy.exchange, energy.direct),
+        "coercivity": (0.5 * energy.kinetic - 2.0 * Z * Z * gamma.trace(), energy.total_hf),
+    }
+    grid = gamma.grid
+    for r_cut in (grid.r_max / 8.0, grid.r_max / 4.0, grid.r_max / 2.0):
+        checks[f"brown_kosaki_R={r_cut:g}"] = brown_kosaki_terms(
+            gamma, spec, _cutoff_profile(grid.r / r_cut)
         )
-    return InequalityAuditReport(checks=tuple(checks))
+    return checks

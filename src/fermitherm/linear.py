@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,10 @@ class HydrogenLevel:
 
 
 def hydrogen_level(Z: float, j: int) -> HydrogenLevel:
-    if not Z > 0.0:
-        raise ValueError(f"hydrogen_level requires Z > 0, got {Z}")
-    if j < 1:
-        raise ValueError(f"hydrogen_level requires j >= 1, got {j}")
+    if not 0.0 < Z < math.inf:
+        raise ValueError(f"hydrogen_level requires a finite Z > 0, got {Z}")
+    if not isinstance(j, numbers.Integral) or j < 1:
+        raise ValueError(f"hydrogen_level requires an integer j >= 1, got {j!r}")
     return HydrogenLevel(j=j, lambda_j=-Z * Z / (4.0 * j * j), multiplicity=j * j)
 
 

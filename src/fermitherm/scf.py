@@ -48,6 +48,7 @@ from .energy import (
     _factored_field,
     _hf_terms,
     free_energy,
+    inequality_audit,
     linear_energy_breakdown,
 )
 from .entropy import EntropySpec
@@ -76,6 +77,7 @@ __all__ = [
 _BISECTIONS = 30  # halvings of the step-length bracket
 _F_ROUNDING = 1e-14  # relative rounding of a free-energy difference along a step
 _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
+_INEQUALITY_TOL = 1e-9  # absolute slack of each pair of ``inequality_audit``
 
 
 @dataclass
@@ -136,6 +138,7 @@ class MinimizerAudit:
     eigenvalue_bound_ok: bool
     qmaxlin_chain_ok: bool
     energy_negative_ok: bool
+    inequalities_ok: bool
     details: dict = field(default_factory=dict)
 
     def passed(self, tol_gamma: float) -> bool:
@@ -145,6 +148,7 @@ class MinimizerAudit:
             and self.eigenvalue_bound_ok
             and self.qmaxlin_chain_ok
             and self.energy_negative_ok
+            and self.inequalities_ok
         )
 
 
@@ -473,10 +477,12 @@ def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
     levels of H_gamma sit below -(Z-q)^2/(4 j^2) within an h^2-scale
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
-    (d) negative free energy for q > 0.  The dense mean-field blocks
-    ``ham_blocks`` (the bare blocks when interactions are off) and their
-    negative ``levels`` per channel come from the solve of the result's
-    state; (b) is the audit's one eigensolve.
+    (d) negative free energy for q > 0; (e) every (lhs, rhs) pair of
+    ``inequality_audit`` on the result's state and energy, within
+    _INEQUALITY_TOL.  The dense mean-field blocks ``ham_blocks`` (the bare
+    blocks when interactions are off) and their negative ``levels`` per
+    channel come from the solve of the result's state; (b) is the audit's
+    one n x n eigensolve, and (e) takes only k x k spectra of the factors.
     """
     gamma = result.gamma
     grid = gamma.grid
@@ -518,18 +524,21 @@ def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit
     else:
         energy_ok = abs(result.energy.total_free) <= 1e-12
 
+    inequalities = inequality_audit(gamma, spec, Z, result.energy)
     return MinimizerAudit(
         selfconsistency_residual=result.residual,
         lieb_value=lieb,
         eigenvalue_bound_ok=eig_ok,
         qmaxlin_chain_ok=chain_ok,
         energy_negative_ok=energy_ok,
+        inequalities_ok=all(lhs <= rhs + _INEQUALITY_TOL for lhs, rhs in inequalities.values()),
         details={
             "h0_eigenvalues": w0.tolist(),
             "eigenvalue_bounds": bounds.tolist(),
             "discrete_q_mean_field": mf_sum,
             "discrete_q_max_lin": bare_sum,
             "trace": q,
+            **inequalities,
         },
     )
 

@@ -206,7 +206,7 @@ def test_criterion_6_gradient_consistency():
             hf_energy(plus, 1.0, cache).total_hf - hf_energy(minus, 1.0, cache).total_hf
         ) / (2.0 * step)
         analytic = sum(
-            (2 * l + 1) * float(np.einsum("ij,ji->", ham.blocks[l], direction[l]))
+            (2 * l + 1) * float(np.einsum("ij,ji->", ham[l], direction[l]))
             for l in range(3)
         )
         assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fermitherm import scf
 from fermitherm.cli import main
 
 
@@ -47,27 +48,30 @@ def test_entropy_bad_exponent_exit1(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names",
     [
-        ["entropy", "--m", "2", "--Z", "inf", "--T", "1"],
-        ["entropy", "--m", "2", "--Z", "nan", "--T", "1"],
-        ["entropy", "--m", "2", "--Z", "1", "--T", "1e-200"],
-        ["entropy", "--m", "2", "--Z", "1e200", "--T", "1"],
-        ["entropy", "--m", "2.999", "--Z", "1", "--T", "1e-205"],
-        ["entropy", "--m", "inf", "--Z", "1", "--T", "1"],
-        ["linear", "--m", "2", "--Z", "1", "--T", "1e-300"],
-        ["linear", "--m", "2", "--Z", "1", "--T", "nan"],
-        ["linear", "--m", "inf", "--Z", "1", "--T", "1"],
-        MINIMIZE_SMALL + ["--max-iter", "-3"],
+        (["entropy", "--m", "2", "--Z", "inf", "--T", "1"], ""),
+        (["entropy", "--m", "2", "--Z", "nan", "--T", "1"], ""),
+        (["entropy", "--m", "2", "--Z", "1", "--T", "1e-200"], "m = 2.0, Z = 1.0, T = 1e-200"),
+        (["entropy", "--m", "2", "--Z", "1e200", "--T", "1"], ""),
+        (["entropy", "--m", "2.999", "--Z", "1", "--T", "1e-205"],
+         "m = 2.999, Z = 1.0, T = 1e-205"),
+        (["entropy", "--m", "inf", "--Z", "1", "--T", "1"], ""),
+        (["linear", "--m", "2", "--Z", "1", "--T", "1e-300"], "m = 2.0, Z = 1.0, T = 1e-300"),
+        (["linear", "--m", "2", "--Z", "1", "--T", "nan"], ""),
+        (["linear", "--m", "inf", "--Z", "1", "--T", "1"], ""),
+        (MINIMIZE_SMALL + ["--max-iter", "-3"], ""),
     ],
     ids=["Z-inf", "Z-nan", "T-tiny", "Z-huge", "sum-overflows", "m-inf", "linear-T-tiny",
          "linear-T-nan", "linear-m-inf", "minimize-negative-max-iter"],
 )
-def test_bad_or_overflowing_input_exit1(capsys, argv):
+def test_bad_or_overflowing_input_exit1(capsys, argv, names):
+    # a closed form that overflows is reported with the input that made it
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: ") and "Traceback" not in err
+    assert names in line
 
 
 def test_entropy_lambda_grid(capsys):
@@ -141,6 +145,37 @@ def test_minimize_stops_on_the_audited_norm(tmp_path, capsys):
     assert payload["converged"] and payload["audit"]["passed"]
     assert payload["residual"] <= payload["config"]["tol_gamma"]
     assert code == 0
+
+
+# a run whose audit passes: the 80-bohr box holds the 3s comparison level
+MINIMIZE_PASSING = [
+    "minimize",
+    "--m", "2", "--Z", "1", "--T", "1", "--q", "0.1",
+    "--n", "150", "--rmax", "80", "--lmax", "0",
+]
+INEQUALITIES = {
+    "exchange_le_direct", "coercivity",
+    "brown_kosaki_R=10", "brown_kosaki_R=20", "brown_kosaki_R=40",
+}
+
+
+def test_minimize_audits_every_inequality(tmp_path, capsys, monkeypatch):
+    out_json = tmp_path / "res.json"
+    argv = MINIMIZE_PASSING + ["--out", str(out_json)]
+    code, _, _ = run(capsys, argv)
+    audit = json.loads(out_json.read_text())["audit"]
+    assert code == 0 and audit["passed"] and audit["inequalities_ok"]
+    pairs = {name: pair for name, pair in audit["details"].items() if name in INEQUALITIES}
+    assert set(pairs) == INEQUALITIES
+    assert all(len(pair) == 2 and pair[0] <= pair[1] for pair in pairs.values())
+    # one failing inequality alone fails the audit, and the run exits 3
+    monkeypatch.setattr(scf, "inequality_audit", lambda *args: {"coercivity": (1.0, 0.0)})
+    code, _, _ = run(capsys, argv)
+    audit = json.loads(out_json.read_text())["audit"]
+    assert code == 3 and not audit["passed"] and not audit["inequalities_ok"]
+    assert audit["details"]["coercivity"] == [1.0, 0.0]
+    assert audit["eigenvalue_bound_ok"] and audit["qmaxlin_chain_ok"]
+    assert audit["energy_negative_ok"]
 
 
 def test_minimize_unbounded_exit2(capsys):

@@ -100,7 +100,7 @@ def test_minimizer_is_fixed_point(minimizer):
     from fermitherm.energy import mean_field_hamiltonian
 
     ham = mean_field_hamiltonian(minimizer.gamma, 1.0)
-    for h, b in zip(ham.blocks, minimizer.gamma.blocks):
+    for h, b in zip(ham, minimizer.gamma.blocks):
         comm = h @ b - b @ h
         assert np.linalg.norm(comm) <= 10.0 * 1e-9
 

@@ -171,7 +171,7 @@ def test_mean_field_hamiltonian_zero_state_is_bare():
     ham = mean_field_hamiltonian(zero_density_matrix(grid, 1), Z=2.0)
     for l in (0, 1):
         bare = kinetic_matrix(grid, l) + np.diag(nuclear_potential(grid, 2.0))
-        assert np.max(np.abs(ham.blocks[l] - bare)) == 0.0
+        assert np.max(np.abs(ham[l] - bare)) == 0.0
 
 
 def test_mean_field_is_exact_gradient():
@@ -199,7 +199,7 @@ def test_mean_field_is_exact_gradient():
             - hf_energy(minus, 1.0, cache).total_hf
         ) / (2.0 * step)
         analytic = sum(
-            (2 * l + 1) * float(np.einsum("ij,ji->", ham.blocks[l], direction[l]))
+            (2 * l + 1) * float(np.einsum("ij,ji->", ham[l], direction[l]))
             for l in range(3)
         )
         assert fd == pytest.approx(analytic, rel=1e-6)
@@ -215,7 +215,7 @@ def test_mean_field_dominates_bare_operator():
         for _ in range(50):
             v = rng.standard_normal(70)
             v /= np.linalg.norm(v)
-            assert v @ ham.blocks[l] @ v >= v @ bare @ v - 1e-9
+            assert v @ ham[l] @ v >= v @ bare @ v - 1e-9
 
 
 def test_mean_field_lowest_eigenvalue_above_bare():
@@ -224,7 +224,7 @@ def test_mean_field_lowest_eigenvalue_above_bare():
     ham = mean_field_hamiltonian(gamma, Z=1.0)
     bare = kinetic_matrix(grid, 0) + np.diag(nuclear_potential(grid, 1.0))
     assert (
-        np.linalg.eigvalsh(ham.blocks[0])[0]
+        np.linalg.eigvalsh(ham[0])[0]
         >= np.linalg.eigvalsh(bare)[0] - 1e-9
     )
 
@@ -254,16 +254,19 @@ def test_inequality_audit_passes_on_valid_states():
     spec = make_power_entropy(2.0)
     for seed in (1, 2, 3):
         gamma = random_state(grid, l_max=2, seed=seed, scale=0.8)
-        report = inequality_audit(gamma, spec, Z=1.0, T=1.0)
-        assert report.all_pass, [c for c in report.checks if not c.passed]
+        checks = inequality_audit(gamma, spec, 1.0, hf_energy(gamma, Z=1.0))
+        assert len(checks) == 5
+        failed = {name: pair for name, pair in checks.items() if not pair[0] <= pair[1] + 1e-9}
+        assert not failed, failed
 
 
 def test_inequality_audit_zero_state():
     grid = build_grid(40, 8.0)
     spec = make_power_entropy(2.0)
-    report = inequality_audit(zero_density_matrix(grid, 1), spec, Z=1.0, T=1.0)
-    assert report.all_pass
-    assert report.by_name("exchange_le_direct").lhs == 0.0
+    gamma = zero_density_matrix(grid, 1)
+    checks = inequality_audit(gamma, spec, 1.0, hf_energy(gamma, Z=1.0))
+    assert all(lhs <= rhs + 1e-9 for lhs, rhs in checks.values())
+    assert checks["exchange_le_direct"] == (0.0, 0.0)
 
 
 def test_brown_kosaki_identity_cutoff():
@@ -319,7 +322,7 @@ def test_factored_terms_match_dense_reference(case):
     expected = dense_hf_terms(gamma, 1.5)
     for name, value in zip(("kinetic", "nuclear", "direct", "exchange"), expected):
         assert abs(getattr(got, name) - value) <= 1e-12 * abs(value), name
-    for block, dense in zip(mean_field_hamiltonian(gamma, Z=1.5).blocks, dense_hamiltonian(gamma, 1.5)):
+    for block, dense in zip(mean_field_hamiltonian(gamma, Z=1.5), dense_hamiltonian(gamma, 1.5)):
         assert np.max(np.abs(block - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 

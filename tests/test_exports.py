@@ -95,3 +95,14 @@ def test_traced_layer_names_exist():
     modules = [importlib.import_module(f"fermitherm.{m}") for m in sorted(MODULES - {"__main__"})]
     missing = [name for name in names if not any(hasattr(m, name) for m in modules)]
     assert not missing, missing
+
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+
+
+def test_benchmark_audit_fields_exist():
+    # the benchmark's checks read these MinimizerAudit fields as attributes
+    names = set(re.findall(r"audit\.(\w+)", CHECKS.read_text()))
+    assert "lieb_value" in names
+    fields = {f.name for f in dataclasses.fields(fermitherm.MinimizerAudit)}
+    assert not names - fields, names - fields

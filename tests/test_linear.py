@@ -44,6 +44,19 @@ def test_hydrogen_level_errors():
         hydrogen_level(math.nan, 1)
 
 
+def test_hydrogen_level_refuses_a_non_integral_level():
+    # j = 1.5 is no level: it gave lambda_j = -1/9 with multiplicity 2.25
+    with pytest.raises(ValueError, match="integer j"):
+        hydrogen_level(1.0, 1.5)
+    assert hydrogen_level(1.0, np.int64(2)).multiplicity == 4
+
+
+def test_hydrogen_level_refuses_an_infinite_charge():
+    # Z = inf gave lambda_j = -inf
+    with pytest.raises(ValueError, match="finite Z"):
+        hydrogen_level(math.inf, 1)
+
+
 def test_nan_arguments_are_refused():
     spec = make_power_entropy(2.0)
     with pytest.raises(ValueError, match="q >= 0"):

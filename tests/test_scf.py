@@ -164,6 +164,7 @@ def test_scf_audit_fields_populated():
     assert audit.lieb_value <= 1e-8
     assert audit.qmaxlin_chain_ok
     assert audit.energy_negative_ok
+    assert audit.inequalities_ok
     # in the 40-bohr box the 3s comparison level is squeezed upward, the
     # audit flags it rather than raising
     assert audit.eigenvalue_bound_ok in (True, False)
@@ -435,7 +436,7 @@ def test_negative_spectrum_matches_dense_reference():
     _assert_same_spectrum(cache.bare_spectrum, _dense_negative(bare_blocks))
     factors = scf_module._initial_state(cache, cfg)
     warm = DensityMatrix.from_factors(cache.grid, *factors)
-    mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache).blocks
+    mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache)
     _assert_same_spectrum(
         scf_module._diagonalize_blocks(mf_blocks), _dense_negative(mf_blocks)
     )
@@ -464,7 +465,7 @@ def test_negative_spectrum_empty_and_zero_level():
 def _dense_audit_details(gamma, cfg):
     cache = OperatorCache(gamma.grid, cfg.l_max, cfg.Z)
     bare = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
-    ham = mean_field_hamiltonian(gamma, cfg.Z, cache).blocks if cfg.interactions else bare
+    ham = mean_field_hamiltonian(gamma, cfg.Z, cache) if cfg.interactions else bare
     w_mf = [np.linalg.eigvalsh(h) for h in ham]
 
     def chain(ws):
@@ -515,15 +516,17 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
 def test_returned_state_is_solved_once(monkeypatch):
     # one eigensolve per iteration plus one of the returned state; the audit
     # reuses its levels and solves only for the three s levels; the energy
-    # comes from occupations, so gamma is never diagonalized
+    # comes from occupations, so gamma is never diagonalized (the audit's
+    # Brown-Kosaki spectra are k x k, of the factors)
     import scipy.linalg
 
+    cfg = small_config(l_max=2)
     calls = {"diagonalize": 0, "audit_eigh": 0, "eigvalsh": 0}
     in_audit = []
 
-    def counted(fn, key, when=lambda: True):
+    def counted(fn, key, when=lambda a: True):
         def wrapper(*args, **kwargs):
-            if when():
+            if when(args[0]):
                 calls[key] += 1
             return fn(*args, **kwargs)
 
@@ -542,10 +545,14 @@ def test_returned_state_is_solved_once(monkeypatch):
         scf_module, "_diagonalize_blocks", counted(scf_module._diagonalize_blocks, "diagonalize")
     )
     monkeypatch.setattr(
-        scipy.linalg, "eigh", counted(scipy.linalg.eigh, "audit_eigh", lambda: bool(in_audit))
+        scipy.linalg, "eigh", counted(scipy.linalg.eigh, "audit_eigh", lambda a: bool(in_audit))
     )
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh, "eigvalsh"))
-    res = scf_minimize(small_config(l_max=2))
+    monkeypatch.setattr(
+        np.linalg,
+        "eigvalsh",
+        counted(np.linalg.eigvalsh, "eigvalsh", lambda a: a.shape[-1] == cfg.n_points),
+    )
+    res = scf_minimize(cfg)
     assert res.converged and res.audit is not None and res.iterations > 1
     assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 1, "eigvalsh": 0}
 
@@ -705,7 +712,7 @@ def _segment_problem(m, q):
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
 
     def candidate(gamma):
-        ham = mean_field_hamiltonian(gamma, cfg.Z, cache).blocks
+        ham = mean_field_hamiltonian(gamma, cfg.Z, cache)
         levels, vectors = scf_module._diagonalize_blocks(ham)
         _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q)
         return ham, scf_module._trimmed(vectors, occs)
