@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 usage error (also an input out of range, or one whose
 hydrogen series overflows), 2 model-regime refusal, 3 converged with a
 failed check of the minimizer audit (its inequality pairs included), 4
-convergence failure (including missing, malformed or unconverged input
-states).  CSV output is byte-deterministic: header row first,
-17-significant-digit floats, LF line endings.  A JSON file with the same
-keys as the flags can be passed via --config; its values are converted as
-the flags' text would be, and explicit flags win.
+convergence failure (including an eigensolve that fails its checks and
+missing, malformed or unconverged input states).  CSV output is
+byte-deterministic: header row first, 17-significant-digit floats, LF line
+endings.  A JSON file with the same keys as the flags can be passed via
+--config; its values are converted as the flags' text would be, and
+explicit flags win.
 FERMITHERM_THREADS caps the threads of a sweep.
 """
 
@@ -32,8 +33,8 @@ from .dynamics import (
 )
 from .entropy import make_power_entropy, validate_a4
 from .grid import DensityMatrix, density_from_gamma, hartree_potential
-from .linear import UnboundedModelError, linear_report
-from .scf import ScfConfig, ScfResult, charge_sweep, scf_minimize, scf_global
+from .linear import UnboundedModelError, linear_report, q_max_lin
+from .scf import EigensolveError, ScfConfig, ScfResult, charge_sweep, scf_minimize, scf_global
 
 __all__ = ["main"]
 
@@ -337,6 +338,7 @@ def cmd_sweep(args) -> int:
         return 1
     q_list = list(np.linspace(opts["q_from"], opts["q_to"], steps))
     config = _scf_config(opts)
+    _hydrogen_series(q_max_lin, opts)  # the sweep's ceiling, checked before any solve
     sweep = charge_sweep(config, q_list, workers=_worker_count(len(q_list)))
     rows = [
         (r.q, r.free_energy, r.mu, r.converged, r.binding_flag) for r in sweep.rows
@@ -501,7 +503,7 @@ def main(argv=None) -> int:
     except UnboundedModelError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except _StateError as exc:
+    except (_StateError, EigensolveError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except OverflowError as exc:  # a closed form of the hydrogen series left the float range

@@ -18,9 +18,10 @@ Both propagators take the factored mean field of the midpoint
 (``energy._factored_field``).  A Cayley step reads its terms alone: a
 tridiagonal kinetic part, a diagonal potential and exchange terms through the
 tridiagonal inverses of the multipole kernels, and the Cayley system is solved
-exactly as one banded LU per channel.  The reference ``expm`` takes the
-field's dense blocks.  Samples take energy, trace, entropy and distance from
-the factors; a kept sample state holds its factors.
+exactly as one banded LU per channel (``_FactoredField.shifted_solve`` at the
+shift 2i/dt).  The reference ``expm`` takes the field's dense blocks.
+Samples take energy, trace, entropy and distance from the factors; a kept
+sample state holds its factors.
 """
 
 from __future__ import annotations
@@ -127,44 +128,15 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
 
 
 def _cayley_apply(field, dt, thins):
-    """(I + i dt H/2)^-1 (I - i dt H/2) W = 2 (I + i dt H/2)^-1 W - W, all channels,
-    by one exact banded LU per channel.
+    """(I + i dt H/2)^-1 (I - i dt H/2) W = 2 (I + i dt H/2)^-1 W - W, all channels.
 
-    With z_t = J_t^-1 (conj(w_t) y), the system (I + i dt H_l/2) y = W becomes
-    sparse in (y, z_1..z_m): the rows of y couple y_(i+-1) (kinetic) and z_(t,i);
-    the rows of z_t are J_t z_t - conj(w_t) y = 0.  Interleaving the unknowns per
-    grid point as (y_i, z_(1,i), .., z_(m,i)) makes the bandwidth p = m + 1.
-    The LU costs O(n p^3), so a state of many orbitals steps slower than by a
-    dense O(n^3) LU (rank 10 at n = 100: ~30x).
+    With a = i dt/2, I + a H = a (H - sigma) for sigma = 2i/dt, so each channel
+    takes one exact banded solve ``field.shifted_solve`` of W / a.
     """
-    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
-    from scipy.linalg import solve_banded
-
-    cache = field.cache
-    n = cache.grid.n_points
-    kernel_diag, kernel_off = cache.kernel_inverses
     a = 0.5j * dt
-    out = []
-    for l, thin in enumerate(thins):
-        weights, orders, vectors = field.terms[l]
-        p = len(weights) + 1
-        t = np.arange(1, p)
-        # band[p + row - col, i, s] holds the entry of column col = i p + s
-        band = np.zeros((2 * p + 1, n, p), dtype=complex)
-        band[p, :, 0] = 1.0 + a * (cache.kinetic_diag[l] + field.v_local)
-        band[0, 1:, 0] = band[2 * p, :-1, 0] = a * cache.kinetic_off
-        band[p - t, :, t] = -a * (weights * vectors).T  # row y_i, column z_(t,i)
-        band[p + t, :, 0] = -vectors.conj().T  # row z_(t,i), column y_i
-        band[p, :, 1:] = kernel_diag[orders].T
-        band[0, 1:, 1:] = band[2 * p, :-1, 1:] = kernel_off[orders].T
-        rhs = np.zeros((n, p, thin.shape[1]), dtype=complex)
-        rhs[:, 0] = thin
-        solution = solve_banded(
-            (p, p), band.reshape(2 * p + 1, n * p), rhs.reshape(n * p, -1),
-            overwrite_ab=True, overwrite_b=True, check_finite=False,
-        )
-        out.append(2.0 * solution.reshape(n, p, -1)[:, 0] - thin)
-    return out
+    return [
+        2.0 * field.shifted_solve(l, 2j / dt, thin / a) - thin for l, thin in enumerate(thins)
+    ]
 
 
 def _expm_apply(h_blocks, dt, thins):

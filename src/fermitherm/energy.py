@@ -9,10 +9,13 @@ s orbital.
 Every two-body quantity is computed on orbital factors gamma_l =
 W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form
 (``grid.multipole_apply``) and never stored.  One mean field,
-``_FactoredField``, serves the Cayley steps of the dynamics (its terms) and
-every dense eigensolve (``dense_blocks``); the energies are O(n k^2) sums
-over orbital pairs.  The public functions read ``DensityMatrix.factors``
-(a state built from dense blocks is factored once, by one eigh per block).
+``_FactoredField``, serves the SCF eigensolve through its terms (matvecs,
+and the block L D L^H of ``_ldl_solves`` for shifted solves and level
+counts), the Cayley steps of the dynamics (matvecs and one exact banded
+shifted solve), and the ``expm`` propagator and ``mean_field_hamiltonian``
+through its dense blocks; the energies are O(n k^2) sums over orbital
+pairs.  The public functions read ``DensityMatrix.factors`` (a state built
+from dense blocks is factored once, by one eigh per block).
 """
 
 from __future__ import annotations
@@ -93,10 +96,11 @@ class OperatorCache:
     the nuclear diagonal and the squared-3j weights ``angular`` of each
     channel pair.  No n x n array is held: the multipole kernels act through
     their generators (``grid.multipole_apply``), or through their tridiagonal
-    inverses, ``kernel_inverses``, which the Cayley steps of the dynamics
-    build on first use.  The negative spectrum of the bare blocks,
-    ``bare_spectrum``, is solved on first use and then shared by the warm
-    start, the interaction-free iterations and the minimizer audit.
+    inverses, ``kernel_inverses``, which the banded shifted solves of the
+    Cayley steps build on first use.  The negative spectrum of the bare
+    blocks, ``bare_spectrum``, is solved on first use and then shared by
+    the warm start, the start block and block size of the SCF eigensolve,
+    the interaction-free runs and the minimizer audit.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
@@ -108,23 +112,6 @@ class OperatorCache:
         self.kinetic_off = stencils[0][1]
         self.v_nuclear = nuclear_potential(grid, Z)
         self.angular = exchange_weights(l_max)
-
-    def one_body_block(self, l: int, v_local=None, out=None) -> np.ndarray:
-        """Dense T_l + diag(v_local), added in place onto ``out`` when given.
-
-        ``v_local`` defaults to the nuclear potential, which makes the
-        result the bare block of channel l.
-        """
-        n = self.grid.n_points
-        if v_local is None:
-            v_local = self.v_nuclear
-        if out is None:
-            out = np.zeros((n, n))
-        idx = np.arange(n)
-        out[idx, idx] += self.kinetic_diag[l] + v_local
-        out[idx[:-1], idx[1:]] += self.kinetic_off
-        out[idx[1:], idx[:-1]] += self.kinetic_off
-        return out
 
     @cached_property
     def bare_spectrum(self):
@@ -236,6 +223,7 @@ def _factor_spectra(orbitals, weights) -> list:
 
 
 _CLIP_TOL = 1e-10
+_LDL_BLOCK = 8  # grid points per diagonal block of ``_ldl_solves``
 
 
 def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
@@ -296,13 +284,64 @@ class _FactoredField:
     K_l = sum_t c_t diag(w_t) w_L diag(conj(w_t)) over the terms
     t = (l', L, orbital k) of weight c_t = A_L(l,l') nu_k / (2l+1).
     ``terms[l]`` holds (c, L, W) of channel l: weights, orders and the n x m
-    matrix of the vectors w_t.  The Cayley steps of the dynamics read the
-    terms alone; ``dense_blocks`` forms H for a dense eigensolve.
+    matrix of the vectors w_t.  The SCF eigensolve and the Cayley steps of the
+    dynamics read the terms alone: ``apply`` takes H_l x in O(n m) per column;
+    the eigensolve's shifted solves and level counts are the block L D L^H
+    of ``_ldl_solves``, in O(n m^2), and the Cayley steps' ``shifted_solve``
+    solves (H_l - sigma) x = b for a complex sigma by one banded LU.
+    ``dense_blocks`` forms H for the ``expm`` propagator and
+    ``mean_field_hamiltonian`` only.
     """
 
     cache: OperatorCache
     v_local: np.ndarray
     terms: list
+
+    def apply(self, l: int, x: np.ndarray) -> np.ndarray:
+        """H_l x for an n x k block x: K_l x = sum_t c_t w_t (w_L (conj(w_t) x))."""
+        cache = self.cache
+        weights, orders, vectors = self.terms[l]
+        out = (cache.kinetic_diag[l] + self.v_local)[:, None] * x
+        out[1:] += cache.kinetic_off * x[:-1]
+        out[:-1] += cache.kinetic_off * x[1:]
+        kernel_images = multipole_apply(cache.grid, orders, vectors.conj()[:, :, None] * x[:, None])
+        return out - np.einsum("it,itk->ik", weights * vectors, kernel_images)
+
+    def shifted_solve(self, l: int, sigma, rhs: np.ndarray) -> np.ndarray:
+        """(H_l - sigma)^-1 rhs for a real or complex shift, by one exact banded LU.
+
+        With z_t = J_t^-1 (conj(w_t) y), J_t the tridiagonal inverse of the
+        kernel of term t, the system (H_l - sigma) y = b becomes sparse in
+        (y, z_1..z_m): the rows of y couple y_(i+-1) (kinetic) and z_(t,i); the
+        rows of z_t are J_t z_t - conj(w_t) y = 0.  Interleaving the unknowns per
+        grid point as (y_i, z_(1,i), .., z_(m,i)) makes the bandwidth p = m + 1,
+        so the LU costs O(n p^3): a state of many orbitals solves slower than by
+        a dense O(n^3) LU (rank 10 at n = 100: ~30x).
+        """
+        # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+        from scipy.linalg import solve_banded
+
+        cache = self.cache
+        n = cache.grid.n_points
+        kernel_diag, kernel_off = cache.kernel_inverses
+        weights, orders, vectors = self.terms[l]
+        p = len(weights) + 1
+        t = np.arange(1, p)
+        # band[p + row - col, i, s] holds the entry of column col = i p + s
+        band = np.zeros((2 * p + 1, n, p), dtype=np.result_type(vectors, sigma, rhs))
+        band[p, :, 0] = cache.kinetic_diag[l] + self.v_local - sigma
+        band[0, 1:, 0] = band[2 * p, :-1, 0] = cache.kinetic_off
+        band[p - t, :, t] = -(weights * vectors).T  # row y_i, column z_(t,i)
+        band[p + t, :, 0] = -vectors.conj().T  # row z_(t,i), column y_i
+        band[p, :, 1:] = kernel_diag[orders].T
+        band[0, 1:, 1:] = band[2 * p, :-1, 1:] = kernel_off[orders].T
+        b = np.zeros((n, p, rhs.shape[1]), dtype=band.dtype)
+        b[:, 0] = rhs
+        solution = solve_banded(
+            (p, p), band.reshape(2 * p + 1, n * p), b.reshape(n * p, -1),
+            overwrite_ab=True, overwrite_b=True, check_finite=False,
+        )
+        return solution.reshape(n, p, -1)[:, 0]
 
     def dense_blocks(self) -> list:
         """H_l as n x n blocks, one GEMM per channel for K_l.
@@ -311,15 +350,130 @@ class _FactoredField:
         equals K_l on and above the diagonal (r_i <= r_j), so
         K_l = triu(S) + triu(S, 1)^H.
         """
-        grid = self.cache.grid
+        cache = self.cache
+        idx = np.arange(cache.grid.n_points)
         blocks = []
         for l, (weights, orders, vectors) in enumerate(self.terms):
-            u, v = multipole_generators(grid, orders)
+            u, v = multipole_generators(cache.grid, orders)
             upper = np.triu((u * vectors * weights) @ (v * vectors).conj().T)
             h_block = -(upper + upper.conj().T)
-            h_block.flat[:: grid.n_points + 1] *= 0.5  # the diagonal was taken twice
-            blocks.append(self.cache.one_body_block(l, self.v_local, out=h_block))
+            h_block[idx, idx] *= 0.5  # the diagonal was taken twice
+            h_block[idx, idx] += cache.kinetic_diag[l] + self.v_local
+            h_block[idx[:-1], idx[1:]] += cache.kinetic_off
+            h_block[idx[1:], idx[:-1]] += cache.kinetic_off
+            blocks.append(h_block)
         return blocks
+
+
+def _ldl_solves(problems) -> tuple:
+    """(counts, solutions) for problems (field, l, sigma, b) of one grid and real
+    sigma: the number of levels of H_l below sigma, and (H_l - sigma)^-1 b (None
+    where b is None), by one block L D L^H of H_l - sigma each in O(n m^2).
+
+    Below the diagonal H_l is the kinetic stencil k plus sum_t p_t,i conj(q_t,j)
+    with p = -c v w and q = u w, the generators u, v of each term's kernel
+    (``multipole_generators``).  In blocks J of _LDL_BLOCK grid points, L has
+    L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1 at I = J + 1.
+    With P'_J = [P_J, e_first] and G'_J = [[G_J, k x], [k x^H, k^2 d]], where
+    G_J = sum_(K<J) X_K D_K X_K^H, x is the last column of X_(J-1) and d the
+    last diagonal entry of D_(J-1)^-1,
+
+        D_J = H_JJ - sigma - P'_J G'_J P'_J^H,
+        X_J = (Q_J^H - [G_J, k x] P'_J^H) D_J^-1:
+
+    a block Sturm sequence of the tridiagonal-plus-semiseparable matrix
+    (Chandrasekaran & Gu, SIAM J. Matrix Anal. Appl. 25, 2003).  Each D_J is
+    diagonalized; by Sylvester's law of inertia its negative eigenvalues,
+    summed over the blocks, count the levels below sigma, and an eigenvalue of
+    exactly zero is taken as eps ||H_l||, so a level at sigma is not below it.
+    The substitutions L y = b and L^H x = D^-1 y run over the same blocks.
+    There is no pivoting between blocks, so a nearly singular D_J amplifies
+    rounding in the blocks after it: the solve loses accuracy (the SCF
+    eigensolve checks its Ritz residuals on H_l itself), and a level within
+    that rounding of sigma may be miscounted.  The problems run as one batch,
+    their terms padded with zero generators and the grid with decoupled unit
+    points.
+    """
+    cache = problems[0][0].cache
+    n, size, batch = cache.grid.n_points, _LDL_BLOCK, len(problems)
+    blocks = -(-n // size)
+    width = max(len(field.terms[l][0]) for field, l, _, _ in problems)
+    dtype = np.result_type(
+        float, *(field.terms[l][2] for field, l, _, _ in problems),
+        *(b for *_, b in problems if b is not None),
+    )
+    # P'_J of every block, (blocks, batch, size, width + 1), and Q_J^H
+    p = np.zeros((blocks * size, batch, width + 1), dtype)
+    p[::size, :, width] = 1.0
+    q_conj = np.zeros((blocks * size, batch, width), dtype)
+    diag = np.ones((blocks * size, batch))
+    rhs = np.zeros((blocks * size, batch), dtype)
+    generators = {}  # per channel: p, conj(q) and the diagonal of H_l
+    for k, (field, l, sigma, b) in enumerate(problems):
+        if (id(field), l) not in generators:
+            weights, orders, vectors = field.terms[l]
+            u, v = multipole_generators(cache.grid, orders)
+            p_l, q_l = -(weights * v) * vectors, u * vectors.conj()
+            diag_l = cache.kinetic_diag[l] + field.v_local + np.sum(p_l * q_l, axis=1).real  # -K_ii
+            generators[id(field), l] = p_l, q_l, diag_l
+        p_l, q_l, diag_l = generators[id(field), l]
+        p[:n, k, : p_l.shape[1]], q_conj[:n, k, : p_l.shape[1]] = p_l, q_l
+        diag[:n, k] = diag_l - sigma
+        if b is not None:
+            rhs[:n, k] = b
+    floor = np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(cache.kinetic_off))
+    off = np.zeros(blocks * size)
+    off[: n - 1] = cache.kinetic_off  # off[i] couples points i and i + 1
+    p = p.reshape(blocks, size, batch, width + 1).transpose(0, 2, 1, 3)
+    p_adjoint = p.conj().transpose(0, 1, 3, 2)
+    q_adjoint = q_conj.reshape(blocks, size, batch, width).transpose(0, 2, 3, 1)
+    diag, rhs = (a.reshape(blocks, size, batch).transpose(0, 2, 1) for a in (diag, rhs))
+    # H_JJ - sigma of every block: P_J Q_J^H below the diagonal, the stencil on it
+    pivots = p[..., :width] @ q_adjoint
+    pivots[..., ~np.tril(np.ones((size, size), dtype=bool), -1)] = 0.0
+    pivots += pivots.conj().transpose(0, 1, 3, 2)
+    inner = np.arange(size)
+    pivots[..., inner, inner] += diag
+    couplings = off.reshape(blocks, 1, size)[..., :-1]
+    pivots[..., inner[:-1], inner[1:]] += couplings
+    pivots[..., inner[1:], inner[:-1]] += couplings
+
+    counts = np.zeros(batch, dtype=int)
+    gram = np.zeros((batch, width + 1, width + 1), dtype)  # G'_J
+    prefix = np.zeros((batch, width + 1), dtype)  # [sum_(K<J) X_K y_K, k (D_(J-1)^-1 y_(J-1))_last]
+    factors, solved = [], []
+    for block in range(blocks):
+        p_gram = p[block] @ gram
+        levels, basis = np.linalg.eigh(pivots[block] - p_gram @ p_adjoint[block])
+        counts += np.sum(levels < 0.0, axis=1)
+        levels[levels == 0.0] = floor
+        inverse = (basis / levels[:, None, :]) @ basis.conj().transpose(0, 2, 1)
+        residual = q_adjoint[block] - p_gram[..., :width].conj().transpose(0, 2, 1)
+        x_block = residual @ inverse
+        gram[:, :width, :width] += residual @ x_block.conj().transpose(0, 2, 1)
+        y = rhs[block] - (p[block] @ prefix[..., None])[..., 0]
+        z = (inverse @ y[..., None])[..., 0]
+        k = off[(block + 1) * size - 1]  # to the next block's first point
+        gram[:, :width, width] = k * x_block[:, :, -1]
+        gram[:, width, :width] = k * x_block[:, :, -1].conj()
+        gram[:, width, width] = k * k * inverse[:, -1, -1].real
+        prefix[:, :width] += (x_block @ y[..., None])[..., 0]
+        prefix[:, width] = k * z[:, -1]
+        factors.append((x_block, k * inverse[:, :, -1]))
+        solved.append(z)
+    if all(b is None for *_, b in problems):
+        return counts, [None] * batch
+
+    suffix = np.zeros((batch, width + 1), dtype)  # [sum_(I>J) P_I^H x_I, first entry of x_(J+1)]
+    for block in range(blocks - 1, -1, -1):
+        x_block, coupled = factors[block]
+        x = solved[block] - (x_block.conj().transpose(0, 2, 1) @ suffix[:, :width, None])[..., 0]
+        x -= coupled * suffix[:, width, None]
+        suffix[:, :width] += (p_adjoint[block, :, :width] @ x[..., None])[..., 0]
+        suffix[:, width] = x[:, 0]
+        solved[block] = x
+    solution = np.concatenate(solved, axis=1)[:, :n]
+    return counts, [None if b is None else solution[k] for k, (*_, b) in enumerate(problems)]
 
 
 def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:

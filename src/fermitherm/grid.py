@@ -253,10 +253,11 @@ def multipole_apply(grid: RadialGrid, L, x: np.ndarray) -> np.ndarray:
     (w_L x)_i = v_i sum_{j<=i} u_j x_j + u_i sum_{j>i} v_j x_j from the
     generators.  The outer sum is a reversed cumulative sum: as a total minus
     a running sum it would cancel wherever the outer tail is small.  An array
-    ``L`` gives the order of each column of x.
+    ``L`` gives the order of each column of x (of each x[:, t] for x of
+    more than two axes).
     """
     u, v = multipole_generators(grid, L)
-    expand = (slice(None),) + (None,) * (x.ndim - u.ndim)
+    expand = (Ellipsis,) + (None,) * (x.ndim - u.ndim)
     u, v = u[expand], v[expand]
     out = v * np.cumsum(u * x, axis=0)
     out[:-1] += u[:-1] * np.cumsum((v * x)[::-1], axis=0)[-2::-1]

@@ -12,21 +12,28 @@ advanced by optimal damping (Cances & Le Bris, Int. J. Quantum Chem. 79,
 candidate with the least free energy.  Along that segment the Hartree-Fock
 energy is an exact quadratic and tr beta is convex; both are evaluated on the
 span of the two factor sets, so the search takes no n x n eigendecomposition.
-The energies of the iterate and of the step come from their factors; the
-only dense matrices are the mean-field blocks the eigensolve needs.  The
+The energies of the iterate and of the step come from their factors.  The
 returned state keeps its factors (``DensityMatrix.from_factors``).
 
 Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
-ever computed: a subset MRRR solve (LAPACK ?syevr) of each dense mean-field
-block, and one tridiagonal solve of the bare blocks per run, shared by the
-warm start (the minimizer when interactions are off, so such a run takes
-no iteration), that run's final solve and the audit.
+ever computed, and no n x n matrix is formed for them.  Each channel of the
+mean field is an operator on the state's factors (``_Channel``): H_l x by
+matvecs in O(n m) per column for m exchange terms, and a block L D L^H of
+H_l - sigma in O(n m^2) (``energy._ldl_solves``), which solves shifted
+systems and counts the levels below sigma.  The lowest #neg(bare_l)
+eigenpairs come from Rayleigh-Ritz on a block, enlarged by one shifted solve
+per Ritz pair until the residuals reach rounding; the first solve starts
+from the bare vectors, each later one from the last solve's.  The inertia of
+H_l at zero proves the negative count.  The bare blocks are tridiagonal and
+solved once per run, for the warm start (the minimizer when interactions are
+off, so such a run takes no iteration), that run's final solve and the
+audit.
 
 The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
 audit bounds, and the free-energy gap meet their tolerances; the last step is
 then the full one, to the candidate.  The returned state's mean field is
 solved once more: that solve gives the residual and mu, and its levels (the
-audit's charge chain) and dense blocks feed ``minimizer_audit`` with the
+audit's charge chain) and channel operators feed ``minimizer_audit`` with the
 state's factors.  The entropy comes from the factor weights, so no
 eigendecomposition of gamma is ever taken.
 """
@@ -44,9 +51,11 @@ import numpy as np
 from .energy import (
     EnergyBreakdown,
     OperatorCache,
+    _FactoredField,
     _entropy_of_blocks,
     _factored_field,
     _hf_terms,
+    _ldl_solves,
     free_energy,
     inequality_audit,
     linear_energy_breakdown,
@@ -63,6 +72,7 @@ from .grid import (
 from .linear import UnboundedModelError, UnreachableChargeError, q_max_lin, regime_classify, Regime
 
 __all__ = [
+    "EigensolveError",
     "MinimizerAudit",
     "ScfConfig",
     "ScfResult",
@@ -78,6 +88,8 @@ _BISECTIONS = 30  # halvings of the step-length bracket
 _F_ROUNDING = 1e-14  # relative rounding of a free-energy difference along a step
 _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
 _INEQUALITY_TOL = 1e-9  # absolute slack of each pair of ``inequality_audit``
+_RESIDUAL_ULPS = 64  # Ritz residual tolerance, in units of eps ||H_l||
+_RITZ_ROUNDS = 20  # Rayleigh-Ritz rounds before the eigensolve gives up
 
 
 @dataclass
@@ -224,19 +236,126 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
     return lo + t * (hi - lo), occ_lo + t * (occ_hi - occ_lo)
 
 
-def _diagonalize_blocks(blocks):
-    """Negative-energy eigenpairs of each dense channel block."""
-    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
-    from scipy.linalg import eigh
+class EigensolveError(RuntimeError):
+    """The structured eigensolve found a number of negative levels other than
+    the inertia of H_l at zero, or its Ritz residuals did not converge."""
 
-    levels = []
-    vectors = []
-    for b in blocks:
-        w, v = eigh(b, subset_by_value=(-np.inf, 0.0), driver="evr")
-        neg = w < 0.0  # the selected interval (-inf, 0] is closed at 0
-        levels.append(w[neg])
-        vectors.append(v[:, neg])
+
+class _Channel:
+    """Channel l of a mean field as an n x n operator that is never formed.
+
+    ``channel @ x`` is H_l x by matvecs on the field's factors, as a dense
+    block's would be.  ``block`` holds orthonormal start vectors of the
+    eigensolve, which leaves there the converged Ritz vectors: the warm start
+    of the next field's solve.
+    """
+
+    def __init__(self, field: _FactoredField, l: int, block: np.ndarray):
+        self.field, self.l, self.block = field, l, block
+        n = field.cache.grid.n_points
+        self.shape = (n, n)
+
+    def __matmul__(self, x):
+        return self.field.apply(self.l, x)
+
+
+def _ritz_pairs(channels, blocks):
+    """[(theta, Y, below)]: per channel, the lowest blocks[c].shape[1] eigenpairs
+    from that start block, and the exact number of levels below zero.
+
+    Rayleigh-Ritz on the span of each block, enlarged by one exact shifted
+    solve (H - theta_j)^-1 y_j per unconverged Ritz pair (Rayleigh-quotient
+    iteration on a subspace) and orthonormalized, until every residual
+    ||H y_j - theta_j y_j|| is at most _RESIDUAL_ULPS eps ||H||.  ||H|| is
+    taken as the Gershgorin bound of T_l + diag(v_local): the exchange lies
+    between 0 and the Hartree potential.  The solves of a round and the
+    inertia counts at zero run as one batch of ``energy._ldl_solves``; the
+    counts join the first round that solves, or run alone.  Rayleigh-Ritz
+    need not find the lowest pairs of a start block that misses a level: the
+    count is what proves them.
+    """
+    eps = np.finfo(float).eps
+    found: list = [None] * len(channels)
+    below: list = [None] * len(channels)
+
+    def zero_shift(c):
+        return channels[c].field, channels[c].l, 0.0, None
+
+    def below_zero(cs, counts):
+        for c, n_below in zip(cs, counts):
+            below[c] = int(n_below)
+
+    uncounted = list(range(len(channels)))
+    bases = dict(enumerate(blocks))
+    for _ in range(_RITZ_ROUNDS):
+        problems, owners = [], []
+        for c, basis in bases.items():
+            channel, k = channels[c], blocks[c].shape[1]
+            cache = channel.field.cache
+            diag = cache.kinetic_diag[channel.l] + channel.field.v_local
+            norm = float(np.max(np.abs(diag))) + 2.0 * abs(cache.kinetic_off)
+            tol = _RESIDUAL_ULPS * eps * norm
+            image = channel @ basis
+            rayleigh = basis.conj().T @ image
+            theta, coeffs = np.linalg.eigh(0.5 * (rayleigh + rayleigh.conj().T))
+            theta, coeffs = theta[:k], coeffs[:, :k]
+            vectors = basis @ coeffs
+            residuals = np.linalg.norm(image @ coeffs - vectors * theta, axis=0)
+            found[c] = (theta, vectors, residuals, tol)
+            for j in np.flatnonzero(residuals > tol):
+                problems.append((channel.field, channel.l, theta[j], vectors[:, j]))
+                owners.append(c)
+        if not problems:
+            break
+        counted, uncounted = uncounted, []
+        counts, solutions = _ldl_solves(problems + [zero_shift(c) for c in counted])
+        below_zero(counted, counts[len(problems):])
+        parts = {c: [found[c][1]] for c in owners}
+        for c, x in zip(owners, solutions):
+            parts[c].append(x[:, None])
+        bases = {c: np.linalg.qr(np.hstack(vectors))[0] for c, vectors in parts.items()}
+    else:
+        c = next(iter(bases))
+        _, _, residuals, tol = found[c]
+        raise EigensolveError(
+            f"channel l={channels[c].l}: Ritz residuals {residuals.max():.2e} above "
+            f"{tol:.2e} after {_RITZ_ROUNDS} rounds"
+        )
+    if uncounted:
+        below_zero(uncounted, _ldl_solves([zero_shift(c) for c in uncounted])[0])
+    return [(theta, vectors, n_below) for (theta, vectors, _, _), n_below in zip(found, below)]
+
+
+def _diagonalize_blocks(channels):
+    """Negative-energy eigenpairs of each channel operator, with no dense H.
+
+    The block of channel l keeps its size, #neg(bare_l): V_H - K_l is positive
+    semidefinite for a state with nu >= 0 (AM-GM on the nonnegative kernel
+    entries, w_L <= w_0 entrywise and sum_L A_L(l,l')/(2l+1) <= 2l'+1), so by
+    Weyl H_l has no more negative levels than the bare block.  The inertia of
+    H_l at zero, from its L D L^H, counts them exactly; a Ritz count that
+    differs raises EigensolveError naming the channel.
+    """
+    levels, vectors = [], []
+    pairs = _ritz_pairs(channels, [channel.block for channel in channels])
+    for channel, (theta, ritz, below) in zip(channels, pairs):
+        channel.block = ritz
+        neg = _negative(channel, theta, below)
+        levels.append(theta[neg])
+        vectors.append(ritz[:, neg])
     return levels, vectors
+
+
+def _negative(channel, theta, below):
+    """The mask of the negative Ritz levels, which must number ``below``, the
+    inertia of the channel at zero; an exact zero level is unoccupied."""
+    neg = theta < 0.0
+    if int(np.sum(neg)) != below:
+        raise EigensolveError(
+            f"channel l={channel.l}: {int(np.sum(neg))} negative Ritz levels, "
+            f"but H_l has {below} (block of {theta.size})"
+        )
+    return neg
 
 
 def _fill_levels(levels, spec, T, q):
@@ -286,11 +405,12 @@ class _Segment:
         eigenvalues of D: the input of the step's two-body energy."""
         return self._on_frames([np.linalg.eigh(d) for d in self.steps])
 
-    def slope(self, ham_blocks) -> float:
-        """tr(H_gamma (candidate - gamma)) = sum_l (2l+1) <Q^T H_l Q, D_l>."""
+    def slope(self, ham) -> float:
+        """tr(H_gamma (candidate - gamma)) = sum_l (2l+1) <Q^T (H_l Q), D_l>, for
+        channel operators or dense blocks ``ham``."""
         return sum(
-            (2 * l + 1) * float(np.sum((q.T @ h @ q) * d))
-            for l, (h, q, d) in enumerate(zip(ham_blocks, self.frames, self.steps))
+            (2 * l + 1) * float(np.sum((q.T @ (h @ q)) * d))
+            for l, (h, q, d) in enumerate(zip(ham, self.frames, self.steps))
         )
 
     def factors(self, t):
@@ -371,12 +491,20 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
 
+    blocks = list(cache.bare_spectrum[1])  # start vectors: the bare ones, then the last solve's
+
     def solve(factors):
-        """(dense H blocks, negative levels, vectors); the bare field is fixed."""
-        if config.interactions:
-            ham = _factored_field(cache, *factors).dense_blocks()
-            return (ham, *_diagonalize_blocks(ham))
-        return ([cache.one_body_block(l) for l in range(config.l_max + 1)], *cache.bare_spectrum)
+        """(channel operators, negative levels, vectors); without interactions the
+        field is the bare one, whose spectrum is known."""
+        if not config.interactions:
+            factors = zero_density_matrix(grid, config.l_max).factors
+        field = _factored_field(cache, *factors)
+        channels = [_Channel(field, l, b) for l, b in enumerate(blocks)]
+        if not config.interactions:
+            return (channels, *cache.bare_spectrum)
+        levels, vectors = _diagonalize_blocks(channels)
+        blocks[:] = [c.block for c in channels]
+        return channels, levels, vectors
 
     energy_of = free_energy if config.interactions else linear_energy_breakdown
 
@@ -398,7 +526,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
 
     for iteration in range(1, config.max_iter + 1 if status == "max_iter" else 1):
         iterations = iteration
-        ham, levels, vectors = solve(factors)
+        channels, levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q)
         except UnreachableChargeError:
@@ -408,7 +536,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         segment = _Segment(factors, candidate)
         defect = segment.defect()
         _, _, direct, exch = _hf_terms(*segment.step_factors(), cache)
-        slope = segment.slope(ham)
+        slope = segment.slope(channels)
         curvature = direct - exch
         gap = slope + curvature + T * (
             _entropy_of_blocks(occs, spec) - _entropy_of_blocks(factors[1], spec)
@@ -435,7 +563,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     mu, residual = 0.0, math.inf
     if status != "unreachable-charge":
         # the one solve of the returned state: residual, mu, the audit's levels and H
-        ham, levels, vectors = solve(factors)
+        channels, levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q)
             residual = _Segment(factors, _trimmed(vectors, occs)).defect()
@@ -455,7 +583,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         history=history,
     )
     if result.converged:
-        result.audit = minimizer_audit(result, config, cache, ham, levels)
+        result.audit = minimizer_audit(result, config, cache, channels, levels)
     return result
 
 
@@ -471,7 +599,7 @@ def scf_global(config: ScfConfig) -> ScfResult:
     return _run_scf(dataclasses.replace(config, q=None))
 
 
-def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit:
+def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
     """Check the proven properties of minimizers on a converged result.
 
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
@@ -479,31 +607,39 @@ def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
     (d) negative free energy for q > 0; (e) every (lhs, rhs) pair of
     ``inequality_audit`` on the result's state and energy, within
-    _INEQUALITY_TOL.  The dense mean-field blocks ``ham_blocks`` (the bare
-    blocks when interactions are off) and their negative ``levels`` per
-    channel come from the solve of the result's state; (b) is the audit's
-    one n x n eigensolve, and (e) takes only k x k spectra of the factors.
+    _INEQUALITY_TOL.  The channel operators ``channels`` of H_gamma (of the
+    bare field when interactions are off) and their negative ``levels`` come
+    from the solve of the result's state.  (a) takes matvecs on the factors;
+    (b) is a Ritz solve of channel 0 on a block of max(3, #neg(bare_0)),
+    started from the lowest bare s vectors, with its negative count checked
+    as in the SCF; (e) takes only k x k spectra of the factors.  No n x n matrix is formed.
     """
+    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+    from scipy.linalg import eigh_tridiagonal
+
     gamma = result.gamma
     grid = gamma.grid
     spec, T, Z = config.spec, config.T, config.Z
     q = gamma.trace()
 
-    from scipy.linalg import eigh
-
     lieb = sum(
         (2 * l + 1) * float(np.real(np.sum((grid.r[:, None] * w).conj() * (h @ w), axis=0)) @ nu)
-        for l, (h, w, nu) in enumerate(zip(ham_blocks, *gamma.factors))
+        for l, (h, w, nu) in enumerate(zip(channels, *gamma.factors))
     )
 
     # the lowest three s levels, bound or not: a negative-only slice would
     # pass the bound vacuously when fewer than three are bound
-    w0 = eigh(
-        ham_blocks[0],
-        eigvals_only=True,
-        subset_by_index=(0, min(2, grid.n_points - 1)),
-        driver="evr",
+    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
+    count = min(max(3, bare_levels[0].size), grid.n_points)
+    _, start = eigh_tridiagonal(
+        cache.kinetic_diag[0] + cache.v_nuclear,
+        np.full(grid.n_points - 1, cache.kinetic_off),
+        select="i",
+        select_range=(0, count - 1),
     )
+    [(w0, _, below)] = _ritz_pairs(channels[:1], [start])
+    _negative(channels[0], w0, below)  # the block holds every bound s level
+    w0 = w0[:3]
     bounds = np.array([-((Z - q) ** 2) / (4.0 * j * j) for j in (1, 2, 3)])
     if Z - q > 0.0:
         eig_ok = bool(np.all(w0 <= bounds[: w0.size] + _EIGENVALUE_TOL))
@@ -511,7 +647,6 @@ def minimizer_audit(result, config, cache, ham_blocks, levels) -> MinimizerAudit
         eig_ok = True  # comparison operator has no negative spectrum
 
     # g vanishes on [0, inf), so the chain needs only the levels below zero
-    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     mf_sum = 0.0
     bare_sum = 0.0
     for l, (w, w_bare) in enumerate(zip(levels, bare_levels)):
@@ -581,15 +716,19 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     """Run scf_minimize over an increasing charge list and report I(q).
 
     Distinct charges are independent; they run on a pool of ``workers``
-    threads (one runs them in order; fewer than one raises ValueError).
-    numpy releases the GIL in the mean-field assembly and the energy terms,
-    which overlap across threads; SciPy's LAPACK wrappers hold it, so the
-    subset eigensolves of concurrent charges run one at a time.  Rows come
-    back in input order regardless of scheduling.
+    threads (one runs them in order; fewer than one raises ValueError).  The
+    threads barely overlap: a solve is mostly short numpy calls on n x k
+    blocks and on the small diagonal blocks of its L D L^H factorizations,
+    which hold the GIL between them (two threads ran the interacting
+    criterion-9 sweep at 0.98x of one, on a 2-vCPU machine).  The q_max_lin
+    ceiling is computed first, so a problem whose hydrogen series overflows
+    fails before any solve.  Rows come back in input order regardless of
+    scheduling.
     """
     q_list = list(q_list)
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ValueError("q_list must be strictly increasing")
+    qmax = q_max_lin(config.spec, config.Z, config.T).value
 
     def solve(q: float) -> ScfResult:
         return scf_minimize(dataclasses.replace(config, q=q))
@@ -617,7 +756,6 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
             largest_strict = b.q
         else:
             break
-    qmax = q_max_lin(config.spec, config.Z, config.T).value
     return SweepResult(
         rows=rows,
         ceiling_q_max_lin=qmax,

@@ -74,6 +74,32 @@ def test_bad_or_overflowing_input_exit1(capsys, argv, names):
     assert names in line
 
 
+def test_sweep_overflow_fails_before_any_solve(capsys, monkeypatch):
+    # the q_max_lin ceiling overflows at T = 1e-300: the sweep exits 1 naming
+    # m, Z and T, and solves none of its charges first
+    solved = []
+    monkeypatch.setattr(scf, "scf_minimize", lambda config: solved.append(config.q))
+    argv = ["sweep", "--m", "2", "--Z", "1", "--T", "1e-300", "--q-from", "0.1",
+            "--q-to", "0.2", "--q-steps", "2", "--n", "40", "--rmax", "20", "--lmax", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and solved == []
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "m = 2.0, Z = 1.0, T = 1e-300" in line
+
+
+def test_failed_eigensolve_exits_4(capsys, monkeypatch):
+    # an eigensolve whose count fails its check is a convergence failure, not a traceback
+    message = "channel l=0: 0 negative Ritz levels, but H_l has 1 (block of 1)"
+
+    def failing(channels):
+        raise scf.EigensolveError(message)
+
+    monkeypatch.setattr(scf, "_diagonalize_blocks", failing)
+    code, out, err = run(capsys, MINIMIZE_SMALL)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_entropy_lambda_grid(capsys):
     code, out, _ = run(
         capsys,

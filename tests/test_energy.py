@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dense_reference import (
     dense_brown_kosaki_terms,
@@ -13,7 +14,10 @@ from fermitherm.energy import (
     OperatorCache,
     _FactoredField,
     _cutoff_profile,
+    _factored_field,
     _hf_terms,
+    _LDL_BLOCK,
+    _ldl_solves,
     brown_kosaki_terms,
     free_energy,
     hf_energy,
@@ -361,6 +365,101 @@ def test_exchange_assembly_matches_dense_kernels(n):
         for c, L, w in zip(coefficients, orders, vectors.T):
             expected += c * np.outer(w, w.conj()) * multipole_kernel(grid, L)
         assert np.max(np.abs(exchange - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _random_factors(grid, ranks, seed, complex_orbitals):
+    """Orthonormal orbitals and weights in [0, 1] per channel."""
+    rng = np.random.default_rng(seed)
+    orbitals, weights = [], []
+    for k in ranks:
+        raw = rng.standard_normal((grid.n_points, k))
+        if complex_orbitals:
+            raw = raw + 1j * rng.standard_normal(raw.shape)
+        orbitals.append(np.linalg.qr(raw)[0])
+        weights.append(rng.uniform(0.0, 1.0, k))
+    return orbitals, weights
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    l_max=st.integers(0, 3),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    complex_orbitals=st.booleans(),
+)
+def test_mean_field_lies_above_the_bare_blocks(l_max, rank, seed, complex_orbitals):
+    # H_l - bare_l = diag(V_H) - K_l >= 0 for every state with nu >= 0: the
+    # eigensolve's block of #neg(bare_l) is large enough for every negative
+    # level.  With no kinetic and no nuclear part the field's dense blocks are
+    # that difference, unrounded
+    grid = build_grid(30, 15.0)
+    cache = OperatorCache(grid, l_max, Z=0.0)
+    cache.kinetic_diag, cache.kinetic_off = [np.zeros(grid.n_points)] * (l_max + 1), 0.0
+    ranks = [rank + l % 2 for l in range(l_max + 1)]
+    field = _factored_field(cache, *_random_factors(grid, ranks, seed, complex_orbitals))
+    for block in field.dense_blocks():
+        assert np.linalg.eigvalsh(block)[0] >= -1e-13 * np.max(np.abs(block))
+
+
+@pytest.mark.parametrize("complex_orbitals", [False, True])
+@pytest.mark.parametrize("rank", [1, 4, 30])
+def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals):
+    # H_l x by matvecs and (H_l - sigma)^-1 b by the banded LU, against the
+    # dense blocks and np.linalg.solve, for a real shift between the two
+    # lowest levels and the Cayley shift 2i/dt
+    grid = build_grid(70, 20.0)
+    cache = OperatorCache(grid, 1, Z=1.0)
+    factors = _random_factors(grid, [rank, rank], rank, complex_orbitals)
+    field = _factored_field(cache, *factors)
+    rng = np.random.default_rng(rank)
+    rhs = rng.standard_normal((grid.n_points, 3)) + 1j * rng.standard_normal((grid.n_points, 3))
+    eye = np.eye(grid.n_points)
+    for l, block in enumerate(field.dense_blocks()):
+        x = rhs.real if not complex_orbitals else rhs
+        expected = block @ x
+        assert np.max(np.abs(field.apply(l, x) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        levels = np.linalg.eigvalsh(block)
+        for sigma in (0.5 * (levels[0] + levels[1]), 2j / 0.05):
+            expected = np.linalg.solve(block - sigma * eye, rhs)
+            got = field.shifted_solve(l, sigma, rhs)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("complex_orbitals", [False, True])
+@pytest.mark.parametrize("rank", [1, 4, 30])
+def test_structured_ldl_counts_and_solves_match_dense_blocks(rank, complex_orbitals):
+    # the block L D L^H of H_l - sigma: its inertia against the dense
+    # spectrum and its solve against np.linalg.solve, for shifts below the
+    # spectrum, between levels, at zero and above the bound levels; the two
+    # channels carry different numbers of terms and run as one batch, with a
+    # count-only problem, on a grid that is no multiple of the block size
+    grid = build_grid(70, 20.0)
+    cache = OperatorCache(grid, 1, Z=1.0)
+    factors = _random_factors(grid, [rank, rank + 1], rank, complex_orbitals)
+    field = _factored_field(cache, *factors)
+    assert grid.n_points % _LDL_BLOCK != 0
+    assert len(field.terms[0][0]) != len(field.terms[1][0])
+    rng = np.random.default_rng(rank)
+    problems, expected = [], []
+    for l, block in enumerate(field.dense_blocks()):
+        levels = np.linalg.eigvalsh(block)
+        between = [0.5 * (levels[j] + levels[j + 1]) for j in (0, 4)]
+        for sigma in (levels[0] - 1.0, between[0], 0.0, between[1]):
+            rhs = rng.standard_normal(grid.n_points)
+            if complex_orbitals:
+                rhs = rhs + 1j * rng.standard_normal(grid.n_points)
+            problems.append((field, l, sigma, rhs))
+            solution = np.linalg.solve(block - sigma * np.eye(grid.n_points), rhs)
+            expected.append((int(np.sum(levels < sigma)), solution))
+        problems.append((field, l, 0.0, None))
+        expected.append((int(np.sum(levels < 0.0)), None))
+    counts, solutions = _ldl_solves(problems)
+    for count, got, (want_count, want) in zip(counts, solutions, expected):
+        assert count == want_count
+        if want is None:
+            assert got is None
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_operator_cache_holds_no_dense_array():

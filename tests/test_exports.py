@@ -3,8 +3,10 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import fermitherm
@@ -95,6 +97,34 @@ def test_traced_layer_names_exist():
     modules = [importlib.import_module(f"fermitherm.{m}") for m in sorted(MODULES - {"__main__"})]
     missing = [name for name in names if not any(hasattr(m, name) for m in modules)]
     assert not missing, missing
+
+
+def test_traced_eigensolve_counts_read_the_channel_operators(monkeypatch):
+    # the benchmark's eigensolve counter, loaded as it ships, reads the
+    # channel operators handed to a real _diagonalize_blocks call and its result
+    import numpy as np
+
+    from fermitherm import scf
+    from fermitherm.energy import OperatorCache, _factored_field, mean_field_hamiltonian
+    from fermitherm.entropy import make_power_entropy
+    from fermitherm.grid import DensityMatrix
+
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+
+    cfg = scf.ScfConfig(spec=make_power_entropy(2.0), Z=1.0, T=1.0, q=0.1, n_points=120,
+                        r_max=30.0, l_max=2)
+    cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
+    factors = scf._initial_state(cache, cfg)
+    field = _factored_field(cache, *factors)
+    channels = [scf._Channel(field, l, b) for l, b in enumerate(cache.bare_spectrum[1])]
+    result = scf._diagonalize_blocks(channels)
+    dense = mean_field_hamiltonian(DensityMatrix.from_factors(cache.grid, *factors), cfg.Z, cache)
+    negative = sum(int(np.sum(np.linalg.eigvalsh(h) < 0.0)) for h in dense)
+    counts = spans._eigensolve_counts((channels,), {}, result)
+    assert negative > 0 and counts == {"dim": 3 * cfg.n_points, "kept": negative}
 
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"

@@ -32,7 +32,6 @@ from fermitherm.linear import UnboundedModelError, UnreachableChargeError
 from fermitherm.scf import (
     ScfConfig,
     charge_sweep,
-    minimizer_audit,
     occupations_from_levels,
     scf_global,
     scf_minimize,
@@ -410,10 +409,12 @@ def test_interactions_off_single_orbital_occupation():
 
 
 def _dense_negative(blocks):
-    """Dense reference: every eigenpair from np.linalg.eigh, then the negative ones."""
+    """Dense reference: every eigenpair from np.linalg.eigh, then the negative ones.
+
+    A channel operator is made dense by applying it to the identity."""
     levels, vectors = [], []
     for b in blocks:
-        w, v = np.linalg.eigh(b)
+        w, v = np.linalg.eigh(b @ np.eye(b.shape[0]))
         levels.append(w[w < 0.0])
         vectors.append(v[:, w < 0.0])
     return levels, vectors
@@ -429,16 +430,28 @@ def _assert_same_spectrum(fast, dense):
         assert np.max(np.abs(filled - (v_ref * occ) @ v_ref.T)) <= 1e-12
 
 
+def _bare_blocks(cache):
+    """Dense bare blocks T_l + diag(v_nuc), the reference of the tridiagonal bare solve."""
+    return [
+        kinetic_matrix(cache.grid, l) + np.diag(cache.v_nuclear) for l in range(cache.l_max + 1)
+    ]
+
+
+def _channels(cache, orbitals, weights):
+    """Channel operators of the mean field of these factors, started from the bare vectors."""
+    field = energy_module._factored_field(cache, orbitals, weights)
+    return [scf_module._Channel(field, l, b) for l, b in enumerate(cache.bare_spectrum[1])]
+
+
 def test_negative_spectrum_matches_dense_reference():
     cfg = small_config(l_max=2)
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
-    bare_blocks = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
-    _assert_same_spectrum(cache.bare_spectrum, _dense_negative(bare_blocks))
+    _assert_same_spectrum(cache.bare_spectrum, _dense_negative(_bare_blocks(cache)))
     factors = scf_module._initial_state(cache, cfg)
     warm = DensityMatrix.from_factors(cache.grid, *factors)
     mf_blocks = mean_field_hamiltonian(warm, cfg.Z, cache)
     _assert_same_spectrum(
-        scf_module._diagonalize_blocks(mf_blocks), _dense_negative(mf_blocks)
+        scf_module._diagonalize_blocks(_channels(cache, *factors)), _dense_negative(mf_blocks)
     )
     # bound levels in every channel, so no comparison above was vacuous
     assert all(len(w) > 0 for w in cache.bare_spectrum[0])
@@ -449,11 +462,11 @@ def test_negative_spectrum_empty_and_zero_level():
     cache = OperatorCache(build_grid(50, 10.0), 0, 0.0)
     levels, vectors = cache.bare_spectrum
     assert levels[0].shape == (0,) and vectors[0].shape == (50, 0)
-    levels, vectors = scf_module._diagonalize_blocks([cache.one_body_block(0)])
+    empty = grid_module.zero_density_matrix(cache.grid, 0).factors
+    levels, vectors = scf_module._diagonalize_blocks(_channels(cache, *empty))
     assert levels[0].shape == (0,) and vectors[0].shape == (50, 0)
-    # an exact zero level is unoccupied, so neither path returns it
-    levels, vectors = scf_module._diagonalize_blocks([np.diag([-1.0, 0.0, 2.0])])
-    assert levels[0].tolist() == [-1.0] and vectors[0].shape == (3, 1)
+    # an exact zero level is unoccupied, so the bare solve does not return it
+    # (the structured solve's case is in test_structured_negative_spectrum_matches_eigh)
     cache = OperatorCache(build_grid(3, 4.0), 0, 0.0)
     cache.kinetic_diag = [np.array([-1.0, 0.0, 2.0])]
     cache.kinetic_off = 0.0
@@ -462,9 +475,73 @@ def test_negative_spectrum_empty_and_zero_level():
     assert levels[0].tolist() == [-1.0] and vectors[0].shape == (3, 1)
 
 
+def _spectrum_case(case):
+    """(cache, factors) of a mean field with no bound level, with an exact zero
+    level inside the eigensolve's block, or in a 10-bohr box binding one s level."""
+    if case == "unbound":
+        cache = OperatorCache(build_grid(60, 10.0), 1, 0.0)
+        return cache, grid_module.zero_density_matrix(cache.grid, 1).factors
+    if case == "zero-level":
+        # a diagonal field: the rank-one e_1 state's exchange acts on e_1 alone,
+        # and a potential cancelling its Hartree potential at the second node
+        # makes the bare level there (about -1/2) an exact zero of H
+        cache = OperatorCache(build_grid(3, 4.0), 0, 0.0)
+        cache.kinetic_diag = [np.array([-1.0, 0.0, 2.0])]
+        cache.kinetic_off = 0.0
+        factors = ([np.eye(3)[:, :1]], [np.ones(1)])
+        v_hartree = energy_module._factored_field(cache, *factors).v_local
+        cache.v_nuclear = np.array([0.0, -v_hartree[1], 0.0])
+        return cache, factors
+    cfg = small_config(n_points=200, r_max=10.0, l_max=1)
+    cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
+    return cache, scf_module._initial_state(cache, cfg)
+
+
+@pytest.mark.parametrize("case", ["unbound", "zero-level", "box-10"])
+def test_structured_negative_spectrum_matches_eigh(case):
+    cache, factors = _spectrum_case(case)
+    channels = _channels(cache, *factors)
+    fast = scf_module._diagonalize_blocks(channels)
+    dense = mean_field_hamiltonian(DensityMatrix.from_factors(cache.grid, *factors), cache.Z, cache)
+    _assert_same_spectrum(fast, _dense_negative(dense))
+    counts = [len(w) for w in fast[0]]
+    assert counts == {"unbound": [0, 0], "zero-level": [1], "box-10": [1, 0]}[case]
+    if case == "zero-level":
+        # the block holds the zero level: found, and left out of the negative ones
+        assert np.linalg.eigvalsh(dense[0])[1] == 0.0
+        assert channels[0].block.shape == (3, 2)
+
+
+def test_eigensolve_count_catches_a_missed_level():
+    # one electron in the bare 1s: exchange cancels its Hartree potential on
+    # it, so H_0 binds the 1s while T + V_nuc + V_H binds nothing.  A start
+    # block without the 1s converges to two unbound levels: 0 negative Ritz
+    # levels lie inside [Sturm count 0, block size 2], but the inertia of H_0
+    # at zero is 1, and the eigensolve refuses the block
+    from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+
+    cache = OperatorCache(build_grid(200, 20.0), 0, 1.0)
+    factors = ([cache.bare_spectrum[1][0][:, :1]], [np.ones(1)])
+    field = energy_module._factored_field(cache, *factors)
+    n = cache.grid.n_points
+    off = np.full(n - 1, cache.kinetic_off)
+    sturm = eigvalsh_tridiagonal(
+        cache.kinetic_diag[0] + field.v_local, off, select="v", select_range=(-np.inf, 0.0)
+    )
+    assert np.sum(sturm < 0.0) == 0 and cache.bare_spectrum[0][0].size == 2
+    _, skipped = eigh_tridiagonal(
+        cache.kinetic_diag[0] + cache.v_nuclear, off, select="i", select_range=(1, 2)
+    )
+    channel = scf_module._Channel(field, 0, skipped)
+    [(theta, _, below)] = scf_module._ritz_pairs([channel], [skipped])
+    assert np.all(theta > 0.0) and below == 1
+    with pytest.raises(scf_module.EigensolveError, match="channel l=0: 0 negative Ritz levels"):
+        scf_module._diagonalize_blocks([channel])
+
+
 def _dense_audit_details(gamma, cfg):
     cache = OperatorCache(gamma.grid, cfg.l_max, cfg.Z)
-    bare = [cache.one_body_block(l) for l in range(cfg.l_max + 1)]
+    bare = _bare_blocks(cache)
     ham = mean_field_hamiltonian(gamma, cfg.Z, cache) if cfg.interactions else bare
     w_mf = [np.linalg.eigvalsh(h) for h in ham]
 
@@ -495,13 +572,21 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
     for key, value in dense_details.items():
         assert np.allclose(fast.audit.details[key], value, rtol=0.0, atol=1e-12), key
 
-    monkeypatch.setattr(scf_module, "_diagonalize_blocks", _dense_negative)
+    replaced = []
+
+    def dense_eigensolve(channels):
+        replaced.append(len(channels))
+        return _dense_negative(channels)
+
+    monkeypatch.setattr(scf_module, "_diagonalize_blocks", dense_eigensolve)
     monkeypatch.setattr(
         OperatorCache,
         "bare_spectrum",
-        property(lambda c: _dense_negative([c.one_body_block(l) for l in range(c.l_max + 1)])),
+        property(lambda c: _dense_negative(_bare_blocks(c))),
     )
     dense = scf_minimize(cfg)
+    # the dense reference replaced every structured solve of the run
+    assert replaced == ([cfg.l_max + 1] * (fast.iterations + 1) if interactions else [])
     assert fast.converged and dense.converged
     assert fast.iterations == dense.iterations
     assert abs(fast.energy.total_free - dense.energy.total_free) <= cfg.tol_energy
@@ -515,9 +600,10 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
 
 def test_returned_state_is_solved_once(monkeypatch):
     # one eigensolve per iteration plus one of the returned state; the audit
-    # reuses its levels and solves only for the three s levels; the energy
-    # comes from occupations, so gamma is never diagonalized (the audit's
-    # Brown-Kosaki spectra are k x k, of the factors)
+    # reuses its levels and finds the three s levels by a Ritz solve on the
+    # channel operator, with no n x n eigh; the energy comes from
+    # occupations, so gamma is never diagonalized (the audit's Brown-Kosaki
+    # spectra are k x k, of the factors)
     import scipy.linalg
 
     cfg = small_config(l_max=2)
@@ -544,9 +630,11 @@ def test_returned_state_is_solved_once(monkeypatch):
     monkeypatch.setattr(
         scf_module, "_diagonalize_blocks", counted(scf_module._diagonalize_blocks, "diagonalize")
     )
-    monkeypatch.setattr(
-        scipy.linalg, "eigh", counted(scipy.linalg.eigh, "audit_eigh", lambda a: bool(in_audit))
-    )
+    def square(a):
+        return bool(in_audit) and a.shape[-1] == cfg.n_points
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted(scipy.linalg.eigh, "audit_eigh", square))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh, "audit_eigh", square))
     monkeypatch.setattr(
         np.linalg,
         "eigvalsh",
@@ -554,7 +642,7 @@ def test_returned_state_is_solved_once(monkeypatch):
     )
     res = scf_minimize(cfg)
     assert res.converged and res.audit is not None and res.iterations > 1
-    assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 1, "eigvalsh": 0}
+    assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 0, "eigvalsh": 0}
 
 
 def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
@@ -570,18 +658,53 @@ def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
     assert res.converged and res.audit is not None
     assert res.audit.lieb_value <= 1e-8 and res.audit.qmaxlin_chain_ok
     monkeypatch.undo()
-    # the same audit on the independent dense H_gamma and its negative levels agrees
+    # the audit's values against the independent dense H_gamma and its spectra
     ham = dense_hamiltonian(res.gamma, cfg.Z)
-    levels = [w[w < 0.0] for w in map(np.linalg.eigvalsh, ham)]
-    cache = OperatorCache(res.gamma.grid, cfg.l_max, cfg.Z)
-    alone = minimizer_audit(res, cfg, cache, ham, levels)
-    assert alone.details["discrete_q_mean_field"] == pytest.approx(
-        res.audit.details["discrete_q_mean_field"], rel=0.0, abs=1e-12
+    spectra = [np.linalg.eigvalsh(h) for h in ham]
+    q_mean_field = sum(
+        (2 * l + 1) * float(np.sum(SPEC.g(w[w < 0.0] / cfg.T))) for l, w in enumerate(spectra)
     )
-    assert alone.lieb_value == pytest.approx(res.audit.lieb_value, rel=1e-10, abs=1e-15)
-    assert alone.details["h0_eigenvalues"] == pytest.approx(
-        res.audit.details["h0_eigenvalues"], rel=0.0, abs=1e-12
+    assert res.audit.details["discrete_q_mean_field"] == pytest.approx(
+        q_mean_field, rel=0.0, abs=1e-12
     )
+    lieb = sum(
+        (2 * l + 1) * float(np.trace(res.gamma.grid.r[:, None] * h @ b))
+        for l, (h, b) in enumerate(zip(ham, res.gamma.blocks))
+    )
+    assert res.audit.lieb_value == pytest.approx(lieb, rel=1e-10, abs=1e-15)
+    assert res.audit.details["h0_eigenvalues"] == pytest.approx(
+        spectra[0][:3], rel=0.0, abs=1e-12
+    )
+
+
+def test_interacting_solve_forms_no_dense_mean_field(monkeypatch):
+    # a solve with interactions converges and audits with dense_blocks and
+    # every n x n eigh refused: the eigensolve and the audit act on factors
+    import scipy.linalg
+
+    cfg = small_config(l_max=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense mean field formed inside scf")
+
+    def no_square(fn):
+        def guarded(a, *args, **kwargs):
+            if a.shape[-1] == cfg.n_points:
+                raise AssertionError("n x n eigensolve inside scf")
+            return fn(a, *args, **kwargs)
+
+        return guarded
+
+    monkeypatch.setattr(energy_module._FactoredField, "dense_blocks", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", no_square(scipy.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", no_square(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_square(np.linalg.eigvalsh))
+    res = scf_minimize(cfg)
+    assert res.converged and res.iterations > 1
+    assert res.audit.lieb_value <= 1e-8 and res.audit.qmaxlin_chain_ok
+    assert len(res.audit.details["h0_eigenvalues"]) == 3
+    monkeypatch.undo()
+    assert scf_minimize(cfg).audit == res.audit  # the guards changed nothing
 
 
 def test_solve_and_dynamics_never_round_trip_the_state(monkeypatch):
@@ -713,7 +836,7 @@ def _segment_problem(m, q):
 
     def candidate(gamma):
         ham = mean_field_hamiltonian(gamma, cfg.Z, cache)
-        levels, vectors = scf_module._diagonalize_blocks(ham)
+        levels, vectors = scf_module._diagonalize_blocks(_channels(cache, *gamma.factors))
         _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q)
         return ham, scf_module._trimmed(vectors, occs)
 
@@ -738,6 +861,7 @@ def test_segment_matches_dense_interpolation(m, q):
     )
     slope = sum((2 * l + 1) * np.sum(h * d) for l, (h, d) in enumerate(zip(ham, dense_step)))
     assert abs(segment.slope(ham) - slope) <= 1e-12
+    assert abs(segment.slope(_channels(cache, *factors)) - slope) <= 1e-12
     # the step's two-body energy from its factors against the dense contraction
     kin, nuc, direct, exch = _hf_terms(*segment.step_factors(), cache)
     _, _, dense_direct, dense_exch = dense_hf_terms(DensityMatrix(cache.grid, dense_step), cfg.Z)
