@@ -9,7 +9,7 @@ byte-deterministic: header row first, 17-significant-digit floats, LF line
 endings.  A JSON file with the same keys as the flags can be passed via
 --config; its values are converted as the flags' text would be, and
 explicit flags win.
-FERMITHERM_THREADS caps the threads of a sweep.
+FERMITHERM_THREADS, an integer, caps the threads of a sweep.
 """
 
 from __future__ import annotations
@@ -77,7 +77,10 @@ def _csv_text(header, rows, footer=()) -> str:
 
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get("FERMITHERM_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env else (os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"FERMITHERM_THREADS must be an integer, got {env!r}") from None
     return max(1, min(n_tasks, cap))
 
 

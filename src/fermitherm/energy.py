@@ -97,10 +97,10 @@ class OperatorCache:
     channel pair.  No n x n array is held: the multipole kernels act through
     their generators (``grid.multipole_apply``), or through their tridiagonal
     inverses, ``kernel_inverses``, which the banded shifted solves of the
-    Cayley steps build on first use.  The negative spectrum of the bare
-    blocks, ``bare_spectrum``, is solved on first use and then shared by
-    the warm start, the start block and block size of the SCF eigensolve,
-    the interaction-free runs and the minimizer audit.
+    Cayley steps build on first use.  The bare pairs, ``bare_spectrum``,
+    are solved on first use and then shared by the warm start and the start
+    pairs of the SCF eigensolve; an interaction-free run keeps them as its
+    solution, and the minimizer audit reads their levels.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
@@ -115,24 +115,33 @@ class OperatorCache:
 
     @cached_property
     def bare_spectrum(self):
-        """(levels, vectors): the eigenpairs below zero of each bare block.
+        """(levels, vectors): the eigenpairs below zero of each bare block, and
+        in the s block at least its three lowest, bound or not.
 
         T_l + diag(v_nuc) is tridiagonal, so LAPACK's bisection and inverse
         iteration find the few bound levels in O(n) each, with no dense
-        matrix; the occupation map vanishes on the rest of the spectrum.
+        matrix; the occupation map vanishes on the rest of the spectrum.  The
+        minimizer audit compares three s levels with the hydrogen ones, so an
+        s block binding fewer is solved for its three lowest by index instead.
         """
         # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
         from scipy.linalg import eigh_tridiagonal
 
         off = np.full(self.grid.n_points - 1, self.kinetic_off)
+        lowest = min(3, self.grid.n_points)
         levels, vectors = [], []
-        for diag in self.kinetic_diag:
+        for l, diag in enumerate(self.kinetic_diag):
             w, v = eigh_tridiagonal(
                 diag + self.v_nuclear, off, select="v", select_range=(-np.inf, 0.0)
             )
             neg = w < 0.0  # the selected interval (-inf, 0] is closed at 0
-            levels.append(w[neg])
-            vectors.append(v[:, neg])
+            w, v = w[neg], v[:, neg]
+            if l == 0 and w.size < lowest:
+                w, v = eigh_tridiagonal(
+                    diag + self.v_nuclear, off, select="i", select_range=(0, lowest - 1)
+                )
+            levels.append(w)
+            vectors.append(v)
         return levels, vectors
 
     @cached_property

@@ -16,26 +16,28 @@ The energies of the iterate and of the step come from their factors.  The
 returned state keeps its factors (``DensityMatrix.from_factors``).
 
 Since mu <= 0 and g vanishes on [0, inf), only the eigenpairs below zero are
-ever computed, and no n x n matrix is formed for them.  Each channel of the
+filled, and no n x n matrix is formed to find them.  Each channel of the
 mean field is an operator on the state's factors (``_Channel``): H_l x by
 matvecs in O(n m) per column for m exchange terms, and a block L D L^H of
 H_l - sigma in O(n m^2) (``energy._ldl_solves``), which solves shifted
-systems and counts the levels below sigma.  The lowest #neg(bare_l)
-eigenpairs come from Rayleigh-Ritz on a block, enlarged by one shifted solve
-per Ritz pair until the residuals reach rounding; the first solve starts
-from the bare vectors, each later one from the last solve's.  The inertia of
-H_l at zero proves the negative count.  The bare blocks are tridiagonal and
-solved once per run, for the warm start (the minimizer when interactions are
-off, so such a run takes no iteration), that run's final solve and the
-audit.
+systems and counts the levels below sigma.  Each channel carries Ritz
+pairs, as many as the bare block has below zero, and the s channel at
+least the three the audit compares with hydrogen: Rayleigh-Ritz on their
+span, enlarged by one shifted solve per Ritz pair until the residuals
+reach rounding, leaves the new pairs there.  The first solve starts from
+the bare pairs, each later one from the last solve's.  The inertia of H_l
+at zero proves the negative count.  The bare blocks are tridiagonal and
+solved once per run, for the start pairs and the warm start; the warm
+start is the minimizer when interactions are off, so such a run takes no
+iteration, and its bare pairs are its solution.
 
 The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
 audit bounds, and the free-energy gap meet their tolerances; the last step is
 then the full one, to the candidate.  The returned state's mean field is
-solved once more: that solve gives the residual and mu, and its levels (the
-audit's charge chain) and channel operators feed ``minimizer_audit`` with the
-state's factors.  The entropy comes from the factor weights, so no
-eigendecomposition of gamma is ever taken.
+solved once more: that solve gives the residual and mu, and its negative
+levels (the audit's charge chain) and channels, with their s levels, feed
+``minimizer_audit`` with the state's factors.  The entropy comes from the
+factor weights, so no eigendecomposition of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -245,13 +247,13 @@ class _Channel:
     """Channel l of a mean field as an n x n operator that is never formed.
 
     ``channel @ x`` is H_l x by matvecs on the field's factors, as a dense
-    block's would be.  ``block`` holds orthonormal start vectors of the
-    eigensolve, which leaves there the converged Ritz vectors: the warm start
-    of the next field's solve.
+    block's would be.  ``levels`` and ``vectors`` hold Ritz pairs of the
+    channel: the start of its eigensolve, which leaves there the converged
+    ones, the warm start of the next field's solve.
     """
 
-    def __init__(self, field: _FactoredField, l: int, block: np.ndarray):
-        self.field, self.l, self.block = field, l, block
+    def __init__(self, field: _FactoredField, l: int, levels: np.ndarray, vectors: np.ndarray):
+        self.field, self.l, self.levels, self.vectors = field, l, levels, vectors
         n = field.cache.grid.n_points
         self.shape = (n, n)
 
@@ -259,38 +261,41 @@ class _Channel:
         return self.field.apply(self.l, x)
 
 
-def _ritz_pairs(channels, blocks):
-    """[(theta, Y, below)]: per channel, the lowest blocks[c].shape[1] eigenpairs
-    from that start block, and the exact number of levels below zero.
+def _diagonalize_blocks(channels):
+    """Negative-energy eigenpairs of each channel operator, with no dense H.
 
-    Rayleigh-Ritz on the span of each block, enlarged by one exact shifted
-    solve (H - theta_j)^-1 y_j per unconverged Ritz pair (Rayleigh-quotient
-    iteration on a subspace) and orthonormalized, until every residual
-    ||H y_j - theta_j y_j|| is at most _RESIDUAL_ULPS eps ||H||.  ||H|| is
-    taken as the Gershgorin bound of T_l + diag(v_local): the exchange lies
-    between 0 and the Hartree potential.  The solves of a round and the
-    inertia counts at zero run as one batch of ``energy._ldl_solves``; the
-    counts join the first round that solves, or run alone.  Rayleigh-Ritz
-    need not find the lowest pairs of a start block that misses a level: the
-    count is what proves them.
+    Rayleigh-Ritz on the span of each channel's vectors, enlarged by one exact
+    shifted solve (H - theta_j)^-1 y_j per unconverged Ritz pair (Rayleigh-
+    quotient iteration on a subspace) and orthonormalized, until every
+    residual ||H y_j - theta_j y_j|| is at most tol = _RESIDUAL_ULPS eps ||H||.
+    ||H|| is taken as the Gershgorin bound of T_l + diag(v_local): the
+    exchange lies between 0 and the Hartree potential.  A pair at or above
+    zero is never filled; only its level is read (the audit's s levels), and
+    that level is exact to second order in the residual, so such a pair also
+    settles once its level moves by at most tol in a round.  Near an
+    eigenvalue the shifted solves can stall a residual just above tol (the
+    L D L^H does not pivot between its blocks), so only the filled pairs are
+    held to it.  The solves of a round run as one batch of
+    ``energy._ldl_solves``; the first round's batch also counts, by inertia,
+    the levels of every channel below zero.  Each channel keeps its
+    converged pairs, as many as it came with.
+
+    That number is at least #neg(bare_l): V_H - K_l is positive semidefinite
+    for a state with nu >= 0 (AM-GM on the nonnegative kernel entries,
+    w_L <= w_0 entrywise and sum_L A_L(l,l')/(2l+1) <= 2l'+1), so by Weyl H_l
+    has no more negative levels than the bare block.  Rayleigh-Ritz need not
+    find the lowest pairs of a start block that misses a level: the count is
+    what proves them, and a negative Ritz count that differs from it raises
+    EigensolveError naming the channel.  An exact zero level is unoccupied.
     """
     eps = np.finfo(float).eps
-    found: list = [None] * len(channels)
-    below: list = [None] * len(channels)
-
-    def zero_shift(c):
-        return channels[c].field, channels[c].l, 0.0, None
-
-    def below_zero(cs, counts):
-        for c, n_below in zip(cs, counts):
-            below[c] = int(n_below)
-
-    uncounted = list(range(len(channels)))
-    bases = dict(enumerate(blocks))
+    counting = [(channel.field, channel.l, 0.0, None) for channel in channels]
+    bases, below = dict(enumerate(channel.vectors for channel in channels)), None
     for _ in range(_RITZ_ROUNDS):
         problems, owners = [], []
         for c, basis in bases.items():
-            channel, k = channels[c], blocks[c].shape[1]
+            channel = channels[c]
+            k, previous = channel.vectors.shape[1], channel.levels
             cache = channel.field.cache
             diag = cache.kinetic_diag[channel.l] + channel.field.v_local
             norm = float(np.max(np.abs(diag))) + 2.0 * abs(cache.kinetic_off)
@@ -299,63 +304,36 @@ def _ritz_pairs(channels, blocks):
             rayleigh = basis.conj().T @ image
             theta, coeffs = np.linalg.eigh(0.5 * (rayleigh + rayleigh.conj().T))
             theta, coeffs = theta[:k], coeffs[:, :k]
-            vectors = basis @ coeffs
-            residuals = np.linalg.norm(image @ coeffs - vectors * theta, axis=0)
-            found[c] = (theta, vectors, residuals, tol)
-            for j in np.flatnonzero(residuals > tol):
-                problems.append((channel.field, channel.l, theta[j], vectors[:, j]))
+            channel.levels, channel.vectors = theta, basis @ coeffs
+            residuals = np.linalg.norm(image @ coeffs - channel.vectors * theta, axis=0)
+            settled = (theta >= 0.0) & (np.abs(theta - previous) <= tol)
+            for j in np.flatnonzero((residuals > tol) & ~settled):
+                problems.append((channel.field, channel.l, theta[j], channel.vectors[:, j]))
                 owners.append(c)
-        if not problems:
+                stuck = (f"channel l={channel.l}: Ritz residuals {residuals.max():.2e} "
+                         f"above {tol:.2e}")
+        if below is not None and not problems:
             break
-        counted, uncounted = uncounted, []
-        counts, solutions = _ldl_solves(problems + [zero_shift(c) for c in counted])
-        below_zero(counted, counts[len(problems):])
-        parts = {c: [found[c][1]] for c in owners}
+        counts, solutions = _ldl_solves(problems + counting)
+        if below is None:
+            below, counting = counts[len(problems):], []
+        parts = {c: [channels[c].vectors] for c in owners}
         for c, x in zip(owners, solutions):
             parts[c].append(x[:, None])
         bases = {c: np.linalg.qr(np.hstack(vectors))[0] for c, vectors in parts.items()}
     else:
-        c = next(iter(bases))
-        _, _, residuals, tol = found[c]
-        raise EigensolveError(
-            f"channel l={channels[c].l}: Ritz residuals {residuals.max():.2e} above "
-            f"{tol:.2e} after {_RITZ_ROUNDS} rounds"
-        )
-    if uncounted:
-        below_zero(uncounted, _ldl_solves([zero_shift(c) for c in uncounted])[0])
-    return [(theta, vectors, n_below) for (theta, vectors, _, _), n_below in zip(found, below)]
-
-
-def _diagonalize_blocks(channels):
-    """Negative-energy eigenpairs of each channel operator, with no dense H.
-
-    The block of channel l keeps its size, #neg(bare_l): V_H - K_l is positive
-    semidefinite for a state with nu >= 0 (AM-GM on the nonnegative kernel
-    entries, w_L <= w_0 entrywise and sum_L A_L(l,l')/(2l+1) <= 2l'+1), so by
-    Weyl H_l has no more negative levels than the bare block.  The inertia of
-    H_l at zero, from its L D L^H, counts them exactly; a Ritz count that
-    differs raises EigensolveError naming the channel.
-    """
+        raise EigensolveError(f"{stuck} after {_RITZ_ROUNDS} rounds")
     levels, vectors = [], []
-    pairs = _ritz_pairs(channels, [channel.block for channel in channels])
-    for channel, (theta, ritz, below) in zip(channels, pairs):
-        channel.block = ritz
-        neg = _negative(channel, theta, below)
-        levels.append(theta[neg])
-        vectors.append(ritz[:, neg])
+    for channel, n_below in zip(channels, below):
+        neg = channel.levels < 0.0
+        if int(np.sum(neg)) != n_below:
+            raise EigensolveError(
+                f"channel l={channel.l}: {int(np.sum(neg))} negative Ritz levels, "
+                f"but H_l has {n_below} (block of {channel.levels.size})"
+            )
+        levels.append(channel.levels[neg])
+        vectors.append(channel.vectors[:, neg])
     return levels, vectors
-
-
-def _negative(channel, theta, below):
-    """The mask of the negative Ritz levels, which must number ``below``, the
-    inertia of the channel at zero; an exact zero level is unoccupied."""
-    neg = theta < 0.0
-    if int(np.sum(neg)) != below:
-        raise EigensolveError(
-            f"channel l={channel.l}: {int(np.sum(neg))} negative Ritz levels, "
-            f"but H_l has {below} (block of {theta.size})"
-        )
-    return neg
 
 
 def _fill_levels(levels, spec, T, q):
@@ -491,19 +469,21 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
 
-    blocks = list(cache.bare_spectrum[1])  # start vectors: the bare ones, then the last solve's
+    pairs = list(zip(*cache.bare_spectrum))  # start pairs: the bare ones, then the last solve's
 
     def solve(factors):
-        """(channel operators, negative levels, vectors); without interactions the
-        field is the bare one, whose spectrum is known."""
+        """(channels, negative levels, vectors) of the mean field of the factors.
+
+        Without interactions the field is the bare one: its channels hold the
+        bare pairs, exact from the start, which are its levels (an unbound s
+        level among them fills to zero), and nothing is solved."""
         if not config.interactions:
-            factors = zero_density_matrix(grid, config.l_max).factors
+            field = _factored_field(cache, *zero_density_matrix(grid, config.l_max).factors)
+            return [_Channel(field, l, *p) for l, p in enumerate(pairs)], *cache.bare_spectrum
         field = _factored_field(cache, *factors)
-        channels = [_Channel(field, l, b) for l, b in enumerate(blocks)]
-        if not config.interactions:
-            return (channels, *cache.bare_spectrum)
+        channels = [_Channel(field, l, *p) for l, p in enumerate(pairs)]
         levels, vectors = _diagonalize_blocks(channels)
-        blocks[:] = [c.block for c in channels]
+        pairs[:] = [(c.levels, c.vectors) for c in channels]
         return channels, levels, vectors
 
     energy_of = free_energy if config.interactions else linear_energy_breakdown
@@ -610,13 +590,11 @@ def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
     _INEQUALITY_TOL.  The channel operators ``channels`` of H_gamma (of the
     bare field when interactions are off) and their negative ``levels`` come
     from the solve of the result's state.  (a) takes matvecs on the factors;
-    (b) is a Ritz solve of channel 0 on a block of max(3, #neg(bare_0)),
-    started from the lowest bare s vectors, with its negative count checked
-    as in the SCF; (e) takes only k x k spectra of the factors.  No n x n matrix is formed.
+    (b) reads the three lowest Ritz levels of channel 0, which that solve
+    holds, bound or not, with every bound one among them (its count proved
+    them; the bare levels when interactions are off); (e) takes only k x k
+    spectra of the factors.  Nothing is solved and no n x n matrix is formed.
     """
-    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
-    from scipy.linalg import eigh_tridiagonal
-
     gamma = result.gamma
     grid = gamma.grid
     spec, T, Z = config.spec, config.T, config.Z
@@ -629,17 +607,7 @@ def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
 
     # the lowest three s levels, bound or not: a negative-only slice would
     # pass the bound vacuously when fewer than three are bound
-    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
-    count = min(max(3, bare_levels[0].size), grid.n_points)
-    _, start = eigh_tridiagonal(
-        cache.kinetic_diag[0] + cache.v_nuclear,
-        np.full(grid.n_points - 1, cache.kinetic_off),
-        select="i",
-        select_range=(0, count - 1),
-    )
-    [(w0, _, below)] = _ritz_pairs(channels[:1], [start])
-    _negative(channels[0], w0, below)  # the block holds every bound s level
-    w0 = w0[:3]
+    w0 = channels[0].levels[:3]
     bounds = np.array([-((Z - q) ** 2) / (4.0 * j * j) for j in (1, 2, 3)])
     if Z - q > 0.0:
         eig_ok = bool(np.all(w0 <= bounds[: w0.size] + _EIGENVALUE_TOL))
@@ -647,6 +615,7 @@ def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
         eig_ok = True  # comparison operator has no negative spectrum
 
     # g vanishes on [0, inf), so the chain needs only the levels below zero
+    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     mf_sum = 0.0
     bare_sum = 0.0
     for l, (w, w_bare) in enumerate(zip(levels, bare_levels)):

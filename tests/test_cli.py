@@ -87,6 +87,20 @@ def test_sweep_overflow_fails_before_any_solve(capsys, monkeypatch):
     assert line.startswith("error: ") and "m = 2.0, Z = 1.0, T = 1e-300" in line
 
 
+@pytest.mark.parametrize("threads", ["abc", "1e9"])
+def test_sweep_names_a_thread_count_that_is_not_an_integer(capsys, monkeypatch, threads):
+    # the cap is read before any solve, and the error names the variable and its value
+    solved = []
+    monkeypatch.setattr(scf, "scf_minimize", lambda config: solved.append(config.q))
+    monkeypatch.setenv("FERMITHERM_THREADS", threads)
+    argv = ["sweep", "--m", "2", "--Z", "1", "--T", "1", "--q-from", "0.1",
+            "--q-to", "0.2", "--q-steps", "2", "--n", "40", "--rmax", "20", "--lmax", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and solved == []
+    (line,) = err.splitlines()
+    assert line == f"error: FERMITHERM_THREADS must be an integer, got {threads!r}"
+
+
 def test_failed_eigensolve_exits_4(capsys, monkeypatch):
     # an eigensolve whose count fails its check is a convergence failure, not a traceback
     message = "channel l=0: 0 negative Ritz levels, but H_l has 1 (block of 1)"

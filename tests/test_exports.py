@@ -119,7 +119,7 @@ def test_traced_eigensolve_counts_read_the_channel_operators(monkeypatch):
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
     factors = scf._initial_state(cache, cfg)
     field = _factored_field(cache, *factors)
-    channels = [scf._Channel(field, l, b) for l, b in enumerate(cache.bare_spectrum[1])]
+    channels = [scf._Channel(field, l, *p) for l, p in enumerate(zip(*cache.bare_spectrum))]
     result = scf._diagonalize_blocks(channels)
     dense = mean_field_hamiltonian(DensityMatrix.from_factors(cache.grid, *factors), cfg.Z, cache)
     negative = sum(int(np.sum(np.linalg.eigvalsh(h) < 0.0)) for h in dense)

@@ -438,9 +438,9 @@ def _bare_blocks(cache):
 
 
 def _channels(cache, orbitals, weights):
-    """Channel operators of the mean field of these factors, started from the bare vectors."""
+    """Channel operators of the mean field of these factors, started from the bare pairs."""
     field = energy_module._factored_field(cache, orbitals, weights)
-    return [scf_module._Channel(field, l, b) for l, b in enumerate(cache.bare_spectrum[1])]
+    return [scf_module._Channel(field, l, *p) for l, p in enumerate(zip(*cache.bare_spectrum))]
 
 
 def test_negative_spectrum_matches_dense_reference():
@@ -459,20 +459,26 @@ def test_negative_spectrum_matches_dense_reference():
 
 def test_negative_spectrum_empty_and_zero_level():
     # without a nucleus the bare operator is the positive kinetic stencil
+    # (the s block still holds its three lowest, unbound, levels for the audit)
     cache = OperatorCache(build_grid(50, 10.0), 0, 0.0)
     levels, vectors = cache.bare_spectrum
-    assert levels[0].shape == (0,) and vectors[0].shape == (50, 0)
+    assert levels[0].shape == (3,) and np.all(levels[0] > 0.0) and vectors[0].shape == (50, 3)
     empty = grid_module.zero_density_matrix(cache.grid, 0).factors
     levels, vectors = scf_module._diagonalize_blocks(_channels(cache, *empty))
     assert levels[0].shape == (0,) and vectors[0].shape == (50, 0)
-    # an exact zero level is unoccupied, so the bare solve does not return it
+    # an exact zero level of the bare block is neither negative nor occupied
     # (the structured solve's case is in test_structured_negative_spectrum_matches_eigh)
     cache = OperatorCache(build_grid(3, 4.0), 0, 0.0)
     cache.kinetic_diag = [np.array([-1.0, 0.0, 2.0])]
     cache.kinetic_off = 0.0
     cache.v_nuclear = np.zeros(3)
     levels, vectors = cache.bare_spectrum
-    assert levels[0].tolist() == [-1.0] and vectors[0].shape == (3, 1)
+    assert levels[0].tolist() == [-1.0, 0.0, 2.0] and vectors[0].shape == (3, 3)
+    empty = grid_module.zero_density_matrix(cache.grid, 0).factors
+    negative, _ = scf_module._diagonalize_blocks(_channels(cache, *empty))
+    assert negative[0].tolist() == [-1.0]
+    _, occs = scf_module._fill_levels(levels, SPEC, 1.0, 0.3)
+    assert occs[0][0] > 0.0 and occs[0][1] == 0.0 and occs[0][2] == 0.0
 
 
 def _spectrum_case(case):
@@ -509,7 +515,7 @@ def test_structured_negative_spectrum_matches_eigh(case):
     if case == "zero-level":
         # the block holds the zero level: found, and left out of the negative ones
         assert np.linalg.eigvalsh(dense[0])[1] == 0.0
-        assert channels[0].block.shape == (3, 2)
+        assert channels[0].vectors.shape == (3, 3)
 
 
 def test_eigensolve_count_catches_a_missed_level():
@@ -528,15 +534,37 @@ def test_eigensolve_count_catches_a_missed_level():
     sturm = eigvalsh_tridiagonal(
         cache.kinetic_diag[0] + field.v_local, off, select="v", select_range=(-np.inf, 0.0)
     )
-    assert np.sum(sturm < 0.0) == 0 and cache.bare_spectrum[0][0].size == 2
-    _, skipped = eigh_tridiagonal(
+    assert np.sum(sturm < 0.0) == 0 and np.sum(cache.bare_spectrum[0][0] < 0.0) == 2
+    channel = scf_module._Channel(field, 0, *eigh_tridiagonal(
         cache.kinetic_diag[0] + cache.v_nuclear, off, select="i", select_range=(1, 2)
-    )
-    channel = scf_module._Channel(field, 0, skipped)
-    [(theta, _, below)] = scf_module._ritz_pairs([channel], [skipped])
-    assert np.all(theta > 0.0) and below == 1
-    with pytest.raises(scf_module.EigensolveError, match="channel l=0: 0 negative Ritz levels"):
+    ))
+    missed = "channel l=0: 0 negative Ritz levels"
+    with pytest.raises(scf_module.EigensolveError, match=missed) as err:
         scf_module._diagonalize_blocks([channel])
+    # the channel keeps the two converged unbound pairs; the inertia counted one level
+    assert np.all(channel.levels > 0.0) and "but H_l has 1 " in str(err.value)
+
+
+def test_unfilled_pair_settles_on_its_level():
+    # 40 points, Z = 1.125, T = 0.02: at the warm start's mean field the
+    # shifted solves stall the residual of the unbound 2s pair just above the
+    # tolerance.  It is never filled; its level stops moving and settles it,
+    # and that level is the dense one
+    grid = build_grid(40, 20.0 / 1.125)
+    spec = make_power_entropy(2.2375)
+    bare_levels, _ = OperatorCache(grid, 1, 1.125).bare_spectrum
+    capacity = sum((2 * l + 1) * float(np.sum(spec.g(w / 0.02))) for l, w in enumerate(bare_levels))
+    cfg = small_config(spec=spec, Z=1.125, T=0.02, q=0.5 * capacity, n_points=40,
+                       r_max=grid.r_max)
+    cache = OperatorCache(grid, cfg.l_max, cfg.Z)
+    factors = scf_module._initial_state(cache, cfg)
+    channels = _channels(cache, *factors)
+    fast = scf_module._diagonalize_blocks(channels)
+    dense = mean_field_hamiltonian(DensityMatrix.from_factors(grid, *factors), cfg.Z, cache)
+    _assert_same_spectrum(fast, _dense_negative(dense))
+    w0 = channels[0].levels
+    assert w0.size == 3 and w0[0] < 0.0 < w0[1]
+    assert np.max(np.abs(w0 - np.linalg.eigvalsh(dense[0])[:3])) <= 1e-12
 
 
 def _dense_audit_details(gamma, cfg):
@@ -576,6 +604,10 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
 
     def dense_eigensolve(channels):
         replaced.append(len(channels))
+        for channel in channels:  # the lowest pairs, as many as the channel carries
+            w, v = np.linalg.eigh(channel @ np.eye(channel.shape[0]))
+            k = channel.levels.size
+            channel.levels, channel.vectors = w[:k], v[:, :k]
         return _dense_negative(channels)
 
     monkeypatch.setattr(scf_module, "_diagonalize_blocks", dense_eigensolve)
@@ -600,14 +632,15 @@ def test_scf_matches_dense_eigensolve_path(monkeypatch, interactions):
 
 def test_returned_state_is_solved_once(monkeypatch):
     # one eigensolve per iteration plus one of the returned state; the audit
-    # reuses its levels and finds the three s levels by a Ritz solve on the
-    # channel operator, with no n x n eigh; the energy comes from
-    # occupations, so gamma is never diagonalized (the audit's Brown-Kosaki
-    # spectra are k x k, of the factors)
+    # reads its levels and the three s levels its channel 0 holds, so it
+    # solves nothing: no eigensolve, no L D L^H and no n x n eigh; the energy
+    # comes from occupations, so gamma is never diagonalized (the audit's
+    # Brown-Kosaki spectra are k x k, of the factors)
     import scipy.linalg
 
     cfg = small_config(l_max=2)
-    calls = {"diagonalize": 0, "audit_eigh": 0, "eigvalsh": 0}
+    calls = {"diagonalize": 0, "audit_eigh": 0, "eigvalsh": 0, "audit_diagonalize": 0,
+             "audit_ldl": 0}
     in_audit = []
 
     def counted(fn, key, when=lambda a: True):
@@ -627,9 +660,19 @@ def test_returned_state_is_solved_once(monkeypatch):
 
     audit = scf_module.minimizer_audit
     monkeypatch.setattr(scf_module, "minimizer_audit", auditing)
+    diagonalize = counted(scf_module._diagonalize_blocks, "diagonalize")
     monkeypatch.setattr(
-        scf_module, "_diagonalize_blocks", counted(scf_module._diagonalize_blocks, "diagonalize")
+        scf_module,
+        "_diagonalize_blocks",
+        counted(diagonalize, "audit_diagonalize", lambda a: bool(in_audit)),
     )
+    for module in (energy_module, scf_module):
+        monkeypatch.setattr(
+            module,
+            "_ldl_solves",
+            counted(module._ldl_solves, "audit_ldl", lambda a: bool(in_audit)),
+        )
+
     def square(a):
         return bool(in_audit) and a.shape[-1] == cfg.n_points
 
@@ -642,7 +685,8 @@ def test_returned_state_is_solved_once(monkeypatch):
     )
     res = scf_minimize(cfg)
     assert res.converged and res.audit is not None and res.iterations > 1
-    assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 0, "eigvalsh": 0}
+    assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 0, "eigvalsh": 0,
+                     "audit_diagonalize": 0, "audit_ldl": 0}
 
 
 def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
@@ -741,16 +785,21 @@ def test_check_iterates_validates_factors(monkeypatch):
     assert res.converged and seen == [False] * res.iterations
 
 
-def test_audit_bound_reads_three_levels_when_fewer_are_bound():
+@pytest.mark.parametrize("interactions", [True, False])
+def test_audit_bound_reads_three_levels_when_fewer_are_bound(interactions):
     # the 10-bohr box binds only the 1s level; the 2s and 3s comparison
-    # levels are positive and must fail the bound, not vanish from it
-    cfg = small_config(n_points=200, r_max=10.0, l_max=1)
+    # levels are positive and must fail the bound, not vanish from it.  The
+    # channel-0 pairs of the final solve carry them through the iterations,
+    # and they are the lowest three levels of the dense H_0
+    cfg = small_config(n_points=200, r_max=10.0, l_max=1, interactions=interactions)
     res = scf_minimize(cfg)
     assert res.converged
     w0 = res.audit.details["h0_eigenvalues"]
     assert len(w0) == 3
     assert w0[0] < 0.0 < w0[1] < w0[2]
-    assert w0 == pytest.approx([-0.248, 0.088, 0.546], abs=1e-3)
+    cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
+    ham = mean_field_hamiltonian(res.gamma, cfg.Z, cache) if interactions else _bare_blocks(cache)
+    assert np.max(np.abs(np.subtract(w0, np.linalg.eigvalsh(ham[0])[:3]))) <= 1e-12
     assert res.audit.eigenvalue_bound_ok is False
 
 
