@@ -9,13 +9,14 @@ s orbital.
 Every two-body quantity is computed on orbital factors gamma_l =
 W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form
 (``grid.multipole_apply``) and never stored.  One mean field,
-``_FactoredField``, serves the SCF eigensolve through its terms (matvecs,
-and the block L D L^H of ``_ldl_solves`` for shifted solves and level
-counts), the Cayley steps of the dynamics (matvecs and one exact banded
-shifted solve), and the ``expm`` propagator and ``mean_field_hamiltonian``
-through its dense blocks; the energies are O(n k^2) sums over orbital
-pairs.  The public functions read ``DensityMatrix.factors`` (a state built
-from dense blocks is factored once, by one eigh per block).
+``_FactoredField``, serves the SCF eigensolve (matvecs, and the block
+L D L^H of ``_ldl_solves`` for shifted solves and level counts), the Cayley
+steps (matvecs and one exact banded shifted solve), and the ``expm``
+propagator and ``mean_field_hamiltonian`` (dense blocks); the L D L^H and
+the dense blocks read H_l's entries from ``_FactoredField.generators``.
+The energies are O(n k^2) sums over orbital pairs.  The public functions
+read ``DensityMatrix.factors`` (a state built from dense blocks is factored
+once, by one eigh per block).
 """
 
 from __future__ import annotations
@@ -293,13 +294,12 @@ class _FactoredField:
     K_l = sum_t c_t diag(w_t) w_L diag(conj(w_t)) over the terms
     t = (l', L, orbital k) of weight c_t = A_L(l,l') nu_k / (2l+1).
     ``terms[l]`` holds (c, L, W) of channel l: weights, orders and the n x m
-    matrix of the vectors w_t.  The SCF eigensolve and the Cayley steps of the
-    dynamics read the terms alone: ``apply`` takes H_l x in O(n m) per column;
-    the eigensolve's shifted solves and level counts are the block L D L^H
-    of ``_ldl_solves``, in O(n m^2), and the Cayley steps' ``shifted_solve``
-    solves (H_l - sigma) x = b for a complex sigma by one banded LU.
-    ``dense_blocks`` forms H for the ``expm`` propagator and
-    ``mean_field_hamiltonian`` only.
+    matrix of the vectors w_t.  ``apply`` takes H_l x in O(n m) per column.
+    ``generators`` derives the entries of H_l once, for the block L D L^H of
+    ``_ldl_solves`` (the eigensolve's shifted solves and level counts, in
+    O(n m^2)) and for ``dense_blocks``, which forms H for the ``expm``
+    propagator and ``mean_field_hamiltonian`` only.  The Cayley steps'
+    ``shifted_solve`` solves (H_l - sigma) x = b by one banded LU.
     """
 
     cache: OperatorCache
@@ -319,6 +319,7 @@ class _FactoredField:
     def shifted_solve(self, l: int, sigma, rhs: np.ndarray) -> np.ndarray:
         """(H_l - sigma)^-1 rhs for a real or complex shift, by one exact banded LU.
 
+        Its only caller, the Cayley step, passes the complex shift 2i/dt.
         With z_t = J_t^-1 (conj(w_t) y), J_t the tridiagonal inverse of the
         kernel of term t, the system (H_l - sigma) y = b becomes sparse in
         (y, z_1..z_m): the rows of y couple y_(i+-1) (kinetic) and z_(t,i); the
@@ -352,24 +353,27 @@ class _FactoredField:
         )
         return solution.reshape(n, p, -1)[:, 0]
 
-    def dense_blocks(self) -> list:
-        """H_l as n x n blocks, one GEMM per channel for K_l.
-
-        With the generators of each term's kernel, S = (u * W) diag(c) (v * W)^H
-        equals K_l on and above the diagonal (r_i <= r_j), so
-        K_l = triu(S) + triu(S, 1)^H.
-        """
+    def generators(self, l: int) -> tuple:
+        """(p, q, d): below its diagonal H_l is the kinetic stencil plus p q^T,
+        p = -c v w and q = u conj(w) per term, as w_L[i,j] = v_i u_j for i > j
+        (``multipole_generators``); d is its diagonal, -K_ii included."""
         cache = self.cache
-        idx = np.arange(cache.grid.n_points)
+        weights, orders, vectors = self.terms[l]
+        u, v = multipole_generators(cache.grid, orders)
+        p, q = -(weights * v) * vectors, u * vectors.conj()
+        return p, q, cache.kinetic_diag[l] + self.v_local + np.sum(p * q, axis=1).real
+
+    def dense_blocks(self) -> list:
+        """H_l as n x n blocks, one GEMM per channel: tril(p q^T, -1) and its
+        adjoint, the diagonal d and the stencil, from ``generators``."""
+        idx = np.arange(self.cache.grid.n_points)
         blocks = []
-        for l, (weights, orders, vectors) in enumerate(self.terms):
-            u, v = multipole_generators(cache.grid, orders)
-            upper = np.triu((u * vectors * weights) @ (v * vectors).conj().T)
-            h_block = -(upper + upper.conj().T)
-            h_block[idx, idx] *= 0.5  # the diagonal was taken twice
-            h_block[idx, idx] += cache.kinetic_diag[l] + self.v_local
-            h_block[idx[:-1], idx[1:]] += cache.kinetic_off
-            h_block[idx[1:], idx[:-1]] += cache.kinetic_off
+        for l in range(len(self.terms)):
+            p, q, diag = self.generators(l)
+            lower = np.tril(p @ q.T, -1)
+            lower[idx[1:], idx[:-1]] += self.cache.kinetic_off
+            h_block = lower + lower.conj().T
+            h_block[idx, idx] = diag
             blocks.append(h_block)
         return blocks
 
@@ -379,16 +383,16 @@ def _ldl_solves(problems) -> tuple:
     sigma: the number of levels of H_l below sigma, and (H_l - sigma)^-1 b (None
     where b is None), by one block L D L^H of H_l - sigma each in O(n m^2).
 
-    Below the diagonal H_l is the kinetic stencil k plus sum_t p_t,i conj(q_t,j)
-    with p = -c v w and q = u w, the generators u, v of each term's kernel
-    (``multipole_generators``).  In blocks J of _LDL_BLOCK grid points, L has
-    L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1 at I = J + 1.
+    Below the diagonal H_l is the kinetic stencil k plus P Q^T, with P, Q and
+    the diagonal from ``_FactoredField.generators``.  In blocks J of _LDL_BLOCK
+    grid points, L has L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1
+    at I = J + 1.
     With P'_J = [P_J, e_first] and G'_J = [[G_J, k x], [k x^H, k^2 d]], where
     G_J = sum_(K<J) X_K D_K X_K^H, x is the last column of X_(J-1) and d the
     last diagonal entry of D_(J-1)^-1,
 
         D_J = H_JJ - sigma - P'_J G'_J P'_J^H,
-        X_J = (Q_J^H - [G_J, k x] P'_J^H) D_J^-1:
+        X_J = (Q_J^T - [G_J, k x] P'_J^H) D_J^-1:
 
     a block Sturm sequence of the tridiagonal-plus-semiseparable matrix
     (Chandrasekaran & Gu, SIAM J. Matrix Anal. Appl. 25, 2003).  Each D_J is
@@ -411,22 +415,18 @@ def _ldl_solves(problems) -> tuple:
         float, *(field.terms[l][2] for field, l, _, _ in problems),
         *(b for *_, b in problems if b is not None),
     )
-    # P'_J of every block, (blocks, batch, size, width + 1), and Q_J^H
+    # P'_J of every block, (blocks, batch, size, width + 1), and Q_J^T
     p = np.zeros((blocks * size, batch, width + 1), dtype)
     p[::size, :, width] = 1.0
-    q_conj = np.zeros((blocks * size, batch, width), dtype)
+    q = np.zeros((blocks * size, batch, width), dtype)
     diag = np.ones((blocks * size, batch))
     rhs = np.zeros((blocks * size, batch), dtype)
-    generators = {}  # per channel: p, conj(q) and the diagonal of H_l
+    generators = {}  # once per channel of the batch
     for k, (field, l, sigma, b) in enumerate(problems):
         if (id(field), l) not in generators:
-            weights, orders, vectors = field.terms[l]
-            u, v = multipole_generators(cache.grid, orders)
-            p_l, q_l = -(weights * v) * vectors, u * vectors.conj()
-            diag_l = cache.kinetic_diag[l] + field.v_local + np.sum(p_l * q_l, axis=1).real  # -K_ii
-            generators[id(field), l] = p_l, q_l, diag_l
+            generators[id(field), l] = field.generators(l)
         p_l, q_l, diag_l = generators[id(field), l]
-        p[:n, k, : p_l.shape[1]], q_conj[:n, k, : p_l.shape[1]] = p_l, q_l
+        p[:n, k, : p_l.shape[1]], q[:n, k, : p_l.shape[1]] = p_l, q_l
         diag[:n, k] = diag_l - sigma
         if b is not None:
             rhs[:n, k] = b
@@ -435,10 +435,10 @@ def _ldl_solves(problems) -> tuple:
     off[: n - 1] = cache.kinetic_off  # off[i] couples points i and i + 1
     p = p.reshape(blocks, size, batch, width + 1).transpose(0, 2, 1, 3)
     p_adjoint = p.conj().transpose(0, 1, 3, 2)
-    q_adjoint = q_conj.reshape(blocks, size, batch, width).transpose(0, 2, 3, 1)
+    q_transpose = q.reshape(blocks, size, batch, width).transpose(0, 2, 3, 1)
     diag, rhs = (a.reshape(blocks, size, batch).transpose(0, 2, 1) for a in (diag, rhs))
-    # H_JJ - sigma of every block: P_J Q_J^H below the diagonal, the stencil on it
-    pivots = p[..., :width] @ q_adjoint
+    # H_JJ - sigma of every block: P_J Q_J^T below the diagonal, the stencil on it
+    pivots = p[..., :width] @ q_transpose
     pivots[..., ~np.tril(np.ones((size, size), dtype=bool), -1)] = 0.0
     pivots += pivots.conj().transpose(0, 1, 3, 2)
     inner = np.arange(size)
@@ -457,7 +457,7 @@ def _ldl_solves(problems) -> tuple:
         counts += np.sum(levels < 0.0, axis=1)
         levels[levels == 0.0] = floor
         inverse = (basis / levels[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-        residual = q_adjoint[block] - p_gram[..., :width].conj().transpose(0, 2, 1)
+        residual = q_transpose[block] - p_gram[..., :width].conj().transpose(0, 2, 1)
         x_block = residual @ inverse
         gram[:, :width, :width] += residual @ x_block.conj().transpose(0, 2, 1)
         y = rhs[block] - (p[block] @ prefix[..., None])[..., 0]

@@ -20,24 +20,24 @@ filled, and no n x n matrix is formed to find them.  Each channel of the
 mean field is an operator on the state's factors (``_Channel``): H_l x by
 matvecs in O(n m) per column for m exchange terms, and a block L D L^H of
 H_l - sigma in O(n m^2) (``energy._ldl_solves``), which solves shifted
-systems and counts the levels below sigma.  Each channel carries Ritz
-pairs, as many as the bare block has below zero, and the s channel at
-least the three the audit compares with hydrogen: Rayleigh-Ritz on their
-span, enlarged by one shifted solve per Ritz pair until the residuals
-reach rounding, leaves the new pairs there.  The first solve starts from
-the bare pairs, each later one from the last solve's.  The inertia of H_l
-at zero proves the negative count.  The bare blocks are tridiagonal and
-solved once per run, for the start pairs and the warm start; the warm
-start is the minimizer when interactions are off, so such a run takes no
-iteration, and its bare pairs are its solution.
+systems and counts the levels below sigma.  A run keeps one channel per l
+from start to audit, first on the bare field with the bare pairs: as many
+as the bare block has below zero, and in the s channel at least the three
+the audit compares with hydrogen.  Each solve sets the channels' field, and
+Rayleigh-Ritz on their span, enlarged by one shifted solve per Ritz pair
+until the residuals reach rounding, leaves the new pairs there.  The
+inertia of H_l at zero proves the negative count.  The bare blocks are
+tridiagonal and solved once per run, for the start pairs and the warm
+start; the warm start is the minimizer when interactions are off, so such
+a run takes no iteration, and its bare channels are its solution.
 
 The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
 audit bounds, and the free-energy gap meet their tolerances; the last step is
 then the full one, to the candidate.  The returned state's mean field is
-solved once more: that solve gives the residual and mu, and its negative
-levels (the audit's charge chain) and channels, with their s levels, feed
-``minimizer_audit`` with the state's factors.  The entropy comes from the
-factor weights, so no eigendecomposition of gamma is ever taken.
+solved once more: that solve gives the residual and mu, and the channels
+it leaves feed ``minimizer_audit`` with the state's factors.  The entropy
+comes from the factor weights, so no eigendecomposition of gamma is ever
+taken.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ class ScfConfig:
     ``q = None`` selects the global problem, with no charge constraint (mu fixed at 0).
     ``r_max = None`` defaults to 60/Z.  ``interactions = False`` drops the
     Hartree and exchange terms, turning the run into the discrete linear
-    model (used to compare against the analytic series).
+    model (used to compare against the analytic series).  Z <= 0 is allowed;
+    a Z whose hydrogen scale Z^2/(4T) overflows is not.
     """
 
     spec: EntropySpec
@@ -127,6 +128,8 @@ class ScfConfig:
                 raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
         if self.T <= 0.0:
             raise ValueError("scf requires T > 0")
+        if not self.Z * self.Z / (4.0 * self.T) < math.inf:  # the hydrogen scale of the audit
+            raise ValueError(f"Z^2/(4T) overflows at Z = {self.Z}, T = {self.T}")
         if self.tol_gamma <= 0.0 or self.tol_energy <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.q is not None and self.q < 0.0:
@@ -205,10 +208,13 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
     keeps the SCF line search free of a first-order mu * (tr gamma - q) term.
     If even mu = 0 cannot bind q, the charge is unreachable and
     UnreachableChargeError is raised (the unbinding signal).  q = 0 gives the
-    mu = -inf sentinel.
+    mu = -inf sentinel.  A q that is not >= 0 or a T not in (0, inf) raises
+    ValueError, NaN included.
     """
-    if q < 0.0:
+    if not q >= 0.0:
         raise ValueError(f"charge must be nonnegative, got {q}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"temperature must be finite and positive, got {T}")
     eps = np.asarray([lv[0] for lv in levels], dtype=float)
     mult = np.asarray([lv[1] for lv in levels], dtype=float)
     if q == 0.0:
@@ -249,7 +255,7 @@ class _Channel:
     ``channel @ x`` is H_l x by matvecs on the field's factors, as a dense
     block's would be.  ``levels`` and ``vectors`` hold Ritz pairs of the
     channel: the start of its eigensolve, which leaves there the converged
-    ones, the warm start of the next field's solve.
+    ones, the warm start of the next ``field`` an SCF run sets.
     """
 
     def __init__(self, field: _FactoredField, l: int, levels: np.ndarray, vectors: np.ndarray):
@@ -469,22 +475,22 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     cache = OperatorCache(grid, config.l_max, Z)
     history: list = []
 
-    pairs = list(zip(*cache.bare_spectrum))  # start pairs: the bare ones, then the last solve's
+    bare = _factored_field(cache, *zero_density_matrix(grid, config.l_max).factors)
+    channels = [_Channel(bare, l, *p) for l, p in enumerate(zip(*cache.bare_spectrum))]
 
     def solve(factors):
-        """(channels, negative levels, vectors) of the mean field of the factors.
+        """(negative levels, vectors) of the mean field of the factors; the
+        channels, one per l for the run, keep its pairs.
 
-        Without interactions the field is the bare one: its channels hold the
+        Without interactions the field is the bare one: the channels keep the
         bare pairs, exact from the start, which are its levels (an unbound s
         level among them fills to zero), and nothing is solved."""
         if not config.interactions:
-            field = _factored_field(cache, *zero_density_matrix(grid, config.l_max).factors)
-            return [_Channel(field, l, *p) for l, p in enumerate(pairs)], *cache.bare_spectrum
+            return cache.bare_spectrum
         field = _factored_field(cache, *factors)
-        channels = [_Channel(field, l, *p) for l, p in enumerate(pairs)]
-        levels, vectors = _diagonalize_blocks(channels)
-        pairs[:] = [(c.levels, c.vectors) for c in channels]
-        return channels, levels, vectors
+        for channel in channels:
+            channel.field = field
+        return _diagonalize_blocks(channels)
 
     energy_of = free_energy if config.interactions else linear_energy_breakdown
 
@@ -506,7 +512,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
 
     for iteration in range(1, config.max_iter + 1 if status == "max_iter" else 1):
         iterations = iteration
-        channels, levels, vectors = solve(factors)
+        levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q)
         except UnreachableChargeError:
@@ -542,8 +548,8 @@ def _run_scf(config: ScfConfig) -> ScfResult:
 
     mu, residual = 0.0, math.inf
     if status != "unreachable-charge":
-        # the one solve of the returned state: residual, mu, the audit's levels and H
-        channels, levels, vectors = solve(factors)
+        # the one solve of the returned state: residual, mu and the audit's channels
+        levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q)
             residual = _Segment(factors, _trimmed(vectors, occs)).defect()
@@ -563,7 +569,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         history=history,
     )
     if result.converged:
-        result.audit = minimizer_audit(result, config, cache, channels, levels)
+        result.audit = minimizer_audit(result, config, cache, channels)
     return result
 
 
@@ -579,7 +585,7 @@ def scf_global(config: ScfConfig) -> ScfResult:
     return _run_scf(dataclasses.replace(config, q=None))
 
 
-def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
+def minimizer_audit(result, config, cache, channels) -> MinimizerAudit:
     """Check the proven properties of minimizers on a converged result.
 
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
@@ -587,13 +593,13 @@ def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
     (d) negative free energy for q > 0; (e) every (lhs, rhs) pair of
     ``inequality_audit`` on the result's state and energy, within
-    _INEQUALITY_TOL.  The channel operators ``channels`` of H_gamma (of the
-    bare field when interactions are off) and their negative ``levels`` come
-    from the solve of the result's state.  (a) takes matvecs on the factors;
-    (b) reads the three lowest Ritz levels of channel 0, which that solve
-    holds, bound or not, with every bound one among them (its count proved
-    them; the bare levels when interactions are off); (e) takes only k x k
-    spectra of the factors.  Nothing is solved and no n x n matrix is formed.
+    _INEQUALITY_TOL.  ``channels`` are the run's channels as the solve of the
+    result's state left them (the bare ones when interactions are off).
+    (a) takes matvecs on the factors; (b) reads the three lowest Ritz levels
+    of channel 0, bound or not, with every bound one among them (its count
+    proved them); (c) sums g over every channel's Ritz levels; (e) takes only
+    k x k spectra of the factors.  Nothing is solved and no n x n matrix is
+    formed.
     """
     gamma = result.gamma
     grid = gamma.grid
@@ -614,12 +620,12 @@ def minimizer_audit(result, config, cache, channels, levels) -> MinimizerAudit:
     else:
         eig_ok = True  # comparison operator has no negative spectrum
 
-    # g vanishes on [0, inf), so the chain needs only the levels below zero
+    # g vanishes on [0, inf): the Ritz levels at or above zero add exactly 0.0
     bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
     mf_sum = 0.0
     bare_sum = 0.0
-    for l, (w, w_bare) in enumerate(zip(levels, bare_levels)):
-        mf_sum += (2 * l + 1) * float(np.sum(spec.g(w / T)))
+    for l, (channel, w_bare) in enumerate(zip(channels, bare_levels)):
+        mf_sum += (2 * l + 1) * float(np.sum(spec.g(channel.levels / T)))
         bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
     chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9
 

@@ -61,9 +61,15 @@ def test_entropy_bad_exponent_exit1(capsys):
         (["linear", "--m", "2", "--Z", "1", "--T", "nan"], ""),
         (["linear", "--m", "inf", "--Z", "1", "--T", "1"], ""),
         (MINIMIZE_SMALL + ["--max-iter", "-3"], ""),
+        (["minimize", "--m", "2", "--Z", "1e155", "--T", "1", "--q", "0.1", "--n", "40",
+          "--rmax", "10", "--lmax", "0"], "Z^2/(4T) overflows at Z = 1e+155, T = 1.0"),
+        (["sweep", "--m", "2", "--Z", "1e155", "--T", "1", "--q-from", "0.1", "--q-to", "0.2",
+          "--q-steps", "2", "--n", "40", "--rmax", "10", "--lmax", "0"],
+         "Z^2/(4T) overflows at Z = 1e+155, T = 1.0"),
     ],
     ids=["Z-inf", "Z-nan", "T-tiny", "Z-huge", "sum-overflows", "m-inf", "linear-T-tiny",
-         "linear-T-nan", "linear-m-inf", "minimize-negative-max-iter"],
+         "linear-T-nan", "linear-m-inf", "minimize-negative-max-iter", "minimize-Z-overflows",
+         "sweep-Z-overflows"],
 )
 def test_bad_or_overflowing_input_exit1(capsys, argv, names):
     # a closed form that overflows is reported with the input that made it
@@ -432,7 +438,7 @@ def _with_config(arrays, **changes):
     "tamper",
     [
         "nonorthonormal", "shape", "spectrum", "missing", "lmax_negative", "rmax_nan", "Z_nan",
-        "nan", "weights_2d", "complex_weights", "old_format",
+        "Z_overflowing", "nan", "weights_2d", "complex_weights", "old_format",
     ],
 )
 def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tamper):
@@ -445,6 +451,8 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
         _with_config(arrays, r_max=math.nan)
     elif tamper == "Z_nan":
         _with_config(arrays, Z=math.nan)
+    elif tamper == "Z_overflowing":
+        _with_config(arrays, Z=1e155)
     elif tamper == "nonorthonormal":
         orbitals[:, 0] *= 1.001
     elif tamper == "shape":
@@ -470,6 +478,8 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
     assert "error:" in err and "Traceback" not in err
     if tamper in ("missing", "old_format"):
         assert ("orbitals_1" if tamper == "missing" else "config") in err
+    if tamper == "Z_overflowing":
+        assert "Z^2/(4T) overflows at Z = 1e+155, T = 1.0" in err
 
 
 @pytest.mark.parametrize("command", ["evolve", "stability"])

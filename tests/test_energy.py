@@ -405,8 +405,8 @@ def test_mean_field_lies_above_the_bare_blocks(l_max, rank, seed, complex_orbita
 @pytest.mark.parametrize("rank", [1, 4, 30])
 def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals):
     # H_l x by matvecs and (H_l - sigma)^-1 b by the banded LU, against the
-    # dense blocks and np.linalg.solve, for a real shift between the two
-    # lowest levels and the Cayley shift 2i/dt
+    # dense reference blocks of the same state and np.linalg.solve, for a
+    # real shift between the two lowest levels and the Cayley shift 2i/dt
     grid = build_grid(70, 20.0)
     cache = OperatorCache(grid, 1, Z=1.0)
     factors = _random_factors(grid, [rank, rank], rank, complex_orbitals)
@@ -414,7 +414,7 @@ def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals
     rng = np.random.default_rng(rank)
     rhs = rng.standard_normal((grid.n_points, 3)) + 1j * rng.standard_normal((grid.n_points, 3))
     eye = np.eye(grid.n_points)
-    for l, block in enumerate(field.dense_blocks()):
+    for l, block in enumerate(dense_hamiltonian(DensityMatrix.from_factors(grid, *factors), 1.0)):
         x = rhs.real if not complex_orbitals else rhs
         expected = block @ x
         assert np.max(np.abs(field.apply(l, x) - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -428,11 +428,12 @@ def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals
 @pytest.mark.parametrize("complex_orbitals", [False, True])
 @pytest.mark.parametrize("rank", [1, 4, 30])
 def test_structured_ldl_counts_and_solves_match_dense_blocks(rank, complex_orbitals):
-    # the block L D L^H of H_l - sigma: its inertia against the dense
-    # spectrum and its solve against np.linalg.solve, for shifts below the
-    # spectrum, between levels, at zero and above the bound levels; the two
-    # channels carry different numbers of terms and run as one batch, with a
-    # count-only problem, on a grid that is no multiple of the block size
+    # the block L D L^H of H_l - sigma: its inertia against the spectrum of
+    # the dense reference blocks of the same state and its solve against
+    # np.linalg.solve, for shifts below the spectrum, between levels, at zero
+    # and above the bound levels; the two channels carry different numbers of
+    # terms and run as one batch, with a count-only problem, on a grid that is
+    # no multiple of the block size
     grid = build_grid(70, 20.0)
     cache = OperatorCache(grid, 1, Z=1.0)
     factors = _random_factors(grid, [rank, rank + 1], rank, complex_orbitals)
@@ -441,7 +442,7 @@ def test_structured_ldl_counts_and_solves_match_dense_blocks(rank, complex_orbit
     assert len(field.terms[0][0]) != len(field.terms[1][0])
     rng = np.random.default_rng(rank)
     problems, expected = [], []
-    for l, block in enumerate(field.dense_blocks()):
+    for l, block in enumerate(dense_hamiltonian(DensityMatrix.from_factors(grid, *factors), 1.0)):
         levels = np.linalg.eigvalsh(block)
         between = [0.5 * (levels[j] + levels[j + 1]) for j in (0, 4)]
         for sigma in (levels[0] - 1.0, between[0], 0.0, between[1]):

@@ -86,8 +86,18 @@ def test_occupations_multi_level_properties():
 
 
 def test_occupations_rejects_negative_charge():
-    with pytest.raises(ValueError):
-        occupations_from_levels([(-1.0, 1)], SPEC, T=1.0, q=-0.1)
+    # a NaN charge fails the check too, instead of filling to some charge
+    for q in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="charge must be nonnegative"):
+            occupations_from_levels([(-1.0, 1), (-0.25, 4)], SPEC, T=1.0, q=q)
+
+
+@pytest.mark.parametrize("T", [math.nan, 0.0, -1.0, math.inf])
+def test_occupations_rejects_a_temperature_not_finite_and_positive(T):
+    # named as a temperature fault, not as an unreachable charge
+    with pytest.raises(ValueError, match="temperature must be finite and positive") as err:
+        occupations_from_levels([(-1.0, 1), (-0.25, 4)], SPEC, T=T, q=0.3)
+    assert not isinstance(err.value, UnreachableChargeError)
 
 
 fill_problems = st.fixed_dictionaries(
