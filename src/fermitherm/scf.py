@@ -31,13 +31,14 @@ tridiagonal and solved once per run, for the start pairs and the warm
 start; the warm start is the minimizer when interactions are off, so such
 a run takes no iteration, and its bare channels are its solution.
 
-The loop stops when the Frobenius defect ||candidate - gamma||_F, the norm the
-audit bounds, and the free-energy gap meet their tolerances; the last step is
-then the full one, to the candidate.  The returned state's mean field is
-solved once more: that solve gives the residual and mu, and the channels
-it leaves feed ``minimizer_audit`` with the state's factors.  The entropy
-comes from the factor weights, so no eigendecomposition of gamma is ever
-taken.
+Each pass of the loop solves the iterate's mean field, fills it, measures
+the Frobenius defect ||candidate - gamma||_F (the norm the audit bounds) and
+searches for a step.  Once the defect and the free-energy gap meet their
+tolerances, the step is the full one, to the candidate, and the next pass,
+the last, solves the returned state: that solve gives the residual and mu,
+and its channels feed ``minimizer_audit`` with the state's factors.  The
+entropy comes from the factor weights, so no eigendecomposition of gamma is
+ever taken.
 """
 
 from __future__ import annotations
@@ -173,16 +174,18 @@ class MinimizerAudit:
 class ScfResult:
     """Outcome of one SCF run; ``energy`` is None only for a reloaded state.
 
-    ``audit`` is the ``minimizer_audit`` of a converged run, built from its
-    final solve, the one that gave ``residual``; it is None otherwise and
-    for a reloaded state.  ``history``
-    has one entry per accepted step: the iteration, the Frobenius ``defect``
-    and ``mu`` of the solved iterate, the step ``t`` along the segment to its
-    candidate, and the ``free_energy`` of the iterate the step accepted.
-    Runs whose warm start is the minimizer (q = 0, or no interactions) take
-    no step: ``iterations`` is 0 and ``history`` empty.  ``status`` is
-    "converged", "max_iter", "stalled" (no point of the segment lowers F) or
-    "unreachable-charge".
+    ``audit`` is the ``minimizer_audit`` of a converged run, built from the
+    solve that gave ``residual`` and ``mu``; it is None otherwise and for a
+    reloaded state.  ``iterations`` counts the solves that searched for a
+    step; the one that gave ``residual`` is one more, unless the run stalled.
+    ``history`` has one entry per accepted step: the iteration, the Frobenius
+    ``defect`` and ``mu`` of the solved iterate, the step ``t`` along the
+    segment to its candidate, and the ``free_energy`` of the iterate the step
+    accepted.  Runs whose warm start is the minimizer (q = 0, or no
+    interactions) take no step: ``iterations`` is 0 and ``history`` empty.
+    ``status`` is "converged", "max_iter", "stalled" (no point of the segment
+    lowers F) or "unreachable-charge" (a solved field, the returned state's
+    included, cannot bind q: ``mu`` is 0 and ``residual`` inf).
     """
 
     gamma: DensityMatrix
@@ -479,8 +482,8 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     channels = [_Channel(bare, l, *p) for l, p in enumerate(zip(*cache.bare_spectrum))]
 
     def solve(factors):
-        """(negative levels, vectors) of the mean field of the factors; the
-        channels, one per l for the run, keep its pairs.
+        """(negative levels, vectors) of the mean field of the factors, once
+        per pass of the loop; the channels, one per l for the run, keep its pairs.
 
         Without interactions the field is the bare one: the channels keep the
         bare pairs, exact from the start, which are its levels (an unbound s
@@ -506,28 +509,29 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         factors = zero_density_matrix(grid, config.l_max).factors
         status = "unreachable-charge"
     energy = breakdown(factors)
-    e_hf, free = energy.total_hf, energy.total_free
+    e_hf, free, entropy = energy.total_hf, energy.total_free, energy.entropy_term
     # the last step a resolved search chose; reused where F' is lost in rounding
     iterations, damping = 0, 1.0
 
-    for iteration in range(1, config.max_iter + 1 if status == "max_iter" else 1):
-        iterations = iteration
+    mu, residual = 0.0, math.inf
+    while status != "unreachable-charge":
         levels, vectors = solve(factors)
         try:
             mu, occs = _fill_levels(levels, spec, T, config.q)
         except UnreachableChargeError:
-            status = "unreachable-charge"
+            mu, residual, status = 0.0, math.inf, "unreachable-charge"
             break
         candidate = _trimmed(vectors, occs)
         segment = _Segment(factors, candidate)
-        defect = segment.defect()
+        residual = segment.defect()
+        if status != "max_iter" or iterations == config.max_iter:
+            break  # that solve was the returned state's: its channels feed the audit
+        iterations += 1
         _, _, direct, exch = _hf_terms(*segment.step_factors(), cache)
         slope = segment.slope(channels)
         curvature = direct - exch
-        gap = slope + curvature + T * (
-            _entropy_of_blocks(occs, spec) - _entropy_of_blocks(factors[1], spec)
-        )
-        if defect <= config.tol_gamma and abs(gap) <= config.tol_energy:
+        gap = slope + curvature + T * (_entropy_of_blocks(occs, spec) - entropy)
+        if residual <= config.tol_gamma and abs(gap) <= config.tol_energy:
             status, t = "converged", 1.0  # the candidate is the returned state
         else:
             t, resolved = _step_length(segment, slope, curvature, spec, T, free, damping)
@@ -538,24 +542,13 @@ def _run_scf(config: ScfConfig) -> ScfResult:
             break
         e_hf += t * slope + t * t * curvature
         factors = candidate if t == 1.0 else segment.factors(t)
-        free = e_hf + T * _entropy_of_blocks(factors[1], spec)
+        entropy = _entropy_of_blocks(factors[1], spec)
+        free = e_hf + T * entropy
         history.append(
-            {"iteration": iteration, "free_energy": free, "defect": defect, "t": t, "mu": mu}
+            {"iteration": iterations, "free_energy": free, "defect": residual, "t": t, "mu": mu}
         )
         DensityMatrix.from_factors(grid, *factors).validate()  # each iterate stays a state
-        if status == "converged":
-            break
 
-    mu, residual = 0.0, math.inf
-    if status != "unreachable-charge":
-        # the one solve of the returned state: residual, mu and the audit's channels
-        levels, vectors = solve(factors)
-        try:
-            mu, occs = _fill_levels(levels, spec, T, config.q)
-            residual = _Segment(factors, _trimmed(vectors, occs)).defect()
-        except UnreachableChargeError:
-            if status == "converged":
-                status = "max_iter"
     if history:  # the state moved: its energy terms, once
         energy = breakdown(factors)
     result = ScfResult(

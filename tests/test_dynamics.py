@@ -115,8 +115,9 @@ def test_evolve_conserves_trace_and_entropy(minimizer):
 
 
 def strongly_interacting_state(n=100, r_max=15.0, seed=7, scale=0.6, rank=10):
-    # near a minimizer the drift signal drowns in roundoff (the scheme is
-    # symmetric), so order measurements need a strongly coupled state
+    # a random rank-``rank`` state with top weight ``scale`` per channel, far
+    # from any minimizer, so the mean field moves it strongly (criterion 10
+    # measures the drift order on the default one)
     from fermitherm.grid import build_grid
 
     grid = build_grid(n, r_max)
@@ -128,19 +129,6 @@ def strongly_interacting_state(n=100, r_max=15.0, seed=7, scale=0.6, rank=10):
         b *= scale / np.linalg.eigvalsh(b)[-1]
         blocks.append(b)
     return DensityMatrix(grid=grid, blocks=blocks)
-
-
-def test_evolve_energy_drift_second_order():
-    gamma0 = strongly_interacting_state()
-
-    def drift(dt):
-        steps = int(round(0.5 / dt))
-        samples = evolve(gamma0, SPEC, 2.0, dt=dt, n_steps=steps, sample_stride=1)
-        e0 = samples[0].hf_energy
-        return max(abs(s.hf_energy - e0) for s in samples)
-
-    order = math.log2(drift(0.01) / drift(0.005))
-    assert 1.7 <= order <= 2.3
 
 
 def test_evolve_stationary_state_stays(minimizer):

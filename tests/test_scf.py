@@ -347,17 +347,23 @@ def test_interaction_free_solve_returns_the_warm_start(q):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def test_unreachable_warm_start_makes_no_eigensolve(monkeypatch):
-    # the warm start cannot hold the charge: the result leaves through the
-    # one exit without a loop iteration or a final solve
+def _counted_eigensolves(monkeypatch):
+    """The channel counts of every ``_diagonalize_blocks`` call, as they come."""
     calls = []
 
-    def counting(blocks):
-        calls.append(len(blocks))
-        return diagonalize(blocks)
+    def counting(channels):
+        calls.append(len(channels))
+        return diagonalize(channels)
 
     diagonalize = scf_module._diagonalize_blocks
     monkeypatch.setattr(scf_module, "_diagonalize_blocks", counting)
+    return calls
+
+
+def test_unreachable_warm_start_makes_no_eigensolve(monkeypatch):
+    # the warm start cannot hold the charge: the result leaves through the
+    # one exit without a loop iteration or a final solve
+    calls = _counted_eigensolves(monkeypatch)
     res = scf_minimize(small_config(spec=make_power_entropy(1.5), q=50.0))
     assert res.status == "unreachable-charge" and not res.converged
     assert res.iterations == 0 and res.history == [] and res.audit is None
@@ -697,6 +703,46 @@ def test_returned_state_is_solved_once(monkeypatch):
     assert res.converged and res.audit is not None and res.iterations > 1
     assert calls == {"diagonalize": res.iterations + 1, "audit_eigh": 0, "eigvalsh": 0,
                      "audit_diagonalize": 0, "audit_ldl": 0}
+
+
+def test_max_iter_run_solves_its_returned_state_once(monkeypatch):
+    # a run cut at max_iter also solves each iterate once, the returned one last
+    calls = _counted_eigensolves(monkeypatch)
+    res = scf_minimize(small_config(max_iter=3))
+    assert res.status == "max_iter" and res.iterations == 3 and len(res.history) == 3
+    assert len(calls) == res.iterations + 1
+    assert math.isfinite(res.residual) and res.audit is None
+
+
+def test_stalled_run_stops_after_its_own_solve(monkeypatch):
+    # a search that finds no lower point returns the iterate its pass just
+    # solved: that solve gave the residual, and nothing is solved again
+    calls = _counted_eigensolves(monkeypatch)
+    monkeypatch.setattr(scf_module, "_step_length", lambda *args: (0.0, True))
+    res = scf_minimize(small_config())
+    assert res.status == "stalled" and not res.converged and res.audit is None
+    assert res.iterations == 1 and res.history == [] and len(calls) == 1
+    assert 0.0 < res.residual < math.inf
+
+
+def test_returned_state_that_cannot_bind_q_is_unreachable(monkeypatch):
+    # the fill of the returned state's solve (after the warm start's and one
+    # per iteration) cannot bind q: the run ends unconverged and unaudited
+    iterations = scf_minimize(small_config()).iterations
+    fills = []
+
+    def failing_last(levels, spec, T, q):
+        fills.append(q)
+        if len(fills) == iterations + 2:
+            raise UnreachableChargeError("no capacity at mu = 0")
+        return fill(levels, spec, T, q)
+
+    fill = scf_module._fill_levels
+    monkeypatch.setattr(scf_module, "_fill_levels", failing_last)
+    res = scf_minimize(small_config())
+    assert res.status == "unreachable-charge" and not res.converged and res.audit is None
+    assert res.iterations == iterations and len(res.history) == iterations
+    assert res.mu == 0.0 and res.residual == math.inf
 
 
 def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
