@@ -7,13 +7,13 @@ that direct and exchange cancel exactly for a fully occupied rank-one
 s orbital.
 
 Every two-body quantity is computed on orbital factors gamma_l =
-W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form
-(``grid.multipole_apply``) and never stored.  One mean field,
-``_FactoredField``, serves the SCF eigensolve (matvecs, and the block
-L D L^H of ``_ldl_solves`` for shifted solves and level counts), the Cayley
-steps (matvecs and one exact banded shifted solve), and the ``expm``
-propagator and ``mean_field_hamiltonian`` (dense blocks); the L D L^H and
-the dense blocks read H_l's entries from ``_FactoredField.generators``.
+W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form and
+never stored: one order at a time in the energies (``grid.multipole_apply``),
+and per exchange term in the mean field ``_FactoredField``, whose channel
+generators are derived once per field.  The SCF eigensolve's matvecs and
+block L D L^H (``_ldl_solves``: shifted solves and level counts) and the
+dense blocks of the ``expm`` propagator and ``mean_field_hamiltonian`` all
+read them; the Cayley steps take one exact banded shifted solve.
 The energies are O(n k^2) sums over orbital pairs.  The public functions
 read ``DensityMatrix.factors`` (a state built from dense blocks is factored
 once, by one eigh per block).
@@ -294,27 +294,43 @@ class _FactoredField:
     K_l = sum_t c_t diag(w_t) w_L diag(conj(w_t)) over the terms
     t = (l', L, orbital k) of weight c_t = A_L(l,l') nu_k / (2l+1).
     ``terms[l]`` holds (c, L, W) of channel l: weights, orders and the n x m
-    matrix of the vectors w_t.  ``apply`` takes H_l x in O(n m) per column.
-    ``generators`` derives the entries of H_l once, for the block L D L^H of
-    ``_ldl_solves`` (the eigensolve's shifted solves and level counts, in
-    O(n m^2)) and for ``dense_blocks``, which forms H for the ``expm``
-    propagator and ``mean_field_hamiltonian`` only.  The Cayley steps'
-    ``shifted_solve`` solves (H_l - sigma) x = b by one banded LU.
+    matrix of the vectors w_t.  ``generators`` derives H_l's entries from them
+    once per field; ``apply`` (H_l x in O(n m) per column), the L D L^H of
+    ``_ldl_solves`` (O(n m^2)) and ``dense_blocks`` (for ``expm`` and
+    ``mean_field_hamiltonian`` only) read that one form.  The Cayley steps'
+    ``shifted_solve`` takes one banded LU on the terms instead: bandwidth
+    m + 1, where the generators would give 2m + 1.
     """
 
     cache: OperatorCache
     v_local: np.ndarray
     terms: list
 
+    @cached_property
+    def generators(self) -> list:
+        """(p, q, d) of each channel: below its diagonal H_l is the kinetic
+        stencil plus p q^T, p = -c v w and q = u conj(w) per term, as
+        w_L[i,j] = v_i u_j for i > j (``multipole_generators``); d is its
+        diagonal, -K_ii included."""
+        cache, forms = self.cache, []
+        for l, (weights, orders, vectors) in enumerate(self.terms):
+            u, v = multipole_generators(cache.grid, orders)
+            p, q = -(weights * v) * vectors, u * vectors.conj()
+            forms.append((p, q, cache.kinetic_diag[l] + self.v_local + np.sum(p * q, axis=1).real))
+        return forms
+
     def apply(self, l: int, x: np.ndarray) -> np.ndarray:
-        """H_l x for an n x k block x: K_l x = sum_t c_t w_t (w_L (conj(w_t) x))."""
-        cache = self.cache
-        weights, orders, vectors = self.terms[l]
-        out = (cache.kinetic_diag[l] + self.v_local)[:, None] * x
-        out[1:] += cache.kinetic_off * x[:-1]
-        out[:-1] += cache.kinetic_off * x[1:]
-        kernel_images = multipole_apply(cache.grid, orders, vectors.conj()[:, :, None] * x[:, None])
-        return out - np.einsum("it,itk->ik", weights * vectors, kernel_images)
+        """H_l x for an n x k block x: d x and the stencil, plus p_i times the
+        running sum of q_j^T x_j over j < i, plus conj(q_i) times the reversed
+        running sum of p_j^H x_j over j > i."""
+        p, q, diag = self.generators[l]
+        off = self.cache.kinetic_off
+        below = np.cumsum(q[:-1, :, None] * x[:-1, None], axis=0)
+        above = np.cumsum(p[:0:-1, :, None].conj() * x[:0:-1, None], axis=0)[::-1]
+        out = np.multiply(diag[:, None], x, dtype=np.result_type(p, x))
+        out[1:] += off * x[:-1] + np.einsum("it,itk->ik", p[1:], below)
+        out[:-1] += off * x[1:] + np.einsum("it,itk->ik", q[:-1].conj(), above)
+        return out
 
     def shifted_solve(self, l: int, sigma, rhs: np.ndarray) -> np.ndarray:
         """(H_l - sigma)^-1 rhs for a real or complex shift, by one exact banded LU.
@@ -353,23 +369,12 @@ class _FactoredField:
         )
         return solution.reshape(n, p, -1)[:, 0]
 
-    def generators(self, l: int) -> tuple:
-        """(p, q, d): below its diagonal H_l is the kinetic stencil plus p q^T,
-        p = -c v w and q = u conj(w) per term, as w_L[i,j] = v_i u_j for i > j
-        (``multipole_generators``); d is its diagonal, -K_ii included."""
-        cache = self.cache
-        weights, orders, vectors = self.terms[l]
-        u, v = multipole_generators(cache.grid, orders)
-        p, q = -(weights * v) * vectors, u * vectors.conj()
-        return p, q, cache.kinetic_diag[l] + self.v_local + np.sum(p * q, axis=1).real
-
     def dense_blocks(self) -> list:
         """H_l as n x n blocks, one GEMM per channel: tril(p q^T, -1) and its
         adjoint, the diagonal d and the stencil, from ``generators``."""
         idx = np.arange(self.cache.grid.n_points)
         blocks = []
-        for l in range(len(self.terms)):
-            p, q, diag = self.generators(l)
+        for p, q, diag in self.generators:
             lower = np.tril(p @ q.T, -1)
             lower[idx[1:], idx[:-1]] += self.cache.kinetic_off
             h_block = lower + lower.conj().T
@@ -384,9 +389,9 @@ def _ldl_solves(problems) -> tuple:
     where b is None), by one block L D L^H of H_l - sigma each in O(n m^2).
 
     Below the diagonal H_l is the kinetic stencil k plus P Q^T, with P, Q and
-    the diagonal from ``_FactoredField.generators``.  In blocks J of _LDL_BLOCK
-    grid points, L has L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1
-    at I = J + 1.
+    the diagonal the field's ``generators``.  In blocks J of _LDL_BLOCK grid
+    points, L has L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1 at
+    I = J + 1.
     With P'_J = [P_J, e_first] and G'_J = [[G_J, k x], [k x^H, k^2 d]], where
     G_J = sum_(K<J) X_K D_K X_K^H, x is the last column of X_(J-1) and d the
     last diagonal entry of D_(J-1)^-1,
@@ -410,10 +415,10 @@ def _ldl_solves(problems) -> tuple:
     cache = problems[0][0].cache
     n, size, batch = cache.grid.n_points, _LDL_BLOCK, len(problems)
     blocks = -(-n // size)
-    width = max(len(field.terms[l][0]) for field, l, _, _ in problems)
+    forms = [field.generators[l] for field, l, _, _ in problems]
+    width = max(p_l.shape[1] for p_l, _, _ in forms)
     dtype = np.result_type(
-        float, *(field.terms[l][2] for field, l, _, _ in problems),
-        *(b for *_, b in problems if b is not None),
+        float, *(p_l for p_l, _, _ in forms), *(b for *_, b in problems if b is not None)
     )
     # P'_J of every block, (blocks, batch, size, width + 1), and Q_J^T
     p = np.zeros((blocks * size, batch, width + 1), dtype)
@@ -421,11 +426,7 @@ def _ldl_solves(problems) -> tuple:
     q = np.zeros((blocks * size, batch, width), dtype)
     diag = np.ones((blocks * size, batch))
     rhs = np.zeros((blocks * size, batch), dtype)
-    generators = {}  # once per channel of the batch
-    for k, (field, l, sigma, b) in enumerate(problems):
-        if (id(field), l) not in generators:
-            generators[id(field), l] = field.generators(l)
-        p_l, q_l, diag_l = generators[id(field), l]
+    for k, ((p_l, q_l, diag_l), (*_, sigma, b)) in enumerate(zip(forms, problems)):
         p[:n, k, : p_l.shape[1]], q[:n, k, : p_l.shape[1]] = p_l, q_l
         diag[:n, k] = diag_l - sigma
         if b is not None:

@@ -74,10 +74,11 @@ class EntropySpec:
     def g(self, lam):
         """Occupation map: argmin over nu in [0,1] of lam*nu + beta(nu).
 
-        Closed form min{(-lam/m)**(1/(m-1)), 1} for lam < 0, zero otherwise.
+        Closed form min{-lam/m, 1}**(1/(m-1)) for lam < 0, zero otherwise: the
+        base is capped before the power, which would overflow for m near 1.
         """
         a = np.asarray(lam, dtype=float)
-        return np.minimum(np.where(a < 0.0, -a / self.m, 0.0) ** (1.0 / (self.m - 1.0)), 1.0)
+        return np.minimum(np.where(a < 0.0, -a / self.m, 0.0), 1.0) ** (1.0 / (self.m - 1.0))
 
     def beta_star(self, lam):
         """Transform lam*g(lam) + beta(g(lam)).

@@ -247,18 +247,15 @@ def multipole_generators(grid: RadialGrid, L) -> tuple:
     return x**L, x ** (-np.asarray(L) - 1) / scale
 
 
-def multipole_apply(grid: RadialGrid, L, x: np.ndarray) -> np.ndarray:
+def multipole_apply(grid: RadialGrid, L: int, x: np.ndarray) -> np.ndarray:
     """w_L x in O(n) per column, with w_L never formed.
 
     (w_L x)_i = v_i sum_{j<=i} u_j x_j + u_i sum_{j>i} v_j x_j from the
     generators.  The outer sum is a reversed cumulative sum: as a total minus
-    a running sum it would cancel wherever the outer tail is small.  An array
-    ``L`` gives the order of each column of x (of each x[:, t] for x of
-    more than two axes).
+    a running sum it would cancel wherever the outer tail is small.  One order
+    ``L`` serves every column.
     """
-    u, v = multipole_generators(grid, L)
-    expand = (Ellipsis,) + (None,) * (x.ndim - u.ndim)
-    u, v = u[expand], v[expand]
+    u, v = (g.reshape((-1,) + (1,) * (x.ndim - 1)) for g in multipole_generators(grid, L))
     out = v * np.cumsum(u * x, axis=0)
     out[:-1] += u[:-1] * np.cumsum((v * x)[::-1], axis=0)[-2::-1]
     return out

@@ -32,9 +32,9 @@ def kinetic_matrix(grid, l):
 def multipole_kernel(grid, L):
     """Symmetric kernel w_L[i,j] = r_<^L / r_>^(L+1) at the node pairs, dense.
 
-    The library applies w_L through ``multipole_apply`` or its tridiagonal
-    inverse and never forms it; this dense form is the reference both are
-    checked against.
+    The library applies w_L through its generators (``multipole_apply``, and
+    the mean field's per-term form) or its tridiagonal inverse and never
+    forms it; this dense form is the reference they are checked against.
     """
     r = grid.r
     r_small = np.minimum.outer(r, r)

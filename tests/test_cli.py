@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,14 @@ def test_entropy_converges(capsys):
     assert code == 0
     assert "A4 converges" in out
     assert "0.411234" in out
+    assert out.splitlines()[1] == "lambda,g,beta_star"
+
+
+def test_entropy_near_m_one_raises_no_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["entropy", "--m", "1.0000001", "--Z", "1", "--T", "1"])
+    assert code == 0 and caught == [] and err == ""
     assert out.splitlines()[1] == "lambda,g,beta_star"
 
 

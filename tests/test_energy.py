@@ -348,8 +348,9 @@ def test_brown_kosaki_terms_match_dense_reference(case):
 
 @pytest.mark.parametrize("n", [50, 400, 2000])
 def test_exchange_assembly_matches_dense_kernels(n):
-    # K = sum_t c_t (w_t w_t^H) * w_(L_t) by one triu GEMM, against the dense
-    # kernels, for every order up to L = 6 and real and complex vectors
+    # K = sum_t c_t (w_t w_t^H) * w_(L_t) from the generators, tril(p q^T, -1)
+    # and its adjoint by one GEMM, against the dense kernels, for every order
+    # up to L = 6 and real and complex vectors
     grid = build_grid(n, 60.0)
     cache = OperatorCache(grid, 0, Z=0.0)
     cache.kinetic_diag, cache.kinetic_off = [np.zeros(n)], 0.0  # H = -K exactly

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_a4_overflowing_value_raises(m, T):
 def test_power_entropy_refuses_non_finite_exponent(m):
     with pytest.raises(InvalidExponentError, match="m > 1"):
         make_power_entropy(m)
+
+
+def test_occupation_map_near_m_one_raises_no_warning():
+    # at m = 1 + 1e-7 the power 1/(m-1) = 1e7 overflows for any base above 1,
+    # so the map caps its base at 1 before raising it
+    spec = make_power_entropy(1.0000001)
+    lam = np.concatenate([-np.logspace(-6, 6, 601), [0.0, 2.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        occ, star = spec.g(lam), spec.beta_star(lam)
+    assert caught == []
+    saturated = lam <= spec.saturation_lambda
+    assert np.all(occ[saturated] == 1.0) and np.all(occ[~saturated] < 1.0)
+    assert np.array_equal(star[saturated], lam[saturated] + 1.0)
 
 
 def test_maps_take_scalars_and_arrays_alike():

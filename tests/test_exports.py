@@ -105,7 +105,8 @@ def test_traced_eigensolve_counts_read_the_channel_operators(monkeypatch):
     import numpy as np
 
     from fermitherm import scf
-    from fermitherm.energy import OperatorCache, _factored_field, mean_field_hamiltonian
+    from dense_reference import dense_hamiltonian
+    from fermitherm.energy import OperatorCache, _factored_field
     from fermitherm.entropy import make_power_entropy
     from fermitherm.grid import DensityMatrix
 
@@ -121,7 +122,7 @@ def test_traced_eigensolve_counts_read_the_channel_operators(monkeypatch):
     field = _factored_field(cache, *factors)
     channels = [scf._Channel(field, l, *p) for l, p in enumerate(zip(*cache.bare_spectrum))]
     result = scf._diagonalize_blocks(channels)
-    dense = mean_field_hamiltonian(DensityMatrix.from_factors(cache.grid, *factors), cfg.Z, cache)
+    dense = dense_hamiltonian(DensityMatrix.from_factors(cache.grid, *factors), cfg.Z)
     negative = sum(int(np.sum(np.linalg.eigvalsh(h) < 0.0)) for h in dense)
     counts = spans._eigensolve_counts((channels,), {}, result)
     assert negative > 0 and counts == {"dim": 3 * cfg.n_points, "kept": negative}

@@ -203,12 +203,6 @@ def test_multipole_apply_matches_dense_kernel(n):
             expected = w @ x
             err = np.max(np.abs(multipole_apply(grid, L, x) - expected))
             assert err <= 1e-13 * np.max(np.abs(expected))
-        # one order per column gives the same columns
-        orders = np.array([L, 0, 6])
-        mixed = multipole_apply(grid, orders, real)
-        for j, order in enumerate(orders):
-            expected = multipole_kernel(grid, order) @ real[:, j]
-            assert np.max(np.abs(mixed[:, j] - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_multipole_apply_outer_sum_does_not_cancel():
