@@ -11,9 +11,10 @@ W_l diag(nu_l) W_l^H, with the kernels w_L applied in generator form and
 never stored: one order at a time in the energies (``grid.multipole_apply``),
 and per exchange term in the mean field ``_FactoredField``, whose channel
 generators are derived once per field.  The SCF eigensolve's matvecs and
-block L D L^H (``_ldl_solves``: shifted solves and level counts) and the
-dense blocks of the ``expm`` propagator and ``mean_field_hamiltonian`` all
-read them; the Cayley steps take one exact banded shifted solve.
+block L D L^H (``_ldl_solves``: shifted solves, one LU solve per pivot
+block, and level counts by inertia) and the dense blocks of the ``expm``
+propagator and ``mean_field_hamiltonian`` all read them; the Cayley steps
+take one exact banded shifted solve.
 The energies are O(n k^2) sums over orbital pairs.  The public functions
 read ``DensityMatrix.factors`` (a state built from dense blocks is factored
 once, by one eigh per block).
@@ -233,7 +234,7 @@ def _factor_spectra(orbitals, weights) -> list:
 
 
 _CLIP_TOL = 1e-10
-_LDL_BLOCK = 8  # grid points per diagonal block of ``_ldl_solves``
+_LDL_BLOCK = 16  # grid points per diagonal block of ``_ldl_solves``
 
 
 def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
@@ -295,11 +296,12 @@ class _FactoredField:
     t = (l', L, orbital k) of weight c_t = A_L(l,l') nu_k / (2l+1).
     ``terms[l]`` holds (c, L, W) of channel l: weights, orders and the n x m
     matrix of the vectors w_t.  ``generators`` derives H_l's entries from them
-    once per field; ``apply`` (H_l x in O(n m) per column), the L D L^H of
-    ``_ldl_solves`` (O(n m^2)) and ``dense_blocks`` (for ``expm`` and
-    ``mean_field_hamiltonian`` only) read that one form.  The Cayley steps'
-    ``shifted_solve`` takes one banded LU on the terms instead: bandwidth
-    m + 1, where the generators would give 2m + 1.
+    once per field; ``apply`` (H_l x in O(n m) per column), the block L D L^H
+    of ``_ldl_solves`` (O(n m^2), pivoted inside its 16-point blocks) and
+    ``dense_blocks`` (for ``expm`` and ``mean_field_hamiltonian`` only) read
+    that one form.  The Cayley steps' ``shifted_solve`` takes one banded LU
+    on the terms instead: bandwidth m + 1, where the generators would give
+    2m + 1.
     """
 
     cache: OperatorCache
@@ -383,34 +385,40 @@ class _FactoredField:
         return blocks
 
 
-def _ldl_solves(problems) -> tuple:
-    """(counts, solutions) for problems (field, l, sigma, b) of one grid and real
-    sigma: the number of levels of H_l below sigma, and (H_l - sigma)^-1 b (None
-    where b is None), by one block L D L^H of H_l - sigma each in O(n m^2).
+def _ldl_solves(problems) -> list:
+    """One result per problem (field, l, sigma, b) of one grid and real sigma:
+    (H_l - sigma)^-1 b, or where b is None the number of levels of H_l below
+    sigma, by one block L D L^H of H_l - sigma each in O(n m^2).
 
-    Below the diagonal H_l is the kinetic stencil k plus P Q^T, with P, Q and
-    the diagonal the field's ``generators``.  In blocks J of _LDL_BLOCK grid
-    points, L has L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1 at
-    I = J + 1.
+    The recursion runs on the grid reversed, from r_max inward: a bound
+    orbital decays outside, so outward from the nucleus every window past it
+    would hold a level within that decay of its own, and D_J would be nearly
+    singular for sigma near it.  Reversed, H_l is below its diagonal the
+    kinetic stencil k plus P Q^T, with P = conj(q) and Q = conj(p) from the
+    field's ``generators``.  In blocks J of _LDL_BLOCK grid points, L has
+    L_IJ = P_I X_J for I > J, plus k e_first e_last^T D_J^-1 at I = J + 1.
     With P'_J = [P_J, e_first] and G'_J = [[G_J, k x], [k x^H, k^2 d]], where
     G_J = sum_(K<J) X_K D_K X_K^H, x is the last column of X_(J-1) and d the
     last diagonal entry of D_(J-1)^-1,
 
         D_J = H_JJ - sigma - P'_J G'_J P'_J^H,
-        X_J = (Q_J^T - [G_J, k x] P'_J^H) D_J^-1:
+        X_J = R_J D_J^-1,  R_J = Q_J^T - (P'_J G'_J)[:, :m]^H:
 
     a block Sturm sequence of the tridiagonal-plus-semiseparable matrix
-    (Chandrasekaran & Gu, SIAM J. Matrix Anal. Appl. 25, 2003).  Each D_J is
-    diagonalized; by Sylvester's law of inertia its negative eigenvalues,
-    summed over the blocks, count the levels below sigma, and an eigenvalue of
-    exactly zero is taken as eps ||H_l||, so a level at sigma is not below it.
-    The substitutions L y = b and L^H x = D^-1 y run over the same blocks.
-    There is no pivoting between blocks, so a nearly singular D_J amplifies
-    rounding in the blocks after it: the solve loses accuracy (the SCF
-    eigensolve checks its Ritz residuals on H_l itself), and a level within
-    that rounding of sigma may be miscounted.  The problems run as one batch,
-    their terms padded with zero generators and the grid with decoupled unit
-    points.
+    (Chandrasekaran & Gu, SIAM J. Matrix Anal. Appl. 25, 2003).  Each pivot
+    block takes one batched LU solve, pivoted inside the block, of
+    [R_J^H | e_last | y_J] with y_J the right side of L y = b: it gives X_J^H,
+    D_J^-1 e_last and z_J = D_J^-1 y_J, and L^H x = z runs back over the same
+    blocks.  No block pivots against another, so a window that happens to
+    hold a level near sigma (seen only next to unbound levels) still costs
+    accuracy; the SCF eigensolve checks its Ritz residuals on H_l itself.
+    The D_J of the count problems are diagonalized after the sweep: by
+    Sylvester's law of inertia their negative eigenvalues count the levels
+    below sigma (a level within rounding of sigma may be miscounted).  A D_J
+    that is exactly singular, a level at sigma, is inverted by its eigh with
+    a zero eigenvalue taken as eps ||H_l||, so the level is not below sigma.
+    The problems run as one batch, their terms padded with zero generators
+    and the grid with decoupled unit points.
     """
     cache = problems[0][0].cache
     n, size, batch = cache.grid.n_points, _LDL_BLOCK, len(problems)
@@ -420,70 +428,70 @@ def _ldl_solves(problems) -> tuple:
     dtype = np.result_type(
         float, *(p_l for p_l, _, _ in forms), *(b for *_, b in problems if b is not None)
     )
-    # P'_J of every block, (blocks, batch, size, width + 1), and Q_J^T
+    # P'_J of every block, (blocks, batch, size, width + 1), and the solve's
+    # right sides [conj(Q_J) | 0 | b_J]
     p = np.zeros((blocks * size, batch, width + 1), dtype)
     p[::size, :, width] = 1.0
-    q = np.zeros((blocks * size, batch, width), dtype)
+    sides = np.zeros((blocks * size, batch, width + 2), dtype)
     diag = np.ones((blocks * size, batch))
-    rhs = np.zeros((blocks * size, batch), dtype)
     for k, ((p_l, q_l, diag_l), (*_, sigma, b)) in enumerate(zip(forms, problems)):
-        p[:n, k, : p_l.shape[1]], q[:n, k, : p_l.shape[1]] = p_l, q_l
-        diag[:n, k] = diag_l - sigma
+        p[:n, k, : p_l.shape[1]], sides[:n, k, : p_l.shape[1]] = q_l[::-1].conj(), p_l[::-1]
+        diag[:n, k] = diag_l[::-1] - sigma
         if b is not None:
-            rhs[:n, k] = b
-    floor = np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(cache.kinetic_off))
+            sides[:n, k, width + 1] = b[::-1]
     off = np.zeros(blocks * size)
     off[: n - 1] = cache.kinetic_off  # off[i] couples points i and i + 1
-    p = p.reshape(blocks, size, batch, width + 1).transpose(0, 2, 1, 3)
+    p, sides = (a.reshape(blocks, size, batch, -1).transpose(0, 2, 1, 3) for a in (p, sides))
     p_adjoint = p.conj().transpose(0, 1, 3, 2)
-    q_transpose = q.reshape(blocks, size, batch, width).transpose(0, 2, 3, 1)
-    diag, rhs = (a.reshape(blocks, size, batch).transpose(0, 2, 1) for a in (diag, rhs))
+    diag = diag.reshape(blocks, size, batch).transpose(0, 2, 1)
     # H_JJ - sigma of every block: P_J Q_J^T below the diagonal, the stencil on it
-    pivots = p[..., :width] @ q_transpose
-    pivots[..., ~np.tril(np.ones((size, size), dtype=bool), -1)] = 0.0
-    pivots += pivots.conj().transpose(0, 1, 3, 2)
+    pivots = p[..., :width] @ sides[..., :width].conj().transpose(0, 1, 3, 2)
+    pivots *= np.tril(np.ones((size, size)), -1)
+    pivots = pivots + pivots.conj().transpose(0, 1, 3, 2)
     inner = np.arange(size)
     pivots[..., inner, inner] += diag
     couplings = off.reshape(blocks, 1, size)[..., :-1]
     pivots[..., inner[:-1], inner[1:]] += couplings
     pivots[..., inner[1:], inner[:-1]] += couplings
 
-    counts = np.zeros(batch, dtype=int)
-    gram = np.zeros((batch, width + 1, width + 1), dtype)  # G'_J
-    prefix = np.zeros((batch, width + 1), dtype)  # [sum_(K<J) X_K y_K, k (D_(J-1)^-1 y_(J-1))_last]
-    factors, solved = [], []
+    counting = [k for k, (*_, b) in enumerate(problems) if b is None]
+    state = np.zeros((batch, width + 1, width + 2), dtype)  # [G'_J | prefix'_J]
+    outputs = []
     for block in range(blocks):
-        p_gram = p[block] @ gram
-        levels, basis = np.linalg.eigh(pivots[block] - p_gram @ p_adjoint[block])
-        counts += np.sum(levels < 0.0, axis=1)
-        levels[levels == 0.0] = floor
-        inverse = (basis / levels[:, None, :]) @ basis.conj().transpose(0, 2, 1)
-        residual = q_transpose[block] - p_gram[..., :width].conj().transpose(0, 2, 1)
-        x_block = residual @ inverse
-        gram[:, :width, :width] += residual @ x_block.conj().transpose(0, 2, 1)
-        y = rhs[block] - (p[block] @ prefix[..., None])[..., 0]
-        z = (inverse @ y[..., None])[..., 0]
+        # P'_J [G'_J | prefix'_J], prefix' = [sum_(K<J) X_K y_K, k (z_(J-1))_last]
+        p_state = p[block] @ state
+        pivot = pivots[block]  # D_J, kept for the counts
+        pivot -= p_state[..., : width + 1] @ p_adjoint[block]
+        stacked = sides[block] - p_state
+        stacked[..., width] = inner == size - 1  # e_last
+        try:
+            out = np.linalg.solve(pivot, stacked)
+        except np.linalg.LinAlgError:  # D_J exactly singular: a level at sigma
+            levels, basis = np.linalg.eigh(pivot)
+            norm = np.max(np.abs(diag)) + 2.0 * abs(cache.kinetic_off)  # of H_l - sigma
+            levels[levels == 0.0] = np.finfo(float).eps * norm
+            out = (basis / levels[:, None, :]) @ (basis.conj().transpose(0, 2, 1) @ stacked)
+        # R_J [X_J^H | D_J^-1 e_last | z_J] = [G_(J+1) - G_J | x | X_J y_J], and
+        # the coupling row is k times the last row [x^H | d | (z_J)_last]
+        update = stacked[..., :width].conj().transpose(0, 2, 1) @ out
         k = off[(block + 1) * size - 1]  # to the next block's first point
-        gram[:, :width, width] = k * x_block[:, :, -1]
-        gram[:, width, :width] = k * x_block[:, :, -1].conj()
-        gram[:, width, width] = k * k * inverse[:, -1, -1].real
-        prefix[:, :width] += (x_block @ y[..., None])[..., 0]
-        prefix[:, width] = k * z[:, -1]
-        factors.append((x_block, k * inverse[:, :, -1]))
-        solved.append(z)
-    if all(b is None for *_, b in problems):
-        return counts, [None] * batch
+        state[:, :width] += update
+        state[:, width] = k * out[:, -1]
+        state[:, width, width] = k * k * out[:, -1, width].real
+        state[:, :width, width] = state[:, width, :width].conj()
+        outputs.append(out)
 
-    suffix = np.zeros((batch, width + 1), dtype)  # [sum_(I>J) P_I^H x_I, first entry of x_(J+1)]
+    levels = np.linalg.eigvalsh(pivots[:, counting])
+    counts = dict(zip(counting, np.sum(levels < 0.0, axis=(0, 2)).tolist()))
+    suffix = np.zeros((batch, width + 1), dtype)  # [sum_(I>J) P_I^H x_I, k (x_(J+1))_first]
     for block in range(blocks - 1, -1, -1):
-        x_block, coupled = factors[block]
-        x = solved[block] - (x_block.conj().transpose(0, 2, 1) @ suffix[:, :width, None])[..., 0]
-        x -= coupled * suffix[:, width, None]
+        out = outputs[block]
+        x = out[..., width + 1] - (out[..., : width + 1] @ suffix[..., None])[..., 0]
         suffix[:, :width] += (p_adjoint[block, :, :width] @ x[..., None])[..., 0]
-        suffix[:, width] = x[:, 0]
-        solved[block] = x
-    solution = np.concatenate(solved, axis=1)[:, :n]
-    return counts, [None if b is None else solution[k] for k, (*_, b) in enumerate(problems)]
+        suffix[:, width] = off[block * size - 1] * x[:, 0]
+        outputs[block] = x
+    solution = np.concatenate(outputs, axis=1)[:, n - 1 :: -1]
+    return [counts[k] if b is None else solution[k] for k, (*_, b) in enumerate(problems)]
 
 
 def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:

@@ -281,13 +281,13 @@ def _diagonalize_blocks(channels):
     exchange lies between 0 and the Hartree potential.  A pair at or above
     zero is never filled; only its level is read (the audit's s levels), and
     that level is exact to second order in the residual, so such a pair also
-    settles once its level moves by at most tol in a round.  Near an
-    eigenvalue the shifted solves can stall a residual just above tol (the
-    L D L^H does not pivot between its blocks), so only the filled pairs are
-    held to it.  The solves of a round run as one batch of
-    ``energy._ldl_solves``; the first round's batch also counts, by inertia,
-    the levels of every channel below zero.  Each channel keeps its
-    converged pairs, as many as it came with.
+    settles once its level moves by at most tol in a round.  The L D L^H does
+    not pivot between its blocks, so a shifted solve next to an eigenvalue may
+    still stall a residual just above tol; only the filled pairs are held to
+    it.  The solves of a round run as one batch of ``energy._ldl_solves``; the
+    first round's batch also poses one count problem per channel, whose
+    inertia at zero counts its levels below zero (a solve problem gets no
+    count).  Each channel keeps its converged pairs, as many as it came with.
 
     That number is at least #neg(bare_l): V_H - K_l is positive semidefinite
     for a state with nu >= 0 (AM-GM on the nonnegative kernel entries,
@@ -323,11 +323,11 @@ def _diagonalize_blocks(channels):
                          f"above {tol:.2e}")
         if below is not None and not problems:
             break
-        counts, solutions = _ldl_solves(problems + counting)
+        results = _ldl_solves(problems + counting)
         if below is None:
-            below, counting = counts[len(problems):], []
+            below, counting = results[len(problems):], []
         parts = {c: [channels[c].vectors] for c in owners}
-        for c, x in zip(owners, solutions):
+        for c, x in zip(owners, results):
             parts[c].append(x[:, None])
         bases = {c: np.linalg.qr(np.hstack(vectors))[0] for c, vectors in parts.items()}
     else:
@@ -685,13 +685,13 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
 
     Distinct charges are independent; they run on a pool of ``workers``
     threads (one runs them in order; fewer than one raises ValueError).  The
-    threads barely overlap: a solve is mostly short numpy calls on n x k
+    threads overlap little: a solve is mostly short numpy calls on n x k
     blocks and on the small diagonal blocks of its L D L^H factorizations,
     which hold the GIL between them (two threads ran the interacting
-    criterion-9 sweep at 0.98x of one, on a 2-vCPU machine).  The q_max_lin
-    ceiling is computed first, so a problem whose hydrogen series overflows
-    fails before any solve.  Rows come back in input order regardless of
-    scheduling.
+    criterion-9 sweep in 0.79-0.87x the time of one, on a 2-vCPU machine
+    with BLAS on one thread).  The q_max_lin ceiling is computed first, so a
+    problem whose hydrogen series overflows fails before any solve.  Rows
+    come back in input order regardless of scheduling.
     """
     q_list = list(q_list)
     if any(b <= a for a, b in zip(q_list, q_list[1:])):

@@ -432,9 +432,10 @@ def test_structured_ldl_counts_and_solves_match_dense_blocks(rank, complex_orbit
     # the block L D L^H of H_l - sigma: its inertia against the spectrum of
     # the dense reference blocks of the same state and its solve against
     # np.linalg.solve, for shifts below the spectrum, between levels, at zero
-    # and above the bound levels; the two channels carry different numbers of
-    # terms and run as one batch, with a count-only problem, on a grid that is
-    # no multiple of the block size
+    # and above the bound levels.  Each shift is posed twice, as a count
+    # problem (b None) and as a solve problem; the two channels carry different
+    # numbers of terms and run as one batch, on a grid that is no multiple of
+    # the block size
     grid = build_grid(70, 20.0)
     cache = OperatorCache(grid, 1, Z=1.0)
     factors = _random_factors(grid, [rank, rank + 1], rank, complex_orbitals)
@@ -450,16 +451,14 @@ def test_structured_ldl_counts_and_solves_match_dense_blocks(rank, complex_orbit
             rhs = rng.standard_normal(grid.n_points)
             if complex_orbitals:
                 rhs = rhs + 1j * rng.standard_normal(grid.n_points)
-            problems.append((field, l, sigma, rhs))
-            solution = np.linalg.solve(block - sigma * np.eye(grid.n_points), rhs)
-            expected.append((int(np.sum(levels < sigma)), solution))
-        problems.append((field, l, 0.0, None))
-        expected.append((int(np.sum(levels < 0.0)), None))
-    counts, solutions = _ldl_solves(problems)
-    for count, got, (want_count, want) in zip(counts, solutions, expected):
-        assert count == want_count
-        if want is None:
-            assert got is None
+            problems += [(field, l, sigma, None), (field, l, sigma, rhs)]
+            expected += [
+                int(np.sum(levels < sigma)),
+                np.linalg.solve(block - sigma * np.eye(grid.n_points), rhs),
+            ]
+    for got, want in zip(_ldl_solves(problems), expected, strict=True):
+        if isinstance(want, int):
+            assert got == want
         else:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
