@@ -8,7 +8,8 @@ missing, malformed or unconverged input states).  CSV output is
 byte-deterministic: header row first, 17-significant-digit floats, LF line
 endings.  A JSON file with the same keys as the flags can be passed via
 --config; its values are converted as the flags' text would be, and
-explicit flags win.
+explicit flags win.  evolve and stability step with the library's one
+Cayley propagator; --stride and --inner are positive integers.
 FERMITHERM_THREADS, an integer, caps the threads of a sweep.
 """
 
@@ -370,7 +371,7 @@ def _trajectory_rows(samples):
 _TRAJ_HEADER = ("t", "trace", "E_hf", "entropy_trace", "dist")
 
 
-_STEP_ARGS = {"stride": "sample_stride", "inner": "inner_iterations", "propagator": "propagator"}
+_STEP_ARGS = {"stride": "sample_stride", "inner": "inner_iterations"}
 
 
 def _step_args(opts: dict, func) -> dict:
@@ -478,7 +479,6 @@ def build_parser() -> _Parser:
         p.add_argument("--horizon", type=float, default=argparse.SUPPRESS)
         p.add_argument("--stride", type=int, default=argparse.SUPPRESS)
         p.add_argument("--inner", type=int, default=argparse.SUPPRESS)
-        p.add_argument("--propagator", choices=("cayley", "expm"), default=argparse.SUPPRESS)
         p.add_argument("--config", default=argparse.SUPPRESS)
 
     p_evolve = sub.add_parser("evolve", help="propagate a stored minimizer")

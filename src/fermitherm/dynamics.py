@@ -7,19 +7,19 @@ Because the update is a unitary conjugation, the occupation spectrum, the
 trace and tr beta(gamma) are conserved structurally, not just to the order
 of the integrator.
 
-Two interchangeable unitaries are provided: the exact exponential through an
-eigendecomposition ("expm") and the Cayley form (I - i dt H/2)(I + i dt H/2)^-1
-("cayley").  Both are exactly unitary and second order.
+The unitary is the Cayley form (I - i dt H/2)(I + i dt H/2)^-1, exactly
+unitary and second order.
 
 The state is carried as orbital factors gamma_l = W_l diag(nu_l) W_l^H from start
 to end, read from ``DensityMatrix.factors`` of the input state, the reference
 and the minimizer (a state built from dense blocks is factored there, once).
-Both propagators take the factored mean field of the midpoint
-(``energy._factored_field``).  A Cayley step reads its terms alone: a
-tridiagonal kinetic part, a diagonal potential and exchange terms through the
-tridiagonal inverses of the multipole kernels, and the Cayley system is solved
-exactly as one banded LU per channel (``_FactoredField.shifted_solve`` at the
-shift 2i/dt).  The reference ``expm`` takes the field's dense blocks.
+Each step takes the factored mean field of the midpoint
+(``energy._factored_field``) and solves the Cayley system exactly per channel
+at the shift 2i/dt (``_FactoredField.shifted_solve``), choosing by cost: a
+banded LU on the field's terms (a tridiagonal kinetic part, a diagonal
+potential and exchange terms through the tridiagonal inverses of the
+multipole kernels) for the few orbitals of a minimizer, a dense LU for a
+state of many orbitals.  The stability kick is the one exact exponential.
 Samples take energy, trace, entropy and distance from the factors; a kept
 sample state holds its factors.
 """
@@ -78,16 +78,13 @@ class TrajectorySample:
     dist_to_reference: float
 
 
-def _check_step_controls(dt, inner_iterations, sample_stride, propagator) -> None:
+def _check_step_controls(dt, inner_iterations, sample_stride) -> None:
     """Reject step controls that cannot drive a propagation."""
     if dt == 0.0 or not math.isfinite(dt):
         raise ValueError("dt must be finite and nonzero (negative dt propagates backward)")
-    if inner_iterations < 1:
-        raise ValueError("inner_iterations must be >= 1")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    if propagator not in ("expm", "cayley"):
-        raise ValueError(f"unknown propagator {propagator!r}")
+    for name, value in (("inner_iterations", inner_iterations), ("sample_stride", sample_stride)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_kick(eta) -> None:
@@ -131,7 +128,7 @@ def _cayley_apply(field, dt, thins):
     """(I + i dt H/2)^-1 (I - i dt H/2) W = 2 (I + i dt H/2)^-1 W - W, all channels.
 
     With a = i dt/2, I + a H = a (H - sigma) for sigma = 2i/dt, so each channel
-    takes one exact banded solve ``field.shifted_solve`` of W / a.
+    takes one exact solve ``field.shifted_solve`` of W / a.
     """
     a = 0.5j * dt
     return [
@@ -139,21 +136,18 @@ def _cayley_apply(field, dt, thins):
     ]
 
 
-def _expm_apply(h_blocks, dt, thins):
-    out = []
-    for h_block, thin in zip(h_blocks, thins):
-        w, v = np.linalg.eigh(h_block)
-        phases = np.exp(-1j * dt * w)
-        out.append(v @ (phases[:, None] * (v.conj().T @ thin)))
-    return out
+def _expm_apply(herm, eta, w_mat):
+    """exp(-i eta A) W for a Hermitian n x n A, by one eigh: the kick."""
+    w, v = np.linalg.eigh(herm)
+    return v @ (np.exp(-1j * eta * w)[:, None] * (v.conj().T @ w_mat))
 
 
-def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache, apply_u):
+def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache):
     """One conjugation step; returns the new orbital list.
 
     The field, built here on ``cache``, is frozen at a midpoint estimate improved
     by ``inner`` fixed-point iterations; the midpoint has the factors
-    [W_n, W_next], [nu/2, nu/2].  ``apply_u(field, dt, W)`` is the unitary.  The
+    [W_n, W_next], [nu/2, nu/2].  ``_cayley_apply`` is the unitary.  The
     update of the propagated orbitals, sum_l ||W_l^(k) - W_l^(k-1)||_F, is
     dimensionless (the columns are orthonormal); growing above
     _DIVERGENCE_FLOOR it signals a too-large dt.
@@ -163,7 +157,7 @@ def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache, apply_u):
     previous = None
     prev_delta = math.inf
     for _ in range(inner):
-        new_orbitals = apply_u(_factored_field(cache, *mid), dt, orbitals)
+        new_orbitals = _cayley_apply(_factored_field(cache, *mid), dt, orbitals)
         if previous is not None:
             delta = sum(float(np.linalg.norm(a - b)) for a, b in zip(new_orbitals, previous))
             if delta > max(prev_delta, _DIVERGENCE_FLOOR):
@@ -204,22 +198,20 @@ def evolve(
     reference: DensityMatrix | None = None,
     sample_stride: int = 1,
     inner_iterations: int = 3,
-    propagator: str = "cayley",
     keep_gamma: bool = False,
 ) -> list:
     """Propagate and sample observables every ``sample_stride`` steps.
 
-    Each step conjugates the state by exp(-i dt H[gamma_mid]) ("expm", per
-    channel by eigendecomposition) or its Cayley approximant ("cayley"),
-    with the midpoint state iterated ``inner_iterations`` times (the step
-    builds the field; only the unitary is chosen here).  The state
+    Each step conjugates the state by the Cayley approximant of
+    exp(-i dt H[gamma_mid]), with the midpoint state iterated
+    ``inner_iterations`` times (both controls positive integers).  The state
     and the reference are read as orbital factors and carried so
     (unitary conjugation preserves the factorization exactly); a symmetric
     re-orthonormalization every 200 steps absorbs roundoff drift.  Samples
     include t = 0 and the last of the ``n_steps`` (a nonnegative integer);
     with ``keep_gamma`` each carries the state it was taken from.
     """
-    _check_step_controls(dt, inner_iterations, sample_stride, propagator)
+    _check_step_controls(dt, inner_iterations, sample_stride)
     if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     if reference is not None:
@@ -228,16 +220,9 @@ def evolve(
         reference = reference.factors
     orbitals, occupations = gamma0.factors
     cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
-    if propagator == "cayley":
-        apply_u = _cayley_apply
-    else:
-        def apply_u(field, dt, thins):
-            return _expm_apply(field.dense_blocks(), dt, thins)
     samples = [_sample(0.0, gamma0.factors, spec, cache, reference, keep_gamma)]
     for step in range(1, n_steps + 1):
-        orbitals = _midpoint_unitary_step(
-            orbitals, occupations, dt, inner_iterations, cache, apply_u
-        )
+        orbitals = _midpoint_unitary_step(orbitals, occupations, dt, inner_iterations, cache)
         if step % _LOWDIN_EVERY == 0:
             orbitals = [_lowdin(w_mat) for w_mat in orbitals]
         if step % sample_stride == 0 or step == n_steps:
@@ -283,11 +268,14 @@ def stability_experiment(
     keeps the exact trace and occupation spectrum (it stays in K_q).  The
     kick acts on the minimizer's orbitals, U_l W_l.  The run is then the
     Cauchy problem ``evolve`` started from the kicked state, with the
-    minimizer as the reference, over round(horizon / dt) steps.
+    minimizer as the reference, over round(horizon / dt) steps.  The one
+    ``propagator`` is "cayley"; the keyword stays for callers that name it.
     """
     if not minimizer.converged:
         raise ValueError("stability_experiment requires a converged minimizer")
-    _check_step_controls(dt, inner_iterations, sample_stride, propagator)
+    if propagator != "cayley":
+        raise ValueError(f"unknown propagator {propagator!r}")
+    _check_step_controls(dt, inner_iterations, sample_stride)
     _check_kick(eta)
     n_steps = _step_count(horizon, dt)
     orbitals, occupations = minimizer.gamma.factors
@@ -298,10 +286,10 @@ def stability_experiment(
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = 0.5 * (raw + raw.conj().T)
         herm /= np.linalg.norm(herm)
-        kicked += _expm_apply([herm], eta, [w_ref])
+        kicked.append(_expm_apply(herm, eta, w_ref))
     samples = evolve(
         DensityMatrix.from_factors(minimizer.gamma.grid, kicked, occupations), spec, Z, dt,
         n_steps, reference=minimizer.gamma, sample_stride=sample_stride,
-        inner_iterations=inner_iterations, propagator=propagator,
+        inner_iterations=inner_iterations,
     )
     return StabilityResult(eta, max(s.dist_to_reference for s in samples), samples)

@@ -12,9 +12,10 @@ never stored: one order at a time in the energies (``grid.multipole_apply``),
 and per exchange term in the mean field ``_FactoredField``, whose channel
 generators are derived once per field.  The SCF eigensolve's matvecs and
 block L D L^H (``_ldl_solves``: shifted solves, one LU solve per pivot
-block, and level counts by inertia) and the dense blocks of the ``expm``
-propagator and ``mean_field_hamiltonian`` all read them; the Cayley steps
-take one exact banded shifted solve.
+block, and level counts by inertia) and the one dense builder
+(``mean_field_hamiltonian``, and the Cayley steps' dense solve) all read
+them; the Cayley steps take one exact shifted solve per channel, banded on
+the terms for few orbitals and dense for many.
 The energies are O(n k^2) sums over orbital pairs.  The public functions
 read ``DensityMatrix.factors`` (a state built from dense blocks is factored
 once, by one eigh per block).
@@ -235,6 +236,12 @@ def _factor_spectra(orbitals, weights) -> list:
 
 _CLIP_TOL = 1e-10
 _LDL_BLOCK = 16  # grid points per diagonal block of ``_ldl_solves``
+# ``shifted_solve`` stays banded while (m + 1)^3 < this * n^2.  Fitted to where
+# the two solves of a Cayley step cost the same (one BLAS thread, 2 Xeon cores,
+# n = 100..800): (m + 1)^3 / n^2 = 0.011..0.023.  The criterion-11 midpoint
+# (n = 400, m = 8, 0.0046) solves banded in 3.8 ms against 13.5 ms dense; the
+# rank-10 drift state (n = 100, m = 40, 6.9) in 59 ms against 1.2 ms.
+_BANDED_SOLVE_LIMIT = 0.02
 
 
 def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
@@ -298,10 +305,10 @@ class _FactoredField:
     matrix of the vectors w_t.  ``generators`` derives H_l's entries from them
     once per field; ``apply`` (H_l x in O(n m) per column), the block L D L^H
     of ``_ldl_solves`` (O(n m^2), pivoted inside its 16-point blocks) and
-    ``dense_blocks`` (for ``expm`` and ``mean_field_hamiltonian`` only) read
-    that one form.  The Cayley steps' ``shifted_solve`` takes one banded LU
-    on the terms instead: bandwidth m + 1, where the generators would give
-    2m + 1.
+    ``dense_block`` (for ``mean_field_hamiltonian`` and the dense branch of
+    ``shifted_solve``) read that one form.  The Cayley steps'
+    ``shifted_solve`` takes a banded LU on the terms while they are few:
+    bandwidth m + 1, where the generators would give 2m + 1.
     """
 
     cache: OperatorCache
@@ -335,25 +342,29 @@ class _FactoredField:
         return out
 
     def shifted_solve(self, l: int, sigma, rhs: np.ndarray) -> np.ndarray:
-        """(H_l - sigma)^-1 rhs for a real or complex shift, by one exact banded LU.
+        """(H_l - sigma)^-1 rhs for a real or complex shift, by one exact LU.
 
-        Its only caller, the Cayley step, passes the complex shift 2i/dt.
-        With z_t = J_t^-1 (conj(w_t) y), J_t the tridiagonal inverse of the
-        kernel of term t, the system (H_l - sigma) y = b becomes sparse in
+        Its only caller, the Cayley step, passes the complex shift 2i/dt.  A
+        channel of m exchange terms takes a banded LU in O(n (m + 1)^3) while
+        (m + 1)^3 < _BANDED_SOLVE_LIMIT n^2, and past that a dense LU of
+        ``dense_block`` in O(n^3): the few orbitals of a minimizer stay banded,
+        a state of many orbitals is solved densely.  Banded, with
+        z_t = J_t^-1 (conj(w_t) y), J_t the tridiagonal inverse of the kernel
+        of term t, the system (H_l - sigma) y = b becomes sparse in
         (y, z_1..z_m): the rows of y couple y_(i+-1) (kinetic) and z_(t,i); the
         rows of z_t are J_t z_t - conj(w_t) y = 0.  Interleaving the unknowns per
-        grid point as (y_i, z_(1,i), .., z_(m,i)) makes the bandwidth p = m + 1,
-        so the LU costs O(n p^3): a state of many orbitals solves slower than by
-        a dense O(n^3) LU (rank 10 at n = 100: ~30x).
+        grid point as (y_i, z_(1,i), .., z_(m,i)) makes the bandwidth p = m + 1.
         """
+        cache = self.cache
+        n = cache.grid.n_points
+        weights, orders, vectors = self.terms[l]
+        p = len(weights) + 1
+        if p**3 >= _BANDED_SOLVE_LIMIT * n * n:
+            return np.linalg.solve(self.dense_block(l) - sigma * np.eye(n), rhs)
         # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
         from scipy.linalg import solve_banded
 
-        cache = self.cache
-        n = cache.grid.n_points
         kernel_diag, kernel_off = cache.kernel_inverses
-        weights, orders, vectors = self.terms[l]
-        p = len(weights) + 1
         t = np.arange(1, p)
         # band[p + row - col, i, s] holds the entry of column col = i p + s
         band = np.zeros((2 * p + 1, n, p), dtype=np.result_type(vectors, sigma, rhs))
@@ -371,18 +382,16 @@ class _FactoredField:
         )
         return solution.reshape(n, p, -1)[:, 0]
 
-    def dense_blocks(self) -> list:
-        """H_l as n x n blocks, one GEMM per channel: tril(p q^T, -1) and its
-        adjoint, the diagonal d and the stencil, from ``generators``."""
-        idx = np.arange(self.cache.grid.n_points)
-        blocks = []
-        for p, q, diag in self.generators:
-            lower = np.tril(p @ q.T, -1)
-            lower[idx[1:], idx[:-1]] += self.cache.kinetic_off
-            h_block = lower + lower.conj().T
-            h_block[idx, idx] = diag
-            blocks.append(h_block)
-        return blocks
+    def dense_block(self, l: int) -> np.ndarray:
+        """H_l as an n x n block, one GEMM: tril(p q^T, -1) and its adjoint,
+        the diagonal d and the stencil, from ``generators``."""
+        p, q, diag = self.generators[l]
+        idx = np.arange(len(diag))
+        lower = np.tril(p @ q.T, -1)
+        lower[idx[1:], idx[:-1]] += self.cache.kinetic_off
+        h_block = lower + lower.conj().T
+        h_block[idx, idx] = diag
+        return h_block
 
 
 def _ldl_solves(problems) -> list:
@@ -517,7 +526,8 @@ def mean_field_hamiltonian(
     Normalized as the exact gradient of the Hartree-Fock energy: for any
     Hermitian perturbation, dE = sum_l (2l+1) tr(H_l dGamma_l).
     """
-    return _factored_field(_cache_for(gamma, Z, cache), *gamma.factors).dense_blocks()
+    field = _factored_field(_cache_for(gamma, Z, cache), *gamma.factors)
+    return [field.dense_block(l) for l in range(len(field.terms))]
 
 
 def _cutoff_profile(s: np.ndarray) -> np.ndarray:

@@ -40,10 +40,19 @@ def minimizer():
     return res
 
 
-def one_step(gamma, dt, Z, inner_iterations=3, propagator="expm"):
-    """The state after one evolve step, by default with the exact exponential."""
-    samples = evolve(gamma, SPEC, Z, dt, 1, inner_iterations=inner_iterations,
-                     propagator=propagator, keep_gamma=True)
+@pytest.fixture(scope="module")
+def criterion_11_minimizer():
+    # the minimizer criterion 11 kicks: rank 2/1 on n = 400 points
+    cfg = ScfConfig(spec=SPEC, Z=1.0, T=1.0, q=0.1, n_points=400, r_max=40.0, l_max=1,
+                    tol_gamma=1e-11, tol_energy=1e-12, max_iter=500)
+    res = scf_minimize(cfg)
+    assert res.converged
+    return res
+
+
+def one_step(gamma, dt, Z, inner_iterations=3):
+    """The state after one evolve step."""
+    samples = evolve(gamma, SPEC, Z, dt, 1, inner_iterations=inner_iterations, keep_gamma=True)
     return samples[-1].gamma
 
 
@@ -67,15 +76,6 @@ def test_propagate_zero_state_stays_zero():
     gamma = zero_density_matrix(build_grid(40, 10.0), 1)
     out = one_step(gamma, 0.1, Z=1.0)
     assert all(np.all(b == 0.0) for b in out.blocks)
-
-
-def test_propagator_backends_agree(minimizer):
-    gamma0 = perturbed(minimizer)
-    a = one_step(gamma0, 1e-3, 1.0, propagator="expm")
-    b = one_step(gamma0, 1e-3, 1.0, propagator="cayley")
-    # same order-2 scheme, unitaries differ at O(dt^3) per application
-    diff = max(np.max(np.abs(x - y)) for x, y in zip(a.blocks, b.blocks))
-    assert diff < 1e-9
 
 
 def test_spectrum_preserved_exactly(minimizer):
@@ -209,9 +209,11 @@ def test_hspace_distance_zero_for_identical(minimizer):
     assert hspace_distance(minimizer.gamma, minimizer.gamma) == 0.0
 
 
-def test_evolve_rejects_unknown_propagator(minimizer):
-    with pytest.raises(ValueError):
-        evolve(minimizer.gamma, SPEC, 1.0, dt=0.01, n_steps=1, propagator="magnus")
+def test_stability_rejects_unknown_propagator(minimizer):
+    for propagator in ("magnus", "expm"):
+        with pytest.raises(ValueError, match="propagator"):
+            stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=1.0, dt=0.02,
+                                 propagator=propagator)
 
 
 @pytest.mark.parametrize("n_steps", [-3, 2.5])
@@ -223,11 +225,13 @@ def test_evolve_rejects_bad_step_count(minimizer, n_steps):
 
 @pytest.mark.parametrize(
     "controls",
-    [dict(dt=0.0), dict(sample_stride=0), dict(inner_iterations=0)],
-    ids=["dt0", "stride0", "inner0"],
+    [dict(dt=0.0), dict(sample_stride=0), dict(inner_iterations=0), dict(sample_stride=2.5),
+     dict(sample_stride=math.nan), dict(inner_iterations=2.5)],
+    ids=["dt0", "stride0", "inner0", "stride2.5", "stride-nan", "inner2.5"],
 )
 def test_evolve_rejects_bad_step_controls(minimizer, controls):
-    # refused up front, not as a ZeroDivisionError or a step that does nothing
+    # refused up front, not as a ZeroDivisionError, a TypeError, a step that
+    # does nothing or samples at a stride other than the one asked for
     step = {"dt": 0.01, **controls}
     with pytest.raises(ValueError):
         evolve(minimizer.gamma, SPEC, 1.0, n_steps=1, **step)
@@ -236,21 +240,12 @@ def test_evolve_rejects_bad_step_controls(minimizer, controls):
 
 
 def test_step_size_error_on_wild_dt():
-    # dense charge in a tiny box: the midpoint iteration cannot contract
-    # at dt = 5 and the growing field update is reported
-    from fermitherm.grid import build_grid
-
-    grid = build_grid(50, 1.0)
-    rng = np.random.default_rng(0)
-    blocks = []
-    for _ in range(2):
-        a = rng.standard_normal((50, 30)) + 1j * rng.standard_normal((50, 30))
-        b = a @ a.conj().T
-        b *= 0.9 / np.linalg.eigvalsh(b)[-1]
-        blocks.append(b)
-    gamma0 = DensityMatrix(grid=grid, blocks=blocks)
+    # a nearly neutral charge (trace ~11 against Z = 10) on an 8-point grid:
+    # the Cayley midpoint iteration cannot contract at dt = 1e4 (its orbital
+    # update doubles) and the growing update is reported
+    gamma0 = strongly_interacting_state(8, 100.0, seed=0, scale=1.0, rank=7)
     with pytest.raises(StepSizeError):
-        one_step(gamma0, 5.0, 1.0, inner_iterations=6)
+        one_step(gamma0, 1e4, 10.0, inner_iterations=6)
 
 
 def dense_hspace_distance(gamma_a, gamma_b):
@@ -302,14 +297,12 @@ def test_sampled_entropy_matches_dense_spectrum(minimizer):
         assert abs(s.entropy_trace - dense) <= 1e-14
 
 
-@pytest.mark.parametrize("propagator", ["cayley", "expm"])
-def test_stability_kick_matches_dense_kick(minimizer, propagator):
+def test_stability_kick_matches_dense_kick(minimizer):
     # the kick on the orbitals against evolving the densely kicked state
     eta, seed, dt, horizon = 1e-2, 5, 0.02, 0.4
-    res = stability_experiment(minimizer, SPEC, 1.0, eta=eta, horizon=horizon, dt=dt,
-                               seed=seed, propagator=propagator)
+    res = stability_experiment(minimizer, SPEC, 1.0, eta=eta, horizon=horizon, dt=dt, seed=seed)
     dense = evolve(perturbed(minimizer, eta, seed), SPEC, 1.0, dt, round(horizon / dt),
-                   reference=minimizer.gamma, sample_stride=10, propagator=propagator)
+                   reference=minimizer.gamma, sample_stride=10)
     assert len(res.samples) == len(dense) == 3
     for a, b in zip(res.samples, dense):
         assert a.t == b.t
@@ -334,7 +327,7 @@ def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
     res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
-                               sample_stride=5, propagator="cayley")
+                               sample_stride=5)
     assert len(res.samples) == 5
     assert calls == ["eigh"] * (minimizer.gamma.l_max + 1)
 
@@ -358,15 +351,15 @@ def test_converged_midpoint_iteration_does_not_raise(n, r_max, rank):
     # the midpoint iteration contracts to roundoff at dt = 1; roundoff that
     # wobbles below the divergence floor is not a divergence
     gamma0 = strongly_interacting_state(n, r_max, seed=0, scale=0.9, rank=rank)
-    samples = evolve(gamma0, SPEC, 1.0, dt=1.0, n_steps=1, inner_iterations=6,
-                     propagator="cayley")
+    samples = evolve(gamma0, SPEC, 1.0, dt=1.0, n_steps=1, inner_iterations=6)
     assert abs(samples[-1].trace - samples[0].trace) <= 1e-12
 
 
 def test_step_size_error_on_growing_orbital_update():
-    gamma0 = strongly_interacting_state(100, 1.0, seed=0, scale=0.9, rank=3)
+    # trace ~14.7 against Z = 16 on a 12-point grid, dt = 1000
+    gamma0 = strongly_interacting_state(12, 100.0, seed=0, scale=1.0, rank=11)
     with pytest.raises(StepSizeError, match="diverging"):
-        one_step(gamma0, 5.0, 1.0, inner_iterations=6)
+        one_step(gamma0, 1000.0, 16.0, inner_iterations=6)
 
 
 def random_factors(grid, ranks, seed):
@@ -436,7 +429,8 @@ def test_factored_field_matches_dense_hamiltonian(case):
 
 @pytest.mark.parametrize("dt", [0.05, -1.0])
 @pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
-def test_banded_cayley_matches_dense_solve(case, dt):
+def test_banded_cayley_matches_dense_solve(case, dt, monkeypatch):
+    monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", math.inf)  # every channel banded
     grid, orbitals, occupations = factor_cases()[case]
     cache, h_blocks = dense_hamiltonian(grid, orbitals, occupations, 2.0)
     field = dynamics._factored_field(cache, orbitals, occupations)
@@ -449,11 +443,23 @@ def test_banded_cayley_matches_dense_solve(case, dt):
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
-def test_stability_cayley_builds_no_dense_mean_field(minimizer, monkeypatch):
-    # the rank-2/1 minimizer steps and is sampled on its factors: no dense
-    # mean field, no dense state and no factorization of one
-    names = ("mean_field_hamiltonian", "dense_blocks", "_materialize", "_factor_blocks")
-    calls = dict.fromkeys(names, 0)
+def test_cayley_solves_agree_on_one_field(minimizer, monkeypatch):
+    # the field of a kicked minimizer forced through the banded and
+    # the dense solve of every channel
+    orbitals, occupations = perturbed(minimizer).factors
+    field = dynamics._factored_field(OperatorCache(minimizer.gamma.grid, 1, 1.0),
+                                     orbitals, occupations)
+    steps = []
+    for limit in (math.inf, 0.0):
+        monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", limit)
+        steps.append(dynamics._cayley_apply(field, 0.05, orbitals))
+    for banded, dense in zip(*steps):
+        assert np.max(np.abs(banded - dense)) <= 1e-12
+
+
+def counting_calls(monkeypatch, targets):
+    """{name: 0} for ``targets``, (owner, name) pairs, each counted from here on."""
+    calls = {name: 0 for _, name in targets}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -463,14 +469,33 @@ def test_stability_cayley_builds_no_dense_mean_field(minimizer, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
-    counting(energy_module, "mean_field_hamiltonian")
-    counting(energy_module._FactoredField, "dense_blocks")
-    counting(grid_module, "_materialize")
-    counting(grid_module, "_factor_blocks")
-    res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
-                               sample_stride=5, propagator="cayley")
+    for owner, name in targets:
+        counting(owner, name)
+    return calls
+
+
+def test_stability_cayley_builds_no_dense_mean_field(criterion_11_minimizer, monkeypatch):
+    # criterion 11's run steps and is sampled on its factors: no dense mean
+    # field (``dense_block`` also builds the dense solve's block, so every
+    # channel took the banded LU), no dense state and no factorization of one
+    calls = counting_calls(monkeypatch, [
+        (energy_module, "mean_field_hamiltonian"), (energy_module._FactoredField, "dense_block"),
+        (grid_module, "_materialize"), (grid_module, "_factor_blocks"),
+    ])
+    res = stability_experiment(criterion_11_minimizer, SPEC, 1.0, eta=1e-2, horizon=0.4,
+                               dt=0.05, seed=11, sample_stride=2)
     assert len(res.samples) == 5
-    assert calls == dict.fromkeys(names, 0)
+    assert calls == dict.fromkeys(calls, 0)
+
+
+def test_many_orbital_step_takes_the_dense_solve(monkeypatch):
+    # the converse: criterion 10's rank-10 drift state at n = 100 (20 and 30
+    # exchange terms, 40 and 60 at the midpoint) solves every channel of every
+    # midpoint iteration densely
+    gamma0 = strongly_interacting_state()
+    calls = counting_calls(monkeypatch, [(energy_module._FactoredField, "dense_block")])
+    one_step(gamma0, 0.01, 2.0, inner_iterations=3)
+    assert calls == {"dense_block": 3 * 2}
 
 
 @pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from dense_reference import (
     kinetic_matrix,
     multipole_kernel,
 )
+from fermitherm import energy as energy_module
 from fermitherm.energy import (
     GridMismatchError,
     OperatorCache,
@@ -360,7 +363,7 @@ def test_exchange_assembly_matches_dense_kernels(n):
     real = np.linalg.qr(rng.standard_normal((n, 7)))[0]
     for vectors in (real, real + 1j * np.linalg.qr(rng.standard_normal((n, 7)))[0]):
         field = _FactoredField(cache, np.zeros(n), [(coefficients, orders, vectors)])
-        (block,) = field.dense_blocks()
+        block = field.dense_block(0)
         exchange = -block
         expected = np.zeros((n, n), dtype=vectors.dtype)
         for c, L, w in zip(coefficients, orders, vectors.T):
@@ -398,7 +401,7 @@ def test_mean_field_lies_above_the_bare_blocks(l_max, rank, seed, complex_orbita
     cache.kinetic_diag, cache.kinetic_off = [np.zeros(grid.n_points)] * (l_max + 1), 0.0
     ranks = [rank + l % 2 for l in range(l_max + 1)]
     field = _factored_field(cache, *_random_factors(grid, ranks, seed, complex_orbitals))
-    for block in field.dense_blocks():
+    for block in map(field.dense_block, range(l_max + 1)):
         assert np.linalg.eigvalsh(block)[0] >= -1e-13 * np.max(np.abs(block))
 
 
@@ -424,6 +427,29 @@ def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals
             expected = np.linalg.solve(block - sigma * eye, rhs)
             got = field.shifted_solve(l, sigma, rhs)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("dt", [0.05, -1.0])
+@pytest.mark.parametrize("complex_orbitals", [False, True])
+@pytest.mark.parametrize("rank", [1, 10, 30])
+@pytest.mark.parametrize("limit", [math.inf, 0.0], ids=["banded", "dense"])
+def test_both_shifted_solves_match_dense_reference(limit, rank, complex_orbitals, dt, monkeypatch):
+    # (H_l - sigma)^-1 b at the Cayley shift sigma = 2i/dt, forced through each
+    # branch of shifted_solve, against np.linalg.solve of the dense reference
+    # blocks; a real field and right side at the complex shift solve complex.
+    # The p orbitals get one partner: rank + 1 and rank + 2 terms
+    monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", limit)
+    grid = build_grid(70, 20.0)
+    cache = OperatorCache(grid, 1, Z=1.0)
+    factors = _random_factors(grid, [rank, 1], rank, complex_orbitals)
+    field = _factored_field(cache, *factors)
+    rhs = np.random.default_rng(rank).standard_normal((grid.n_points, 3))
+    sigma = 2j / dt
+    for l, block in enumerate(dense_hamiltonian(DensityMatrix.from_factors(grid, *factors), 1.0)):
+        got = field.shifted_solve(l, sigma, rhs)
+        expected = np.linalg.solve(block - sigma * np.eye(grid.n_points), rhs)
+        assert np.iscomplexobj(got)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("complex_orbitals", [False, True])

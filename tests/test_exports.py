@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import re
 import sys
@@ -97,6 +98,33 @@ def test_traced_layer_names_exist():
     modules = [importlib.import_module(f"fermitherm.{m}") for m in sorted(MODULES - {"__main__"})]
     missing = [name for name in names if not any(hasattr(m, name) for m in modules)]
     assert not missing, missing
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+CALLED = ("charge_sweep", "stability_experiment")
+
+
+def _workload_keywords():
+    """{name: keywords} of the ``CALLED`` entry points in the benchmark's
+    workloads, called directly or handed to ``_attempt(fn, ...)``, read without
+    importing them."""
+    found = {name: set() for name in CALLED}
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Call):
+            for target in (node.func, *node.args[:1]):
+                if isinstance(target, ast.Attribute) and target.attr in CALLED:
+                    found[target.attr] |= {keyword.arg for keyword in node.keywords}
+    return found
+
+
+def test_workload_keywords_are_parameters():
+    # the benchmark passes these by name: a keyword the library drops fails
+    # here, not only in the benchmark's own run
+    found = _workload_keywords()
+    assert "workers" in found["charge_sweep"] and "propagator" in found["stability_experiment"]
+    for name, keywords in found.items():
+        params = set(inspect.signature(getattr(fermitherm, name)).parameters)
+        assert keywords <= params, (name, keywords - params)
 
 
 def test_traced_eigensolve_counts_read_the_channel_operators(monkeypatch):

@@ -868,7 +868,7 @@ def test_solve_audits_with_the_final_solve_blocks(monkeypatch):
 
 
 def test_interacting_solve_forms_no_dense_mean_field(monkeypatch):
-    # a solve with interactions converges and audits with dense_blocks and
+    # a solve with interactions converges and audits with dense_block and
     # every n x n eigh refused: the eigensolve and the audit act on factors
     import scipy.linalg
 
@@ -885,7 +885,7 @@ def test_interacting_solve_forms_no_dense_mean_field(monkeypatch):
 
         return guarded
 
-    monkeypatch.setattr(energy_module._FactoredField, "dense_blocks", refuse)
+    monkeypatch.setattr(energy_module._FactoredField, "dense_block", refuse)
     monkeypatch.setattr(scipy.linalg, "eigh", no_square(scipy.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigh", no_square(np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", no_square(np.linalg.eigvalsh))
