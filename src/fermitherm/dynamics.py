@@ -19,7 +19,8 @@ at the shift 2i/dt (``_FactoredField.shifted_solve``), choosing by cost: a
 banded LU on the field's terms (a tridiagonal kinetic part, a diagonal
 potential and exchange terms through the tridiagonal inverses of the
 multipole kernels) for the few orbitals of a minimizer, a dense LU for a
-state of many orbitals.  The stability kick is the one exact exponential.
+state of many orbitals.  The stability kick exp(-i eta A) acts on the
+orbitals by its Taylor series, to rounding.
 Samples take energy, trace, entropy and distance from the factors; a kept
 sample state holds its factors.
 """
@@ -136,10 +137,25 @@ def _cayley_apply(field, dt, thins):
     ]
 
 
-def _expm_apply(herm, eta, w_mat):
-    """exp(-i eta A) W for a Hermitian n x n A, by one eigh: the kick."""
-    w, v = np.linalg.eigh(herm)
-    return v @ (np.exp(-1j * eta * w)[:, None] * (v.conj().T @ w_mat))
+def _kick(herm, eta, w_mat):
+    """exp(-i eta A) W for a Hermitian A with ||A||_2 <= 1, by its Taylor series.
+
+    The kick is taken in ceil(|eta|) equal steps s of at most 1, each summed
+    to J terms, the first J whose a-priori tail bound |s|^(J+1) e^|s| / (J+1)!
+    is at most eps.  A term costs one product A W, O(n^2 k): no n x n
+    eigendecomposition is taken."""
+    steps = max(1, math.ceil(abs(eta)))
+    s = eta / steps
+    terms, tail = 0, abs(s) * math.exp(abs(s))
+    while tail > np.finfo(float).eps:
+        terms += 1
+        tail *= abs(s) / (terms + 1)
+    for _ in range(steps):
+        term = w_mat = w_mat.astype(complex)
+        for j in range(1, terms + 1):
+            term = (-1j * s / j) * (herm @ term)
+            w_mat = w_mat + term
+    return w_mat
 
 
 def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache):
@@ -266,7 +282,8 @@ def stability_experiment(
     The perturbation conjugates each block by U_l = exp(-i eta A_l) with A_l
     a seeded random Hermitian of unit Frobenius norm, so the perturbed state
     keeps the exact trace and occupation spectrum (it stays in K_q).  The
-    kick acts on the minimizer's orbitals, U_l W_l.  The run is then the
+    kick acts on the minimizer's orbitals, U_l W_l, by a Taylor series
+    summed to rounding (||A_l||_2 <= ||A_l||_F = 1).  The run is then the
     Cauchy problem ``evolve`` started from the kicked state, with the
     minimizer as the reference, over round(horizon / dt) steps.  The one
     ``propagator`` is "cayley"; the keyword stays for callers that name it.
@@ -286,7 +303,7 @@ def stability_experiment(
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = 0.5 * (raw + raw.conj().T)
         herm /= np.linalg.norm(herm)
-        kicked.append(_expm_apply(herm, eta, w_ref))
+        kicked.append(_kick(herm, eta, w_ref))
     samples = evolve(
         DensityMatrix.from_factors(minimizer.gamma.grid, kicked, occupations), spec, Z, dt,
         n_steps, reference=minimizer.gamma, sample_stride=sample_stride,

@@ -31,14 +31,15 @@ tridiagonal and solved once per run, for the start pairs and the warm
 start; the warm start is the minimizer when interactions are off, so such
 a run takes no iteration, and its bare channels are its solution.
 
-Each pass of the loop solves the iterate's mean field, fills it, measures
-the Frobenius defect ||candidate - gamma||_F (the norm the audit bounds) and
-searches for a step.  Once the defect and the free-energy gap meet their
-tolerances, the step is the full one, to the candidate, and the next pass,
-the last, solves the returned state: that solve gives the residual and mu,
-and its channels feed ``minimizer_audit`` with the state's factors.  The
-entropy comes from the factor weights, so no eigendecomposition of gamma is
-ever taken.
+Each pass of the loop solves the iterate's mean field, fills it and
+measures the Frobenius defect ||candidate - gamma||_F (the norm the audit
+bounds) and the free-energy gap to the candidate.  Once both meet their
+tolerances, that iterate is the returned state: its solve gave the residual
+and mu, and its channels feed ``minimizer_audit`` with its factors (a warm
+start that is the minimizer passes at once, with defect 0).  Otherwise the
+pass searches for a step.  Criterion 8's model converges in 6 steps and 7
+solves.  The entropy comes from the factor weights, so no eigendecomposition
+of gamma is ever taken.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ class MinimizerAudit:
 class ScfResult:
     """Outcome of one SCF run; ``energy`` is None only for a reloaded state.
 
-    ``audit`` is the ``minimizer_audit`` of a converged run, built from the
-    solve that gave ``residual`` and ``mu``; it is None otherwise and for a
+    ``gamma`` is the last iterate the run solved, ``residual`` its Frobenius
+    defect and ``mu`` that of its fill.  ``audit`` is the ``minimizer_audit``
+    of a converged run, built from that solve; it is None otherwise and for a
     reloaded state.  ``iterations`` counts the solves that searched for a
     step; the one that gave ``residual`` is one more, unless the run stalled.
     ``history`` has one entry per accepted step: the iteration, the Frobenius
@@ -380,6 +382,11 @@ class _Segment:
         """max_l ||candidate_l - gamma_l||_F, the norm the audit bounds."""
         return max((float(np.linalg.norm(d)) for d in self.steps), default=0.0)
 
+    def trace_bound(self) -> float:
+        """sum_l (2l+1) sqrt(width_l) ||D_l||_F >= |tr(candidate - gamma)|, as rank D_l <= width_l."""
+        return sum((2 * l + 1) * math.sqrt(d.shape[0]) * float(np.linalg.norm(d))
+                   for l, d in enumerate(self.steps))
+
     def trace_norms(self) -> list:
         """[||candidate_l - gamma_l||_1] per channel: sum |eig(D_l)|."""
         return [float(np.sum(np.abs(np.linalg.eigvalsh(d)))) for d in self.steps]
@@ -501,10 +508,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         return energy_of(DensityMatrix.from_factors(grid, *factors), spec, Z, T, cache)
 
     try:
-        factors = _initial_state(cache, config)
-        # the warm start is the minimizer at q = 0 and without interactions
-        minimal = not config.interactions or config.q == 0.0
-        status = "converged" if minimal else "max_iter"
+        factors, status = _initial_state(cache, config), "max_iter"
     except UnreachableChargeError:
         factors = zero_density_matrix(grid, config.l_max).factors
         status = "unreachable-charge"
@@ -524,19 +528,18 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         candidate = _trimmed(vectors, occs)
         segment = _Segment(factors, candidate)
         residual = segment.defect()
-        if status != "max_iter" or iterations == config.max_iter:
-            break  # that solve was the returned state's: its channels feed the audit
-        iterations += 1
         _, _, direct, exch = _hf_terms(*segment.step_factors(), cache)
         slope = segment.slope(channels)
         curvature = direct - exch
         gap = slope + curvature + T * (_entropy_of_blocks(occs, spec) - entropy)
         if residual <= config.tol_gamma and abs(gap) <= config.tol_energy:
-            status, t = "converged", 1.0  # the candidate is the returned state
-        else:
-            t, resolved = _step_length(segment, slope, curvature, spec, T, free, damping)
-            if resolved:
-                damping = t
+            status = "converged"
+        if status == "converged" or iterations == config.max_iter:
+            break  # that solve was the returned state's: its channels feed the audit
+        iterations += 1
+        t, resolved = _step_length(segment, slope, curvature, spec, T, free, damping)
+        if resolved:
+            damping = t
         if t == 0.0:
             status = "stalled"  # no point of the segment lowers F
             break
@@ -552,17 +555,12 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     if history:  # the state moved: its energy terms, once
         energy = breakdown(factors)
     result = ScfResult(
-        gamma=DensityMatrix.from_factors(grid, *factors),
-        mu=mu,
-        energy=energy,
-        residual=residual,
-        iterations=iterations,
-        converged=status == "converged",
-        status=status,
-        history=history,
+        gamma=DensityMatrix.from_factors(grid, *factors), mu=mu, energy=energy,
+        residual=residual, iterations=iterations, converged=status == "converged",
+        status=status, history=history,
     )
     if result.converged:
-        result.audit = minimizer_audit(result, config, cache, channels)
+        result.audit = minimizer_audit(result, config, cache, channels, segment.trace_bound())
     return result
 
 
@@ -578,16 +576,21 @@ def scf_global(config: ScfConfig) -> ScfResult:
     return _run_scf(dataclasses.replace(config, q=None))
 
 
-def minimizer_audit(result, config, cache, channels) -> MinimizerAudit:
+def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAudit:
     """Check the proven properties of minimizers on a converged result.
 
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
     levels of H_gamma sit below -(Z-q)^2/(4 j^2) within an h^2-scale
-    tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T);
-    (d) negative free energy for q > 0; (e) every (lhs, rhs) pair of
-    ``inequality_audit`` on the result's state and energy, within
-    _INEQUALITY_TOL.  ``channels`` are the run's channels as the solve of the
-    result's state left them (the bare ones when interactions are off).
+    tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T),
+    each link within 1e-9, except the global problem's first, an equality at
+    the minimizer: tr g(H_gamma/T) is the trace of the filled candidate c,
+    so it is held to ``trace_bound`` >= |tr(gamma - c)| (``_Segment``) plus
+    the rounding of an n-term trace, and details["charge_slack"] names the
+    slack it had; (d) negative free energy for q > 0; (e) every (lhs, rhs)
+    pair of ``inequality_audit`` on the result's state and energy, within
+    _INEQUALITY_TOL.  The result's state is the iterate the run solved last,
+    and ``channels`` are the run's channels as that solve left them (the
+    bare ones when interactions are off).
     (a) takes matvecs on the factors; (b) reads the three lowest Ritz levels
     of channel 0, bound or not, with every bound one among them (its count
     proved them); (c) sums g over every channel's Ritz levels; (e) takes only
@@ -608,24 +611,20 @@ def minimizer_audit(result, config, cache, channels) -> MinimizerAudit:
     # pass the bound vacuously when fewer than three are bound
     w0 = channels[0].levels[:3]
     bounds = np.array([-((Z - q) ** 2) / (4.0 * j * j) for j in (1, 2, 3)])
-    if Z - q > 0.0:
-        eig_ok = bool(np.all(w0 <= bounds[: w0.size] + _EIGENVALUE_TOL))
-    else:
-        eig_ok = True  # comparison operator has no negative spectrum
+    # for Z <= q the comparison operator has no negative spectrum
+    eig_ok = Z - q <= 0.0 or bool(np.all(w0 <= bounds[: w0.size] + _EIGENVALUE_TOL))
 
     # g vanishes on [0, inf): the Ritz levels at or above zero add exactly 0.0
-    bare_levels = cache.bare_spectrum[0][: gamma.l_max + 1]
-    mf_sum = 0.0
-    bare_sum = 0.0
-    for l, (channel, w_bare) in enumerate(zip(channels, bare_levels)):
-        mf_sum += (2 * l + 1) * float(np.sum(spec.g(channel.levels / T)))
-        bare_sum += (2 * l + 1) * float(np.sum(spec.g(w_bare / T)))
-    chain_ok = q <= mf_sum + 1e-9 and mf_sum <= bare_sum + 1e-9
+    def capacity(levels):
+        return sum((2 * l + 1) * float(np.sum(spec.g(w / T))) for l, w in enumerate(levels))
 
-    if q > 1e-12:
-        energy_ok = result.energy.total_free < 0.0
-    else:
-        energy_ok = abs(result.energy.total_free) <= 1e-12
+    mf_sum = capacity([channel.levels for channel in channels])
+    bare_sum = capacity(cache.bare_spectrum[0][: gamma.l_max + 1])
+    slack = 1e-9 if config.q is not None else trace_bound + grid.n_points * np.finfo(float).eps * q
+    chain_ok = q <= mf_sum + slack and mf_sum <= bare_sum + 1e-9
+
+    free = result.energy.total_free
+    energy_ok = free < 0.0 if q > 1e-12 else abs(free) <= 1e-12
 
     inequalities = inequality_audit(gamma, spec, Z, result.energy)
     return MinimizerAudit(
@@ -640,6 +639,7 @@ def minimizer_audit(result, config, cache, channels) -> MinimizerAudit:
             "eigenvalue_bounds": bounds.tolist(),
             "discrete_q_mean_field": mf_sum,
             "discrete_q_max_lin": bare_sum,
+            "charge_slack": slack,
             "trace": q,
             **inequalities,
         },

@@ -267,6 +267,19 @@ def test_minimize_global_reports_zero_mu(capsys):
     assert code in (0, 3)
 
 
+def test_minimize_global_passes_its_audit_at_default_tolerance(capsys):
+    # the documented global command: its first charge link is an equality at
+    # the minimizer, held to the run's proven trace bound, not a fixed 1e-9
+    code, out, _ = run(
+        capsys,
+        ["minimize", "--m", "2", "--Z", "1", "--T", "1", "--n", "900", "--rmax", "90",
+         "--lmax", "2"],
+    )
+    audit = json.loads(out)["audit"]
+    assert code == 0 and audit["passed"] and audit["qmaxlin_chain_ok"]
+    assert audit["details"]["charge_slack"] > 0.0
+
+
 def test_minimize_unreachable_exit4(capsys):
     code, out, _ = run(
         capsys,

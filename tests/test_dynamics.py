@@ -56,17 +56,24 @@ def one_step(gamma, dt, Z, inner_iterations=3):
     return samples[-1].gamma
 
 
-def perturbed(minimizer, eta=0.05, seed=3):
+def dense_kicks(minimizer, eta, seed):
+    """Per channel the unitary exp(-i eta A_l) by a dense eigh, A_l drawn as
+    ``stability_experiment`` draws it."""
     rng = np.random.default_rng(seed)
-    blocks = []
+    unitaries = []
     for b in minimizer.gamma.blocks:
         n = b.shape[0]
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = 0.5 * (raw + raw.conj().T)
         herm /= np.linalg.norm(herm)
         w, v = np.linalg.eigh(herm)
-        u = (v * np.exp(-1j * eta * w)) @ v.conj().T
-        blocks.append(u @ b @ u.conj().T)
+        unitaries.append((v * np.exp(-1j * eta * w)) @ v.conj().T)
+    return unitaries
+
+
+def perturbed(minimizer, eta=0.05, seed=3):
+    blocks = [u @ b @ u.conj().T
+              for u, b in zip(dense_kicks(minimizer, eta, seed), minimizer.gamma.blocks)]
     return DensityMatrix(grid=minimizer.gamma.grid, blocks=blocks)
 
 
@@ -310,10 +317,31 @@ def test_stability_kick_matches_dense_kick(minimizer):
             assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12, field
 
 
+@pytest.mark.parametrize(
+    "eta, tol", [(1e-3, 1e-14), (1e-2, 1e-14), (0.1, 1e-14), (1.0, 1e-14), (10.0, 1e-13)]
+)
+def test_taylor_kick_matches_dense_kick(minimizer, monkeypatch, eta, tol):
+    # the kicked orbitals stability_experiment evolves against the dense eigh
+    # kick of the same draws, past |eta| = 1 where the kick takes scaled steps
+    started = []
+
+    def recording(gamma0, *args, **kwargs):
+        started.append(gamma0)
+        return evolve(gamma0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", recording)
+    stability_experiment(minimizer, SPEC, 1.0, eta=eta, horizon=0.02, dt=0.02, seed=5)
+    kicked, weights = started[0].factors
+    orbitals, want_weights = minimizer.gamma.factors
+    for got, u, w_ref in zip(kicked, dense_kicks(minimizer, eta, seed=5), orbitals):
+        assert np.max(np.abs(got - u @ w_ref)) <= tol
+    assert all(np.array_equal(a, b) for a, b in zip(weights, want_weights))
+
+
 def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
-    # n x n eigensolves: one kick direction per channel (the minimizer keeps
-    # the factors of its solve); samples, distance and Loewdin work on k x k
-    # matrices
+    # no n x n eigensolve: the kick is a Taylor series on the orbitals (the
+    # minimizer keeps the factors of its solve); samples, distance and
+    # Loewdin work on k x k matrices
     n = minimizer.gamma.grid.n_points
     calls = []
 
@@ -329,7 +357,7 @@ def test_stability_runs_no_dense_eigensolve_after_setup(minimizer, monkeypatch):
     res = stability_experiment(minimizer, SPEC, 1.0, eta=1e-3, horizon=0.4, dt=0.02,
                                sample_stride=5)
     assert len(res.samples) == 5
-    assert calls == ["eigh"] * (minimizer.gamma.l_max + 1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("horizon", [0.0, -5.0, 0.004, math.nan, math.inf])

@@ -244,6 +244,24 @@ def test_scf_global_converges_with_zero_multiplier():
     assert dense_trace(res.gamma) <= res.audit.details["discrete_q_max_lin"] + 1e-9
 
 
+def test_global_charge_link_holds_to_its_proven_slack():
+    # the global problem returns its last solved iterate, whose trace differs
+    # from the filled candidate's tr g(H_gamma/T) by up to sqrt(rank) times
+    # the defect: here by more than 1e-9.  The audit holds the link to that
+    # bound, which an independent dense H_gamma obeys as well
+    cfg = ScfConfig(spec=SPEC, Z=1.0, T=1.0, n_points=900, r_max=90.0, l_max=2)
+    res = scf_global(cfg)
+    assert res.converged and res.audit.passed(cfg.tol_gamma)
+    slack = res.audit.details["charge_slack"]
+    spectra = [np.linalg.eigvalsh(h) for h in dense_hamiltonian(res.gamma, cfg.Z)]
+    filled = sum((2 * l + 1) * float(np.sum(SPEC.g(w[w < 0.0] / cfg.T)))
+                 for l, w in enumerate(spectra))
+    gap = abs(res.gamma.trace() - filled)
+    assert 1e-9 < gap <= slack
+    # a constrained run keeps the fixed 1e-9
+    assert scf_minimize(small_config()).audit.details["charge_slack"] == 1e-9
+
+
 def test_converged_energy_beats_trial_library():
     cfg = small_config()
     res = scf_minimize(cfg)
