@@ -14,13 +14,17 @@ The state is carried as orbital factors gamma_l = W_l diag(nu_l) W_l^H from star
 to end, read from ``DensityMatrix.factors`` of the input state, the reference
 and the minimizer (a state built from dense blocks is factored there, once).
 Each step takes the factored mean field of the midpoint
-(``energy._factored_field``) and solves the Cayley system exactly per channel
-at the shift 2i/dt (``_FactoredField.shifted_solve``), choosing by cost: a
-banded LU on the field's terms (a tridiagonal kinetic part, a diagonal
-potential and exchange terms through the tridiagonal inverses of the
-multipole kernels) for the few orbitals of a minimizer, a dense LU for a
-state of many orbitals.  The stability kick exp(-i eta A) acts on the
-orbitals by its Taylor series, to rounding.
+(``energy._factored_field``) and solves the Cayley system per channel at the
+shift 2i/dt, choosing by cost: a banded system on the field's terms (a
+tridiagonal kinetic part, a diagonal potential and exchange terms through the
+tridiagonal inverses of the multipole kernels) for the few orbitals of a
+minimizer, a dense LU per solve for a state of many orbitals.  A trajectory
+keeps one banded LU per channel, of the field a step starts from, and refines
+every solve against the exact midpoint field by defect correction
+(``_refined_solve``): the field barely moves, so one factor typically serves
+the whole trajectory and a solve costs about one and a half residual sweeps.
+The stability kick exp(-i eta A) acts on the orbitals by its Taylor series,
+to rounding.
 Samples take energy, trace, entropy and distance from the factors; a kept
 sample state holds its factors.
 """
@@ -35,6 +39,7 @@ import numpy as np
 
 from .energy import (
     OperatorCache,
+    _BandedLU,
     _entropy_of_blocks,
     _factor_spectra,
     _factored_field,
@@ -56,6 +61,8 @@ __all__ = [
 
 _LOWDIN_EVERY = 200
 _DIVERGENCE_FLOOR = 1e-8  # midpoint orbital updates below this are converged
+_ROUNDING = 8.0 * np.finfo(float).eps  # refined-solve corrections below this x ||x|| are rounding
+_REFACTOR_RATIO = 1e-3  # a kept factor whose sweeps contract by less is refactored
 
 
 class StepSizeError(RuntimeError):
@@ -125,16 +132,80 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
     return _factored_distance(gamma_a.grid, gamma_a.factors, gamma_b.factors)
 
 
-def _cayley_apply(field, dt, thins):
+@dataclass
+class _KeptFactor:
+    """A channel's kept banded LU and the last contraction measured on it."""
+
+    lu: _BandedLU
+    rho: float = 1.0  # none measured yet: no contraction is assumed
+
+
+def _refined_solve(field, l, sigma, kept, rhs, start):
+    """(H_l - sigma)^-1 rhs by defect correction on the channel's kept LU.
+
+    Each sweep x <- x + LU^-1 (rhs - (H_l - sigma) x) takes its residual from
+    ``field.apply`` in O(n m) and its correction from one solve of the kept
+    factor (Moler, J. ACM 14, 316, 1967).  As ||(H_LU - sigma)^-1|| <= |dt|/2
+    for the Hermitian H_LU, the sweeps contract by at most ||H_l - H_LU|| |dt|/2.
+    They start from ``start``, the previous midpoint iteration's solution of
+    the same right side, or on a step's first iteration from LU^-1 rhs; they
+    stop once rho ||d||, the correction predicted by the last contraction rho
+    measured on this factor (||d_1|| / ||x_0|| from LU^-1 rhs, ||d_k|| /
+    ||d_(k-1)|| after it), is within _ROUNDING ||x||.  A correction above that
+    floor that contracted by less than _REFACTOR_RATIO ends in an exact solve:
+    on a step's first iteration, whose field is the one the step starts from
+    (m terms, bandwidth m + 1, where the midpoint's 2m give 2m + 1), by a new
+    kept factor of it; on a later one by ``shifted_solve``, and the channel is
+    factored again at the next step's start.  A ratio above 1 can only come
+    from rounding-level corrections, so the prediction caps rho at 1.
+    """
+    def exact():
+        if start is not None:
+            kept[l] = None
+            return field.shifted_solve(l, sigma, rhs)
+        kept[l] = _KeptFactor(field.factor(l, sigma))
+        return kept[l].lu.solve(rhs)
+
+    entry = kept[l]
+    if entry is None:
+        return exact()
+    x = entry.lu.solve(rhs) if start is None else start
+    last = float(np.linalg.norm(x)) if start is None else None
+    while True:
+        d = entry.lu.solve(rhs - field.apply(l, x) + sigma * x)
+        x = x + d
+        size, floor = float(np.linalg.norm(d)), _ROUNDING * float(np.linalg.norm(x))
+        if last:  # a contraction to measure: not a warm start's first sweep, nor x_0 = 0
+            entry.rho = size / last
+            if not (size <= floor or entry.rho <= _REFACTOR_RATIO):
+                return exact()
+        if min(entry.rho, 1.0) * size <= floor:
+            return x
+        last = size
+
+
+def _cayley_apply(field, dt, thins, kept=None, starts=None):
     """(I + i dt H/2)^-1 (I - i dt H/2) W = 2 (I + i dt H/2)^-1 W - W, all channels.
 
     With a = i dt/2, I + a H = a (H - sigma) for sigma = 2i/dt, so each channel
-    takes one exact solve ``field.shifted_solve`` of W / a.
+    solves for y = (H_l - sigma)^-1 W / a.  Alone, each takes one exact
+    ``field.shifted_solve``.  Within a trajectory, ``kept`` holds the
+    channels' kept factors (None where none is kept) and ``starts`` the
+    step's previous solutions y (None on its first iteration), both updated
+    here: a banded channel refines against its kept factor
+    (``_refined_solve``), a dense one keeps its exact solve.
     """
-    a = 0.5j * dt
-    return [
-        2.0 * field.shifted_solve(l, 2j / dt, thin / a) - thin for l, thin in enumerate(thins)
-    ]
+    a, sigma = 0.5j * dt, 2j / dt
+    steps = []
+    for l, thin in enumerate(thins):
+        if kept is None or not field.banded(l):
+            y = field.shifted_solve(l, sigma, thin / a)
+        else:
+            y = _refined_solve(field, l, sigma, kept, thin / a, starts[l])
+        if starts is not None:
+            starts[l] = y
+        steps.append(2.0 * y - thin)
+    return steps
 
 
 def _kick(herm, eta, w_mat):
@@ -158,7 +229,7 @@ def _kick(herm, eta, w_mat):
     return w_mat
 
 
-def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache):
+def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache, kept=None):
     """One conjugation step; returns the new orbital list.
 
     The field, built here on ``cache``, is frozen at a midpoint estimate improved
@@ -172,8 +243,9 @@ def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache):
     mid = (orbitals, occupations)
     previous = None
     prev_delta = math.inf
+    starts = [None] * len(orbitals)
     for _ in range(inner):
-        new_orbitals = _cayley_apply(_factored_field(cache, *mid), dt, orbitals)
+        new_orbitals = _cayley_apply(_factored_field(cache, *mid), dt, orbitals, kept, starts)
         if previous is not None:
             delta = sum(float(np.linalg.norm(a - b)) for a, b in zip(new_orbitals, previous))
             if delta > max(prev_delta, _DIVERGENCE_FLOOR):
@@ -237,8 +309,9 @@ def evolve(
     orbitals, occupations = gamma0.factors
     cache = OperatorCache(gamma0.grid, gamma0.l_max, Z)
     samples = [_sample(0.0, gamma0.factors, spec, cache, reference, keep_gamma)]
+    kept = [None] * len(orbitals)  # the channels' kept factors, for the whole trajectory
     for step in range(1, n_steps + 1):
-        orbitals = _midpoint_unitary_step(orbitals, occupations, dt, inner_iterations, cache)
+        orbitals = _midpoint_unitary_step(orbitals, occupations, dt, inner_iterations, cache, kept)
         if step % _LOWDIN_EVERY == 0:
             orbitals = [_lowdin(w_mat) for w_mat in orbitals]
         if step % sample_stride == 0 or step == n_steps:

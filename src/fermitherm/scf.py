@@ -586,11 +586,13 @@ def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAu
     the minimizer: tr g(H_gamma/T) is the trace of the filled candidate c,
     so it is held to ``trace_bound`` >= |tr(gamma - c)| (``_Segment``) plus
     the rounding of an n-term trace, and details["charge_slack"] names the
-    slack it had; (d) negative free energy for q > 0; (e) every (lhs, rhs)
-    pair of ``inequality_audit`` on the result's state and energy, within
-    _INEQUALITY_TOL.  The result's state is the iterate the run solved last,
-    and ``channels`` are the run's channels as that solve left them (the
-    bare ones when interactions are off).
+    slack it had; in a constrained run the chain starts at the state's own
+    charge, which must be config.q within 1e-9 plus n eps q; (d) negative
+    free energy for q > 0; (e) every (lhs, rhs) pair of ``inequality_audit``
+    on the result's state and energy, within _INEQUALITY_TOL.  The result's
+    state is the iterate the run solved last, and ``channels`` are the run's
+    channels as that solve left them (the bare ones when interactions are
+    off).
     (a) takes matvecs on the factors; (b) reads the three lowest Ritz levels
     of channel 0, bound or not, with every bound one among them (its count
     proved them); (c) sums g over every channel's Ritz levels; (e) takes only
@@ -620,8 +622,12 @@ def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAu
 
     mf_sum = capacity([channel.levels for channel in channels])
     bare_sum = capacity(cache.bare_spectrum[0][: gamma.l_max + 1])
-    slack = 1e-9 if config.q is not None else trace_bound + grid.n_points * np.finfo(float).eps * q
-    chain_ok = q <= mf_sum + slack and mf_sum <= bare_sum + 1e-9
+    if config.q is None:
+        slack, charge_ok = trace_bound + grid.n_points * np.finfo(float).eps * q, True
+    else:
+        slack = 1e-9
+        charge_ok = abs(q - config.q) <= 1e-9 + grid.n_points * np.finfo(float).eps * config.q
+    chain_ok = charge_ok and q <= mf_sum + slack and mf_sum <= bare_sum + 1e-9
 
     free = result.energy.total_free
     energy_ok = free < 0.0 if q > 1e-12 else abs(free) <= 1e-12

@@ -485,6 +485,93 @@ def test_cayley_solves_agree_on_one_field(minimizer, monkeypatch):
         assert np.max(np.abs(banded - dense)) <= 1e-12
 
 
+def compact_state(grid, l_max):
+    """A fully occupied 1s-like orbital r e^(-r/2) in every channel."""
+    orbital = grid.r * np.exp(-grid.r / 2.0)
+    orbital = (orbital / np.linalg.norm(orbital))[:, None]
+    return [orbital] * (l_max + 1), [np.ones(1)] * (l_max + 1)
+
+
+@pytest.mark.parametrize("complex_orbitals", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("rank", [1, 4, 10, 30])
+def test_refined_solves_match_dense_reference(rank, complex_orbitals, monkeypatch):
+    # (H_l - 2i/dt)^-1 b refined on the kept factor of a start state's field,
+    # cold and from a warm start, against np.linalg.solve of the dense
+    # reference blocks of two other states: the start state one step of 0.01
+    # on, which the kept factor serves (its sweeps contract by about 2e-4 at
+    # rank 30), and a compact, fully occupied orbital, against
+    # whose field the sweeps contract by less than the refactor ratio, so the
+    # channel is solved exactly: factored again from a cold start, by
+    # ``shifted_solve`` from a warm one
+    monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", math.inf)  # every channel banded
+    grid, dt = build_grid(70, 20.0), 0.05
+    sigma = 2j / dt
+    orbitals, occupations = random_factors(grid, [rank, rank], rank)
+    if not complex_orbitals:
+        orbitals = [np.linalg.qr(w.real)[0] for w in orbitals]
+    stepped = one_step(DensityMatrix.from_factors(grid, orbitals, occupations), 0.01, 1.0).factors
+    cache = OperatorCache(grid, 1, 1.0)
+    start_field = dynamics._factored_field(cache, orbitals, occupations)
+    rhs = np.random.default_rng(rank).standard_normal((grid.n_points, 3)) + 0j
+    for factors, refactored in ((stepped, False), (compact_state(grid, 1), True)):
+        field = dynamics._factored_field(cache, *factors)
+        _, h_blocks = dense_hamiltonian(grid, *factors, 1.0)
+        for l, h_block in enumerate(h_blocks):
+            expected = np.linalg.solve(h_block - sigma * np.eye(grid.n_points), rhs)
+            for warm in (None, start_field.shifted_solve(l, sigma, rhs)):
+                kept = [None, None]
+                dynamics._refined_solve(start_field, l, sigma, kept, rhs, None)  # factors it
+                lu = kept[l].lu
+                got = dynamics._refined_solve(field, l, sigma, kept, rhs, warm)
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+                if not refactored:
+                    assert kept[l].lu is lu
+                elif warm is None:
+                    assert kept[l].lu is not lu
+                else:
+                    assert kept[l] is None
+
+
+def criterion_11_trajectory(minimizer):
+    """200 Cayley midpoint steps of the kicked criterion-11 minimizer, as the
+    stability benchmark runs them."""
+    return stability_experiment(minimizer, SPEC, 1.0, eta=1e-2, horizon=10.0, dt=0.05,
+                                seed=11, sample_stride=10)
+
+
+def test_kept_factor_trajectory_matches_exact_solves(criterion_11_minimizer, monkeypatch):
+    # the trajectory refined on kept factors against one that takes an exact
+    # banded LU in every channel of every midpoint iteration
+    refined = criterion_11_trajectory(criterion_11_minimizer)
+
+    def exact_cayley(field, dt, thins, *kept):
+        return [2.0 * field.shifted_solve(l, 2j / dt, w / (0.5j * dt)) - w
+                for l, w in enumerate(thins)]
+
+    monkeypatch.setattr(dynamics, "_cayley_apply", exact_cayley)
+    exact = criterion_11_trajectory(criterion_11_minimizer)
+    assert len(refined.samples) == len(exact.samples) == 21
+    for a, b in zip(refined.samples, exact.samples):
+        for name in ("trace", "hf_energy", "entropy_trace", "dist_to_reference"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-13, name
+
+
+def test_kept_factor_trajectory_factors_each_channel_at_most_twice(criterion_11_minimizer,
+                                                                   monkeypatch):
+    # 600 unitary applies, 1200 channel solves, and at most two banded
+    # factorizations per channel, whichever LAPACK wrapper makes them
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    calls = counting_calls(monkeypatch, [
+        (lapack, "zgbtrf"), (lapack, "dgbtrf"), (scipy.linalg, "solve_banded"),
+        (dynamics, "_cayley_apply"),
+    ])
+    criterion_11_trajectory(criterion_11_minimizer)
+    assert calls["_cayley_apply"] == 200 * 3
+    assert 1 <= calls["zgbtrf"] + calls["dgbtrf"] + calls["solve_banded"] <= 2 * (1 + 1)
+
+
 def counting_calls(monkeypatch, targets):
     """{name: 0} for ``targets``, (owner, name) pairs, each counted from here on."""
     calls = {name: 0 for _, name in targets}

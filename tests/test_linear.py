@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,43 @@ def test_q_of_mu_nondecreasing():
     mus = np.linspace(-1.0, -1e-6, 60)
     vals = [q_of_mu(spec, 1.0, 1.0, mu) for mu in mus]
     assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
+
+
+def level_sum_q(spec, Z, T, mu):
+    """sum_j j^2 g((lambda_j - mu)/T) over every level below mu, one by one."""
+    j = np.arange(1, math.floor(Z / (2.0 * math.sqrt(-mu))) + 1, dtype=float)
+    return float(np.sum(j**2 * spec.g((-Z * Z / (4.0 * j**2) - mu) / T)))
+
+
+@pytest.mark.parametrize("m", [1.2, 1.4, 1.5, 5.0 / 3.0, 2.0, 2.5, 2.95, 4.0])
+@pytest.mark.parametrize("Z, T", [(1.0, 1.0), (2.0, 0.1), (30.0, 0.01)])
+def test_q_of_mu_tail_matches_the_level_sum(m, Z, T):
+    # past a few thousand unsaturated levels the sum takes its Euler-Maclaurin
+    # tail; up to 1.5e6 levels, some of them saturated, against the plain sum
+    spec = make_power_entropy(m)
+    for mu in (-Z * Z / 4e3, -Z * Z / 4e7, -Z * Z / 4e9, -Z * Z / 9e12):
+        want = level_sum_q(spec, Z, T, mu)
+        assert abs(q_of_mu(spec, Z, T, mu) - want) <= 1e-12 * want, mu
+
+
+@pytest.mark.parametrize("mu", [-1e-300, -5e-324])
+def test_q_of_mu_is_bounded_in_time_as_mu_approaches_zero(mu):
+    # J = 5e149 levels below mu = -1e-300, 2e161 below the smallest subnormal;
+    # at m = 2 the sum is the polynomial (c J - s J (J + 1) (2J + 1) / 6) / 2
+    # with c = Z^2/(4T), s = -mu/T
+    spec = make_power_entropy(2.0)
+    start = time.perf_counter()
+    got = q_of_mu(spec, 1.0, 1.0, mu)
+    assert time.perf_counter() - start < 0.1
+    levels = math.floor(0.5 / math.sqrt(-mu))
+    want = (0.25 * levels + mu * levels * (levels + 1) * (2 * levels + 1) / 6) / 2
+    assert abs(got - want) <= 1e-12 * want
+    # a summable tail tends to q_max_lin; a sum past the float range raises
+    spec = make_power_entropy(1.5)
+    got = q_of_mu(spec, 1.0, 1.0, mu)
+    assert abs(got - q_max_lin(spec, 1.0, 1.0).value) <= 1e-12 * got
+    with pytest.raises(OverflowError):
+        q_of_mu(make_power_entropy(4.0), 1.0, 1.0, mu)
 
 
 def test_mu_of_q_inverts_example():

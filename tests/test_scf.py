@@ -262,6 +262,30 @@ def test_global_charge_link_holds_to_its_proven_slack():
     assert scf_minimize(small_config()).audit.details["charge_slack"] == 1e-9
 
 
+def test_constrained_audit_refuses_a_state_off_its_charge(monkeypatch):
+    # criterion 8's q = 0.1 run with the returned weights scaled by 0.999
+    # after the last solve: the state holds charge 0.0999, which passes
+    # q <= tr g(H_gamma/T); the chain's first link also checks tr gamma = q
+    audit = scf_module.minimizer_audit
+    audits = []
+
+    def scaled(result, *args):
+        orbitals, weights = result.gamma.factors
+        off = dataclasses.replace(result, gamma=DensityMatrix.from_factors(
+            result.gamma.grid, orbitals, [0.999 * w for w in weights]))
+        audits.extend([audit(result, *args), audit(off, *args)])
+        return audits[-1]
+
+    monkeypatch.setattr(scf_module, "minimizer_audit", scaled)
+    cfg = ScfConfig(spec=SPEC, Z=1.0, T=1.0, q=0.1, n_points=900, r_max=90.0, l_max=2,
+                    tol_gamma=1e-9, tol_energy=1e-9, max_iter=300)
+    res = scf_minimize(cfg)
+    kept, off = audits
+    assert res.converged and kept.passed(cfg.tol_gamma)
+    assert abs(off.details["trace"] - 0.0999) <= 1e-12
+    assert not off.qmaxlin_chain_ok and not res.audit.passed(cfg.tol_gamma)
+
+
 def test_converged_energy_beats_trial_library():
     cfg = small_config()
     res = scf_minimize(cfg)
