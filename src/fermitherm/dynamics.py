@@ -18,11 +18,13 @@ Each step takes the factored mean field of the midpoint
 shift 2i/dt, choosing by cost: a banded system on the field's terms (a
 tridiagonal kinetic part, a diagonal potential and exchange terms through the
 tridiagonal inverses of the multipole kernels) for the few orbitals of a
-minimizer, a dense LU per solve for a state of many orbitals.  A trajectory
-keeps one banded LU per channel, of the field a step starts from, and refines
-every solve against the exact midpoint field by defect correction
-(``_refined_solve``): the field barely moves, so one factor typically serves
-the whole trajectory and a solve costs about one and a half residual sweeps.
+minimizer (``_banded``), a dense LU per solve for a state of many orbitals.
+This module owns the banded LU (``_factor``, ``_BandedLU``).  A trajectory
+keeps one per channel, of the last field factored, and refines every solve
+against the exact midpoint field by defect correction (``_refined_solve``),
+factoring the current field where the sweeps stall: the field barely moves,
+so one factor typically serves the whole trajectory and a solve costs about
+one and a half residual sweeps.
 The stability kick exp(-i eta A) acts on the orbitals by its Taylor series,
 to rounding.
 Samples take energy, trace, entropy and distance from the factors; a kept
@@ -39,7 +41,6 @@ import numpy as np
 
 from .energy import (
     OperatorCache,
-    _BandedLU,
     _entropy_of_blocks,
     _factor_spectra,
     _factored_field,
@@ -63,6 +64,13 @@ _LOWDIN_EVERY = 200
 _DIVERGENCE_FLOOR = 1e-8  # midpoint orbital updates below this are converged
 _ROUNDING = 8.0 * np.finfo(float).eps  # refined-solve corrections below this x ||x|| are rounding
 _REFACTOR_RATIO = 1e-3  # a kept factor whose sweeps contract by less is refactored
+# A channel's Cayley system is banded while (m + 1)^3 < this * n^2 for its m
+# exchange terms.  Fitted to where the banded LU and the dense LU of a Cayley
+# step cost the same (one BLAS thread, 2 Xeon cores, n = 100..800): (m + 1)^3
+# / n^2 = 0.011..0.023.  The criterion-11 midpoint (n = 400, m = 8, 0.0046)
+# solves banded in 3.8 ms against 13.5 ms dense; the rank-10 drift state
+# (n = 100, m = 40, 6.9) in 59 ms against 1.2 ms.
+_BANDED_SOLVE_LIMIT = 0.02
 
 
 class StepSizeError(RuntimeError):
@@ -133,11 +141,73 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
 
 
 @dataclass
-class _KeptFactor:
-    """A channel's kept banded LU and the last contraction measured on it."""
+class _BandedLU:
+    """A channel's banded LU of H_l - sigma from ``_factor``: ``lu`` and
+    ``pivots`` of LAPACK's ``zgbtrf``, on p unknowns per grid point with p sub-
+    and superdiagonals, and ``rho``, the last contraction ``_refined_solve``
+    measured on it."""
 
-    lu: _BandedLU
+    lu: np.ndarray
+    pivots: np.ndarray
+    p: int
     rho: float = 1.0  # none measured yet: no contraction is assumed
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(H - sigma)^-1 rhs for the field and shift it factored: rhs sits in
+        the y rows of the interleaved system, zeros in the z rows; one ``zgbtrs``."""
+        # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+        from scipy.linalg import lapack
+
+        n, p, k = rhs.shape[0], self.p, rhs.shape[1]
+        storage = np.zeros((k, n * p), dtype=complex)  # Fortran order for zgbtrs
+        storage.reshape(k, n, p)[:, :, 0] = rhs.T
+        solution, _ = lapack.zgbtrs(self.lu, p, p, storage.T, self.pivots, overwrite_b=True)
+        return solution.reshape(n, p, k)[:, 0]
+
+
+def _banded(field, l) -> bool:
+    """Whether channel l's Cayley system is solved banded: (m + 1)^3 <
+    _BANDED_SOLVE_LIMIT n^2 for its m exchange terms."""
+    n = field.cache.grid.n_points
+    return (len(field.terms[l][0]) + 1) ** 3 < _BANDED_SOLVE_LIMIT * n * n
+
+
+def _factor(field, l, sigma) -> _BandedLU:
+    """The banded LU of H_l - sigma for a complex shift sigma, in
+    O(n (m + 1)^3) for the m exchange terms of ``field.terms[l]``.
+
+    With z_t = J_t^-1 (conj(w_t) y), J_t the tridiagonal inverse of the
+    kernel of term t, the system (H_l - sigma) y = b becomes sparse in
+    (y, z_1..z_m): the rows of y couple y_(i+-1) (kinetic) and z_(t,i); the
+    rows of z_t are J_t z_t - conj(w_t) y = 0.  Interleaving the unknowns
+    per grid point as (y_i, z_(1,i), .., z_(m,i)) makes the bandwidth
+    p = m + 1.  LAPACK's ``zgbtrf`` factors it once; the factor solves for
+    any right side, and a trajectory keeps it to refine solves of later
+    fields against (``_refined_solve``).
+    """
+    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+    from scipy.linalg import lapack
+
+    cache = field.cache
+    n = cache.grid.n_points
+    weights, orders, vectors = field.terms[l]
+    p = len(weights) + 1
+    kernel_diag, kernel_off = cache.kernel_inverses
+    t, mid = np.arange(1, p), 2 * p
+    # band[2p + row - col, i, s] holds the entry of column col = i p + s,
+    # in LAPACK's band storage (Fortran order); rows 0..p-1 take the fill-in
+    storage = np.zeros((n * p, 3 * p + 1), dtype=complex)
+    band = storage.reshape(n, p, 3 * p + 1).transpose(2, 0, 1)
+    band[mid, :, 0] = cache.kinetic_diag[l] + field.v_local - sigma
+    band[p, 1:, 0] = band[3 * p, :-1, 0] = cache.kinetic_off
+    band[mid - t, :, t] = -(weights * vectors).T  # row y_i, column z_(t,i)
+    band[mid + t, :, 0] = -vectors.conj().T  # row z_(t,i), column y_i
+    band[mid, :, 1:] = kernel_diag[orders].T
+    band[p, 1:, 1:] = band[3 * p, :-1, 1:] = kernel_off[orders].T
+    lu, pivots, info = lapack.zgbtrf(storage.T, p, p, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return _BandedLU(lu, pivots, p)
 
 
 def _refined_solve(field, l, sigma, kept, rhs, start):
@@ -151,59 +221,51 @@ def _refined_solve(field, l, sigma, kept, rhs, start):
     the same right side, or on a step's first iteration from LU^-1 rhs; they
     stop once rho ||d||, the correction predicted by the last contraction rho
     measured on this factor (||d_1|| / ||x_0|| from LU^-1 rhs, ||d_k|| /
-    ||d_(k-1)|| after it), is within _ROUNDING ||x||.  A correction above that
-    floor that contracted by less than _REFACTOR_RATIO ends in an exact solve:
-    on a step's first iteration, whose field is the one the step starts from
-    (m terms, bandwidth m + 1, where the midpoint's 2m give 2m + 1), by a new
-    kept factor of it; on a later one by ``shifted_solve``, and the channel is
-    factored again at the next step's start.  A ratio above 1 can only come
-    from rounding-level corrections, so the prediction caps rho at 1.
+    ||d_(k-1)|| after it), is within _ROUNDING ||x||.  With no kept factor, or
+    once a correction above that floor contracted by less than
+    _REFACTOR_RATIO, the channel's kept factor becomes ``_factor`` of this
+    field, which solves rhs exactly: on a step's first iteration the field the
+    step starts from (m terms, bandwidth m + 1), on a later one the midpoint's
+    (2m terms, bandwidth 2m + 1).  A ratio above 1 can only come from
+    rounding-level corrections, so the prediction caps rho at 1.
     """
-    def exact():
-        if start is not None:
-            kept[l] = None
-            return field.shifted_solve(l, sigma, rhs)
-        kept[l] = _KeptFactor(field.factor(l, sigma))
-        return kept[l].lu.solve(rhs)
-
-    entry = kept[l]
-    if entry is None:
-        return exact()
-    x = entry.lu.solve(rhs) if start is None else start
-    last = float(np.linalg.norm(x)) if start is None else None
-    while True:
-        d = entry.lu.solve(rhs - field.apply(l, x) + sigma * x)
-        x = x + d
-        size, floor = float(np.linalg.norm(d)), _ROUNDING * float(np.linalg.norm(x))
-        if last:  # a contraction to measure: not a warm start's first sweep, nor x_0 = 0
-            entry.rho = size / last
-            if not (size <= floor or entry.rho <= _REFACTOR_RATIO):
-                return exact()
-        if min(entry.rho, 1.0) * size <= floor:
-            return x
-        last = size
+    factor = kept[l]
+    if factor is not None:
+        x = factor.solve(rhs) if start is None else start
+        last = float(np.linalg.norm(x)) if start is None else None
+        while True:
+            d = factor.solve(rhs - field.apply(l, x) + sigma * x)
+            x = x + d
+            size, floor = float(np.linalg.norm(d)), _ROUNDING * float(np.linalg.norm(x))
+            if last:  # a contraction to measure: not a warm start's first sweep, nor x_0 = 0
+                factor.rho = size / last
+                if not (size <= floor or factor.rho <= _REFACTOR_RATIO):
+                    break
+            if min(factor.rho, 1.0) * size <= floor:
+                return x
+            last = size
+    kept[l] = _factor(field, l, sigma)
+    return kept[l].solve(rhs)
 
 
-def _cayley_apply(field, dt, thins, kept=None, starts=None):
+def _cayley_apply(field, dt, thins, kept, starts):
     """(I + i dt H/2)^-1 (I - i dt H/2) W = 2 (I + i dt H/2)^-1 W - W, all channels.
 
     With a = i dt/2, I + a H = a (H - sigma) for sigma = 2i/dt, so each channel
-    solves for y = (H_l - sigma)^-1 W / a.  Alone, each takes one exact
-    ``field.shifted_solve``.  Within a trajectory, ``kept`` holds the
-    channels' kept factors (None where none is kept) and ``starts`` the
-    step's previous solutions y (None on its first iteration), both updated
-    here: a banded channel refines against its kept factor
-    (``_refined_solve``), a dense one keeps its exact solve.
+    solves for y = (H_l - sigma)^-1 W / a.  ``kept`` holds the channels' kept
+    factors (None where none is kept) and ``starts`` the step's previous
+    solutions y (None on its first iteration), both updated here: a banded
+    channel (``_banded``) refines against its kept factor
+    (``_refined_solve``), any other takes one dense LU of ``dense_block``.
     """
     a, sigma = 0.5j * dt, 2j / dt
     steps = []
     for l, thin in enumerate(thins):
-        if kept is None or not field.banded(l):
-            y = field.shifted_solve(l, sigma, thin / a)
-        else:
+        if _banded(field, l):
             y = _refined_solve(field, l, sigma, kept, thin / a, starts[l])
-        if starts is not None:
-            starts[l] = y
+        else:
+            y = np.linalg.solve(field.dense_block(l) - sigma * np.eye(len(thin)), thin / a)
+        starts[l] = y
         steps.append(2.0 * y - thin)
     return steps
 
@@ -229,12 +291,13 @@ def _kick(herm, eta, w_mat):
     return w_mat
 
 
-def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache, kept=None):
+def _midpoint_unitary_step(orbitals, occupations, dt, inner, cache, kept):
     """One conjugation step; returns the new orbital list.
 
     The field, built here on ``cache``, is frozen at a midpoint estimate improved
     by ``inner`` fixed-point iterations; the midpoint has the factors
-    [W_n, W_next], [nu/2, nu/2].  ``_cayley_apply`` is the unitary.  The
+    [W_n, W_next], [nu/2, nu/2].  ``_cayley_apply`` is the unitary, on the
+    trajectory's per-channel kept factors ``kept``, which it updates.  The
     update of the propagated orbitals, sum_l ||W_l^(k) - W_l^(k-1)||_F, is
     dimensionless (the columns are orthonormal); growing above
     _DIVERGENCE_FLOOR it signals a too-large dt.

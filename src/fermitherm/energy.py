@@ -14,9 +14,7 @@ generators are derived once per field.  The SCF eigensolve's matvecs and
 block L D L^H (``_ldl_solves``: shifted solves, one LU solve per pivot
 block, and level counts by inertia) and the one dense builder
 (``mean_field_hamiltonian``, and the Cayley steps' dense solve) all read
-them; the Cayley steps' shifted systems are banded on the terms for few
-orbitals, where a banded LU is kept and solves are refined against
-``apply``, and dense for many.
+them; the Cayley steps' banded LU (``dynamics``) is built on the terms.
 The energies are O(n k^2) sums over orbital pairs.  The public functions
 read ``DensityMatrix.factors`` (a state built from dense blocks is factored
 once, by one eigh per block).
@@ -100,8 +98,8 @@ class OperatorCache:
     the nuclear diagonal and the squared-3j weights ``angular`` of each
     channel pair.  No n x n array is held: the multipole kernels act through
     their generators (``grid.multipole_apply``), or through their tridiagonal
-    inverses, ``kernel_inverses``, which the banded shifted solves of the
-    Cayley steps build on first use.  The bare pairs, ``bare_spectrum``,
+    inverses, ``kernel_inverses``, which the banded LU of the Cayley steps
+    (``dynamics._factor``) builds on first use.  The bare pairs, ``bare_spectrum``,
     are solved on first use and then shared by the warm start and the start
     pairs of the SCF eigensolve; an interaction-free run keeps them as its
     solution, and the minimizer audit reads their levels.
@@ -237,12 +235,6 @@ def _factor_spectra(orbitals, weights) -> list:
 
 _CLIP_TOL = 1e-10
 _LDL_BLOCK = 16  # grid points per diagonal block of ``_ldl_solves``
-# ``shifted_solve`` stays banded while (m + 1)^3 < this * n^2.  Fitted to where
-# the two solves of a Cayley step cost the same (one BLAS thread, 2 Xeon cores,
-# n = 100..800): (m + 1)^3 / n^2 = 0.011..0.023.  The criterion-11 midpoint
-# (n = 400, m = 8, 0.0046) solves banded in 3.8 ms against 13.5 ms dense; the
-# rank-10 drift state (n = 100, m = 40, 6.9) in 59 ms against 1.2 ms.
-_BANDED_SOLVE_LIMIT = 0.02
 
 
 def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
@@ -296,32 +288,6 @@ def linear_energy_breakdown(
 
 
 @dataclass
-class _BandedLU:
-    """A banded LU from ``_FactoredField.factor``: ``lu`` and ``pivots`` of
-    LAPACK's ``gbtrf``, on p unknowns per grid point with p sub- and
-    superdiagonals."""
-
-    lu: np.ndarray
-    pivots: np.ndarray
-    p: int
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(H - sigma)^-1 rhs for the field and shift it factored: rhs sits in
-        the y rows of the interleaved system, zeros in the z rows; one ``gbtrs``."""
-        # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
-        from scipy.linalg import lapack
-
-        if np.iscomplexobj(rhs) and not np.iscomplexobj(self.lu):
-            return self.solve(rhs.real) + 1j * self.solve(rhs.imag)
-        n, p, k = rhs.shape[0], self.p, rhs.shape[1]
-        storage = np.zeros((k, n * p), dtype=self.lu.dtype)  # Fortran order for gbtrs
-        storage.reshape(k, n, p)[:, :, 0] = rhs.T
-        gbtrs = getattr(lapack, ("z" if np.iscomplexobj(storage) else "d") + "gbtrs")
-        solution, _ = gbtrs(self.lu, p, p, storage.T, self.pivots, overwrite_b=True)
-        return solution.reshape(n, p, k)[:, 0]
-
-
-@dataclass
 class _FactoredField:
     """The mean field of a factored state.
 
@@ -332,12 +298,9 @@ class _FactoredField:
     matrix of the vectors w_t.  ``generators`` derives H_l's entries from them
     once per field; ``apply`` (H_l x in O(n m) per column), the block L D L^H
     of ``_ldl_solves`` (O(n m^2), pivoted inside its 16-point blocks) and
-    ``dense_block`` (for ``mean_field_hamiltonian`` and the dense branch of
-    ``shifted_solve``) read that one form.  The Cayley steps' shifted
-    systems are banded on the terms while they are few (``banded``):
-    bandwidth m + 1, where the generators would give 2m + 1.  ``factor``
-    gives that LU and ``shifted_solve`` one exact solve with it; a trajectory
-    keeps the factor and refines later fields' solves against ``apply``.
+    ``dense_block`` (for ``mean_field_hamiltonian`` and the Cayley steps'
+    dense solve) read that one form.  The Cayley steps' banded LU
+    (``dynamics._factor``) reads ``terms`` and the cache's kernel inverses.
     """
 
     cache: OperatorCache
@@ -369,63 +332,6 @@ class _FactoredField:
         out[1:] += off * x[:-1] + np.einsum("it,itk->ik", p[1:], below)
         out[:-1] += off * x[1:] + np.einsum("it,itk->ik", q[:-1].conj(), above)
         return out
-
-    def banded(self, l: int) -> bool:
-        """Whether channel l's shifted solves are banded: (m + 1)^3 <
-        _BANDED_SOLVE_LIMIT n^2 for its m exchange terms."""
-        n = self.cache.grid.n_points
-        return (len(self.terms[l][0]) + 1) ** 3 < _BANDED_SOLVE_LIMIT * n * n
-
-    def factor(self, l: int, sigma) -> _BandedLU:
-        """The banded LU of H_l - sigma, in O(n (m + 1)^3) for m exchange terms.
-
-        With z_t = J_t^-1 (conj(w_t) y), J_t the tridiagonal inverse of the
-        kernel of term t, the system (H_l - sigma) y = b becomes sparse in
-        (y, z_1..z_m): the rows of y couple y_(i+-1) (kinetic) and z_(t,i); the
-        rows of z_t are J_t z_t - conj(w_t) y = 0.  Interleaving the unknowns
-        per grid point as (y_i, z_(1,i), .., z_(m,i)) makes the bandwidth
-        p = m + 1.  LAPACK's ``gbtrf`` factors it once; the factor solves for
-        any right side, and the Cayley steps keep it to refine solves of
-        later fields against (``dynamics._refined_solve``).
-        """
-        # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
-        from scipy.linalg import lapack
-
-        cache = self.cache
-        n = cache.grid.n_points
-        weights, orders, vectors = self.terms[l]
-        p = len(weights) + 1
-        kernel_diag, kernel_off = cache.kernel_inverses
-        t, mid = np.arange(1, p), 2 * p
-        # band[2p + row - col, i, s] holds the entry of column col = i p + s,
-        # in LAPACK's band storage (Fortran order); rows 0..p-1 take the fill-in
-        storage = np.zeros((n * p, 3 * p + 1), dtype=np.result_type(vectors, sigma))
-        band = storage.reshape(n, p, 3 * p + 1).transpose(2, 0, 1)
-        band[mid, :, 0] = cache.kinetic_diag[l] + self.v_local - sigma
-        band[p, 1:, 0] = band[3 * p, :-1, 0] = cache.kinetic_off
-        band[mid - t, :, t] = -(weights * vectors).T  # row y_i, column z_(t,i)
-        band[mid + t, :, 0] = -vectors.conj().T  # row z_(t,i), column y_i
-        band[mid, :, 1:] = kernel_diag[orders].T
-        band[p, 1:, 1:] = band[3 * p, :-1, 1:] = kernel_off[orders].T
-        gbtrf = getattr(lapack, ("z" if np.iscomplexobj(storage) else "d") + "gbtrf")
-        lu, pivots, info = gbtrf(storage.T, p, p, overwrite_ab=True)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return _BandedLU(lu, pivots, p)
-
-    def shifted_solve(self, l: int, sigma, rhs: np.ndarray) -> np.ndarray:
-        """(H_l - sigma)^-1 rhs for a real or complex shift, by one exact LU.
-
-        The Cayley step passes the complex shift 2i/dt.  A banded channel
-        (``banded``) is factored (``factor``, O(n (m + 1)^3)) and solved once;
-        past that limit a dense LU of ``dense_block`` takes O(n^3): the few
-        orbitals of a minimizer stay banded, a state of many orbitals is solved
-        densely.
-        """
-        if not self.banded(l):
-            n = self.cache.grid.n_points
-            return np.linalg.solve(self.dense_block(l) - sigma * np.eye(n), rhs)
-        return self.factor(l, sigma).solve(rhs)
 
     def dense_block(self, l: int) -> np.ndarray:
         """H_l as an n x n block, one GEMM: tril(p q^T, -1) and its adjoint,

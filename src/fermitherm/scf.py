@@ -584,15 +584,15 @@ def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAu
     tolerance; (c) the charge chain q <= tr g(H_gamma/T) <= tr g(H_bare/T),
     each link within 1e-9, except the global problem's first, an equality at
     the minimizer: tr g(H_gamma/T) is the trace of the filled candidate c,
-    so it is held to ``trace_bound`` >= |tr(gamma - c)| (``_Segment``) plus
-    the rounding of an n-term trace, and details["charge_slack"] names the
-    slack it had; in a constrained run the chain starts at the state's own
-    charge, which must be config.q within 1e-9 plus n eps q; (d) negative
-    free energy for q > 0; (e) every (lhs, rhs) pair of ``inequality_audit``
-    on the result's state and energy, within _INEQUALITY_TOL.  The result's
-    state is the iterate the run solved last, and ``channels`` are the run's
-    channels as that solve left them (the bare ones when interactions are
-    off).
+    so |tr gamma - tr g(H_gamma/T)| is held to ``trace_bound`` >=
+    |tr(gamma - c)| (``_Segment``) plus the rounding of an n-term trace, and
+    details["charge_slack"] names the slack it had; in a constrained run the
+    chain starts at the state's own charge, which must be config.q within
+    1e-9 plus n eps q; (d) negative free energy for q > 0; (e) every
+    (lhs, rhs) pair of ``inequality_audit`` on the result's state and energy,
+    within _INEQUALITY_TOL.  The result's state is the iterate the run solved
+    last, and ``channels`` are the run's channels as that solve left them
+    (the bare ones when interactions are off).
     (a) takes matvecs on the factors; (b) reads the three lowest Ritz levels
     of channel 0, bound or not, with every bound one among them (its count
     proved them); (c) sums g over every channel's Ritz levels; (e) takes only
@@ -623,7 +623,8 @@ def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAu
     mf_sum = capacity([channel.levels for channel in channels])
     bare_sum = capacity(cache.bare_spectrum[0][: gamma.l_max + 1])
     if config.q is None:
-        slack, charge_ok = trace_bound + grid.n_points * np.finfo(float).eps * q, True
+        slack = trace_bound + grid.n_points * np.finfo(float).eps * q
+        charge_ok = mf_sum <= q + slack
     else:
         slack = 1e-9
         charge_ok = abs(q - config.q) <= 1e-9 + grid.n_points * np.finfo(float).eps * config.q

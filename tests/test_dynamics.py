@@ -458,12 +458,12 @@ def test_factored_field_matches_dense_hamiltonian(case):
 @pytest.mark.parametrize("dt", [0.05, -1.0])
 @pytest.mark.parametrize("case", range(4), ids=FACTOR_CASE_IDS)
 def test_banded_cayley_matches_dense_solve(case, dt, monkeypatch):
-    monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", math.inf)  # every channel banded
+    monkeypatch.setattr(dynamics, "_BANDED_SOLVE_LIMIT", math.inf)  # every channel banded
     grid, orbitals, occupations = factor_cases()[case]
     cache, h_blocks = dense_hamiltonian(grid, orbitals, occupations, 2.0)
     field = dynamics._factored_field(cache, orbitals, occupations)
     thins = random_factors(grid, [2] * len(orbitals), 10 + case)[0]
-    banded = dynamics._cayley_apply(field, dt, thins)
+    banded = dynamics._cayley_apply(field, dt, thins, [None] * len(thins), [None] * len(thins))
     for h_block, thin, got in zip(h_blocks, thins, banded):
         step = 0.5j * dt * h_block
         eye = np.eye(grid.n_points)
@@ -479,8 +479,8 @@ def test_cayley_solves_agree_on_one_field(minimizer, monkeypatch):
                                      orbitals, occupations)
     steps = []
     for limit in (math.inf, 0.0):
-        monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", limit)
-        steps.append(dynamics._cayley_apply(field, 0.05, orbitals))
+        monkeypatch.setattr(dynamics, "_BANDED_SOLVE_LIMIT", limit)
+        steps.append(dynamics._cayley_apply(field, 0.05, orbitals, [None] * 2, [None] * 2))
     for banded, dense in zip(*steps):
         assert np.max(np.abs(banded - dense)) <= 1e-12
 
@@ -501,9 +501,9 @@ def test_refined_solves_match_dense_reference(rank, complex_orbitals, monkeypatc
     # on, which the kept factor serves (its sweeps contract by about 2e-4 at
     # rank 30), and a compact, fully occupied orbital, against
     # whose field the sweeps contract by less than the refactor ratio, so the
-    # channel is solved exactly: factored again from a cold start, by
-    # ``shifted_solve`` from a warm one
-    monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", math.inf)  # every channel banded
+    # channel falls back, from a cold start or a warm one, to a new kept
+    # factor of that field, which a second solve of the same field keeps
+    monkeypatch.setattr(dynamics, "_BANDED_SOLVE_LIMIT", math.inf)  # every channel banded
     grid, dt = build_grid(70, 20.0), 0.05
     sigma = 2j / dt
     orbitals, occupations = random_factors(grid, [rank, rank], rank)
@@ -518,18 +518,20 @@ def test_refined_solves_match_dense_reference(rank, complex_orbitals, monkeypatc
         _, h_blocks = dense_hamiltonian(grid, *factors, 1.0)
         for l, h_block in enumerate(h_blocks):
             expected = np.linalg.solve(h_block - sigma * np.eye(grid.n_points), rhs)
-            for warm in (None, start_field.shifted_solve(l, sigma, rhs)):
+            for warm in (None, dynamics._factor(start_field, l, sigma).solve(rhs)):
                 kept = [None, None]
                 dynamics._refined_solve(start_field, l, sigma, kept, rhs, None)  # factors it
-                lu = kept[l].lu
+                lu = kept[l]
                 got = dynamics._refined_solve(field, l, sigma, kept, rhs, warm)
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
                 if not refactored:
-                    assert kept[l].lu is lu
-                elif warm is None:
-                    assert kept[l].lu is not lu
-                else:
-                    assert kept[l] is None
+                    assert kept[l] is lu
+                    continue
+                refactor = kept[l]
+                assert refactor is not None and refactor is not lu
+                again = dynamics._refined_solve(field, l, sigma, kept, rhs, None)
+                assert kept[l] is refactor
+                assert np.linalg.norm(again - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def criterion_11_trajectory(minimizer):
@@ -541,11 +543,11 @@ def criterion_11_trajectory(minimizer):
 
 def test_kept_factor_trajectory_matches_exact_solves(criterion_11_minimizer, monkeypatch):
     # the trajectory refined on kept factors against one that takes an exact
-    # banded LU in every channel of every midpoint iteration
+    # banded LU (``_factor``) in every channel of every midpoint iteration
     refined = criterion_11_trajectory(criterion_11_minimizer)
 
     def exact_cayley(field, dt, thins, *kept):
-        return [2.0 * field.shifted_solve(l, 2j / dt, w / (0.5j * dt)) - w
+        return [2.0 * dynamics._factor(field, l, 2j / dt).solve(w / (0.5j * dt)) - w
                 for l, w in enumerate(thins)]
 
     monkeypatch.setattr(dynamics, "_cayley_apply", exact_cayley)

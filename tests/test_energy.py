@@ -11,7 +11,7 @@ from dense_reference import (
     kinetic_matrix,
     multipole_kernel,
 )
-from fermitherm import energy as energy_module
+from fermitherm import dynamics
 from fermitherm.energy import (
     GridMismatchError,
     OperatorCache,
@@ -408,9 +408,9 @@ def test_mean_field_lies_above_the_bare_blocks(l_max, rank, seed, complex_orbita
 @pytest.mark.parametrize("complex_orbitals", [False, True])
 @pytest.mark.parametrize("rank", [1, 4, 30])
 def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals):
-    # H_l x by matvecs and (H_l - sigma)^-1 b by the banded LU, against the
-    # dense reference blocks of the same state and np.linalg.solve, for a
-    # real shift between the two lowest levels and the Cayley shift 2i/dt
+    # H_l x by matvecs and (H_l - sigma)^-1 b by the Cayley steps' banded LU
+    # at the shift 2i/dt, against the dense reference blocks of the same state
+    # and np.linalg.solve.  Real shifts are ``_ldl_solves``'s, tested below
     grid = build_grid(70, 20.0)
     cache = OperatorCache(grid, 1, Z=1.0)
     factors = _random_factors(grid, [rank, rank], rank, complex_orbitals)
@@ -422,11 +422,10 @@ def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals
         x = rhs.real if not complex_orbitals else rhs
         expected = block @ x
         assert np.max(np.abs(field.apply(l, x) - expected)) <= 1e-12 * np.max(np.abs(expected))
-        levels = np.linalg.eigvalsh(block)
-        for sigma in (0.5 * (levels[0] + levels[1]), 2j / 0.05):
-            expected = np.linalg.solve(block - sigma * eye, rhs)
-            got = field.shifted_solve(l, sigma, rhs)
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        sigma = 2j / 0.05
+        expected = np.linalg.solve(block - sigma * eye, rhs)
+        got = dynamics._factor(field, l, sigma).solve(rhs)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("dt", [0.05, -1.0])
@@ -434,20 +433,22 @@ def test_field_apply_and_shifted_solve_match_dense_blocks(rank, complex_orbitals
 @pytest.mark.parametrize("rank", [1, 10, 30])
 @pytest.mark.parametrize("limit", [math.inf, 0.0], ids=["banded", "dense"])
 def test_both_shifted_solves_match_dense_reference(limit, rank, complex_orbitals, dt, monkeypatch):
-    # (H_l - sigma)^-1 b at the Cayley shift sigma = 2i/dt, forced through each
-    # branch of shifted_solve, against np.linalg.solve of the dense reference
-    # blocks; a real field and right side at the complex shift solve complex.
-    # The p orbitals get one partner: rank + 1 and rank + 2 terms
-    monkeypatch.setattr(energy_module, "_BANDED_SOLVE_LIMIT", limit)
+    # the Cayley step 2 (H_l - sigma)^-1 b / a - b, a = i dt/2 and sigma = 2i/dt,
+    # forced through each branch of ``dynamics._cayley_apply``, against
+    # np.linalg.solve of the dense reference blocks; a real field and right
+    # side at the complex shift solve complex.  The p orbitals get one
+    # partner: rank + 1 and rank + 2 terms
+    monkeypatch.setattr(dynamics, "_BANDED_SOLVE_LIMIT", limit)
     grid = build_grid(70, 20.0)
     cache = OperatorCache(grid, 1, Z=1.0)
     factors = _random_factors(grid, [rank, 1], rank, complex_orbitals)
     field = _factored_field(cache, *factors)
     rhs = np.random.default_rng(rank).standard_normal((grid.n_points, 3))
-    sigma = 2j / dt
-    for l, block in enumerate(dense_hamiltonian(DensityMatrix.from_factors(grid, *factors), 1.0)):
-        got = field.shifted_solve(l, sigma, rhs)
-        expected = np.linalg.solve(block - sigma * np.eye(grid.n_points), rhs)
+    a, sigma = 0.5j * dt, 2j / dt
+    steps = dynamics._cayley_apply(field, dt, [rhs, rhs], [None, None], [None, None])
+    blocks = dense_hamiltonian(DensityMatrix.from_factors(grid, *factors), 1.0)
+    for got, block in zip(steps, blocks):
+        expected = 2.0 * np.linalg.solve(block - sigma * np.eye(grid.n_points), rhs / a) - rhs
         assert np.iscomplexobj(got)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 

@@ -286,6 +286,35 @@ def test_constrained_audit_refuses_a_state_off_its_charge(monkeypatch):
     assert not off.qmaxlin_chain_ok and not res.audit.passed(cfg.tol_gamma)
 
 
+def test_global_audit_refuses_a_state_below_its_filled_charge(monkeypatch):
+    # criterion 8's model without q, with the returned weights scaled by
+    # 0.999 and by 1 - 1e-6 after the last solve: each state's charge falls
+    # below tr g(H_gamma/T) by more than the proven slack, which bounds
+    # |tr gamma - tr g(H_gamma/T)| from both sides
+    audit = scf_module.minimizer_audit
+    audits = []
+
+    def scaled(result, *args):
+        orbitals, weights = result.gamma.factors
+        audits.append(audit(result, *args))
+        for scale in (0.999, 1.0 - 1e-6):
+            off = dataclasses.replace(result, gamma=DensityMatrix.from_factors(
+                result.gamma.grid, orbitals, [scale * w for w in weights]))
+            audits.append(audit(off, *args))
+        return audits[-1]
+
+    monkeypatch.setattr(scf_module, "minimizer_audit", scaled)
+    cfg = ScfConfig(spec=SPEC, Z=1.0, T=1.0, n_points=900, r_max=90.0, l_max=2)
+    res = scf_global(cfg)
+    kept, *offs = audits
+    assert res.converged and kept.passed(cfg.tol_gamma)
+    for off in offs:
+        gap = off.details["discrete_q_mean_field"] - off.details["trace"]
+        assert gap > off.details["charge_slack"]
+        assert not off.qmaxlin_chain_ok
+    assert not res.audit.passed(cfg.tol_gamma)
+
+
 def test_converged_energy_beats_trial_library():
     cfg = small_config()
     res = scf_minimize(cfg)
