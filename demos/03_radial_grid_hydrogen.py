@@ -34,7 +34,7 @@ print(f"\nhalving h shrinks the ground-level error by {ratio:.2f} (O(h^2) -> ~4)
 # ground orbital -> density -> Hartree potential
 gamma = DensityMatrix.from_factors(grid, [bare_vectors[0][:, :1]], [np.ones(1)])
 rho = density_from_gamma(gamma)
-v_h = hartree_potential(grid, rho)
+v_h = hartree_potential(rho)
 print(f"\ntotal charge: {rho.charge:.12f}")
 print(f"max of r*V_H (Newton bound says <= charge): {np.max(grid.r * v_h):.12f}")
 print(f"far field r_max*V_H(r_max): {grid.r[-1] * v_h[-1]:.12f}")

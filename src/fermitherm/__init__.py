@@ -17,7 +17,6 @@ from .dynamics import (
 )
 from .energy import (
     EnergyBreakdown,
-    GridMismatchError,
     OperatorCache,
     free_energy,
     hf_energy,

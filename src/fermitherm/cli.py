@@ -322,7 +322,7 @@ def cmd_minimize(args) -> int:
 
     if "density_csv" in opts:
         rho = density_from_gamma(result.gamma)
-        v_h = hartree_potential(result.gamma.grid, rho)
+        v_h = hartree_potential(rho)
         rows = list(zip(result.gamma.grid.r, rho.rho_line, v_h))
         _emit(_csv_text(("r", "rho_line", "V_H"), rows), opts["density_csv"])
 

@@ -17,7 +17,7 @@ block, and level counts by inertia) and the one dense builder
 them; the Cayley steps' banded LU (``dynamics``) is built on the terms.
 The energies are O(n k^2) sums over orbital pairs.  The public functions
 read ``DensityMatrix.factors`` (a state built from dense blocks is factored
-once, by one eigh per block).
+once, by one eigh per block) and take the discretization from the state.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 from .angular import exchange_weights
 from .entropy import EntropySpec
 from .grid import (
+    _VALIDATE_TOL,
     DensityMatrix,
     RadialDensity,
     RadialGrid,
@@ -45,7 +46,6 @@ from .grid import (
 
 __all__ = [
     "EnergyBreakdown",
-    "GridMismatchError",
     "OperatorCache",
     "brown_kosaki_terms",
     "free_energy",
@@ -54,10 +54,6 @@ __all__ = [
     "inequality_audit",
     "mean_field_hamiltonian",
 ]
-
-
-class GridMismatchError(ValueError):
-    """State and operator cache live on different grids."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,9 @@ def _make_breakdown(kin, nuc, direct, exch, entropy, T) -> EnergyBreakdown:
 
 
 class OperatorCache:
-    """Grid-bound operators reused across energy and Hamiltonian builds.
+    """Grid-bound operators reused across the energy and Hamiltonian builds
+    of one SCF run or trajectory; each public energy function builds its own
+    from the state's grid and l_max.
 
     The kinetic operator is kept tridiagonal: ``kinetic_diag[l]`` per channel
     plus the scalar ``kinetic_off`` shared by all channels.  Next to it sit
@@ -154,14 +152,6 @@ class OperatorCache:
         return np.array([d for d, _ in pairs]), np.array([o for _, o in pairs])
 
 
-def _cache_for(gamma: DensityMatrix, Z: float, cache: OperatorCache | None) -> OperatorCache:
-    if cache is None:
-        return OperatorCache(gamma.grid, gamma.l_max, Z)
-    if not (gamma.grid == cache.grid and gamma.l_max <= cache.l_max and cache.Z == Z):
-        raise GridMismatchError("operator cache does not match the state")
-    return cache
-
-
 def _kinetic_root(grid, l, x):
     """M x, O(n k), for M with M^T M = T_l: forward differences / h (Dirichlet
     zero padding) stacked over the rows sqrt(l(l+1)) / r."""
@@ -217,9 +207,8 @@ def _hf_terms(orbitals, weights, cache: OperatorCache):
     term is (h/2) rho . V_H, with V_H from the Newton-shell sum.
     """
     kin, nuc, rho_line = _one_body_terms(orbitals, weights, cache)
-    grid = cache.grid
-    v_hartree = hartree_potential(grid, RadialDensity(grid, rho_line))
-    direct = 0.5 * grid.h * float(np.dot(rho_line, v_hartree))
+    v_hartree = hartree_potential(RadialDensity(cache.grid, rho_line))
+    direct = 0.5 * cache.grid.h * float(np.dot(rho_line, v_hartree))
     return kin, nuc, direct, _exchange_energy(orbitals, weights, cache)
 
 
@@ -233,7 +222,6 @@ def _factor_spectra(orbitals, weights) -> list:
     return spectra
 
 
-_CLIP_TOL = 1e-10
 _LDL_BLOCK = 16  # grid points per diagonal block of ``_ldl_solves``
 
 
@@ -241,11 +229,12 @@ def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
     """tr beta(gamma) = sum_l (2l+1) sum beta(nu) over per-channel occupations
     (factor weights, or eigenvalues of the blocks).
 
-    Occupations within _CLIP_TOL of [0, 1] are clipped; anything further out
-    is a genuine constraint violation and raises.
+    Occupations within _VALIDATE_TOL of [0, 1] (the slack of a stored state)
+    are clipped; anything further out is a genuine constraint violation and
+    raises.
     """
     for l, w in enumerate(occupations):
-        if w.size and (w.min() < -_CLIP_TOL or w.max() > 1.0 + _CLIP_TOL):
+        if w.size and (w.min() < -_VALIDATE_TOL or w.max() > 1.0 + _VALIDATE_TOL):
             raise ValueError(
                 f"occupation eigenvalues outside [0,1] in channel l={l}: "
                 f"[{w.min():.3e}, {w.max():.10f}]"
@@ -256,34 +245,23 @@ def _entropy_of_blocks(occupations, spec: EntropySpec) -> float:
     )
 
 
-def hf_energy(
-    gamma: DensityMatrix, Z: float, cache: OperatorCache | None = None
-) -> EnergyBreakdown:
+def hf_energy(gamma: DensityMatrix, Z: float) -> EnergyBreakdown:
     """Hartree-Fock energy; the entropy slot is zero."""
-    return _make_breakdown(*_hf_terms(*gamma.factors, _cache_for(gamma, Z, cache)), 0.0, 0.0)
+    terms = _hf_terms(*gamma.factors, OperatorCache(gamma.grid, gamma.l_max, Z))
+    return _make_breakdown(*terms, 0.0, 0.0)
 
 
-def free_energy(
-    gamma: DensityMatrix,
-    spec: EntropySpec,
-    Z: float,
-    T: float,
-    cache: OperatorCache | None = None,
-) -> EnergyBreakdown:
+def free_energy(gamma: DensityMatrix, spec: EntropySpec, Z: float, T: float) -> EnergyBreakdown:
     """Hartree-Fock energy plus T * tr beta(gamma), from the state's factors."""
-    terms = _hf_terms(*gamma.factors, _cache_for(gamma, Z, cache))
+    terms = _hf_terms(*gamma.factors, OperatorCache(gamma.grid, gamma.l_max, Z))
     return _make_breakdown(*terms, _entropy_of_blocks(gamma.factors[1], spec), T)
 
 
 def linear_energy_breakdown(
-    gamma: DensityMatrix,
-    spec: EntropySpec,
-    Z: float,
-    T: float,
-    cache: OperatorCache | None = None,
+    gamma: DensityMatrix, spec: EntropySpec, Z: float, T: float
 ) -> EnergyBreakdown:
     """Breakdown of the linear functional (direct and exchange dropped)."""
-    kin, nuc, _ = _one_body_terms(*gamma.factors, _cache_for(gamma, Z, cache))
+    kin, nuc, _ = _one_body_terms(*gamma.factors, OperatorCache(gamma.grid, gamma.l_max, Z))
     return _make_breakdown(kin, nuc, 0.0, 0.0, _entropy_of_blocks(gamma.factors[1], spec), T)
 
 
@@ -455,9 +433,8 @@ def _ldl_solves(problems) -> list:
 
 
 def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:
-    grid = cache.grid
-    rho = RadialDensity(grid, _density_line(grid, orbitals, weights))
-    v_local = cache.v_nuclear + hartree_potential(grid, rho)
+    rho = RadialDensity(cache.grid, _density_line(cache.grid, orbitals, weights))
+    v_local = cache.v_nuclear + hartree_potential(rho)
     terms = []
     for l in range(len(orbitals)):
         coefficients, orders, vectors = zip(*[
@@ -469,15 +446,13 @@ def _factored_field(cache: OperatorCache, orbitals, weights) -> _FactoredField:
     return _FactoredField(cache, v_local, terms)
 
 
-def mean_field_hamiltonian(
-    gamma: DensityMatrix, Z: float, cache: OperatorCache | None = None
-) -> list:
+def mean_field_hamiltonian(gamma: DensityMatrix, Z: float) -> list:
     """Per-channel blocks H_l = kinetic_l + diag(v_nuclear + v_hartree) - K_l.
 
     Normalized as the exact gradient of the Hartree-Fock energy: for any
     Hermitian perturbation, dE = sum_l (2l+1) tr(H_l dGamma_l).
     """
-    field = _factored_field(_cache_for(gamma, Z, cache), *gamma.factors)
+    field = _factored_field(OperatorCache(gamma.grid, gamma.l_max, Z), *gamma.factors)
     return [field.dense_block(l) for l in range(len(field.terms))]
 
 

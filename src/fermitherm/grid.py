@@ -221,15 +221,14 @@ def density_from_gamma(gamma: DensityMatrix) -> RadialDensity:
     return RadialDensity(grid=gamma.grid, rho_line=_density_line(gamma.grid, *gamma.factors))
 
 
-def hartree_potential(grid: RadialGrid, density: RadialDensity) -> np.ndarray:
-    """Electrostatic potential of a spherical charge distribution.
+def hartree_potential(density: RadialDensity) -> np.ndarray:
+    """Electrostatic potential of a spherical charge distribution, on its grid.
 
     V(r_i) = (inner charge)/r_i + sum of outer shells at their own radius,
     so r * V(r) never exceeds the total charge: the L = 0 kernel applied to
     the shell charges h rho.
     """
-    if density.grid != grid:
-        raise ValueError("density lives on a different grid")
+    grid = density.grid
     return multipole_apply(grid, 0, grid.h * density.rho_line)
 
 

@@ -121,6 +121,7 @@ def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
 _DIRECT_LEVELS = 1 << 12  # unsaturated levels below mu summed one by one, not by a tail
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
 _EPS = np.finfo(float).eps
+_MU_TOL = 1e-12  # |q(mu) - q| at which mu_of_q stops bisecting
 
 
 def _level_sum(spec: EntropySpec, Z: float, T: float, mu: float, first: int, last: int) -> float:
@@ -247,12 +248,14 @@ def q_of_mu(spec: EntropySpec, Z: float, T: float, mu: float) -> float:
     return total
 
 
-def mu_of_q(
-    spec: EntropySpec, Z: float, T: float, q: float, tol: float = 1e-12
-) -> float:
-    """Invert q_of_mu by bisection to |q(mu) - q| <= tol.
+def mu_of_q(spec: EntropySpec, Z: float, T: float, q: float) -> float:
+    """Invert q_of_mu by bisection, to |q(mu) - q| <= _MU_TOL or to a bracket
+    of adjacent floats.
 
-    q = 0 returns the -inf sentinel; q at or above q_max_lin raises.
+    A large q can sit between the values of q_of_mu at two adjacent mu, more
+    than _MU_TOL apart in rounding alone; the returned mu is then the end of
+    that bracket the last halving gave.  q = 0 returns the -inf sentinel; q at
+    or above q_max_lin raises.
     """
     if not q >= 0.0:
         raise ValueError(f"mu_of_q requires q >= 0, got {q}")
@@ -268,8 +271,10 @@ def mu_of_q(
     mid = lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         q_mid = q_of_mu(spec, Z, T, mid)
-        if abs(q_mid - q) <= tol:
+        if abs(q_mid - q) <= _MU_TOL:
             return mid
         if q_mid < q:
             lo = mid

@@ -27,9 +27,10 @@ the audit compares with hydrogen.  Each solve sets the channels' field, and
 Rayleigh-Ritz on their span, enlarged by one shifted solve per Ritz pair
 until the residuals reach rounding, leaves the new pairs there.  The
 inertia of H_l at zero proves the negative count.  The bare blocks are
-tridiagonal and solved once per run, for the start pairs and the warm
-start; the warm start is the minimizer when interactions are off, so such
-a run takes no iteration, and its bare channels are its solution.
+tridiagonal and solved once per run, by its one ``OperatorCache``, for the
+start pairs, the warm start and the audit; the warm start is the minimizer
+when interactions are off, so such a run takes no iteration, and its bare
+channels are its solution.
 
 Each pass of the loop solves the iterate's mean field, fills it and
 measures the Frobenius defect ||candidate - gamma||_F (the norm the audit
@@ -505,7 +506,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
     energy_of = free_energy if config.interactions else linear_energy_breakdown
 
     def breakdown(factors):
-        return energy_of(DensityMatrix.from_factors(grid, *factors), spec, Z, T, cache)
+        return energy_of(DensityMatrix.from_factors(grid, *factors), spec, Z, T)
 
     try:
         factors, status = _initial_state(cache, config), "max_iter"
@@ -560,7 +561,7 @@ def _run_scf(config: ScfConfig) -> ScfResult:
         status=status, history=history,
     )
     if result.converged:
-        result.audit = minimizer_audit(result, config, cache, channels, segment.trace_bound())
+        result.audit = minimizer_audit(result, config, channels, segment.trace_bound())
     return result
 
 
@@ -576,7 +577,7 @@ def scf_global(config: ScfConfig) -> ScfResult:
     return _run_scf(dataclasses.replace(config, q=None))
 
 
-def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAudit:
+def minimizer_audit(result, config, channels, trace_bound) -> MinimizerAudit:
     """Check the proven properties of minimizers on a converged result.
 
     (a) tr(|x| H_gamma gamma) <= 0 up to 1e-8; (b) the lowest three l=0
@@ -592,7 +593,8 @@ def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAu
     (lhs, rhs) pair of ``inequality_audit`` on the result's state and energy,
     within _INEQUALITY_TOL.  The result's state is the iterate the run solved
     last, and ``channels`` are the run's channels as that solve left them
-    (the bare ones when interactions are off).
+    (the bare ones when interactions are off); their field's cache is the
+    run's, whose bare levels (c) reads.
     (a) takes matvecs on the factors; (b) reads the three lowest Ritz levels
     of channel 0, bound or not, with every bound one among them (its count
     proved them); (c) sums g over every channel's Ritz levels; (e) takes only
@@ -621,7 +623,7 @@ def minimizer_audit(result, config, cache, channels, trace_bound) -> MinimizerAu
         return sum((2 * l + 1) * float(np.sum(spec.g(w / T))) for l, w in enumerate(levels))
 
     mf_sum = capacity([channel.levels for channel in channels])
-    bare_sum = capacity(cache.bare_spectrum[0][: gamma.l_max + 1])
+    bare_sum = capacity(channels[0].field.cache.bare_spectrum[0][: gamma.l_max + 1])
     if config.q is None:
         slack = trace_bound + grid.n_points * np.finfo(float).eps * q
         charge_ok = mf_sum <= q + slack

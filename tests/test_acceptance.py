@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 from dense_reference import kinetic_matrix
 from fermitherm.dynamics import evolve, stability_experiment
-from fermitherm.energy import OperatorCache, free_energy, hf_energy, mean_field_hamiltonian
+from fermitherm.energy import free_energy, hf_energy, mean_field_hamiltonian
 from fermitherm.entropy import make_power_entropy, validate_a4
 from fermitherm.grid import (
     DensityMatrix,
@@ -161,7 +161,6 @@ def test_criterion_5_rank_one_cancellation():
     """direct == exchange to 1e-10 rel; rank-one free energy to 5e-4. <30s."""
     n, r_max = 2999, 60.0
     grid = build_grid(n, r_max)
-    cache = OperatorCache(grid, 0, Z=1.0)
     mat = kinetic_matrix(grid, 0) + np.diag(nuclear_potential(grid, 1.0))
     d = np.diagonal(mat).copy()
     e = np.diagonal(mat, 1).copy()
@@ -169,12 +168,12 @@ def test_criterion_5_rank_one_cancellation():
     phi = vecs[:, 0]
 
     full = DensityMatrix(grid=grid, blocks=[np.outer(phi, phi)])
-    breakdown = hf_energy(full, Z=1.0, cache=cache)
+    breakdown = hf_energy(full, Z=1.0)
     assert abs(breakdown.direct - breakdown.exchange) <= 1e-10 * breakdown.direct
 
     for q in (0.1, 0.5, 1.0):
         gamma = DensityMatrix(grid=grid, blocks=[q * np.outer(phi, phi)])
-        e_free = free_energy(gamma, SPEC2, Z=1.0, T=1.0, cache=cache)
+        e_free = free_energy(gamma, SPEC2, Z=1.0, T=1.0)
         assert abs(e_free.total_free - (-q / 4.0 + q**2)) <= 5e-4
     print("PASS: criterion 5 - rank-one cancellation and trial free energy")
 
@@ -182,7 +181,6 @@ def test_criterion_5_rank_one_cancellation():
 def test_criterion_6_gradient_consistency():
     """Mean-field Hamiltonian vs central differences, 20 pairs, 1e-6. <1min."""
     grid = build_grid(60, 10.0)
-    cache = OperatorCache(grid, 2, Z=1.0)
     rng = np.random.default_rng(303)
     for trial in range(20):
         blocks = []
@@ -192,7 +190,7 @@ def test_criterion_6_gradient_consistency():
             b *= rng.uniform(0.2, 0.8) / np.linalg.eigvalsh(b)[-1]
             blocks.append(b)
         gamma = DensityMatrix(grid=grid, blocks=blocks)
-        ham = mean_field_hamiltonian(gamma, Z=1.0, cache=cache)
+        ham = mean_field_hamiltonian(gamma, Z=1.0)
         direction = []
         for _ in range(3):
             dmat = rng.standard_normal((60, 60))
@@ -202,9 +200,7 @@ def test_criterion_6_gradient_consistency():
         step = 1e-5
         plus = DensityMatrix(grid=grid, blocks=[b + step * dm for b, dm in zip(blocks, direction)])
         minus = DensityMatrix(grid=grid, blocks=[b - step * dm for b, dm in zip(blocks, direction)])
-        fd = (
-            hf_energy(plus, 1.0, cache).total_hf - hf_energy(minus, 1.0, cache).total_hf
-        ) / (2.0 * step)
+        fd = (hf_energy(plus, 1.0).total_hf - hf_energy(minus, 1.0).total_hf) / (2.0 * step)
         analytic = sum(
             (2 * l + 1) * float(np.einsum("ij,ji->", ham[l], direction[l]))
             for l in range(3)

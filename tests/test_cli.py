@@ -650,6 +650,14 @@ def test_config_unknown_key_exit1(tmp_path, capsys):
     assert code == 1
 
 
+def test_config_not_an_object_exit1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"m": 2.0, "Z": 1.0, "T": 1.0}]))
+    code, _, err = run(capsys, ["entropy", "--config", str(cfg)])
+    assert code == 1
+    assert "JSON object" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("where", ["file", "flag"])
 def test_alpha_is_unknown_exit1(tmp_path, capsys, where):
     # the SCF has no mixing step any more; a file or a flag naming one is refused

@@ -13,7 +13,6 @@ from dense_reference import (
 )
 from fermitherm import dynamics
 from fermitherm.energy import (
-    GridMismatchError,
     OperatorCache,
     _FactoredField,
     _cutoff_profile,
@@ -185,8 +184,7 @@ def test_mean_field_is_exact_gradient():
     grid = build_grid(60, 10.0)
     rng = np.random.default_rng(17)
     gamma = random_state(grid, l_max=2, seed=3, scale=0.4)
-    cache = OperatorCache(grid, 2, Z=1.0)
-    ham = mean_field_hamiltonian(gamma, Z=1.0, cache=cache)
+    ham = mean_field_hamiltonian(gamma, Z=1.0)
     for trial in range(5):
         direction = []
         for _ in range(3):
@@ -201,10 +199,7 @@ def test_mean_field_is_exact_gradient():
         minus = DensityMatrix(
             grid=grid, blocks=[b - step * d for b, d in zip(gamma.blocks, direction)]
         )
-        fd = (
-            hf_energy(plus, 1.0, cache).total_hf
-            - hf_energy(minus, 1.0, cache).total_hf
-        ) / (2.0 * step)
+        fd = (hf_energy(plus, 1.0).total_hf - hf_energy(minus, 1.0).total_hf) / (2.0 * step)
         analytic = sum(
             (2 * l + 1) * float(np.einsum("ij,ji->", ham[l], direction[l]))
             for l in range(3)
@@ -282,15 +277,6 @@ def test_brown_kosaki_identity_cutoff():
     gamma = random_state(grid, l_max=1, seed=7, scale=0.9)
     lhs, rhs = brown_kosaki_terms(gamma, spec, np.ones(50))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_grid_mismatch_raises():
-    grid_a = build_grid(30, 6.0)
-    grid_b = build_grid(40, 6.0)
-    cache = OperatorCache(grid_b, 1, Z=1.0)
-    gamma = zero_density_matrix(grid_a, 1)
-    with pytest.raises(GridMismatchError):
-        hf_energy(gamma, Z=1.0, cache=cache)
 
 
 def indefinite_state(grid, l_max, seed):

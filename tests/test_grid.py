@@ -9,6 +9,7 @@ from fermitherm.grid import (
     density_from_gamma,
     dilate,
     hartree_potential,
+    kinetic_tridiagonal,
     multipole_apply,
     multipole_kernel_inverse,
     nuclear_potential,
@@ -114,14 +115,14 @@ def test_hartree_single_shell():
     q = 0.7
     rho = np.zeros(100)
     rho[k] = q / grid.h
-    v = hartree_potential(grid, RadialDensity(grid=grid, rho_line=rho))
+    v = hartree_potential(RadialDensity(grid=grid, rho_line=rho))
     expected = q / np.maximum(grid.r, a)
     assert np.max(np.abs(v - expected)) < 1e-14
 
 
 def test_hartree_zero():
     grid = build_grid(30, 5.0)
-    v = hartree_potential(grid, RadialDensity(grid=grid, rho_line=np.zeros(30)))
+    v = hartree_potential(RadialDensity(grid=grid, rho_line=np.zeros(30)))
     assert np.all(v == 0.0)
 
 
@@ -130,7 +131,7 @@ def test_hartree_far_field_monopole_and_newton_bound():
     u = normalized_ground_orbital(grid)
     gamma = DensityMatrix(grid=grid, blocks=[np.outer(u, u)])
     rho = density_from_gamma(gamma)
-    v = hartree_potential(grid, rho)
+    v = hartree_potential(rho)
     q = rho.charge
     assert v[-1] * grid.r[-1] == pytest.approx(q, abs=1e-6)
     assert np.all(v * grid.r <= q + 1e-12)
@@ -141,8 +142,8 @@ def test_hartree_monotone_in_density():
     rng = np.random.default_rng(4)
     rho1 = rng.uniform(0.0, 1.0, 120)
     rho2 = rho1 + rng.uniform(0.0, 0.5, 120)
-    v1 = hartree_potential(grid, RadialDensity(grid=grid, rho_line=rho1))
-    v2 = hartree_potential(grid, RadialDensity(grid=grid, rho_line=rho2))
+    v1 = hartree_potential(RadialDensity(grid=grid, rho_line=rho1))
+    v2 = hartree_potential(RadialDensity(grid=grid, rho_line=rho2))
     assert np.all(v1 <= v2 + 1e-14)
 
 
@@ -187,6 +188,14 @@ def test_multipole_kernel_inverse_single_node():
     diag, off = multipole_kernel_inverse(grid, 3)
     assert diag * multipole_kernel(grid, 3)[0, 0] == pytest.approx([1.0], abs=1e-15)
     assert off.shape == (0,)
+
+
+def test_stencil_and_kernel_refuse_a_negative_order():
+    grid = build_grid(10, 2.0)
+    with pytest.raises(ValueError, match="angular momentum must be >= 0"):
+        kinetic_tridiagonal(grid, -1)
+    with pytest.raises(ValueError, match="multipole order must be >= 0"):
+        multipole_kernel_inverse(grid, -1)
 
 
 @pytest.mark.parametrize("n", [50, 400, 2000])

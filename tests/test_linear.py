@@ -82,6 +82,8 @@ def test_regime_table():
     assert regime_classify(5.0 / 3.0) is Regime.INFINITE_QMAX
     assert regime_classify(3.0) is Regime.UNBOUNDED
     assert regime_classify(4.5) is Regime.UNBOUNDED
+    with pytest.raises(ValueError, match="m > 1"):
+        regime_classify(1.0)
 
 
 def test_ground_free_energy_m2():
@@ -253,6 +255,7 @@ def test_q_of_mu_approaches_q_max_lin():
     spec = make_power_entropy(1.5)
     qmax = q_max_lin(spec, 1.0, 1.0).value
     assert q_of_mu(spec, 1.0, 1.0, -1e-10) == pytest.approx(qmax, abs=1e-4)
+    assert q_of_mu(spec, 1.0, 1.0, 0.0) == qmax
 
 
 def test_q_of_mu_nondecreasing():
@@ -323,6 +326,28 @@ def test_mu_of_q_roundtrip():
         if q == 0.0:
             continue
         assert mu_of_q(spec, 1.0, 1.0, q) == pytest.approx(mu, abs=1e-8)
+
+
+def test_mu_of_q_stops_at_adjacent_floats(monkeypatch):
+    # q ~ 5.5e6: the rounding of q(mu) alone exceeds 1e-12, and the bisection
+    # closes its bracket to adjacent floats, where q(mu) misses q by 2.8e-9
+    from fermitherm import linear
+
+    spec, Z, T = make_power_entropy(1.6), 30.0, 0.01
+    q = 0.99 * q_max_lin(spec, Z, T).value
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return q_of_mu(*args)
+
+    monkeypatch.setattr(linear, "q_of_mu", counted)
+    mu = mu_of_q(spec, Z, T, q)
+    assert 0 < len(calls) < 200
+    # q(mu) and q at the float next to mu on the other side straddle q
+    below = q_of_mu(spec, Z, T, mu) < q
+    other = math.nextafter(mu, 0.0 if below else -math.inf)
+    assert (q_of_mu(spec, Z, T, other) < q) is not below
 
 
 def test_guaranteed_qmax_m2():

@@ -198,6 +198,21 @@ def test_config_rejects_non_integral_sizes(field, value):
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("T", 0.0, "T > 0"), ("T", -1.0, "T > 0"), ("tol_gamma", 0.0, "tolerances"),
+     ("tol_energy", 0.0, "tolerances"), ("q", -0.1, "q must be nonnegative")],
+)
+def test_config_rejects_values_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        small_config(**{field: value})
+
+
+def test_scf_minimize_needs_a_charge():
+    with pytest.raises(ValueError, match="needs config.q"):
+        scf_minimize(small_config(q=None))
+
+
 def test_scf_refuses_unbounded_regime():
     spec3 = make_power_entropy(3.0)
     with pytest.raises(UnboundedModelError):
@@ -596,10 +611,11 @@ def test_structured_negative_spectrum_matches_eigh(case):
     cache, factors = _spectrum_case(case)
     channels = _channels(cache, *factors)
     fast = scf_module._diagonalize_blocks(channels)
-    gamma = DensityMatrix.from_factors(cache.grid, *factors)
-    # the zero-level case's hand-built cache has no dense reference
-    dense = (mean_field_hamiltonian(gamma, cache.Z, cache) if case == "zero-level"
-             else dense_hamiltonian(gamma, cache.Z))
+    if case == "zero-level":  # the hand-built cache's blocks, from its own field
+        field = energy_module._factored_field(cache, *factors)
+        dense = [field.dense_block(l) for l in range(len(field.terms))]
+    else:
+        dense = dense_hamiltonian(DensityMatrix.from_factors(cache.grid, *factors), cache.Z)
     _assert_same_spectrum(fast, _dense_negative(dense))
     counts = [len(w) for w in fast[0]]
     assert counts == {"unbound": [0, 0], "zero-level": [1], "box-10": [1, 0]}[case]
@@ -1015,7 +1031,7 @@ def test_audit_bound_reads_three_levels_when_fewer_are_bound(interactions):
     assert len(w0) == 3
     assert w0[0] < 0.0 < w0[1] < w0[2]
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
-    ham = mean_field_hamiltonian(res.gamma, cfg.Z, cache) if interactions else _bare_blocks(cache)
+    ham = mean_field_hamiltonian(res.gamma, cfg.Z) if interactions else _bare_blocks(cache)
     assert np.max(np.abs(np.subtract(w0, np.linalg.eigvalsh(ham[0])[:3]))) <= 1e-12
     assert res.audit.eigenvalue_bound_ok is False
 
@@ -1101,7 +1117,7 @@ def _segment_problem(m, q):
     cache = OperatorCache(cfg.make_grid(), cfg.l_max, cfg.Z)
 
     def candidate(gamma):
-        ham = mean_field_hamiltonian(gamma, cfg.Z, cache)
+        ham = mean_field_hamiltonian(gamma, cfg.Z)
         levels, vectors = scf_module._diagonalize_blocks(_channels(cache, *gamma.factors))
         _, occs = scf_module._fill_levels(levels, cfg.spec, cfg.T, cfg.q)
         return ham, scf_module._trimmed(vectors, occs)
@@ -1147,7 +1163,7 @@ def test_segment_matches_dense_interpolation(m, q):
         model = e_hf + t * segment.slope(ham) + t * t * (direct - exch)
         kin_t, nuc_t, direct_t, exch_t = dense_hf_terms(exact, cfg.Z)
         assert abs(model - (kin_t + nuc_t + direct_t - exch_t)) <= 1e-12
-        assert abs(model - hf_energy(exact, cfg.Z, cache).total_hf) <= 1e-12
+        assert abs(model - hf_energy(exact, cfg.Z).total_hf) <= 1e-12
 
 
 def test_optimal_damping_converges_where_linear_mixing_was_slow():
