@@ -6,8 +6,9 @@ q_max_lin, the A4 sum and the existence bound are pure powers of j, so
 those series are evaluated exactly: a polynomial head plus a Hurwitz zeta
 tail.  The charge q(mu) at mu < 0 sums the levels below mu: a polynomial head,
 and past a few thousand levels an Euler-Maclaurin tail of its smooth summand,
-so its time stays bounded as mu -> 0-.  These values are the ground truth the
-grid solver is checked against.
+so its time stays bounded as mu -> 0-.  Every root the library brackets, here
+and in ``scf``, is halved by one loop, ``_bisect``.  These values are the
+ground truth the grid solver is checked against.
 """
 
 from __future__ import annotations
@@ -121,7 +122,24 @@ def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
 _DIRECT_LEVELS = 1 << 12  # unsaturated levels below mu summed one by one, not by a tail
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2, B_4, B_6, B_8
 _EPS = np.finfo(float).eps
-_MU_TOL = 1e-12  # |q(mu) - q| at which mu_of_q stops bisecting
+
+
+def _bisect(below, lo: float, hi: float, halvings: int = 200):
+    """Halve a bracket [lo, hi] with below(lo) true and below(hi) false.
+
+    Each midpoint replaces the end whose side of the root it is on, until it
+    equals an end (lo and hi are adjacent floats) or ``halvings`` run out.
+    Returns the final (lo, hi).
+    """
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _level_sum(spec: EntropySpec, Z: float, T: float, mu: float, first: int, last: int) -> float:
@@ -249,13 +267,12 @@ def q_of_mu(spec: EntropySpec, Z: float, T: float, mu: float) -> float:
 
 
 def mu_of_q(spec: EntropySpec, Z: float, T: float, q: float) -> float:
-    """Invert q_of_mu by bisection, to |q(mu) - q| <= _MU_TOL or to a bracket
-    of adjacent floats.
+    """Invert q_of_mu by bisection to a bracket of adjacent floats (``_bisect``).
 
-    A large q can sit between the values of q_of_mu at two adjacent mu, more
-    than _MU_TOL apart in rounding alone; the returned mu is then the end of
-    that bracket the last halving gave.  q = 0 returns the -inf sentinel; q at
-    or above q_max_lin raises.
+    Returns the bracket's upper end mu: q_of_mu(mu) >= q, and q_of_mu is
+    below q one float lower (a large q can sit between the values of q_of_mu
+    at two adjacent mu).  q = 0 returns the -inf sentinel; q at or above
+    q_max_lin raises.
     """
     if not q >= 0.0:
         raise ValueError(f"mu_of_q requires q >= 0, got {q}")
@@ -267,28 +284,16 @@ def mu_of_q(spec: EntropySpec, Z: float, T: float, q: float) -> float:
             f"charge {q} is not below q_max_lin = {qmax.value}"
         )
     lo = -Z * Z / 4.0 - T * abs(spec.saturation_lambda)
-    hi = 0.0
-    mid = lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        q_mid = q_of_mu(spec, Z, T, mid)
-        if abs(q_mid - q) <= _MU_TOL:
-            return mid
-        if q_mid < q:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+    return _bisect(lambda mu: q_of_mu(spec, Z, T, mu) < q, lo, 0.0)[1]
 
 
 def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:
-    """Largest q with q <= min{sum_j g(-(Z-q)^2/(4 T j^2)), Z}.
+    """Largest float q with q <= min{sum_j g(-(Z-q)^2/(4 T j^2)), Z}.
 
     The right side is nonincreasing in q on [0, Z] while the left side
-    increases, so the crossing is unique; found by bisection.  The sum
-    carries no degeneracy weight.
+    increases, so the crossing is unique; the lower end of its bisection
+    bracket of adjacent floats is returned.  The sum carries no degeneracy
+    weight.
     """
     _saturation(spec, Z, T)  # the check of Z and T
     if spec.m >= 3.0:
@@ -298,16 +303,8 @@ def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:
     def rhs(q: float) -> float:
         return min(_g_series(spec, Z - q, T, 0).value, Z) if q < Z else 0.0
 
-    lo, hi = 0.0, Z  # rhs(0) > 0 and rhs(Z) = 0, so the crossing is interior
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= rhs(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, Z):
-            break
-    return 0.5 * (lo + hi)
+    # rhs(0) > 0 and rhs(Z) = 0, so the crossing is interior
+    return _bisect(lambda q: q <= rhs(q), 0.0, Z)[0]
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,9 @@ from .grid import (
     density_from_gamma,
     zero_density_matrix,
 )
-from .linear import UnboundedModelError, UnreachableChargeError, q_max_lin, regime_classify, Regime
+from .linear import (
+    UnboundedModelError, UnreachableChargeError, _bisect, q_max_lin, regime_classify, Regime,
+)
 
 __all__ = [
     "EigensolveError",
@@ -206,16 +208,17 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
     """Fill levels (energy, multiplicity) to total charge q.
 
     Returns (mu, occupations) with occupations aligned to the input order
-    and sum(mult * occ) = q to rounding.  mu is bisected down to adjacent
-    floats and the occupations g((eps - mu)/T) are interpolated across that
-    last bracket: for m > 2, g is infinitely steep at a level edge, so q(mu)
-    can jump between neighbouring floats, and the interpolation restores the
-    charge while keeping every occupation monotone in q.  An exact charge
-    keeps the SCF line search free of a first-order mu * (tr gamma - q) term.
-    If even mu = 0 cannot bind q, the charge is unreachable and
-    UnreachableChargeError is raised (the unbinding signal).  q = 0 gives the
-    mu = -inf sentinel.  A q that is not >= 0 or a T not in (0, inf) raises
-    ValueError, NaN included.
+    and sum(mult * occ) = q to rounding.  mu is bisected to adjacent floats
+    (``linear._bisect``) and the occupations g((eps - mu)/T) are interpolated
+    across that last bracket: for m > 2, g is infinitely steep at a level
+    edge, so q(mu) can jump between neighbouring floats, and the
+    interpolation restores the charge while keeping every occupation monotone
+    in q.  An exact charge keeps the SCF line search free of a first-order
+    mu * (tr gamma - q) term.  If even mu = 0 cannot bind q, the charge is
+    unreachable and UnreachableChargeError is raised (the unbinding signal).
+    q = 0 gives the mu = -inf sentinel.  A q that is not >= 0, a T not in
+    (0, inf), a level that is not finite or a multiplicity that is not finite
+    and >= 0 raises ValueError, NaN included.
     """
     if not q >= 0.0:
         raise ValueError(f"charge must be nonnegative, got {q}")
@@ -223,6 +226,10 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
         raise ValueError(f"temperature must be finite and positive, got {T}")
     eps = np.asarray([lv[0] for lv in levels], dtype=float)
     mult = np.asarray([lv[1] for lv in levels], dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise ValueError(f"levels must be finite, got {eps}")
+    if not np.all((mult >= 0.0) & (mult < math.inf)):
+        raise ValueError(f"multiplicities must be finite and nonnegative, got {mult}")
     if q == 0.0:
         return -math.inf, np.zeros_like(eps)
 
@@ -234,16 +241,8 @@ def occupations_from_levels(levels, spec: EntropySpec, T: float, q: float):
         raise UnreachableChargeError(
             f"charge {q} exceeds the mu=0 capacity {q_at_zero}"
         )
-    lo = float(np.min(eps)) - T * abs(spec.saturation_lambda)
-    hi = 0.0
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        if mu in (lo, hi):
-            break
-        if filled(mu) < q:
-            lo = mu
-        else:
-            hi = mu
+    lo, hi = _bisect(lambda mu: filled(mu) < q,
+                     float(np.min(eps)) - T * abs(spec.saturation_lambda), 0.0)
     occ_lo, occ_hi = spec.g((eps - lo) / T), spec.g((eps - hi) / T)
     span = filled(hi) - filled(lo)  # 0 only where q is within 1e-12 of an empty capacity
     t = (q - filled(lo)) / span if span > 0.0 else 1.0
@@ -425,8 +424,11 @@ def _step_length(segment, slope, curvature, spec, T, free, fallback):
     the Hartree-Fock energy, c the two-body energy of the step and
     S(t) = tr beta(gamma_t), convex in t.  F'(t) = s + 2 c t +
     T tr(beta'(gamma_t) D) stays accurate where the values of F barely
-    differ, so the search brackets a zero of F'.  For c >= 0, F is convex and
-    that zero is its minimum; otherwise the lower of it and t = 1 is kept.
+    differ, so the search brackets a zero of F' by ``linear._bisect``, stopped
+    after _BISECTIONS halvings rather than at adjacent floats, since each
+    halving takes a small eigendecomposition per channel.  For c >= 0, F is
+    convex and that zero is its minimum; otherwise the lower of it and t = 1
+    is kept.
 
     Values of F and F' within ``slack`` = _F_ROUNDING |F(gamma)| of zero count
     as zero.  The candidate minimizes the convex linearized functional, so
@@ -456,10 +458,7 @@ def _step_length(segment, slope, curvature, spec, T, free, fallback):
     resolved = derivative(0.0) < -slack
     t = 1.0 if resolved else fallback
     if resolved and derivative(1.0) > slack:
-        lo, hi = 0.0, 1.0
-        for _ in range(_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if derivative(mid) < 0.0 else (lo, mid)
+        lo, hi = _bisect(lambda t: derivative(t) < 0.0, 0.0, 1.0, _BISECTIONS)
         t = 0.5 * (lo + hi)
         if curvature < 0.0 and rise(1.0) < rise(t):
             t = 1.0

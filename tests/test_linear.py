@@ -329,8 +329,8 @@ def test_mu_of_q_roundtrip():
 
 
 def test_mu_of_q_stops_at_adjacent_floats(monkeypatch):
-    # q ~ 5.5e6: the rounding of q(mu) alone exceeds 1e-12, and the bisection
-    # closes its bracket to adjacent floats, where q(mu) misses q by 2.8e-9
+    # q ~ 5.5e6: the bisection closes its bracket to adjacent floats, where
+    # q(mu) still misses q by 2.8e-9 in rounding alone
     from fermitherm import linear
 
     spec, Z, T = make_power_entropy(1.6), 30.0, 0.01
@@ -348,6 +348,39 @@ def test_mu_of_q_stops_at_adjacent_floats(monkeypatch):
     below = q_of_mu(spec, Z, T, mu) < q
     other = math.nextafter(mu, 0.0 if below else -math.inf)
     assert (q_of_mu(spec, Z, T, other) < q) is not below
+
+
+@pytest.mark.parametrize(
+    "m, Z, T, q, J",
+    [(2.0, 1.0, 1.0, 0.025, 5), (2.0, 4.0, 0.1, 3.0, 40), (1.5, 2.0, 0.05, 1.5, 60),
+     (2.5, 3.0, 0.2, 4.0, 60)],
+)
+def test_discrete_fill_of_hydrogen_levels_matches_mu_of_q(m, Z, T, q, J):
+    # the charge fill of the exact spectrum and the analytic inverse bisect the
+    # same sum to adjacent floats, so they agree to rounding
+    from fermitherm.scf import occupations_from_levels
+
+    spec = make_power_entropy(m)
+    levels = [(-Z * Z / (4.0 * j * j), j * j) for j in range(1, J + 1)]
+    mu = mu_of_q(spec, Z, T, q)
+    assert Z / (2.0 * math.sqrt(-mu)) < J + 1  # every level below mu is listed
+    filled_mu = occupations_from_levels(levels, spec, T, q)[0]
+    assert abs(filled_mu - mu) <= 2.0 * math.ulp(mu)
+
+
+@pytest.mark.parametrize(
+    "m, Z, T", [(2.0, 1.0, 1.0), (1.5, 1.0, 1.0), (2.5, 5.0, 0.2), (1.2, 0.1, 0.01)]
+)
+def test_guaranteed_qmax_is_the_largest_float_below_its_bound(m, Z, T):
+    spec = make_power_entropy(m)
+
+    def rhs(q):  # the right side as guaranteed_existence_qmax builds it
+        return min(_g_series(spec, Z - q, T, 0).value, Z) if q < Z else 0.0
+
+    q = guaranteed_existence_qmax(spec, Z, T)
+    above = math.nextafter(q, math.inf)
+    assert q <= rhs(q)
+    assert above > rhs(above)
 
 
 def test_guaranteed_qmax_m2():

@@ -101,6 +101,25 @@ def test_occupations_rejects_a_temperature_not_finite_and_positive(T):
     assert not isinstance(err.value, UnreachableChargeError)
 
 
+@pytest.mark.parametrize(
+    "levels, match",
+    [
+        ([(math.nan, 1), (-0.25, 4)], "levels must be finite"),
+        ([(-math.inf, 1), (-0.25, 4)], "levels must be finite"),
+        ([(-1.0, 1), (math.inf, 4)], "levels must be finite"),
+        ([(-1.0, math.nan), (-0.25, 4)], "multiplicities must be finite and nonnegative"),
+        ([(-1.0, math.inf), (-0.25, 4)], "multiplicities must be finite and nonnegative"),
+        ([(-1.0, -1), (-0.25, 4)], "multiplicities must be finite and nonnegative"),
+    ],
+    ids=["nan-level", "-inf-level", "inf-level", "nan-mult", "inf-mult", "negative-mult"],
+)
+def test_occupations_rejects_bad_levels(levels, match):
+    # outside input: a NaN level or multiplicity used to fill to mu = nan, or
+    # to a charge other than q
+    with pytest.raises(ValueError, match=match):
+        occupations_from_levels(levels, SPEC, T=1.0, q=0.1)
+
+
 fill_problems = st.fixed_dictionaries(
     {
         "m": st.floats(1.05, 2.95),
@@ -417,6 +436,29 @@ def test_charge_sweep_requires_increasing():
 def test_charge_sweep_refuses_no_workers():
     with pytest.raises(ValueError):
         charge_sweep(small_config(n_points=60), [0.02], workers=0)
+
+
+def test_free_energy_is_concave_in_temperature_with_slope_the_entropy():
+    # K_q does not depend on T, so F(T) = min (E_HF + T S) is concave with
+    # slope S = tr beta(gamma_T) >= 0: for T1 < T2 the minimizers bound the
+    # chord, (T2 - T1) S(gamma_2) <= F2 - F1 <= (T2 - T1) S(gamma_1), and
+    # S falls while E_HF rises with T
+    temperatures = (0.05, 0.1, 0.15, 0.2)
+    configs = [small_config(Z=4.0, T=T, q=3.0, n_points=300, r_max=30.0, l_max=2)
+               for T in temperatures]
+    results = [scf_minimize(config) for config in configs]
+    assert all(res.converged for res in results)
+    tol = 10.0 * configs[0].tol_energy
+    free = [res.energy.total_free for res in results]
+    entropy = [res.energy.entropy_term for res in results]
+    hf = [res.energy.total_hf for res in results]
+    assert all(-tol <= s <= 3.0 + tol for s in entropy)
+    for i in range(len(temperatures) - 1):
+        dT = temperatures[i + 1] - temperatures[i]
+        assert dT * entropy[i + 1] <= free[i + 1] - free[i] + tol
+        assert free[i + 1] - free[i] <= dT * entropy[i] + tol
+        assert entropy[i + 1] <= entropy[i] + tol
+        assert hf[i] <= hf[i + 1] + tol
 
 
 @pytest.mark.parametrize("q", [0.1, None])
