@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error (also an input out of range, or one whose
 hydrogen series overflows), 2 model-regime refusal, 3 converged with a
 failed check of the minimizer audit (its inequality pairs included), 4
-convergence failure (including an eigensolve that fails its checks and
-missing, malformed or unconverged input states).  CSV output is
+convergence failure (including an eigensolve that fails its checks, a
+diverging midpoint iteration of evolve or stability, and missing, malformed
+or unconverged input states).  CSV output is
 byte-deterministic: header row first, 17-significant-digit floats, LF line
 endings.  A JSON file with the same keys as the flags can be passed via
 --config; its values are converted as the flags' text would be, and
@@ -26,6 +27,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .dynamics import (
+    StepSizeError,
     _check_kick,
     _check_step_controls,
     _step_count,
@@ -506,7 +508,7 @@ def main(argv=None) -> int:
     except UnboundedModelError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (_StateError, EigensolveError) as exc:
+    except (_StateError, EigensolveError, StepSizeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except OverflowError as exc:  # a closed form of the hydrogen series left the float range

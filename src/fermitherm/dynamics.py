@@ -19,7 +19,9 @@ shift 2i/dt, choosing by cost: a banded system on the field's terms (a
 tridiagonal kinetic part, a diagonal potential and exchange terms through the
 tridiagonal inverses of the multipole kernels) for the few orbitals of a
 minimizer (``_banded``), a dense LU per solve for a state of many orbitals.
-This module owns the banded LU (``_factor``, ``_BandedLU``).  A trajectory
+This module owns the banded LU (``_factor``, ``_BandedLU``); a solve calls
+LAPACK's ``zgbtrs`` by ``ctypes`` with the GIL released (``_zgbtrs``), so
+trajectories on separate threads overlap their solves.  A trajectory
 keeps one per channel, of the last field factored, and refines every solve
 against the exact midpoint field by defect correction (``_refined_solve``),
 factoring the current field where the sweeps stall: the field barely moves,
@@ -33,6 +35,8 @@ sample state holds its factors.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -140,12 +144,46 @@ def hspace_distance(gamma_a: DensityMatrix, gamma_b: DensityMatrix) -> float:
     return _factored_distance(gamma_a.grid, gamma_a.factors, gamma_b.factors)
 
 
+# The C signature of zgbtrs(trans, n, kl, ku, nrhs, ab, ldab, ipiv, b, ldb,
+# info) in scipy.linalg.cython_lapack, as its capsule names it.
+_ZGBTRS_SIGNATURE = (
+    b"void (char *, int *, int *, int *, int *, __pyx_t_double_complex *, int *, int *, "
+    b"__pyx_t_double_complex *, int *, int *)"
+)
+
+
+@functools.cache
+def _zgbtrs():
+    """LAPACK's ``zgbtrs`` from the function pointer SciPy's Cython LAPACK
+    exports, callable through ``ctypes``, which releases the GIL for the call
+    (SciPy's f2py wrapper holds it).  Raises ImportError when the pointer's C
+    signature is not ``_ZGBTRS_SIGNATURE``, before any call is made."""
+    # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["zgbtrs"]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = name_of(capsule)
+    if name != _ZGBTRS_SIGNATURE:
+        raise ImportError(f"scipy.linalg.cython_lapack zgbtrs has the signature {name!r}, "
+                          f"expected {_ZGBTRS_SIGNATURE!r}")
+    int_p, array = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_char_p, int_p, int_p, int_p, int_p, array,
+                                 int_p, array, array, int_p, int_p)
+    return prototype(pointer_of(capsule, name))
+
+
 @dataclass
 class _BandedLU:
-    """A channel's banded LU of H_l - sigma from ``_factor``: ``lu`` and
-    ``pivots`` of LAPACK's ``zgbtrf``, on p unknowns per grid point with p sub-
-    and superdiagonals, and ``rho``, the last contraction ``_refined_solve``
-    measured on it."""
+    """A channel's banded LU of H_l - sigma from ``_factor``: ``lu``
+    (Fortran order) and ``pivots`` (1-based ``int32``) of LAPACK's ``zgbtrf``,
+    on p unknowns per grid point with p sub- and superdiagonals, and ``rho``,
+    the last contraction ``_refined_solve`` measured on it.  ``solve`` calls
+    LAPACK's ``zgbtrs`` with the GIL released (``_zgbtrs``), so the solves
+    of trajectories on other threads overlap."""
 
     lu: np.ndarray
     pivots: np.ndarray
@@ -155,14 +193,24 @@ class _BandedLU:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(H - sigma)^-1 rhs for the field and shift it factored: rhs sits in
         the y rows of the interleaved system, zeros in the z rows; one ``zgbtrs``."""
-        # imported here: scipy.linalg costs ~0.3 s, and the package loads no scipy
-        from scipy.linalg import lapack
-
         n, p, k = rhs.shape[0], self.p, rhs.shape[1]
-        storage = np.zeros((k, n * p), dtype=complex)  # Fortran order for zgbtrs
+        rows, lu, pivots = n * p, self.lu, self.pivots
+        # what LAPACK reads through the pointers: checked here, as no wrapper does
+        if not (lu.dtype == np.complex128 and lu.flags.f_contiguous
+                and lu.shape == (3 * p + 1, rows)
+                and pivots.dtype == np.intc and pivots.shape == (rows,)):
+            raise ValueError(f"banded factor {lu.dtype} {lu.shape}, pivots {pivots.dtype} "
+                             f"{pivots.shape} do not fit p = {p} and {n} grid points")
+        storage = np.zeros((k, rows), dtype=complex)  # Fortran order (rows, k) for zgbtrs
         storage.reshape(k, n, p)[:, :, 0] = rhs.T
-        solution, _ = lapack.zgbtrs(self.lu, p, p, storage.T, self.pivots, overwrite_b=True)
-        return solution.reshape(n, p, k)[:, 0]
+        c_int, byref = ctypes.c_int, ctypes.byref
+        info = c_int()
+        _zgbtrs()(b"N", byref(c_int(rows)), byref(c_int(p)), byref(c_int(p)), byref(c_int(k)),
+                  lu.ctypes.data, byref(c_int(3 * p + 1)), pivots.ctypes.data,
+                  storage.ctypes.data, byref(c_int(rows)), byref(info))
+        if info.value:
+            raise ValueError(f"zgbtrs refused argument {-info.value}")
+        return storage.reshape(k, n, p)[:, :, 0].T
 
 
 def _banded(field, l) -> bool:
@@ -207,7 +255,8 @@ def _factor(field, l, sigma) -> _BandedLU:
     lu, pivots, info = lapack.zgbtrf(storage.T, p, p, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return _BandedLU(lu, pivots, p)
+    # f2py returns 0-based pivots; zgbtrs, called directly, reads LAPACK's 1-based ones
+    return _BandedLU(np.asfortranarray(lu), (pivots + 1).astype(np.intc), p)
 
 
 def _refined_solve(field, l, sigma, kept, rhs, start):

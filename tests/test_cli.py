@@ -517,6 +517,31 @@ def test_dynamics_refuse_unconverged_state_exit4(tmp_path, capsys, command):
     assert "not a converged minimizer" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, library", [("evolve", "evolve"),
+                                              ("stability", "stability_experiment")])
+def test_dynamics_step_size_error_exits_4(stored_state, tmp_path, capsys, monkeypatch,
+                                          command, library):
+    # a diverging midpoint iteration is a convergence failure, not a traceback
+    import functools
+
+    from fermitherm import cli
+    from fermitherm.dynamics import StepSizeError
+
+    message = "midpoint iteration diverging (dW 1.000e-03 -> 2.000e-01); reduce dt"
+
+    @functools.wraps(getattr(cli, library))  # the CLI reads the library's defaults
+    def diverging(*args, **kwargs):
+        raise StepSizeError(message)
+
+    monkeypatch.setattr(cli, library, diverging)
+    argv = [command, "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1"]
+    if command == "stability":
+        argv += ["--eta", "1e-3", "--out-prefix", str(tmp_path / "s_")]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_state_file_roundtrips_an_empty_channel(tmp_path):
     # a channel with no occupied orbital is stored as an (n, 0) block of factors
     from fermitherm.cli import _load_state, _save_state

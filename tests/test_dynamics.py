@@ -591,6 +591,115 @@ def counting_calls(monkeypatch, targets):
     return calls
 
 
+def f2py_solve(factor, rhs):
+    """``factor.solve(rhs)`` through SciPy's f2py ``zgbtrs``, which takes the
+    0-based pivots f2py's ``zgbtrf`` returns."""
+    from scipy.linalg import lapack
+
+    n, p, k = rhs.shape[0], factor.p, rhs.shape[1]
+    storage = np.zeros((k, n * p), dtype=complex)
+    storage.reshape(k, n, p)[:, :, 0] = rhs.T
+    solution, info = lapack.zgbtrs(factor.lu, p, p, storage.T, factor.pivots - 1)
+    assert info == 0
+    return solution.reshape(n, p, k)[:, 0]
+
+
+def random_banded_factor(n, p, rng):
+    """A ``_BandedLU`` of a random band of n p rows with p sub- and
+    superdiagonals, diagonally dominant by rows; its rows are scaled by up to
+    e^(+-4), so partial pivoting swaps rows."""
+    from scipy.linalg import lapack
+
+    rows = n * p
+    i, j = np.indices((rows, rows))
+    dense = np.where(abs(i - j) <= p, rng.standard_normal((rows, rows))
+                     + 1j * rng.standard_normal((rows, rows)), 0.0)
+    dense[np.diag_indices(rows)] = np.abs(dense).sum(axis=1) + 1.0
+    dense *= np.exp(rng.uniform(-4.0, 4.0, rows))[:, None]
+    band = np.zeros((3 * p + 1, rows), dtype=complex, order="F")
+    for d in range(-p, p + 1):  # row 2p + d holds the entries (j + d, j)
+        cols = np.arange(max(0, -d), min(rows, rows - d))
+        band[2 * p + d, cols] = dense[cols + d, cols]
+    lu, pivots, info = lapack.zgbtrf(band, p, p)
+    assert info == 0
+    return dynamics._BandedLU(np.asfortranarray(lu), (pivots + 1).astype(np.intc), p)
+
+
+def test_banded_solve_matches_f2py_zgbtrs_on_criterion_11_field(criterion_11_minimizer):
+    # the GIL-free zgbtrs call against SciPy's f2py one on the factor of the
+    # field the criterion-11 trajectories start from, pivots and all
+    gamma = criterion_11_minimizer.gamma
+    field = dynamics._factored_field(OperatorCache(gamma.grid, 1, 1.0), *gamma.factors)
+    rng = np.random.default_rng(11)
+    for l in range(2):
+        factor = dynamics._factor(field, l, 2j / 0.05)
+        assert np.any(factor.pivots != np.arange(1, len(factor.pivots) + 1))
+        shape = (gamma.grid.n_points, 2)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.array_equal(factor.solve(rhs), f2py_solve(factor, rhs))
+
+
+@pytest.mark.parametrize("p", range(1, 10))
+def test_banded_solve_matches_f2py_zgbtrs_on_random_bands(p):
+    rng = np.random.default_rng(p)
+    factor = random_banded_factor(30, p, rng)
+    for k in range(1, 5):
+        rhs = rng.standard_normal((30, k)) + 1j * rng.standard_normal((30, k))
+        assert np.array_equal(factor.solve(rhs), f2py_solve(factor, rhs))
+
+
+def test_banded_solve_refuses_an_unexpected_zgbtrs_signature(monkeypatch):
+    # a capsule whose C signature is not the expected one is refused before a
+    # function pointer is built from it, so no call is made
+    import ctypes
+
+    factor = random_banded_factor(30, 2, np.random.default_rng(0))
+    dynamics._zgbtrs.cache_clear()  # resolved again, against the patched signature
+    monkeypatch.setattr(dynamics, "_ZGBTRS_SIGNATURE", b"void (char *, int *)")
+    calls = counting_calls(monkeypatch, [(ctypes, "CFUNCTYPE")])
+    with pytest.raises(ImportError, match="signature"):
+        factor.solve(np.ones((30, 1), dtype=complex))
+    assert calls == {"CFUNCTYPE": 0}
+
+
+@pytest.mark.parametrize("broken", ["c_order", "int64_pivots", "rows"])
+def test_banded_solve_refuses_a_factor_lapack_cannot_read(broken):
+    factor = random_banded_factor(30, 2, np.random.default_rng(0))
+    rhs = np.ones((30, 1), dtype=complex)
+    if broken == "c_order":
+        factor.lu = np.ascontiguousarray(factor.lu)
+    elif broken == "int64_pivots":
+        factor.pivots = factor.pivots.astype(np.int64)
+    else:
+        rhs = np.ones((31, 1), dtype=complex)
+    with pytest.raises(ValueError, match="do not fit"):
+        factor.solve(rhs)
+
+
+def test_stability_runs_on_two_threads_match_serial_runs(minimizer):
+    # two kicked trajectories on a 2-thread pool, whose banded solves run with
+    # the GIL released and overlap, against the same two runs made serially;
+    # a short switch interval interleaves the threads' Python work finely
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(seed):
+        return stability_experiment(minimizer, SPEC, 1.0, eta=1e-2, horizon=0.6, dt=0.02,
+                                    seed=seed, sample_stride=5)
+
+    serial = [run(seed) for seed in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(run, (1, 2), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert len(a.samples) == len(b.samples) == 7
+        assert a.sup_dist == b.sup_dist and a.samples == b.samples
+
+
 def test_stability_cayley_builds_no_dense_mean_field(criterion_11_minimizer, monkeypatch):
     # criterion 11's run steps and is sampled on its factors: no dense mean
     # field (``dense_block`` also builds the dense solve's block, so every
