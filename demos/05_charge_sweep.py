@@ -2,7 +2,7 @@
 
 I(q) is nonincreasing, strictly decreasing while charge still binds; the
 bindable charge is capped by min(q_max_lin, 2Z+1).  Each point is an
-independent SCF run (they parallelize across threads).
+independent SCF run (they run on worker processes).
 """
 
 from fermitherm import ScfConfig, charge_sweep, make_power_entropy

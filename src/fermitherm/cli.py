@@ -1,7 +1,8 @@
 """Command-line surface: entropy/linear tables, SCF runs, sweeps, dynamics.
 
-Exit codes: 0 success, 1 usage error (also an input out of range, or one whose
-hydrogen series overflows), 2 model-regime refusal, 3 converged with a
+Exit codes: 0 success, 1 usage error (also an input out of range, one whose
+hydrogen series overflows, or a worker process of sweep or stability that
+died), 2 model-regime refusal, 3 converged with a
 failed check of the minimizer audit (its inequality pairs included), 4
 convergence failure (including an eigensolve that fails its checks, a
 diverging midpoint iteration of evolve or stability, and missing, malformed
@@ -11,17 +12,20 @@ endings.  A JSON file with the same keys as the flags can be passed via
 --config; its values are converted as the flags' text would be, and
 explicit flags win.  evolve and stability step with the library's one
 Cayley propagator; --stride and --inner are positive integers.
-FERMITHERM_THREADS, an integer, caps the threads of a sweep.
+FERMITHERM_THREADS, an integer, caps the worker processes of sweep and
+stability.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -37,7 +41,9 @@ from .dynamics import (
 from .entropy import make_power_entropy, validate_a4
 from .grid import DensityMatrix, density_from_gamma, hartree_potential
 from .linear import UnboundedModelError, linear_report, q_max_lin
-from .scf import EigensolveError, ScfConfig, ScfResult, charge_sweep, scf_minimize, scf_global
+from .scf import (
+    EigensolveError, ScfConfig, ScfResult, _fan_out, charge_sweep, scf_minimize, scf_global,
+)
 
 __all__ = ["main"]
 
@@ -79,9 +85,16 @@ def _csv_text(header, rows, footer=()) -> str:
 
 
 def _worker_count(n_tasks: int) -> int:
+    """Worker processes for ``n_tasks`` independent jobs: FERMITHERM_THREADS,
+    else the CPUs this process may run on (each worker costs about 60 MB)."""
     env = os.environ.get("FERMITHERM_THREADS")
     try:
-        cap = int(env) if env else (os.cpu_count() or 1)
+        if env:
+            cap = int(env)
+        elif hasattr(os, "sched_getaffinity"):
+            cap = len(os.sched_getaffinity(0))
+        else:
+            cap = os.cpu_count() or 1
     except ValueError:
         raise ValueError(f"FERMITHERM_THREADS must be an integer, got {env!r}") from None
     return max(1, min(n_tasks, cap))
@@ -412,13 +425,11 @@ def cmd_stability(args) -> int:
     for eta in etas:
         _check_kick(eta)
     result, config = _load_state(opts["state"])
-    outcomes = [
-        stability_experiment(
-            result, config.spec, config.Z, eta=eta, horizon=opts["horizon"], dt=opts["dt"],
-            **controls,
-        )
-        for eta in etas
-    ]
+    kick = functools.partial(
+        stability_experiment, result, config.spec, config.Z,
+        horizon=opts["horizon"], dt=opts["dt"], **controls,
+    )
+    outcomes = _fan_out(kick, etas, _worker_count(len(etas)))
 
     prefix = opts["out_prefix"]
     for eta, outcome in zip(etas, outcomes):
@@ -513,6 +524,9 @@ def main(argv=None) -> int:
         return 4
     except OverflowError as exc:  # a closed form of the hydrogen series left the float range
         sys.stderr.write(f"error: input out of floating-point range ({exc})\n")
+        return 1
+    except BrokenProcessPool as exc:  # a worker of sweep or stability died
+        sys.stderr.write(f"error: a worker process died ({exc})\n")
         return 1
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

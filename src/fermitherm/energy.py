@@ -95,12 +95,13 @@ class OperatorCache:
     plus the scalar ``kinetic_off`` shared by all channels.  Next to it sit
     the nuclear diagonal and the squared-3j weights ``angular`` of each
     channel pair.  No n x n array is held: the multipole kernels act through
-    their generators (``grid.multipole_apply``), or through their tridiagonal
-    inverses, ``kernel_inverses``, which the banded LU of the Cayley steps
-    (``dynamics._factor``) builds on first use.  The bare pairs, ``bare_spectrum``,
-    are solved on first use and then shared by the warm start and the start
-    pairs of the SCF eigensolve; an interaction-free run keeps them as its
-    solution, and the minimizer audit reads their levels.
+    their generators (``grid.multipole_apply``; the exchange terms read
+    ``multipole_generators``, computed on first use), or through their
+    tridiagonal inverses, ``kernel_inverses``, which the banded LU of the
+    Cayley steps (``dynamics._factor``) builds on first use.  The bare pairs,
+    ``bare_spectrum``, are solved on first use and then shared by the warm
+    start and the start pairs of the SCF eigensolve; an interaction-free run
+    keeps them as its solution, and the minimizer audit reads their levels.
     """
 
     def __init__(self, grid: RadialGrid, l_max: int, Z: float):
@@ -143,6 +144,12 @@ class OperatorCache:
             levels.append(w)
             vectors.append(v)
         return levels, vectors
+
+    @cached_property
+    def multipole_generators(self) -> tuple:
+        """(u, v) of ``grid.multipole_generators``, one column per order
+        L = 0..2 l_max; every field build of a run picks its terms' columns."""
+        return multipole_generators(self.grid, np.arange(2 * self.l_max + 1))
 
     @cached_property
     def kernel_inverses(self) -> tuple:
@@ -293,7 +300,9 @@ class _FactoredField:
         diagonal, -K_ii included."""
         cache, forms = self.cache, []
         for l, (weights, orders, vectors) in enumerate(self.terms):
-            u, v = multipole_generators(cache.grid, orders)
+            # take keeps the rows contiguous, as g[:, orders] would not: the
+            # row sums below would then add in another order
+            u, v = (g.take(orders, axis=1) for g in cache.multipole_generators)
             p, q = -(weights * v) * vectors, u * vectors.conj()
             forms.append((p, q, cache.kinetic_diag[l] + self.v_local + np.sum(p * q, axis=1).real))
         return forms

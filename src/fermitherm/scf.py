@@ -48,7 +48,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +96,10 @@ _EIGENVALUE_TOL = 5e-4  # h^2-scale slack of the audit's s-level bound
 _INEQUALITY_TOL = 1e-9  # absolute slack of each pair of ``inequality_audit``
 _RESIDUAL_ULPS = 64  # Ritz residual tolerance, in units of eps ||H_l||
 _RITZ_ROUNDS = 20  # Rayleigh-Ritz rounds before the eigensolve gives up
+# Start method of ``_fan_out``'s workers.  Every input and result crosses by
+# pickle, so any method gives the same results; fork skips the 0.2-0.3 s of
+# imports a spawned or forkserver worker pays on every call.
+_START_METHOD = "fork"
 
 
 @dataclass
@@ -688,29 +691,53 @@ def _binding_flag(result: ScfResult, q: float) -> str:
     return "boundary-mass" if tail_charge > 0.01 * q else "bound"
 
 
+def _fan_out(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, in input order, on up to ``workers`` processes.
+
+    One worker, or fewer than two items, runs in the calling process.
+    Otherwise a pool of min(workers, len(items)) processes is built for this
+    call on the ``_START_METHOD`` context; ``fn``, the items and the results
+    cross by pickle, so ``fn`` must be a top-level callable (or a
+    ``functools.partial`` of one).  Every worker is joined before this
+    returns or re-raises, and a worker's exception cancels the queued items.
+    Fewer than one worker raises ValueError.
+    """
+    items = list(items)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1 or len(items) < 2:
+        return [fn(x) for x in items]
+    # imported here: ``import fermitherm`` does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        min(workers, len(items)), mp_context=multiprocessing.get_context(_START_METHOD)
+    )
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     """Run scf_minimize over an increasing charge list and report I(q).
 
-    Distinct charges are independent; they run on a pool of ``workers``
-    threads (one runs them in order; fewer than one raises ValueError).  The
-    threads overlap little: a solve is mostly short numpy calls on n x k
-    blocks and on the small diagonal blocks of its L D L^H factorizations,
-    which hold the GIL between them (two threads ran the interacting
-    criterion-9 sweep in 0.79-0.87x the time of one, on a 2-vCPU machine
-    with BLAS on one thread).  The q_max_lin ceiling is computed first, so a
-    problem whose hydrogen series overflows fails before any solve.  Rows
-    come back in input order regardless of scheduling.
+    Distinct charges are independent; they run on up to ``workers`` processes
+    (``_fan_out``; one runs them in order in this process, fewer than one
+    raises ValueError), with rows bit-identical to a serial run.  The
+    q_max_lin ceiling is computed first, so a problem whose hydrogen series
+    overflows fails before any solve.  Rows come back in input order.
     """
     q_list = list(q_list)
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ValueError("q_list must be strictly increasing")
     qmax = q_max_lin(config.spec, config.Z, config.T).value
-
-    def solve(q: float) -> ScfResult:
-        return scf_minimize(dataclasses.replace(config, q=q))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(solve, q_list))
+    # the name's current binding: pickle sends a function by its name and
+    # refuses one the module no longer holds under it (a tracer rebinds it)
+    results = _fan_out(
+        scf_minimize, [dataclasses.replace(config, q=q) for q in q_list], workers
+    )
 
     rows = [
         SweepRow(

@@ -5,8 +5,8 @@ dominate the runtime (a 1e4-step trajectory at n=400 and two 50-time-unit
 stability runs); everything else finishes in seconds.
 """
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from fermitherm.linear import (
     q_max_lin,
     regime_classify,
 )
-from fermitherm.scf import ScfConfig, charge_sweep, scf_minimize
+from fermitherm.scf import ScfConfig, _fan_out, charge_sweep, scf_minimize
 
 SPEC2 = make_power_entropy(2.0)
 
@@ -331,23 +331,18 @@ def test_criterion_10_dynamics_conservation(dynamics_minimizer):
 
 def test_criterion_11_orbital_stability(dynamics_minimizer):
     """Kicked trajectories stay near the minimizer over [0, 50]. <10min."""
-    minimizer = dynamics_minimizer
-
-    def run(eta):
-        return stability_experiment(
-            minimizer,
-            SPEC2,
-            1.0,
-            eta=eta,
-            horizon=50.0,
-            dt=0.05,
-            seed=11,
-            sample_stride=20,
-            inner_iterations=3,
-        )
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        small, large = pool.map(run, (1e-3, 1e-2))
+    run = functools.partial(
+        stability_experiment,
+        dynamics_minimizer,
+        SPEC2,
+        1.0,
+        horizon=50.0,
+        dt=0.05,
+        seed=11,
+        sample_stride=20,
+        inner_iterations=3,
+    )
+    small, large = _fan_out(run, (1e-3, 1e-2), 2)
     assert math.isfinite(small.sup_dist) and math.isfinite(large.sup_dist)
     ratio = large.sup_dist / small.sup_dist
     assert 5.0 <= ratio <= 20.0

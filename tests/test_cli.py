@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -517,29 +519,73 @@ def test_dynamics_refuse_unconverged_state_exit4(tmp_path, capsys, command):
     assert "not a converged minimizer" in err and "Traceback" not in err
 
 
+_DIVERGING = "midpoint iteration diverging (dW 1.000e-03 -> 2.000e-01); reduce dt"
+
+
+def _diverging(*args, **kwargs):
+    # top level, so that a worker process receives it by name
+    from fermitherm.dynamics import StepSizeError
+
+    raise StepSizeError(_DIVERGING)
+
+
+def _dying(*args, **kwargs):
+    os._exit(1)
+
+
 @pytest.mark.parametrize("command, library", [("evolve", "evolve"),
                                               ("stability", "stability_experiment")])
 def test_dynamics_step_size_error_exits_4(stored_state, tmp_path, capsys, monkeypatch,
                                           command, library):
-    # a diverging midpoint iteration is a convergence failure, not a traceback
-    import functools
-
+    # a diverging midpoint iteration is a convergence failure, not a traceback;
+    # stability's two kicks raise it in the worker processes
     from fermitherm import cli
-    from fermitherm.dynamics import StepSizeError
 
-    message = "midpoint iteration diverging (dW 1.000e-03 -> 2.000e-01); reduce dt"
-
-    @functools.wraps(getattr(cli, library))  # the CLI reads the library's defaults
-    def diverging(*args, **kwargs):
-        raise StepSizeError(message)
-
-    monkeypatch.setattr(cli, library, diverging)
+    # the CLI reads the library's defaults through __wrapped__
+    monkeypatch.setattr(_diverging, "__wrapped__", getattr(cli, library), raising=False)
+    monkeypatch.setattr(cli, library, _diverging)
+    monkeypatch.setenv("FERMITHERM_THREADS", "2")
     argv = [command, "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1"]
     if command == "stability":
-        argv += ["--eta", "1e-3", "--out-prefix", str(tmp_path / "s_")]
+        argv += ["--eta", "1e-3", "--eta", "1e-2", "--out-prefix", str(tmp_path / "s_")]
     code, out, err = run(capsys, argv)
     assert code == 4 and out == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {_DIVERGING}\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_stability_worker_that_dies_exits_1(stored_state, tmp_path, capsys, monkeypatch):
+    # a killed worker is one error line and exit 1, never a traceback
+    from fermitherm import cli
+
+    monkeypatch.setattr(_dying, "__wrapped__", cli.stability_experiment, raising=False)
+    monkeypatch.setattr(cli, "stability_experiment", _dying)
+    monkeypatch.setenv("FERMITHERM_THREADS", "2")
+    argv = ["stability", "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1",
+            "--eta", "1e-3", "--eta", "1e-2", "--out-prefix", str(tmp_path / "s_")]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: a worker process died")
+    assert not list(tmp_path.glob("s_*")) and multiprocessing.active_children() == []
+
+
+def test_stability_files_match_between_one_and_two_workers(stored_state, tmp_path, capsys,
+                                                           monkeypatch):
+    # the kicks run on worker processes, with every file byte-identical to a serial run
+    files = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FERMITHERM_THREADS", threads)
+        prefix = tmp_path / f"t{threads}_"
+        argv = ["stability", "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.2",
+                "--eta", "1e-3", "--eta", "1e-2", "--out-prefix", str(prefix)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        files[threads] = {
+            p.name[len(prefix.name):]: p.read_bytes() for p in tmp_path.glob(f"{prefix.name}*")
+        }
+    assert sorted(files["1"]) == ["eta_0.001.csv", "eta_0.01.csv", "summary.csv"]
+    assert files["2"] == files["1"]
 
 
 def test_state_file_roundtrips_an_empty_channel(tmp_path):

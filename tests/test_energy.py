@@ -341,7 +341,7 @@ def test_exchange_assembly_matches_dense_kernels(n):
     # and its adjoint by one GEMM, against the dense kernels, for every order
     # up to L = 6 and real and complex vectors
     grid = build_grid(n, 60.0)
-    cache = OperatorCache(grid, 0, Z=0.0)
+    cache = OperatorCache(grid, 3, Z=0.0)  # l_max = 3 holds the generators of L <= 6
     cache.kinetic_diag, cache.kinetic_off = [np.zeros(n)], 0.0  # H = -K exactly
     rng = np.random.default_rng(n)
     orders = np.arange(7)

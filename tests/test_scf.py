@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -401,6 +402,45 @@ def test_charge_sweep_parallel_matches_serial():
     for a, b in zip(serial.rows, threaded.rows):
         assert a.free_energy == b.free_energy
         assert a.mu == b.mu
+
+
+def test_fan_out_under_spawn_matches_serial(monkeypatch):
+    # every input and result crosses by pickle, so workers that import the
+    # library afresh give the rows of a serial run, bit for bit
+    cfg = small_config(n_points=120, r_max=30.0)
+    serial = charge_sweep(cfg, [0.02, 0.08], workers=1)
+    monkeypatch.setattr(scf_module, "_START_METHOD", "spawn")
+    spawned = charge_sweep(cfg, [0.02, 0.08], workers=2)
+    assert repr(spawned.rows) == repr(serial.rows)
+    assert multiprocessing.active_children() == []
+
+
+def _failing_at(config):
+    # top level, so that a worker process receives it by name
+    if config.q == 0.05:
+        raise RuntimeError("no solve at q = 0.05")
+    return scf_minimize(config)
+
+
+def test_charge_sweep_joins_its_workers_when_a_charge_raises(monkeypatch):
+    monkeypatch.setattr(scf_module, "scf_minimize", _failing_at)
+    with pytest.raises(RuntimeError, match="q = 0.05"):
+        charge_sweep(small_config(n_points=60), [0.02, 0.05, 0.08], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_raises_broken_process_pool_when_a_worker_dies():
+    from concurrent.futures.process import BrokenProcessPool
+
+    with pytest.raises(BrokenProcessPool):
+        scf_module._fan_out(os._exit, [1, 1], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_runs_one_worker_or_one_item_in_this_process():
+    pid = os.getpid()
+    assert scf_module._fan_out(lambda x: (x, os.getpid()), [1, 2], 1) == [(1, pid), (2, pid)]
+    assert scf_module._fan_out(lambda x: (x, os.getpid()), [3], 2) == [(3, pid)]
 
 
 def test_charge_sweep_keeps_interactions_off(monkeypatch):
@@ -1076,6 +1116,20 @@ def test_audit_bound_reads_three_levels_when_fewer_are_bound(interactions):
     ham = mean_field_hamiltonian(res.gamma, cfg.Z) if interactions else _bare_blocks(cache)
     assert np.max(np.abs(np.subtract(w0, np.linalg.eigvalsh(ham[0])[:3]))) <= 1e-12
     assert res.audit.eigenvalue_bound_ok is False
+
+
+def test_process_pool_not_loaded_by_import():
+    # the worker pool's modules are imported by the call that fans out
+    import fermitherm
+
+    probe = (
+        "import sys, fermitherm\n"
+        "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(fermitherm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_scipy_linalg_not_loaded_by_import():
