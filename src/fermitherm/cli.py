@@ -12,7 +12,7 @@ endings.  A JSON file with the same keys as the flags can be passed via
 --config; its values are converted as the flags' text would be, and
 explicit flags win.  evolve and stability step with the library's one
 Cayley propagator; --stride and --inner are positive integers.
-FERMITHERM_THREADS, an integer, caps the worker processes of sweep and
+FERMITHERM_THREADS, a positive integer, caps the worker processes of sweep and
 stability.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -84,20 +83,21 @@ def _csv_text(header, rows, footer=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Worker processes for ``n_tasks`` independent jobs: FERMITHERM_THREADS,
+def _worker_count() -> int:
+    """The cap on worker processes: FERMITHERM_THREADS, a positive integer,
     else the CPUs this process may run on (each worker costs about 60 MB)."""
     env = os.environ.get("FERMITHERM_THREADS")
+    if not env:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
-        if env:
-            cap = int(env)
-        elif hasattr(os, "sched_getaffinity"):
-            cap = len(os.sched_getaffinity(0))
-        else:
-            cap = os.cpu_count() or 1
+        cap = int(env)
     except ValueError:
         raise ValueError(f"FERMITHERM_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(n_tasks, cap))
+    if cap < 1:
+        raise ValueError(f"FERMITHERM_THREADS must be a positive integer, got {env!r}")
+    return cap
 
 
 def _file_value(action: argparse.Action, value):
@@ -118,8 +118,8 @@ def _file_value(action: argparse.Action, value):
 def _merge(args: argparse.Namespace, defaults: dict | None = None) -> dict:
     """The command's own ``defaults``, then the --config file, then the flags given.
 
-    An option none of them sets is absent; the library function it feeds
-    supplies the default (``_library_args``).
+    An option none of them sets is absent, and ``_library_args`` leaves it
+    out, so the library function it feeds applies its own default.
     """
     provided = {
         k: v for k, v in vars(args).items() if k not in ("func", "command", "parser")
@@ -134,10 +134,7 @@ def _merge(args: argparse.Namespace, defaults: dict | None = None) -> dict:
         actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
         unknown = set(from_file) - set(actions)
         if unknown:
-            sys.stderr.write(
-                f"error: unknown config key(s): {', '.join(sorted(unknown))}\n"
-            )
-            raise SystemExit(1)
+            raise ValueError(f"unknown config key(s): {', '.join(sorted(unknown))}")
         # null leaves the default in place
         from_file = {
             k: _file_value(actions[k], v) for k, v in from_file.items() if v is not None
@@ -148,18 +145,16 @@ def _merge(args: argparse.Namespace, defaults: dict | None = None) -> dict:
 def _require(opts: dict, keys) -> None:
     missing = [k for k in keys if opts.get(k) is None]
     if missing:
-        sys.stderr.write(f"error: missing required option(s): {', '.join(missing)}\n")
-        raise SystemExit(1)
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
 
 
-def _library_args(opts: dict, func, names: dict) -> dict:
-    """Keyword arguments of ``func`` from the options ``names`` maps to them.
+def _library_args(opts: dict, names: dict) -> dict:
+    """Keyword arguments from the options ``names`` maps to them.
 
-    An option not given takes ``func``'s own default, so no default of the
-    library is restated here.
+    An option not given is left out, so the library applies its own default
+    and no default of the library is restated here.
     """
-    params = inspect.signature(func).parameters
-    return {arg: opts[key] if key in opts else params[arg].default for key, arg in names.items()}
+    return {arg: opts[key] for key, arg in names.items() if key in opts}
 
 
 _SOLVER_ARGS = {
@@ -178,7 +173,7 @@ def _scf_config(opts: dict) -> ScfConfig:
         spec=make_power_entropy(opts["m"]),
         Z=opts["Z"],
         T=opts["T"],
-        **_library_args(opts, ScfConfig, _SOLVER_ARGS),
+        **_library_args(opts, _SOLVER_ARGS),
     )
 
 
@@ -351,14 +346,13 @@ def cmd_minimize(args) -> int:
 def cmd_sweep(args) -> int:
     opts = _merge(args)
     _require(opts, ("m", "Z", "T", "q_from", "q_to", "q_steps"))
-    steps = int(opts["q_steps"])
+    steps = opts["q_steps"]
     if steps < 1 or not opts["q_from"] <= opts["q_to"] < math.inf:
-        sys.stderr.write("error: bad sweep range\n")
-        return 1
+        raise ValueError("bad sweep range")
     q_list = list(np.linspace(opts["q_from"], opts["q_to"], steps))
     config = _scf_config(opts)
     _hydrogen_series(q_max_lin, opts)  # the sweep's ceiling, checked before any solve
-    sweep = charge_sweep(config, q_list, workers=_worker_count(len(q_list)))
+    sweep = charge_sweep(config, q_list, workers=_worker_count())
     rows = [
         (r.q, r.free_energy, r.mu, r.converged, r.binding_flag) for r in sweep.rows
     ]
@@ -386,22 +380,25 @@ def _trajectory_rows(samples):
 _TRAJ_HEADER = ("t", "trace", "E_hf", "entropy_trace", "dist")
 
 
-_STEP_ARGS = {"stride": "sample_stride", "inner": "inner_iterations"}
+_STEP_ARGS = {"inner": "inner_iterations", "stride": "sample_stride"}
 
 
-def _step_args(opts: dict, func) -> dict:
-    """The step controls ``func`` takes, checked before any state is read."""
-    controls = _library_args(opts, func, _STEP_ARGS)
+def _dynamics_input(opts: dict, *required) -> tuple:
+    """(result, config, controls, n_steps) of an evolve or stability run.
+
+    The options, the step controls given and the step count are checked
+    before the state is read; a control not given is left to the library.
+    """
+    _require(opts, ("state", "dt", "horizon", *required))
+    controls = _library_args(opts, _STEP_ARGS)
     _check_step_controls(opts["dt"], **controls)
-    return controls
+    n_steps = _step_count(opts["horizon"], opts["dt"])
+    return (*_load_state(opts["state"]), controls, n_steps)
 
 
 def cmd_evolve(args) -> int:
     opts = _merge(args, {"stride": 10})
-    _require(opts, ("state", "dt", "horizon"))
-    controls = _step_args(opts, evolve)
-    n_steps = _step_count(opts["horizon"], opts["dt"])
-    result, config = _load_state(opts["state"])
+    result, config, controls, n_steps = _dynamics_input(opts)
     samples = evolve(
         result.gamma,
         config.spec,
@@ -417,19 +414,17 @@ def cmd_evolve(args) -> int:
 
 def cmd_stability(args) -> int:
     opts = _merge(args, {"out_prefix": "stability_"})
-    _require(opts, ("state", "dt", "horizon", "eta"))
-    controls = _step_args(opts, stability_experiment)
-    controls.update(_library_args(opts, stability_experiment, {"seed": "seed"}))
-    _step_count(opts["horizon"], opts["dt"])
-    etas = opts["eta"]
-    for eta in etas:
+    for eta in opts.get("eta", ()):
         _check_kick(eta)
-    result, config = _load_state(opts["state"])
+    workers = _worker_count()
+    result, config, controls, _ = _dynamics_input(opts, "eta")
     kick = functools.partial(
         stability_experiment, result, config.spec, config.Z,
         horizon=opts["horizon"], dt=opts["dt"], **controls,
+        **_library_args(opts, {"seed": "seed"}),
     )
-    outcomes = _fan_out(kick, etas, _worker_count(len(etas)))
+    etas = opts["eta"]
+    outcomes = _fan_out(kick, etas, workers)
 
     prefix = opts["out_prefix"]
     for eta, outcome in zip(etas, outcomes):

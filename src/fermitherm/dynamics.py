@@ -69,11 +69,11 @@ _DIVERGENCE_FLOOR = 1e-8  # midpoint orbital updates below this are converged
 _ROUNDING = 8.0 * np.finfo(float).eps  # refined-solve corrections below this x ||x|| are rounding
 _REFACTOR_RATIO = 1e-3  # a kept factor whose sweeps contract by less is refactored
 # A channel's Cayley system is banded while (m + 1)^3 < this * n^2 for its m
-# exchange terms.  Fitted to where the banded LU and the dense LU of a Cayley
-# step cost the same (one BLAS thread, 2 Xeon cores, n = 100..800): (m + 1)^3
-# / n^2 = 0.011..0.023.  The criterion-11 midpoint (n = 400, m = 8, 0.0046)
-# solves banded in 3.8 ms against 13.5 ms dense; the rank-10 drift state
-# (n = 100, m = 40, 6.9) in 59 ms against 1.2 ms.
+# exchange terms.  Fitted (one BLAS thread, 2 Xeon cores, n = 100..800:
+# crossover at (m + 1)^3 / n^2 = 0.011..0.023) against one `solve_banded`
+# call, factor and solve, per Cayley solve, and kept, not re-fitted, for the
+# kept LU refined by defect correction.  On the rank-10 drift state (n = 100,
+# m = 40, 6.9) that path still takes 10-13 times the dense one.
 _BANDED_SOLVE_LIMIT = 0.02
 
 
@@ -98,11 +98,12 @@ class TrajectorySample:
     dist_to_reference: float
 
 
-def _check_step_controls(dt, inner_iterations, sample_stride) -> None:
-    """Reject step controls that cannot drive a propagation."""
+def _check_step_controls(dt, **controls) -> None:
+    """Reject step controls that cannot drive a propagation; of the integer
+    controls, only those given (by keyword) are checked."""
     if dt == 0.0 or not math.isfinite(dt):
         raise ValueError("dt must be finite and nonzero (negative dt propagates backward)")
-    for name, value in (("inner_iterations", inner_iterations), ("sample_stride", sample_stride)):
+    for name, value in controls.items():
         if not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
@@ -411,7 +412,7 @@ def evolve(
     include t = 0 and the last of the ``n_steps`` (a nonnegative integer);
     with ``keep_gamma`` each carries the state it was taken from.
     """
-    _check_step_controls(dt, inner_iterations, sample_stride)
+    _check_step_controls(dt, inner_iterations=inner_iterations, sample_stride=sample_stride)
     if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     if reference is not None:
@@ -477,7 +478,7 @@ def stability_experiment(
         raise ValueError("stability_experiment requires a converged minimizer")
     if propagator != "cayley":
         raise ValueError(f"unknown propagator {propagator!r}")
-    _check_step_controls(dt, inner_iterations, sample_stride)
+    _check_step_controls(dt, inner_iterations=inner_iterations, sample_stride=sample_stride)
     _check_kick(eta)
     n_steps = _step_count(horizon, dt)
     orbitals, occupations = minimizer.gamma.factors

@@ -118,6 +118,61 @@ def test_sweep_names_a_thread_count_that_is_not_an_integer(capsys, monkeypatch, 
     assert line == f"error: FERMITHERM_THREADS must be an integer, got {threads!r}"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_refuses_a_thread_cap_below_one(capsys, monkeypatch, threads):
+    # a cap below one is a usage error before any solve, not a silent single worker
+    solved = []
+    monkeypatch.setattr(scf, "scf_minimize", lambda config: solved.append(config.q))
+    monkeypatch.setenv("FERMITHERM_THREADS", threads)
+    argv = ["sweep", "--m", "2", "--Z", "1", "--T", "1", "--q-from", "0.1",
+            "--q-to", "0.2", "--q-steps", "2", "--n", "40", "--rmax", "20", "--lmax", "0"]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == "" and solved == []
+    (line,) = err.splitlines()
+    assert line == f"error: FERMITHERM_THREADS must be a positive integer, got {threads!r}"
+
+
+def test_worker_count_defaults_to_the_usable_cpus(monkeypatch):
+    # unset, the cap is the CPUs this process may run on, else the CPU count, else 1
+    from fermitherm.cli import _worker_count
+
+    monkeypatch.delenv("FERMITHERM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    assert _worker_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count() == 7
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count() == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, threads",
+    [
+        (["minimize"], {"m": 2, "Z": 1, "T": 1, "bogus": 1}, None),
+        (["minimize", "--Z", "1", "--T", "1"], None, None),
+        (["sweep", "--m", "2", "--Z", "1", "--T", "1", "--q-from", "0.2", "--q-to", "0.1",
+          "--q-steps", "3"], None, None),
+        (["sweep", "--m", "2", "--Z", "1", "--T", "1", "--q-from", "0.1", "--q-to", "0.2",
+          "--q-steps", "2", "--n", "40", "--rmax", "20", "--lmax", "0"], None, "0"),
+    ],
+    ids=["unknown-config-key", "missing-option", "q-to-below-q-from", "zero-thread-cap"],
+)
+def test_usage_error_is_one_error_line_and_exit1(tmp_path, capsys, monkeypatch, argv, config,
+                                                 threads):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    if threads is not None:
+        monkeypatch.setenv("FERMITHERM_THREADS", threads)
+    monkeypatch.setattr(scf, "scf_minimize", lambda config: pytest.fail("solved"))
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+
+
 def test_failed_eigensolve_exits_4(capsys, monkeypatch):
     # an eigensolve whose count fails its check is a convergence failure, not a traceback
     message = "channel l=0: 0 negative Ritz levels, but H_l has 1 (block of 1)"
@@ -428,6 +483,18 @@ def test_evolve_factors_stored_state_once(stored_state, tmp_path, capsys, monkey
     assert calls == []
 
 
+@pytest.mark.parametrize("command, flag", [("evolve", "--dt"), ("stability", "--stride")])
+def test_dynamics_bad_step_control_exit1_before_the_state(tmp_path, capsys, command, flag):
+    # a bad control is a usage error even when the state file does not exist
+    argv = [command, "--state", str(tmp_path / "nope.npz"), "--dt", "0.02", "--horizon", "0.1",
+            flag, "0"]
+    if command == "stability":
+        argv += ["--eta", "1e-3", "--out-prefix", str(tmp_path / "s_")]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not found" not in err
+
+
 def test_evolve_missing_state_exit4(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -541,8 +608,6 @@ def test_dynamics_step_size_error_exits_4(stored_state, tmp_path, capsys, monkey
     # stability's two kicks raise it in the worker processes
     from fermitherm import cli
 
-    # the CLI reads the library's defaults through __wrapped__
-    monkeypatch.setattr(_diverging, "__wrapped__", getattr(cli, library), raising=False)
     monkeypatch.setattr(cli, library, _diverging)
     monkeypatch.setenv("FERMITHERM_THREADS", "2")
     argv = [command, "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1"]
@@ -558,7 +623,6 @@ def test_stability_worker_that_dies_exits_1(stored_state, tmp_path, capsys, monk
     # a killed worker is one error line and exit 1, never a traceback
     from fermitherm import cli
 
-    monkeypatch.setattr(_dying, "__wrapped__", cli.stability_experiment, raising=False)
     monkeypatch.setattr(cli, "stability_experiment", _dying)
     monkeypatch.setenv("FERMITHERM_THREADS", "2")
     argv = ["stability", "--state", str(stored_state), "--dt", "0.02", "--horizon", "0.1",
