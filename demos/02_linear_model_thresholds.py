@@ -28,14 +28,14 @@ print("\nfull report at Z=1, T=1:")
 for m in (1.5, 2.0):
     spec = make_power_entropy(m)
     rep = linear_report(spec, Z=1.0, T=1.0)
-    q_str = "inf" if math.isinf(rep.q_max_lin.value) else f"{rep.q_max_lin.value:.7f}"
-    print(f"  m={m}: F_min={rep.ground_free_energy.value:.8f} "
+    q_str = "inf" if math.isinf(rep.q_max_lin) else f"{rep.q_max_lin:.7f}"
+    print(f"  m={m}: F_min={rep.ground_free_energy:.8f} "
           f"q_max_lin={q_str} q_guaranteed={rep.q_guaranteed:.6f}")
 
 spec = make_power_entropy(1.5)
 print("\nq_max_lin(T) shrinks as the temperature grows (m=1.5, Z=1):")
 for T in (0.5, 1.0, 10.0, 100.0):
-    print(f"  T={T:6.1f}: q_max_lin = {q_max_lin(spec, 1.0, T).value:.8f}")
+    print(f"  T={T:6.1f}: q_max_lin = {q_max_lin(spec, 1.0, T):.8f}")
 
 print("\ncharge vs multiplier and its inverse (m=2, Z=1, T=1):")
 spec2 = make_power_entropy(2.0)

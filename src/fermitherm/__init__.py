@@ -45,7 +45,6 @@ from .linear import (
     HydrogenLevel,
     LinearReport,
     Regime,
-    SeriesResult,
     UnboundedModelError,
     UnreachableChargeError,
     guaranteed_existence_qmax,

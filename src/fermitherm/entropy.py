@@ -4,7 +4,7 @@ The shipped family is the power entropy ``beta(nu) = nu**m`` on [0, 1],
 together with the occupation map ``g`` (the Legendre argmin over [0, 1])
 and the transform ``beta_star(lam) = lam*g(lam) + beta(g(lam))``.
 Temperature never enters the maps; the hydrogen series read (Z, T) through
-``_saturation``.
+``_saturation`` and return floats, +inf where they diverge.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "EntropySpec",
     "InvalidExponentError",
     "OccupationDomainError",
-    "SeriesResult",
     "make_power_entropy",
     "validate_a4",
 ]
@@ -47,21 +46,15 @@ class EntropySpec:
 
     The maps act element-wise on an array, or on a scalar (giving a NumPy
     float64).  ``saturation_lambda`` = -m is the threshold below which the
-    occupation map pins at 1.  ``a4_status`` is "violated" for m >= 3 (the
-    hydrogen-tail sum diverges at every T), "conditional" otherwise.  Both
-    follow from m, as does the class constant ``family``.
+    occupation map pins at 1.  Whether the hydrogen-tail sum converges (it
+    diverges at every T for m >= 3) is read from ``validate_a4``'s value.
     """
 
-    family = "power"
     m: float
 
     @property
     def saturation_lambda(self) -> float:
         return -self.m
-
-    @property
-    def a4_status(self) -> str:
-        return "violated" if self.m >= 3.0 else "conditional"
 
     def beta(self, nu):
         """Entropy integrand nu**m; raises outside [0, 1]."""
@@ -94,33 +87,13 @@ def make_power_entropy(m: float) -> EntropySpec:
     """Build the power-family spec ``beta(nu) = nu**m``.
 
     Requires a finite m > 1 (at m = 1 the slope at zero occupation is 1, not
-    0, and strict convexity fails).  Exponents m >= 3 are allowed as objects
-    but flagged: their hydrogen-tail sum diverges at every temperature.
+    0, and strict convexity fails).  Exponents m >= 3 are allowed, though
+    their hydrogen-tail sum diverges at every temperature.
     """
     m = float(m)
     if not 1.0 < m < math.inf:
         raise InvalidExponentError(f"power entropy requires a finite m > 1, got m = {m}")
     return EntropySpec(m=m)
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """Value of a series over the hydrogen spectrum, +inf (or -inf) if it diverges.
-
-    Every tail is summed exactly in closed form, so the truncation error
-    ``tail_bound`` is 0 for a convergent series and inf for a divergent one;
-    floating-point rounding of the closed forms is not included.
-    """
-
-    value: float
-
-    @property
-    def converges(self) -> bool:
-        return math.isfinite(self.value)
-
-    @property
-    def tail_bound(self) -> float:
-        return 0.0 if self.converges else math.inf
 
 
 def _saturation(spec: EntropySpec, Z: float, T: float) -> tuple:
@@ -137,31 +110,31 @@ def _saturation(spec: EntropySpec, Z: float, T: float) -> tuple:
     return c, int(math.floor(math.sqrt(c / spec.m)))
 
 
-def _sum_series(head: float, j_tail: int, coeff: float, p: float) -> SeriesResult:
+def _sum_series(head: float, j_tail: int, coeff: float, p: float) -> float:
     """head + sum_{j >= j_tail} coeff * j**p, the tail as coeff * zeta(-p, j_tail).
 
     ``head`` is the closed-form sum of the terms below ``j_tail``; the tail
-    is the Hurwitz zeta function (DLMF 25.11).  A tail with p >= -1 is not
-    summable: the value comes back as +inf, before scipy.special is loaded.
-    A summable series whose value overflows raises OverflowError.
+    is the Hurwitz zeta function (DLMF 25.11), so no truncation error is
+    left, only the rounding of the closed forms.  A tail with p >= -1 is not
+    summable: the sum is +inf, returned before scipy.special is loaded.  A
+    summable series whose value overflows raises OverflowError.
     """
     if p >= -1.0:
-        return SeriesResult(value=math.inf)
+        return math.inf
     # imported here: scipy.special costs ~0.3 s, and no solver path sums a tail
     from scipy.special import zeta
 
     value = head + coeff * float(zeta(-p, j_tail))
     if not math.isfinite(value):
         raise OverflowError("the series sum exceeds the float range")
-    return SeriesResult(value=value)
+    return value
 
 
-def validate_a4(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
+def validate_a4(spec: EntropySpec, Z: float, T: float) -> float:
     """Sum j^2 |beta_star(-Z^2/(4 T j^2))| over the hydrogen levels, exactly.
 
     For the power family the summand decays like j**(-2/(m-1)), summable iff
-    m < 3; divergence is reported (``converges`` False, value +inf), never
-    raised.
+    m < 3; a divergent sum is returned as +inf, never raised.
     """
     m = spec.m
     c, n = _saturation(spec, Z, T)

@@ -52,9 +52,18 @@ def build_grid(n_points: int, r_max: float) -> RadialGrid:
         raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
     if not 0.0 < r_max < math.inf:
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
+    r_max = float(r_max)
     h = r_max / (n_points + 1)
     r = h * np.arange(1, n_points + 1, dtype=float)
-    return RadialGrid(n_points=n_points, r_max=float(r_max), h=h, r=r)
+    # the kinetic stencil takes 1/h^2 and 1/r^2, LAPACK's tridiagonal
+    # bisection squares -1/h^2, and the multipole scale takes r_0 r_(n-1)
+    h2 = h * h
+    if not (r_max * r_max < math.inf and 0.0 < h2 and (1.0 / h2) * (1.0 / h2) < math.inf):
+        raise ValueError(
+            f"n_points = {n_points} and r_max = {r_max} leave the float range: "
+            f"r_max^2 and 1/h^4 must be finite, with h = r_max/(n_points+1) = {h}"
+        )
+    return RadialGrid(n_points=n_points, r_max=r_max, h=h, r=r)
 
 
 _VALIDATE_TOL = 1e-10  # Hermiticity, orthonormality and [0, 1] slack of a stored state

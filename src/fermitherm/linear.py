@@ -6,9 +6,10 @@ q_max_lin, the A4 sum and the existence bound are pure powers of j, so
 those series are evaluated exactly: a polynomial head plus a Hurwitz zeta
 tail.  The charge q(mu) at mu < 0 sums the levels below mu: a polynomial head,
 and past a few thousand levels an Euler-Maclaurin tail of its smooth summand,
-so its time stays bounded as mu -> 0-.  Every root the library brackets, here
-and in ``scf``, is halved by one loop, ``_bisect``.  These values are the
-ground truth the grid solver is checked against.
+so its time stays bounded as mu -> 0-.  Each series returns a float, +inf
+where it diverges.  Every root the library brackets, here and in ``scf``,
+is halved by one loop, ``_bisect``.  These values are the ground truth the
+grid solver is checked against.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropySpec, SeriesResult, _saturation, _sum_series, validate_a4
+from .entropy import EntropySpec, _saturation, _sum_series, validate_a4
 
 __all__ = [
     "HydrogenLevel",
     "LinearReport",
     "Regime",
-    "SeriesResult",
     "UnboundedModelError",
     "UnreachableChargeError",
     "guaranteed_existence_qmax",
@@ -83,7 +83,7 @@ def regime_classify(m: float) -> Regime:
     return Regime.UNBOUNDED
 
 
-def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
+def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> float:
     """Global minimum of the linear model: T sum_j j^2 beta*(lambda_j/T).
 
     Per level the minimum of lambda*nu + T*beta(nu) over nu in [0, 1] is
@@ -91,15 +91,13 @@ def linear_ground_free_energy(spec: EntropySpec, Z: float, T: float) -> SeriesRe
     raises UnboundedModelError when the defining series is not summable
     (power family with m >= 3).
     """
-    report = validate_a4(spec, Z, T)
-    if not report.converges:
-        raise UnboundedModelError(
-            f"linear model unbounded from below for m = {spec.m}"
-        )
-    return SeriesResult(value=-T * report.value)
+    a4 = validate_a4(spec, Z, T)
+    if a4 == math.inf:
+        raise UnboundedModelError(f"linear model unbounded from below for m = {spec.m}")
+    return -T * a4
 
 
-def _g_series(spec: EntropySpec, Z: float, T: float, k: int) -> SeriesResult:
+def _g_series(spec: EntropySpec, Z: float, T: float, k: int) -> float:
     """sum_j j**k g(-Z^2/(4 T j^2)) for k = 0 or 2, exactly.
 
     The n saturated levels (``_saturation``) add sum_{j<=n} j**k; beyond them
@@ -111,10 +109,10 @@ def _g_series(spec: EntropySpec, Z: float, T: float, k: int) -> SeriesResult:
     return _sum_series(head, n + 1, (c / m) ** (1.0 / (m - 1.0)), k - 2.0 / (m - 1.0))
 
 
-def q_max_lin(spec: EntropySpec, Z: float, T: float) -> SeriesResult:
+def q_max_lin(spec: EntropySpec, Z: float, T: float) -> float:
     """Trace of the formal linear ground state: sum_j j^2 g(lambda_j/T).
 
-    Finite iff m < 5/3 for the power family; value is +inf otherwise.
+    Finite iff m < 5/3 for the power family; +inf otherwise.
     """
     return _g_series(spec, Z, T, 2)
 
@@ -238,7 +236,7 @@ def q_of_mu(spec: EntropySpec, Z: float, T: float, mu: float) -> float:
     if not mu <= 0.0:
         raise ValueError(f"q_of_mu requires mu <= 0, got {mu}")
     if mu == 0.0:
-        return q_max_lin(spec, Z, T).value
+        return q_max_lin(spec, Z, T)
     star = Z / (2.0 * math.sqrt(-mu))
     j_hi = int(math.floor(star))
     if j_hi < 1:
@@ -279,10 +277,8 @@ def mu_of_q(spec: EntropySpec, Z: float, T: float, q: float) -> float:
     if q == 0.0:
         return -math.inf
     qmax = q_max_lin(spec, Z, T)
-    if q >= qmax.value:
-        raise UnreachableChargeError(
-            f"charge {q} is not below q_max_lin = {qmax.value}"
-        )
+    if q >= qmax:
+        raise UnreachableChargeError(f"charge {q} is not below q_max_lin = {qmax}")
     lo = -Z * Z / 4.0 - T * abs(spec.saturation_lambda)
     return _bisect(lambda mu: q_of_mu(spec, Z, T, mu) < q, lo, 0.0)[1]
 
@@ -301,7 +297,7 @@ def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:
         return Z
 
     def rhs(q: float) -> float:
-        return min(_g_series(spec, Z - q, T, 0).value, Z) if q < Z else 0.0
+        return min(_g_series(spec, Z - q, T, 0), Z) if q < Z else 0.0
 
     # rhs(0) > 0 and rhs(Z) = 0, so the crossing is interior
     return _bisect(lambda q: q <= rhs(q), 0.0, Z)[0]
@@ -311,21 +307,17 @@ def guaranteed_existence_qmax(spec: EntropySpec, Z: float, T: float) -> float:
 class LinearReport:
     """Threshold summary for one (spec, Z, T) of the linear model."""
 
-    ground_free_energy: SeriesResult
-    q_max_lin: SeriesResult
+    ground_free_energy: float
+    q_max_lin: float
     regime: Regime
     q_guaranteed: float
 
 
 def linear_report(spec: EntropySpec, Z: float, T: float) -> LinearReport:
-    regime = regime_classify(spec.m)
-    if regime is Regime.UNBOUNDED:
-        ground = SeriesResult(value=-math.inf)
-    else:
-        ground = linear_ground_free_energy(spec, Z, T)
+    """The thresholds at (Z, T); the ground free energy is -inf where A4 diverges."""
     return LinearReport(
-        ground_free_energy=ground,
+        ground_free_energy=-T * validate_a4(spec, Z, T),
         q_max_lin=q_max_lin(spec, Z, T),
-        regime=regime,
+        regime=regime_classify(spec.m),
         q_guaranteed=guaranteed_existence_qmax(spec, Z, T),
     )

@@ -700,11 +700,11 @@ def _fan_out(fn, items, workers: int) -> list:
     cross by pickle, so ``fn`` must be a top-level callable (or a
     ``functools.partial`` of one).  Every worker is joined before this
     returns or re-raises, and a worker's exception cancels the queued items.
-    Fewer than one worker raises ValueError.
+    A ``workers`` that is not an integer >= 1 raises ValueError.
     """
     items = list(items)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     if workers == 1 or len(items) < 2:
         return [fn(x) for x in items]
     # imported here: ``import fermitherm`` does not pay for them
@@ -724,15 +724,16 @@ def charge_sweep(config: ScfConfig, q_list, workers: int = 1) -> SweepResult:
     """Run scf_minimize over an increasing charge list and report I(q).
 
     Distinct charges are independent; they run on up to ``workers`` processes
-    (``_fan_out``; one runs them in order in this process, fewer than one
-    raises ValueError), with rows bit-identical to a serial run.  The
-    q_max_lin ceiling is computed first, so a problem whose hydrogen series
-    overflows fails before any solve.  Rows come back in input order.
+    (``_fan_out``; one runs them in order in this process, and anything but
+    an integer >= 1 raises ValueError), with rows bit-identical to a serial
+    run.  The q_max_lin ceiling is computed first, so a problem whose
+    hydrogen series overflows fails before any solve.  Rows come back in
+    input order.
     """
     q_list = list(q_list)
     if any(b <= a for a, b in zip(q_list, q_list[1:])):
         raise ValueError("q_list must be strictly increasing")
-    qmax = q_max_lin(config.spec, config.Z, config.T).value
+    qmax = q_max_lin(config.spec, config.Z, config.T)
     # the name's current binding: pickle sends a function by its name and
     # refuses one the module no longer holds under it (a tracer rebinds it)
     results = _fan_out(

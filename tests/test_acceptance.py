@@ -123,20 +123,20 @@ def test_criterion_1_entropy_closed_forms():
 def test_criterion_2_a4_series():
     """A4 value to 1e-9 of pi^2/24; divergence reported for m=3. <1s."""
     report = validate_a4(SPEC2, Z=2.0, T=1.0)
-    assert report.converges
-    assert abs(report.value - math.pi**2 / 24.0) <= 1e-9
+    assert report < math.inf
+    assert abs(report - math.pi**2 / 24.0) <= 1e-9
     report3 = validate_a4(make_power_entropy(3.0), Z=1.0, T=1.0)
-    assert not report3.converges
-    print(f"PASS: criterion 2 - A4 value {report.value:.10f} vs pi^2/24, m=3 divergent")
+    assert report3 == math.inf
+    print(f"PASS: criterion 2 - A4 value {report:.10f} vs pi^2/24, m=3 divergent")
 
 
 def test_criterion_3_linear_thresholds():
     """q_max_lin and ground free energy to 1e-9; Table-1 regimes. <1s."""
     spec15 = make_power_entropy(1.5)
     qmax = q_max_lin(spec15, Z=1.0, T=1.0)
-    assert abs(qmax.value - (math.pi**2 / 6.0) / 36.0) <= 1e-9
+    assert abs(qmax - (math.pi**2 / 6.0) / 36.0) <= 1e-9
     ground = linear_ground_free_energy(SPEC2, Z=2.0, T=1.0)
-    assert abs(ground.value - (-math.pi**2 / 24.0)) <= 1e-9
+    assert abs(ground - (-math.pi**2 / 24.0)) <= 1e-9
     assert regime_classify(1.4) is Regime.FINITE_QMAX
     assert regime_classify(2.0) is Regime.INFINITE_QMAX
     assert regime_classify(3.0) is Regime.UNBOUNDED

@@ -32,6 +32,28 @@ def test_entropy_converges(capsys):
     assert out.splitlines()[1] == "lambda,g,beta_star"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["entropy", "--m", "2", "--Z", "2", "--T", "1"],
+         "A4 converges, value ≈ 0.411234, tail_bound 0"),
+        (["linear", "--m", "1.5", "--Z", "1", "--T", "1"],
+         "1.5,1,1,FiniteQmax,0.045692612968006294,-0.0025053778558128191,0,0.026952030166845251"),
+        (["linear", "--m", "2", "--Z", "1", "--T", "1"],
+         "2,1,1,InfiniteQmax,inf,-0.025702094794503541,0,0.14893174831631481"),
+        (["linear", "--m", "3.5", "--Z", "1", "--T", "1"],
+         "3.5,1,1,Unbounded,inf,-inf,inf,1"),
+    ],
+    ids=["entropy", "finite", "infinite", "unbounded"],
+)
+def test_series_lines_are_pinned(capsys, argv, line):
+    # the verdict line of entropy, the data row of linear: tail reads 0, or inf
+    # where the ground free energy is -inf
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0 if argv[0] == "entropy" else 1] == line
+
+
 def test_entropy_near_m_one_raises_no_warning(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -58,6 +80,14 @@ def test_entropy_bad_exponent_exit1(capsys):
     assert "m > 1" in err
 
 
+# r_max values whose grid at n = 50 has an r_max^2 or 1/h^4 past the float range
+_BAD_RMAX = ("1e-300", "1e-155", "1e-100", "1e-76", "1e200", "1e300")
+_CHARGES = {
+    "minimize": ["--q", "0.1"],
+    "sweep": ["--q-from", "0.05", "--q-to", "0.1", "--q-steps", "2"],
+}
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [
@@ -77,10 +107,16 @@ def test_entropy_bad_exponent_exit1(capsys):
         (["sweep", "--m", "2", "--Z", "1e155", "--T", "1", "--q-from", "0.1", "--q-to", "0.2",
           "--q-steps", "2", "--n", "40", "--rmax", "10", "--lmax", "0"],
          "Z^2/(4T) overflows at Z = 1e+155, T = 1.0"),
+    ] + [
+        ([command, "--m", "2", "--Z", "1", "--T", "1", "--n", "50", "--lmax", "1",
+          "--rmax", rmax, *charges], f"n_points = 50 and r_max = {float(rmax)} ")
+        for command, charges in _CHARGES.items() for rmax in _BAD_RMAX
     ],
     ids=["Z-inf", "Z-nan", "T-tiny", "Z-huge", "sum-overflows", "m-inf", "linear-T-tiny",
          "linear-T-nan", "linear-m-inf", "minimize-negative-max-iter", "minimize-Z-overflows",
-         "sweep-Z-overflows"],
+         "sweep-Z-overflows"] + [
+        f"{command}-rmax-{rmax}" for command in _CHARGES for rmax in _BAD_RMAX
+    ],
 )
 def test_bad_or_overflowing_input_exit1(capsys, argv, names):
     # a closed form that overflows is reported with the input that made it
@@ -226,6 +262,18 @@ def test_linear_infinite_regime(capsys):
     assert fields[3] == "InfiniteQmax"
     assert fields[4] == "inf"
     assert float(fields[7]) == pytest.approx(0.148932, abs=5e-6)
+
+
+def test_state_is_written_to_the_path_given(tmp_path, capsys):
+    # a path without ".npz" is kept as given, so evolve reads it back
+    state = tmp_path / "run"
+    code, _, _ = run(capsys, MINIMIZE_SMALL + ["--state", str(state)])
+    assert code in (0, 3)
+    code, out, err = run(capsys, ["evolve", "--state", str(state), "--dt", "0.05",
+                                  "--horizon", "0.1"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "t,trace,E_hf,entropy_trace,dist"
+    assert not (tmp_path / "run.npz").exists()
 
 
 def test_minimize_roundtrip(tmp_path, capsys):
@@ -529,7 +577,7 @@ def _with_config(arrays, **changes):
     "tamper",
     [
         "nonorthonormal", "shape", "spectrum", "missing", "lmax_negative", "rmax_nan", "Z_nan",
-        "Z_overflowing", "nan", "weights_2d", "complex_weights", "old_format",
+        "Z_overflowing", "rmax_tiny", "nan", "weights_2d", "complex_weights", "old_format",
     ],
 )
 def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tamper):
@@ -544,6 +592,8 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
         _with_config(arrays, Z=math.nan)
     elif tamper == "Z_overflowing":
         _with_config(arrays, Z=1e155)
+    elif tamper == "rmax_tiny":
+        _with_config(arrays, r_max=1e-300)
     elif tamper == "nonorthonormal":
         orbitals[:, 0] *= 1.001
     elif tamper == "shape":
@@ -571,6 +621,8 @@ def test_evolve_rejects_tampered_state_exit4(stored_state, tmp_path, capsys, tam
         assert ("orbitals_1" if tamper == "missing" else "config") in err
     if tamper == "Z_overflowing":
         assert "Z^2/(4T) overflows at Z = 1e+155, T = 1.0" in err
+    if tamper == "rmax_tiny":
+        assert "n_points = 150 and r_max = 1e-300 " in err
 
 
 @pytest.mark.parametrize("command", ["evolve", "stability"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,17 @@ def test_build_grid_rejects_non_integral_size(n_points):
 def test_build_grid_rejects_non_finite_r_max(r_max):
     with pytest.raises(ValueError, match="finite"):
         build_grid(100, r_max)
+
+
+@pytest.mark.parametrize("n_points", [1, 50, 900])
+def test_build_grid_bounds_hold_on_both_sides(n_points):
+    # r_max^2 and 1/h^4 must be finite, with h = r_max/(n_points+1)
+    big = np.finfo(float).max
+    high, low = math.sqrt(big), big**-0.25 * (n_points + 1)
+    for inside, outside in ((0.999 * high, 1.001 * high), (1.001 * low, 0.999 * low)):
+        build_grid(n_points, inside)
+        with pytest.raises(ValueError, match=f"n_points = {n_points} and r_max = "):
+            build_grid(n_points, outside)
 
 
 def test_discrete_hydrogen_spectrum():

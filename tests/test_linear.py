@@ -89,9 +89,9 @@ def test_regime_table():
 def test_ground_free_energy_m2():
     spec = make_power_entropy(2.0)
     res = linear_ground_free_energy(spec, Z=2.0, T=1.0)
-    assert res.value == pytest.approx(-math.pi**2 / 24.0, abs=1e-9)
-    assert res.value < 0.0
-    assert res.tail_bound < 1e-9
+    assert res == pytest.approx(-math.pi**2 / 24.0, abs=1e-9)
+    assert res < 0.0
+    assert math.isfinite(res)
 
 
 def test_ground_free_energy_m15():
@@ -99,13 +99,13 @@ def test_ground_free_energy_m15():
     # j^2 * (-1/(432 j^6)) and the sum is -zeta(4)/432.
     spec = make_power_entropy(1.5)
     res = linear_ground_free_energy(spec, Z=1.0, T=1.0)
-    assert res.value == pytest.approx(-(math.pi**4 / 90.0) / 432.0, rel=1e-9)
+    assert res == pytest.approx(-(math.pi**4 / 90.0) / 432.0, rel=1e-9)
 
 
 def test_ground_free_energy_vanishing_charge():
     spec = make_power_entropy(2.0)
     res = linear_ground_free_energy(spec, Z=1e-4, T=1.0)
-    assert -1e-9 < res.value < 0.0
+    assert -1e-9 < res < 0.0
 
 
 def test_ground_free_energy_temperature_scaling():
@@ -116,7 +116,7 @@ def test_ground_free_energy_temperature_scaling():
         assert T > Z * Z / 8.0  # keeps every level in the closed-form window
         res = linear_ground_free_energy(spec, Z=Z, T=T)
         closed = -(Z**4) * (math.pi**2 / 6.0) / (64.0 * T)
-        assert res.value == pytest.approx(closed, rel=1e-9)
+        assert res == pytest.approx(closed, rel=1e-9)
 
 
 def test_ground_level_terms_match_scalar_minimization():
@@ -154,17 +154,17 @@ def test_ground_free_energy_unbounded():
 def test_q_max_lin_m15():
     spec = make_power_entropy(1.5)
     res = q_max_lin(spec, Z=1.0, T=1.0)
-    assert res.value == pytest.approx((math.pi**2 / 6.0) / 36.0, abs=1e-9)
+    assert res == pytest.approx((math.pi**2 / 6.0) / 36.0, abs=1e-9)
 
 
 def test_q_max_lin_infinite_for_m2():
     spec = make_power_entropy(2.0)
-    assert math.isinf(q_max_lin(spec, Z=1.0, T=1.0).value)
+    assert math.isinf(q_max_lin(spec, Z=1.0, T=1.0))
 
 
 def test_q_max_lin_vanishes_at_high_temperature():
     spec = make_power_entropy(1.5)
-    assert q_max_lin(spec, Z=1.0, T=1e8).value < 1e-10
+    assert q_max_lin(spec, Z=1.0, T=1e8) < 1e-10
 
 
 def test_q_max_lin_closed_form_against_zeta():
@@ -175,7 +175,7 @@ def test_q_max_lin_closed_form_against_zeta():
         assert T > Z * Z / (4.0 * m)
         s = 2.0 / (m - 1.0) - 2.0
         closed = (Z * Z / (4.0 * T * m)) ** (1.0 / (m - 1.0)) * zeta(s)
-        assert q_max_lin(spec, Z, T).value == pytest.approx(closed, rel=1e-9)
+        assert q_max_lin(spec, Z, T) == pytest.approx(closed, rel=1e-9)
 
 
 def _enclosure(term, coeff, p, n_terms=200_000):
@@ -207,21 +207,21 @@ def test_closed_form_series_inside_direct_enclosure(m, Z, T):
     g_coeff = (c / m) ** (1.0 / (m - 1.0))
 
     a4 = validate_a4(spec, Z, T)
-    assert a4.converges and a4.tail_bound == 0.0
+    assert a4 < math.inf
     a4_terms = lambda j: j**2 * np.abs(spec.beta_star(-c / j**2))
     a4_coeff = (m - 1.0) * (c / m) ** (m / (m - 1.0))
-    assert _inside(a4.value, _enclosure(a4_terms, a4_coeff, p))
+    assert _inside(a4, _enclosure(a4_terms, a4_coeff, p))
 
-    unweighted = _g_series(spec, Z, T, 0).value
+    unweighted = _g_series(spec, Z, T, 0)
     assert _inside(unweighted, _enclosure(lambda j: spec.g(-c / j**2), g_coeff, p))
 
     qmax = q_max_lin(spec, Z, T)
     if m < 5.0 / 3.0:
-        assert qmax.tail_bound == 0.0
+        assert qmax < math.inf
         qmax_terms = lambda j: j**2 * spec.g(-c / j**2)
-        assert _inside(qmax.value, _enclosure(qmax_terms, g_coeff, p + 2.0))
+        assert _inside(qmax, _enclosure(qmax_terms, g_coeff, p + 2.0))
     else:
-        assert math.isinf(qmax.value) and math.isinf(qmax.tail_bound)
+        assert qmax == math.inf
 
 
 def test_scipy_special_loaded_only_to_sum_a_tail():
@@ -232,7 +232,7 @@ def test_scipy_special_loaded_only_to_sum_a_tail():
     probe = (
         "import sys, fermitherm.cli\n"
         "from fermitherm import make_power_entropy, q_max_lin\n"
-        "assert q_max_lin(make_power_entropy(2.0), 1.0, 1.0).value == float('inf')\n"
+        "assert q_max_lin(make_power_entropy(2.0), 1.0, 1.0) == float('inf')\n"
         "assert 'scipy.special' not in sys.modules\n"
     )
     src = str(Path(fermitherm.__file__).parents[1])
@@ -253,7 +253,7 @@ def test_q_of_mu_zero_when_mu_below_spectrum():
 
 def test_q_of_mu_approaches_q_max_lin():
     spec = make_power_entropy(1.5)
-    qmax = q_max_lin(spec, 1.0, 1.0).value
+    qmax = q_max_lin(spec, 1.0, 1.0)
     assert q_of_mu(spec, 1.0, 1.0, -1e-10) == pytest.approx(qmax, abs=1e-4)
     assert q_of_mu(spec, 1.0, 1.0, 0.0) == qmax
 
@@ -297,7 +297,7 @@ def test_q_of_mu_is_bounded_in_time_as_mu_approaches_zero(mu):
     # a summable tail tends to q_max_lin; a sum past the float range raises
     spec = make_power_entropy(1.5)
     got = q_of_mu(spec, 1.0, 1.0, mu)
-    assert abs(got - q_max_lin(spec, 1.0, 1.0).value) <= 1e-12 * got
+    assert abs(got - q_max_lin(spec, 1.0, 1.0)) <= 1e-12 * got
     with pytest.raises(OverflowError):
         q_of_mu(make_power_entropy(4.0), 1.0, 1.0, mu)
 
@@ -334,7 +334,7 @@ def test_mu_of_q_stops_at_adjacent_floats(monkeypatch):
     from fermitherm import linear
 
     spec, Z, T = make_power_entropy(1.6), 30.0, 0.01
-    q = 0.99 * q_max_lin(spec, Z, T).value
+    q = 0.99 * q_max_lin(spec, Z, T)
     calls = []
 
     def counted(*args):
@@ -375,7 +375,7 @@ def test_guaranteed_qmax_is_the_largest_float_below_its_bound(m, Z, T):
     spec = make_power_entropy(m)
 
     def rhs(q):  # the right side as guaranteed_existence_qmax builds it
-        return min(_g_series(spec, Z - q, T, 0).value, Z) if q < Z else 0.0
+        return min(_g_series(spec, Z - q, T, 0), Z) if q < Z else 0.0
 
     q = guaranteed_existence_qmax(spec, Z, T)
     above = math.nextafter(q, math.inf)
@@ -411,7 +411,7 @@ def test_guaranteed_qmax_capped_by_Z():
 def test_guaranteed_qmax_below_q_max_lin_when_finite():
     spec = make_power_entropy(1.5)
     q_g = guaranteed_existence_qmax(spec, 1.0, 1.0)
-    q_m = q_max_lin(spec, 1.0, 1.0).value
+    q_m = q_max_lin(spec, 1.0, 1.0)
     assert q_g <= q_m
 
 
@@ -419,8 +419,8 @@ def test_linear_report_composes():
     spec = make_power_entropy(2.0)
     rep = linear_report(spec, 1.0, 1.0)
     assert rep.regime is Regime.INFINITE_QMAX
-    assert math.isinf(rep.q_max_lin.value)
-    assert rep.ground_free_energy.value < 0.0
+    assert math.isinf(rep.q_max_lin)
+    assert rep.ground_free_energy < 0.0
     assert rep.q_guaranteed == pytest.approx(0.148932, abs=5e-6)
 
 
@@ -428,4 +428,4 @@ def test_linear_report_unbounded_regime():
     spec = make_power_entropy(3.5)
     rep = linear_report(spec, 1.0, 1.0)
     assert rep.regime is Regime.UNBOUNDED
-    assert rep.ground_free_energy.value == -math.inf
+    assert rep.ground_free_energy == -math.inf

@@ -473,6 +473,26 @@ def test_charge_sweep_requires_increasing():
         charge_sweep(small_config(), [0.1, 0.05])
 
 
+@pytest.mark.parametrize("workers", [2.5, math.nan, "2"])
+def test_charge_sweep_refuses_workers_that_are_not_integers(monkeypatch, workers):
+    # refused before any solve or process: 2.5 once ran two charges and failed on three
+    solved = []
+    monkeypatch.setattr(scf_module, "scf_minimize", solved.append)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        charge_sweep(small_config(n_points=60), [0.02, 0.05, 0.08], workers=workers)
+    assert solved == [] and multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("l_max", [0, 3])
+def test_solve_runs_just_inside_the_grid_bounds(l_max):
+    # RuntimeWarning is an error here: just inside either bound of build_grid the
+    # solve ends in a status, with no overflow, NaN or LAPACK failure on the way
+    F = np.finfo(float).max
+    for r_max in (0.999 * math.sqrt(F), 1.001 * F**-0.25 * 51):
+        res = scf_minimize(small_config(n_points=50, r_max=r_max, l_max=l_max))
+        assert res.status in ("converged", "max_iter", "stalled", "unreachable-charge")
+
+
 def test_charge_sweep_refuses_no_workers():
     with pytest.raises(ValueError):
         charge_sweep(small_config(n_points=60), [0.02], workers=0)
